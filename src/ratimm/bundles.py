@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
                    RelativeModel, cohomology)
-from .errors import DegreeError, HypothesisFailure
+from .errors import DegreeError
 from .gca import Element, FreeAlgebra, Generator, parse_element
 
 __all__ = [

@@ -497,7 +497,7 @@ class RelativeModel:
         for g in fiber_generators:
             name = g.name
             if name in taken:
-                new = self._unique(name, taken)
+                new = _unique_name(name, taken)
                 self.renamings[name] = new
                 name = new
             taken.add(name)
@@ -534,13 +534,6 @@ class RelativeModel:
         if isinstance(alg, FreeAlgebra):
             return {g.name for g in alg.generators}
         return {n for n, _ in alg.basis}
-
-    @staticmethod
-    def _unique(name: str, taken: set[str]) -> str:
-        i = 2
-        while f"{name}_{i}" in taken:
-            i += 1
-        return f"{name}_{i}"
 
     def _validate(self):
         for i, elt in self._twist.items():
@@ -700,10 +693,13 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                engine: str = "sparse") -> BettiTable:
     """Degreewise cohomology ranks, by exact elimination.
 
-    engine="sparse" is the production path (fraction-free sparse
-    elimination, with representative cocycles); engine="dense" recomputes
-    the ranks with the independent dense eliminator and returns no
-    representatives.
+    engine="sparse" is the production path: fraction-free sparse
+    elimination of each degree's differential, once.  Without
+    representatives that elimination computes the rank only.  With them
+    it also yields the kernel, and its echelon is the image that the
+    next degree's cocycles are reduced against when representatives are
+    chosen.  engine="dense" recomputes the ranks with the independent
+    dense eliminator and returns no representatives.
     """
     alg = cdga.algebra
     keys = [alg.keys_of_degree(n) for n in range(cutoff + 2)]
@@ -722,32 +718,32 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
         return BettiTable(cutoff, dims, None)
 
     rank_prev = 0
-    image_prev: linalg.SparseEchelon | None = None
+    image_prev = linalg.SparseEchelon()
     for n in range(cutoff + 1):
         cols = _diff_columns(cdga, keys[n], index[n + 1])
-        rank_n, kernel = linalg.sparse_rank_kernel(cols)
-        b_n = len(keys[n]) - rank_n - rank_prev
+        if not representatives:
+            rank_n = linalg.sparse_rank(cols)
+            dims.append(len(keys[n]) - rank_n - rank_prev)
+            rank_prev = rank_n
+            continue
+        image, kernel = linalg.kernel_echelon(cols)
+        b_n = len(keys[n]) - image.rank - rank_prev
         dims.append(b_n)
-        if representatives:
-            ech = image_prev if image_prev is not None else linalg.SparseEchelon()
-            chosen = []
-            for ker in kernel:
-                residue = ech.reduce(ker)
-                if residue:
-                    ech.add(residue)
-                    chosen.append(Element(alg, {keys[n][j]: Fraction(c)
-                                                for j, c in ker.items()}))
-            if len(chosen) != b_n:
-                raise AssertionError(
-                    f"rank bookkeeping mismatch in degree {n}: "
-                    f"{len(chosen)} representatives for b_{n}={b_n}")
-            reps.append(chosen)
-        # image of d_n feeds the next degree
-        nxt = linalg.SparseEchelon()
-        for col in cols:
-            nxt.add(col)
-        image_prev = nxt
-        rank_prev = rank_n
+        chosen = []
+        for ker in kernel:
+            residue = image_prev.reduce(ker)
+            if residue:
+                image_prev.add(residue)
+                chosen.append(Element(alg, {keys[n][j]: Fraction(c)
+                                            for j, c in ker.items()}))
+        if len(chosen) != b_n:
+            raise AssertionError(
+                f"rank bookkeeping mismatch in degree {n}: "
+                f"{len(chosen)} representatives for b_{n}={b_n}")
+        reps.append(chosen)
+        # the image of d_n is what degree n+1's cocycles are reduced against
+        image_prev = image
+        rank_prev = image.rank
     return BettiTable(cutoff, dims, reps if representatives else None)
 
 

@@ -44,7 +44,3 @@ class ChainMapError(RatimmError):
 
 class ComponentObstruction(RatimmError):
     """A mapping-space component cannot be normalized to the null one."""
-
-
-class HypothesisFailure(RatimmError):
-    """A theorem hypothesis required by a construction does not hold."""

@@ -7,6 +7,10 @@ Two independent elimination routines live here on purpose:
 * a dense textbook Gauss-Jordan eliminator kept solely as a cross-check
   oracle for tests and the CLI verify suites.
 
+Sparse reduction visits only the pivot columns a vector touches, fill-in
+included, smallest first (a heap); rational bookkeeping is carried only
+for tagged vectors, so a rank computation pays for none of it.
+
 Vectors are dicts mapping coordinate index -> Fraction (or int).  All
 results are exact and deterministic.
 """
@@ -14,6 +18,7 @@ results are exact and deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -43,16 +48,18 @@ class SparseEchelon:
     """Incremental fraction-free row echelon over the rationals.
 
     Row vectors keep integer entries; elimination uses integer
-    cross-multiplication followed by a gcd reduction.  Each row carries
-    an exact rational bookkeeping record `aug` with the invariant
+    cross-multiplication followed by a gcd reduction.  A tagged row
+    carries an exact rational bookkeeping record `aug` with the invariant
 
         row == sum_i aug[i] * column_i
 
-    over the columns fed to :meth:`add`, which yields kernels and solves.
+    over the tagged columns fed to :meth:`add`, which yields kernels and
+    solves.  Untagged rows carry None: add tagged vectors only to an
+    echelon whose rows are all tagged.
     """
 
     def __init__(self):
-        self.rows: list[tuple[dict[int, int], dict[int, Fraction]]] = []
+        self.rows: list[tuple[dict[int, int], dict[int, Fraction] | None]] = []
         self.pivot_cols: dict[int, int] = {}  # pivot col -> row position
 
     @property
@@ -60,47 +67,59 @@ class SparseEchelon:
         return len(self.rows)
 
     @staticmethod
-    def _normalize(vec: dict[int, int], aug: dict[int, Fraction]):
+    def _normalize(vec: dict[int, int], aug: dict[int, Fraction] | None):
         g = 0
         for v in vec.values():
             g = gcd(g, v)
-        if g > 1:
-            vec = {j: v // g for j, v in vec.items()}
-            aug = {j: v / g for j, v in aug.items() if v}
         if vec and vec[min(vec)] < 0:
-            vec = {j: -v for j, v in vec.items()}
-            aug = {j: -v for j, v in aug.items()}
-        return vec, {j: v for j, v in aug.items() if v}
+            g = -g
+        if g in (0, 1):
+            return vec, aug
+        vec = {j: v // g for j, v in vec.items()}
+        if aug is not None:
+            aug = {j: v / g for j, v in aug.items()}
+        return vec, aug
 
-    def _reduce(self, vec: dict[int, int], aug: dict[int, Fraction]):
-        for col, rowpos in sorted(self.pivot_cols.items()):
+    def _reduce(self, vec: dict[int, int], aug: dict[int, Fraction] | None):
+        """Eliminate the pivot columns of `vec`, smallest first, updating
+        `aug` alongside (None: no bookkeeping)."""
+        pivot_cols = self.pivot_cols
+        heap = [j for j in vec if j in pivot_cols]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
             coeff = vec.get(col)
-            if not coeff:
+            if not coeff:  # cancelled by an earlier row, or pushed twice
                 continue
-            row, rowaug = self.rows[rowpos]
+            row, rowaug = self.rows[pivot_cols[col]]
             lead = row[col]
-            # vec <- lead*vec - coeff*row  (kills column `col`)
+            # vec <- lead*vec - coeff*row  (kills column `col`; a row has
+            # no entries left of its pivot, so fill-in lands right of it)
             new = {j: lead * v for j, v in vec.items()}
             for j, v in row.items():
                 s = new.get(j, 0) - coeff * v
                 if s:
+                    if j not in new and j in pivot_cols:
+                        heappush(heap, j)
                     new[j] = s
                 else:
                     new.pop(j, None)
-            newaug = {j: lead * v for j, v in aug.items()}
-            for j, v in rowaug.items():
-                s = newaug.get(j, Fraction(0)) - coeff * v
-                if s:
-                    newaug[j] = s
-                else:
-                    newaug.pop(j, None)
-            vec, aug = self._normalize(new, newaug)
+            if aug is not None:
+                newaug = {j: lead * v for j, v in aug.items()}
+                for j, v in rowaug.items():
+                    s = newaug.get(j, 0) - coeff * v
+                    if s:
+                        newaug[j] = s
+                    else:
+                        newaug.pop(j, None)
+                aug = newaug
+            vec, aug = self._normalize(new, aug)
         return vec, aug
 
     def reduce(self, vec: dict) -> dict[int, int]:
         """Residue of a vector modulo the row space (integer-normalized)."""
         ivec, _ = clear_denominators(vec)
-        res, _ = self._reduce(ivec, {})
+        res, _ = self._reduce(ivec, None)
         return res
 
     def contains(self, vec: dict) -> bool:
@@ -109,12 +128,12 @@ class SparseEchelon:
     def add(self, vec: dict, tag=None):
         """Insert a vector; returns (pivot_col_or_None, relation).
 
-        When the vector is dependent (pivot None) and tags were supplied,
-        the relation maps tags to rational coefficients: the tagged input
-        combination that equals zero.
+        With a tag, the relation maps tags to rational coefficients: for
+        a dependent vector (pivot None) it is the tagged input
+        combination that equals zero.  Without a tag it is None.
         """
         ivec, alpha = clear_denominators(vec)
-        aug = {tag: alpha} if tag is not None else {}
+        aug = {tag: alpha} if tag is not None else None
         ivec, aug = self._reduce(ivec, aug)
         if not ivec:
             return None, aug
@@ -132,8 +151,9 @@ def sparse_rank(columns: list[dict]) -> int:
     return ech.rank
 
 
-def sparse_rank_kernel(columns: list[dict]):
-    """Rank and kernel basis of the linear map sending e_j to columns[j].
+def kernel_echelon(columns: list[dict]):
+    """Echelon of the columns, each tagged by its index, and the kernel
+    basis of the linear map sending e_j to columns[j].
 
     Kernel vectors are integer-normalized dicts over the domain indices,
     produced in a deterministic order.
@@ -143,8 +163,14 @@ def sparse_rank_kernel(columns: list[dict]):
     for j, col in enumerate(columns):
         pivot, aug = ech.add(col, tag=j)
         if pivot is None:
-            ker, _ = clear_denominators(aug if aug else {j: 1})
+            ker, _ = clear_denominators(aug)
             kernel.append(ker)
+    return ech, kernel
+
+
+def sparse_rank_kernel(columns: list[dict]):
+    """Rank and kernel basis (see :func:`kernel_echelon`)."""
+    ech, kernel = kernel_echelon(columns)
     return ech.rank, kernel
 
 
@@ -156,36 +182,14 @@ def sparse_solve(columns: list[dict], target: dict):
     ivec, beta = clear_denominators(target)
     if not ivec:
         return {}
-    combo: dict = {}
-    for col, rowpos in sorted(ech.pivot_cols.items()):
-        coeff = ivec.get(col)
-        if not coeff:
-            continue
-        row, rowaug = ech.rows[rowpos]
-        lead = row[col]
-        new = {j: lead * v for j, v in ivec.items()}
-        for j, v in row.items():
-            s = new.get(j, 0) - coeff * v
-            if s:
-                new[j] = s
-            else:
-                new.pop(j, None)
-        beta = beta * lead
-        combo = {j: lead * v for j, v in combo.items()}
-        for j, v in rowaug.items():
-            combo[j] = combo.get(j, Fraction(0)) + coeff * v
-        # joint gcd reduction keeps the invariant ivec = beta*target - combo.cols
-        g = 0
-        for v in new.values():
-            g = gcd(g, v)
-        if g > 1:
-            new = {j: v // g for j, v in new.items()}
-            beta = beta / g
-            combo = {j: v / g for j, v in combo.items()}
-        ivec = new
-    if ivec:
+    # the target, tagged past the columns, reduces to
+    # aug[t]*target + sum_j aug[j]*columns[j]
+    t = len(columns)
+    residue, aug = ech._reduce(ivec, {t: beta})
+    if residue:
         return None
-    return {j: v / beta for j, v in combo.items() if v}
+    scale = -aug.pop(t)
+    return {j: v / scale for j, v in aug.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
-                   TensorAlgebra, cohomology)
+                   TensorAlgebra, _unique_name, cohomology)
 from .errors import ComponentObstruction, DegreeError
 from .gca import Element, FreeAlgebra, Generator
 
@@ -196,10 +196,7 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
                 continue
             name = v.name if u == A.algebra.unit else f"{v.name}_{uname}"
             if name in taken:
-                i = 2
-                while f"{name}_{i}" in taken:
-                    i += 1
-                name = f"{name}_{i}"
+                name = _unique_name(name, taken)
             taken.add(name)
             pairs[(v.name, u)] = name
             gens.append(Generator(name, deg))

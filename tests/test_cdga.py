@@ -114,6 +114,19 @@ def test_dense_engine_agrees(s2_model, cp2):
         assert sp.dims == de.dims
 
 
+def test_rank_only_representative_and_dense_paths_agree():
+    from ratimm.bundles import sphere_product_manifold, stiefel_model
+    from ratimm.mapping import sphere_map_null_model
+    null = sphere_map_null_model(sphere_product_manifold(2, 4).model, 8)
+    for cdga, cutoff in ((stiefel_model(7, 4), 20), (null, 24)):
+        rank_only = cohomology(cdga, cutoff, representatives=False)
+        with_reps = cohomology(cdga, cutoff, representatives=True)
+        dense = cohomology(cdga, cutoff, engine="dense")
+        assert rank_only.dims == with_reps.dims == dense.dims
+        assert rank_only.representatives is None
+        assert [len(r) for r in with_reps.representatives] == with_reps.dims
+
+
 def test_finite_cdga_with_differential():
     # basis 1, a2, y3, a4=a^2, w5=a*y with dy = a^2: rationally a point up to 5?
     nf = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],

@@ -104,3 +104,46 @@ def test_random_solve_round_trip():
             for i, v in cols[j].items():
                 check[i] = check.get(i, Fraction(0)) + c * v
         assert {i: v for i, v in check.items() if v} == target
+
+
+def test_random_sparse_fill_in_cross_check(monkeypatch):
+    # larger, very sparse matrices: eliminating one pivot puts entries on
+    # later pivot columns, which the reduction must then visit too
+    pushes = []
+    real_push = linalg.heappush
+    monkeypatch.setattr(linalg, "heappush",
+                        lambda heap, j: (pushes.append(j), real_push(heap, j)))
+    rng = random.Random(2718)
+    for _ in range(8):
+        nrows, ncols = rng.randint(30, 60), rng.randint(40, 80)
+        cols = []
+        for _j in range(ncols):
+            support = rng.sample(range(nrows), rng.randint(2, 4))
+            cols.append({i: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                     rng.choice([1, 1, 2, 5]))
+                         for i in support})
+        rank, kernel = linalg.sparse_rank_kernel(cols)
+        assert linalg.sparse_rank(cols) == rank
+        assert rank == linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
+        assert rank + len(kernel) == ncols
+        for ker in kernel:
+            acc = {}
+            for j, c in ker.items():
+                for i, v in cols[j].items():
+                    acc[i] = acc.get(i, Fraction(0)) + c * v
+            assert not any(acc.values())
+        x = {j: Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+             for j in range(ncols) if rng.random() < 0.3}
+        target = {}
+        for j, c in x.items():
+            for i, v in cols[j].items():
+                target[i] = target.get(i, Fraction(0)) + c * v
+        target = {i: v for i, v in target.items() if v}
+        sol = linalg.sparse_solve(cols, target)
+        assert sol is not None
+        check = {}
+        for j, c in sol.items():
+            for i, v in cols[j].items():
+                check[i] = check.get(i, Fraction(0)) + c * v
+        assert {i: v for i, v in check.items() if v} == target
+    assert pushes, "no reduction filled in a later pivot column"
