@@ -5,7 +5,7 @@ generators; odd generators anticommute and square to zero, even ones
 commute, and every coefficient is an exact fraction.
 """
 
-from ratimm import FreeAlgebra, Generator, basis_of_degree, parse_element
+from ratimm import FreeAlgebra, Generator, parse_element
 
 # Declare an algebra on two odd and one even generator.  Declaration
 # order fixes the canonical monomial order, so printing is deterministic.
@@ -22,7 +22,7 @@ print("u * (a*v) =", u * (a * v), "   (a*v) * u =", (a * v) * u)
 
 # Monomial bases per degree are enumerated exactly, in graded-lex order.
 for n in range(0, 9):
-    names = [alg.format_key(m) for m in basis_of_degree(alg, n)]
+    names = [alg.format_key(m) for m in alg.basis_of_degree(n)]
     print(f"degree {n}: {names}")
 
 # Expressions parse through a small grammar (rationals as p/q):

@@ -6,14 +6,14 @@ degree with exact sparse elimination (a dense eliminator double-checks).
 """
 
 from ratimm import (FiniteCdga, FreeCdga, Generator, check_d_squared,
-                    cohomology, extend_derivation, parse_element, tensor)
+                    cohomology, parse_element, tensor)
 
 # The standard model of the 2-sphere: Lambda(e2, x3) with d(x3) = e2^2.
 s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"},
               label="S2")
 print("d(x3) =", s2.differential_of_generator("x3"))
 print("Leibniz: d(e2*x3) =",
-      extend_derivation(s2, parse_element("e2*x3", s2.algebra)))
+      s2.diff(parse_element("e2*x3", s2.algebra)))
 print("d^2 residues:", check_d_squared(s2, 24))
 
 table = cohomology(s2, 8)

@@ -6,16 +6,14 @@ framed-bundle models that describe immersion spaces Imm(M, R^{m+k})
 through the Smale-Hirsch correspondence, plus Betti-series assembly and
 polynomial-growth classification of their components.
 
-All arithmetic is exact (fractions.Fraction); no floating point is used
-anywhere.
+All arithmetic is exact: every coefficient is an int or a
+fractions.Fraction, and no floating point is used anywhere.
 """
 
-from .gca import (Element, FreeAlgebra, Generator, basis_of_degree, multiply,
-                  parse_element)
+from .gca import Element, FreeAlgebra, Generator, parse_element
 from .cdga import (BettiTable, CdgaMorphism, FiniteAlgebra, FiniteCdga,
                    FreeCdga, RelativeModel, TensorAlgebra, check_d_squared,
-                   cohomology, extend_derivation, is_quasi_iso, tensor,
-                   unit_cdga)
+                   cohomology, is_quasi_iso, tensor, unit_cdga)
 from .bundles import (BsoModel, ManifoldModel, TrivialityVerdict, bso_model,
                       borel_assoc_model, complex_projective_plane,
                       framed_bundle_model, is_rationally_trivial,
@@ -29,8 +27,7 @@ from .series import PoincareSeries, RationalForm, em_series, series_product
 from .immersions import (Growth, HypothesisCheck, ImmersionDescription,
                          connectivity_verdict, description_to_dict,
                          description_to_json, growth_degree,
-                         immersion_components, report_from_json,
-                         verify_growth_bounds)
+                         immersion_components, verify_growth_bounds)
 from .io import (load_cdga, load_manifold, parse_cdga, parse_manifold,
                  serialize_cdga, serialize_manifold)
 from . import errors

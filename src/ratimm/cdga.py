@@ -11,6 +11,12 @@ Three algebra kinds share one element type and one cohomology routine:
 
 Cohomology is computed degreewise by exact sparse elimination; a dense
 eliminator is available as an independent cross-check oracle.
+
+Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
+order; `diff_key` builds each column by the Leibniz rule on plain {key:
+coefficient} dicts (`_leibniz`), from the terms of d on generators that
+each model caches once.  Integral input keeps int coefficients, which
+`linalg.clear_denominators` takes without Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from .gca import Element, FreeAlgebra, Generator, parse_element, parse_linear
 __all__ = [
     "FreeCdga", "FiniteAlgebra", "FiniteCdga", "RelativeModel",
     "TensorAlgebra", "CdgaMorphism", "BettiTable", "Violation",
-    "extend_derivation", "check_d_squared", "cohomology", "tensor",
-    "is_quasi_iso", "unit_cdga",
+    "check_d_squared", "cohomology", "tensor", "is_quasi_iso", "unit_cdga",
 ]
 
 
@@ -40,30 +45,50 @@ def _as_element(value, context) -> Element:
     raise TypeError(f"cannot interpret {value!r} as an element")
 
 
-def _leibniz(total, free_alg: FreeAlgebra, mono, diff_of_gen, embed_mono) -> Element:
-    """Derivation of a free monomial inside a possibly larger algebra.
+def _exact(c):
+    """An integral coefficient as an int; any other one unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
-    D(g1^e1 ... gr^er) with D given on generators; `embed_mono` injects
-    fiber monomials into the total algebra, whose product supplies all
-    Koszul signs.  The derivation sign (-1)^{|prefix|} is explicit.
+
+def _leibniz(fiber: FreeAlgebra, mono, dgen) -> dict:
+    """d(g1^e1...gr^er) = sum_i (-1)^{|prefix|} e_i prefix g_i^(e_i-1) d(g_i) suffix.
+
+    `dgen[i]` lists the terms of d(g_i) as (base_key, base_odd, monomial,
+    coefficient), base_key None in a free CDGA; a twist term b (x) m moving
+    left past the prefix gains (-1)^{|prefix||b|}.  `mul_monomials` gives
+    the Koszul signs.  Returns {(base_key, monomial): nonzero coefficient}.
     """
-    factors = list(mono)
-    result = total.zero()
-    prefix_deg = 0
-    for idx, (gi, ei) in enumerate(factors):
-        dg = diff_of_gen(gi)
-        if dg is not None and not dg.is_zero():
-            prefix = embed_mono(tuple(factors[:idx]))
-            suffix = embed_mono(tuple(factors[idx + 1:]))
-            power = embed_mono(((gi, ei - 1),)) if ei > 1 else None
-            term = prefix * dg if power is None else prefix * (power * dg)
-            term = term * suffix * ei
-            if prefix_deg % 2:
-                term = -term
-            result = result + term
-        g = free_alg.generators[gi]
-        prefix_deg += g.degree * ei
-    return result
+    out: dict = {}
+    mul = fiber.mul_monomials
+    gens = fiber.generators
+    odd_prefix = False
+    for idx, (gi, ei) in enumerate(mono):
+        terms = dgen.get(gi)
+        if terms:
+            # e_i > 1 only for even g_i: prefix * g_i^(e_i-1) is one monomial
+            head = mono[:idx] + ((gi, ei - 1),) if ei > 1 else mono[:idx]
+            suffix = mono[idx + 1:]
+            for bk, b_odd, m, c in terms:
+                r = mul(head, m)
+                if r is None:
+                    continue
+                s1, hm = r
+                r = mul(hm, suffix)
+                if r is None:
+                    continue
+                s2, key = r
+                coeff = s1 * s2 * ei * c
+                if odd_prefix and not b_odd:
+                    coeff = -coeff
+                k = (bk, key)
+                v = out.get(k, 0) + coeff
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        if gens[gi].degree * ei % 2:
+            odd_prefix = not odd_prefix
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +111,8 @@ class FreeCdga:
             i = self.algebra.generator_index(name)
             elt = _as_element(value, self.algebra)
             self._diff[i] = elt
+        self._dgen = {i: [(None, False, m, _exact(c)) for m, c in elt.terms.items()]
+                      for i, elt in self._diff.items() if elt.terms}
         if check:
             self._validate()
 
@@ -113,9 +140,8 @@ class FreeCdga:
         return self._diff.get(i, self.algebra.zero())
 
     def diff_key(self, mono) -> Element:
-        return _leibniz(self.algebra, self.algebra, mono,
-                        lambda i: self._diff.get(i),
-                        lambda m: Element(self.algebra, {m: Fraction(1)}))
+        terms = _leibniz(self.algebra, mono, self._dgen)
+        return Element(self.algebra, {m: c for (_, m), c in terms.items()})
 
     def diff(self, element: Element) -> Element:
         if element.algebra is not self.algebra:
@@ -229,29 +255,19 @@ class FiniteAlgebra:
         for u in range(n):
             for v in range(n):
                 for w in range(n):
-                    left = self._mul_vec(self._table[(u, v)], w)
-                    right = self._mul_vec_right(u, self._table[(v, w)])
+                    left = self._mul_vec(self._table[(u, v)], lambda k: (k, w))
+                    right = self._mul_vec(self._table[(v, w)], lambda k: (u, k))
                     if left != right:
                         raise ValueError(
                             f"product table is not associative at "
                             f"({self.basis[u][0]},{self.basis[v][0]},{self.basis[w][0]})")
 
-    def _mul_vec(self, vec: dict[int, Fraction], w: int) -> dict[int, Fraction]:
+    def _mul_vec(self, vec: dict, pair) -> dict[int, Fraction]:
+        """sum_k vec[k] * (product of the basis pair `pair(k)`)."""
         out: dict[int, Fraction] = {}
         for k, c in vec.items():
-            for r, c2 in self._table[(k, w)].items():
-                s = out.get(r, Fraction(0)) + c * c2
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
-
-    def _mul_vec_right(self, u: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for k, c in vec.items():
-            for r, c2 in self._table[(u, k)].items():
-                s = out.get(r, Fraction(0)) + c * c2
+            for r, c2 in self._table[pair(k)].items():
+                s = out.get(r, 0) + c * c2
                 if s:
                     out[r] = s
                 else:
@@ -419,7 +435,8 @@ class TensorAlgebra:
             for lk in self.left.keys_of_degree(i):
                 for rm in rkeys:
                     out.append((lk, rm))
-        out.sort(key=self.sort_key)
+        # already in sort_key order: base degree ascending, then each
+        # factor's own order
         return tuple(out)
 
     def mul_key_pairs(self, key1, key2):
@@ -511,6 +528,10 @@ class RelativeModel:
             name = self.renamings.get(name, name)
             i = self.fiber.generator_index(name)
             self._twist[i] = self._as_twist(value)
+        base_degree = base.algebra.key_degree
+        self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, _exact(c))
+                            for (bk, m), c in elt.terms.items()]
+                        for i, elt in self._twist.items() if elt.terms}
         if check:
             self._validate()
 
@@ -576,27 +597,21 @@ class RelativeModel:
 
     # -- differential --------------------------------------------------------
 
-    def _embed_fiber_mono(self, mono) -> Element:
-        unit = self.base.algebra.one_key()
-        return Element(self.algebra, {(unit, mono): Fraction(1)})
-
     def diff_key(self, key) -> Element:
         lk, rm = key
-        base_unit = self.base.algebra.one_key()
-        # d_base part
-        dbase = self.base.diff_key(lk)
-        result = Element(self.algebra, {(k, rm): c for k, c in dbase.terms.items()})
-        # twisted fiber part with the derivation sign for the base factor
-        dfiber = _leibniz(self.algebra, self.fiber, rm,
-                          lambda i: self._twist.get(i),
-                          self._embed_fiber_mono)
-        if not dfiber.is_zero():
-            left = Element(self.algebra, {(lk, self.fiber.one_key()): Fraction(1)})
-            term = left * dfiber
-            if self.base.algebra.key_degree(lk) % 2:
-                term = -term
-            result = result + term
-        return result
+        base_alg = self.base.algebra
+        # d_base(lk) (x) rm, then (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm)
+        out = {(k, rm): _exact(c) for k, c in self.base.diff_key(lk).terms.items()}
+        sign = -1 if base_alg.key_degree(lk) % 2 else 1
+        for (bk, fm), c in _leibniz(self.fiber, rm, self._dtwist).items():
+            for prod, bc in base_alg.mul_key_pairs(lk, bk):
+                k = (prod, fm)
+                v = out.get(k, 0) + sign * c * _exact(bc)
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+        return Element(self.algebra, out)
 
     def diff(self, element: Element) -> Element:
         if element.algebra is not self.algebra:
@@ -618,13 +633,8 @@ class RelativeModel:
 
 
 # ---------------------------------------------------------------------------
-# Derivation extension / d^2 checks
+# d^2 checks
 # ---------------------------------------------------------------------------
-
-def extend_derivation(cdga, element: Element) -> Element:
-    """Apply the CDGA differential to an arbitrary element (Leibniz rule)."""
-    return cdga.diff(element)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -193,7 +193,8 @@ def cmd_cohomology(args) -> int:
     table = cohomology(cdga, args.max_degree, representatives=False)
     dense = cohomology(cdga, args.max_degree, representatives=False, engine="dense")
     if table.dims != dense.dims:
-        raise RatimmError("sparse and dense eliminators disagree; please report")
+        # an internal fault, not bad input: it must not exit as one
+        raise AssertionError("sparse and dense eliminators disagree; please report")
     if args.format == "json":
         payload = {
             "command": "cohomology", "label": cdga.label,

@@ -2,8 +2,9 @@
 
 Values are `Element` instances: finitely supported rational linear
 combinations of monomials in graded generators.  Odd-degree generators
-anticommute and square to zero, even-degree generators commute; all
-coefficients are `fractions.Fraction`, never floats.
+anticommute and square to zero, even-degree generators commute.  Every
+coefficient is exact, an `int` or a `fractions.Fraction`, never a float;
+differentials assembled from integral data keep `int` coefficients.
 
 Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
 generator index; the empty tuple is the unit monomial.  Generator order is
@@ -59,7 +60,8 @@ class FreeAlgebra:
         self.generators = gens
         self.label = label
         self._index = {g.name: i for i, g in enumerate(gens)}
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._odd = tuple(g.is_odd for g in gens)
+        self._tails: dict[tuple[int, int], tuple[Monomial, ...]] = {}  # see _tails_of
 
     # -- introspection -------------------------------------------------
 
@@ -126,21 +128,20 @@ class FreeAlgebra:
             return 1, m1
         # Koszul: each odd factor of m2 moves left past the odd factors of
         # m1 that have a larger generator index.
-        odd1 = [i for i, _ in m1 if self.generators[i].is_odd]
+        odd = self._odd
+        odd1 = [i for i, _ in m1 if odd[i]]
         swaps = 0
-        for j, _ in m2:
-            if self.generators[j].is_odd:
-                swaps += sum(1 for i in odd1 if i > j)
         merged: dict[int, int] = dict(m1)
         for j, e in m2:
-            if j in merged:
-                if self.generators[j].is_odd:
+            if odd[j]:
+                if j in merged:
                     return None  # odd square
-                merged[j] += e
-            else:
+                swaps += sum(1 for i in odd1 if i > j)
                 merged[j] = e
+            else:
+                merged[j] = merged.get(j, 0) + e
         mono = tuple(sorted(merged.items()))
-        return (-1) ** swaps, mono
+        return (-1 if swaps % 2 else 1), mono
 
     def monomial(self, powers) -> Monomial:
         """Build a monomial key from {name_or_generator: exponent}."""
@@ -161,31 +162,29 @@ class FreeAlgebra:
         """All monomials of total degree n, in graded-lex order."""
         if n < 0:
             return ()
-        cached = self._basis_cache.get(n)
+        return self._tails_of(0, n)
+
+    def _tails_of(self, pos: int, rem: int) -> tuple[Monomial, ...]:
+        """Monomials of degree `rem` in generators[pos:], memoized.  Exponents
+        run from largest to smallest, which is `sort_key` order: no sort."""
+        if rem == 0:
+            return (UNIT_MONOMIAL,)
+        if pos == len(self.generators):
+            return ()
+        cached = self._tails.get((pos, rem))
         if cached is not None:
             return cached
+        g = self.generators[pos]
+        top = rem // g.degree
+        if g.is_odd:
+            top = min(top, 1)
         out: list[Monomial] = []
-
-        def rec(gen_pos: int, remaining: int, acc: list):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if gen_pos >= len(self.generators):
-                return
-            g = self.generators[gen_pos]
-            max_e = 1 if g.is_odd else remaining // g.degree
-            for e in range(min(max_e, remaining // g.degree), -1, -1):
-                if e:
-                    acc.append((gen_pos, e))
-                    rec(gen_pos + 1, remaining - e * g.degree, acc)
-                    acc.pop()
-                else:
-                    rec(gen_pos + 1, remaining, acc)
-
-        rec(0, n, [])
-        out.sort(key=self.sort_key)
+        for e in range(top, 0, -1):
+            head = ((pos, e),)
+            out.extend(head + tail for tail in self._tails_of(pos + 1, rem - e * g.degree))
+        out.extend(self._tails_of(pos + 1, rem))
         result = tuple(out)
-        self._basis_cache[n] = result
+        self._tails[(pos, rem)] = result
         return result
 
     # -- element constructors ------------------------------------------
@@ -349,16 +348,6 @@ class Element:
 
     def __repr__(self):
         return f"<Element {self}>"
-
-
-def multiply(a: Element, b: Element) -> Element:
-    """Graded-commutative product; operands must share an algebra context."""
-    return a * b
-
-
-def basis_of_degree(algebra: FreeAlgebra, n: int) -> tuple[Monomial, ...]:
-    """Canonically ordered monomial basis of total degree n."""
-    return algebra.basis_of_degree(n)
 
 
 # ---------------------------------------------------------------------------

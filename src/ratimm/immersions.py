@@ -25,7 +25,6 @@ __all__ = [
     "HypothesisCheck", "ImmersionDescription", "Growth",
     "connectivity_verdict", "immersion_components", "growth_degree",
     "verify_growth_bounds", "description_to_dict", "description_to_json",
-    "report_from_json",
 ]
 
 
@@ -275,8 +274,3 @@ def description_to_dict(description: ImmersionDescription) -> dict:
 
 def description_to_json(description: ImmersionDescription) -> str:
     return json.dumps(description_to_dict(description), indent=2) + "\n"
-
-
-def report_from_json(text: str) -> dict:
-    """Inverse of description_to_json at the dict level (round-trip check)."""
-    return json.loads(text)

@@ -26,14 +26,18 @@ def clear_denominators(vec: dict):
     """Scale a rational vector to coprime integers.
 
     Returns (ivec, alpha) with ivec = alpha * vec, alpha a positive Fraction.
+    An all-int vector skips the Fraction conversion.
     """
-    vec = {j: Fraction(c) for j, c in vec.items() if c}
-    if not vec:
-        return {}, Fraction(1)
     denom = 1
-    for c in vec.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ivec = {j: int(c * denom) for j, c in vec.items()}
+    if all(type(c) is int for c in vec.values()):
+        ivec = {j: c for j, c in vec.items() if c}
+    else:
+        vec = {j: Fraction(c) for j, c in vec.items() if c}
+        for c in vec.values():
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        ivec = {j: int(c * denom) for j, c in vec.items()}
+    if not ivec:
+        return {}, Fraction(1)
     g = 0
     for v in ivec.values():
         g = gcd(g, v)

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, RelativeModel,
-                         check_d_squared, cohomology, extend_derivation,
-                         is_quasi_iso, tensor, unit_cdga)
+                         check_d_squared, cohomology, is_quasi_iso, tensor,
+                         unit_cdga)
 from ratimm.errors import ChainMapError, DegreeError
-from ratimm.gca import Generator, parse_element
+from ratimm.gca import Element, Generator, parse_element
 
 
 @pytest.fixture
@@ -28,19 +28,19 @@ def cp2():
 
 def test_derivation_on_generator(s2_model):
     alg = s2_model.algebra
-    assert extend_derivation(s2_model, alg.gen("x3")) == parse_element("e2^2", alg)
+    assert s2_model.diff(alg.gen("x3")) == parse_element("e2^2", alg)
 
 
 def test_leibniz_even_first_factor(s2_model):
     alg = s2_model.algebra
-    d = extend_derivation(s2_model, parse_element("e2*x3", alg))
+    d = s2_model.diff(parse_element("e2*x3", alg))
     assert d == parse_element("e2^3", alg)
 
 
 def test_derivation_kills_closed_product():
     cdga = FreeCdga([Generator("x3", 3), Generator("y3", 3)], {})
     alg = cdga.algebra
-    assert extend_derivation(cdga, parse_element("x3*y3", alg)).is_zero()
+    assert cdga.diff(parse_element("x3*y3", alg)).is_zero()
 
 
 def test_derivation_sign_on_odd_prefix():
@@ -49,14 +49,130 @@ def test_derivation_sign_on_odd_prefix():
     cdga = FreeCdga([Generator("x3", 3), Generator("y3", 3), Generator("b4", 4)],
                     {"y3": "b4"})
     alg = cdga.algebra
-    d = extend_derivation(cdga, parse_element("x3*y3", alg))
+    d = cdga.diff(parse_element("x3*y3", alg))
     assert d == parse_element("-x3*b4", alg)
 
 
 def test_differential_raises_degree_by_one(s2_model):
     alg = s2_model.algebra
     elt = parse_element("e2*x3", alg)
-    assert extend_derivation(s2_model, elt).degree() == elt.degree() + 1
+    assert s2_model.diff(elt).degree() == elt.degree() + 1
+
+
+# -- reference Leibniz oracle ------------------------------------------------
+#
+# Element arithmetic on whole products, independent of the dict-based
+# assembly in `cdga._leibniz`: the algebra product supplies every Koszul
+# sign, only the derivation sign (-1)^{|prefix|} is explicit.
+
+def reference_leibniz(total, free_alg, mono, diff_of_gen, embed_mono):
+    factors = list(mono)
+    result = total.zero()
+    prefix_deg = 0
+    for idx, (gi, ei) in enumerate(factors):
+        dg = diff_of_gen(gi)
+        if dg is not None and not dg.is_zero():
+            prefix = embed_mono(tuple(factors[:idx]))
+            suffix = embed_mono(tuple(factors[idx + 1:]))
+            power = embed_mono(((gi, ei - 1),)) if ei > 1 else None
+            term = prefix * dg if power is None else prefix * (power * dg)
+            term = term * suffix * ei
+            if prefix_deg % 2:
+                term = -term
+            result = result + term
+        prefix_deg += free_alg.generators[gi].degree * ei
+    return result
+
+
+def reference_diff_key(cdga, key):
+    if isinstance(cdga, FiniteCdga):
+        return cdga.diff_key(key)
+    if isinstance(cdga, FreeCdga):
+        alg = cdga.algebra
+        return reference_leibniz(
+            alg, alg, key,
+            lambda i: cdga.differential_of_generator(alg.generators[i].name),
+            lambda m: Element(alg, {m: Fraction(1)}))
+    total, fiber = cdga.algebra, cdga.fiber
+    lk, rm = key
+    base_unit = cdga.base.algebra.one_key()
+    dbase = reference_diff_key(cdga.base, lk)
+    result = Element(total, {(k, rm): c for k, c in dbase.terms.items()})
+    dfiber = reference_leibniz(
+        total, fiber, rm,
+        lambda i: cdga.twist_of(fiber.generators[i].name),
+        lambda m: Element(total, {(base_unit, m): Fraction(1)}))
+    if not dfiber.is_zero():
+        term = Element(total, {(lk, fiber.one_key()): Fraction(1)}) * dfiber
+        if cdga.base.algebra.key_degree(lk) % 2:
+            term = -term
+        result = result + term
+    return result
+
+
+def _oracle_models():
+    from ratimm.bundles import (sphere_product_manifold, stiefel_model,
+                                unreduced_framed_model)
+    from ratimm.mapping import sphere_map_null_model
+    from ratimm.sweeps import sweep_instances
+    # the shape of the 7-generator CLI benchmark model, non-integral d
+    gens = [Generator(n, d) for n, d in (("e2", 2), ("x3", 3), ("e4", 4), ("y5", 5),
+                                         ("x7", 7), ("e6", 6), ("x11", 11))]
+    fractional = FreeCdga(gens, {"x3": "3/2*e2^2", "y5": "-2/3*e2*e4",
+                                 "x7": "1/3*e4^2", "x11": "-2*e6^2"})
+    # twists with odd base keys times fiber monomials, odd fiber prefixes,
+    # and a free base with its own differential
+    s3 = FiniteCdga([("one", 0), ("a", 3)], {}, label="S3f")
+    odd_base = RelativeModel(s3, [Generator("x3", 3), Generator("y2", 2),
+                                  Generator("z4", 4)],
+                             {"x3": "y2^2", "z4": "a*y2"})
+    s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"})
+    free_base = RelativeModel(s2, [Generator("u2", 2), Generator("t5", 5),
+                                   Generator("w6", 6)],
+                              {"t5": "e2*u2^2", "w6": "x3*u2^2 - e2*t5"})
+    models = [(sphere_map_null_model(sphere_product_manifold(2, 4).model, 8), 20),
+              (stiefel_model(7, 4), 20), (fractional, 24),
+              (odd_base, 20), (free_base, 20)]
+    for M, k in sweep_instances(random.Random(0)):
+        big, phi = unreduced_framed_model(M, k)
+        models += [(big, 20), (phi.target, 20)]
+    return models
+
+
+def _integral(cdga):
+    if isinstance(cdga, FreeCdga):
+        images = [cdga.differential_of_generator(g.name) for g in cdga.generators]
+    else:
+        images = [cdga.twist_of(g.name) for g in cdga.fiber.generators]
+        images += [cdga.base.diff_key(k) for n in range(20)
+                   for k in cdga.base.algebra.keys_of_degree(n)]
+    return all(c.denominator == 1 for elt in images for c in elt.terms.values())
+
+
+def test_diff_key_matches_reference_leibniz():
+    checked = 0
+    for cdga, upto in _oracle_models():
+        integral = _integral(cdga)
+        for n in range(upto + 1):
+            for key in cdga.algebra.keys_of_degree(n):
+                got = cdga.diff_key(key)
+                assert got == reference_diff_key(cdga, key), (cdga, key)
+                if integral:
+                    assert all(type(c) is int for c in got.terms.values())
+                checked += 1
+    assert checked > 5000
+
+
+def test_tensor_keys_are_enumerated_in_sort_order():
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    for M, k in sweep_instances(random.Random(0)):
+        big, phi = unreduced_framed_model(M, k)
+        for alg in (big.algebra, phi.target.algebra):
+            for n in range(25):
+                keys = alg.keys_of_degree(n)
+                assert list(keys) == sorted(keys, key=alg.sort_key)
+                assert len(set(keys)) == len(keys)
 
 
 # -- d^2 checks --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graded-commutative arithmetic: signs, bases, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratimm.errors import ContextError, ParseError
 from ratimm.gca import (Element, FreeAlgebra, Generator, basis_count_series,
-                        basis_of_degree, multiply, parse_element)
+                        parse_element)
 
 
 @pytest.fixture
@@ -23,8 +24,8 @@ def test_odd_square_vanishes(alg):
 
 def test_odd_generators_anticommute(alg):
     u, v = alg.gen("u"), alg.gen("v")
-    assert multiply(u, v) == -multiply(v, u)
-    assert not multiply(u, v).is_zero()
+    assert u * v == -(v * u)
+    assert not (u * v).is_zero()
 
 
 def test_even_generator_scalars(alg):
@@ -41,7 +42,7 @@ def test_degree_zero_generators_rejected():
 def test_mixed_contexts_rejected(alg):
     other = FreeAlgebra([Generator("u", 3)])
     with pytest.raises(ContextError):
-        multiply(alg.gen("u"), other.gen("u"))
+        alg.gen("u") * other.gen("u")
 
 
 def test_element_degree_and_homogeneity(alg):
@@ -55,22 +56,22 @@ def test_element_degree_and_homogeneity(alg):
 
 def test_basis_even_power():
     alg = FreeAlgebra([Generator("e2", 2)])
-    assert [alg.format_key(m) for m in basis_of_degree(alg, 6)] == ["e2^3"]
+    assert [alg.format_key(m) for m in alg.basis_of_degree(6)] == ["e2^3"]
 
 
 def test_basis_mixed():
     alg = FreeAlgebra([Generator("x3", 3), Generator("e2", 2)])
-    assert [alg.format_key(m) for m in basis_of_degree(alg, 5)] == ["x3*e2"]
+    assert [alg.format_key(m) for m in alg.basis_of_degree(5)] == ["x3*e2"]
 
 
 def test_basis_odd_square_empty():
     alg = FreeAlgebra([Generator("x7", 7)])
-    assert basis_of_degree(alg, 14) == ()
+    assert alg.basis_of_degree(14) == ()
 
 
 def test_basis_degree_zero_is_unit():
     alg = FreeAlgebra([Generator("x", 3)])
-    assert basis_of_degree(alg, 0) == ((),)
+    assert alg.basis_of_degree(0) == ((),)
 
 
 @pytest.mark.parametrize("degrees", [(2,), (2, 3), (3, 5), (2, 2, 7), (1, 4, 6)])
@@ -80,6 +81,20 @@ def test_basis_counts_match_generating_function(degrees):
     upto = 16
     expected = basis_count_series(gens, upto)
     assert [len(alg.basis_of_degree(n)) for n in range(upto + 1)] == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_basis_enumeration_is_sorted_complete_and_distinct(seed):
+    rng = random.Random(seed)
+    degrees = [rng.randint(1, 9) for _ in range(rng.randint(1, 7))]
+    gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
+    alg = FreeAlgebra(gens)
+    upto = 30
+    counts = basis_count_series(gens, upto)
+    for n in range(upto + 1):
+        keys = alg.basis_of_degree(n)
+        assert list(keys) == sorted(keys, key=alg.sort_key)
+        assert len(set(keys)) == len(keys) == counts[n]
 
 
 # -- randomized algebra laws -------------------------------------------------
