@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
                    RelativeModel, cohomology)
-from .errors import DegreeError
+from .errors import DegreeError, InputError
 from .gca import Element, FreeAlgebra, Generator, parse_element
 
 __all__ = [
@@ -180,9 +180,9 @@ def stiefel_model(m: int, k: int) -> FreeCdga:
     the fiber is simply connected.
     """
     if m < 1:
-        raise ValueError(f"frame count must be >= 1, got m={m}")
+        raise InputError(f"frame count must be >= 1, got m={m}")
     if k < 2:
-        raise ValueError(f"codimension must be >= 2, got k={k} "
+        raise InputError(f"codimension must be >= 2, got k={k} "
                          "(the fiber is not simply connected otherwise)")
     gens, diff = _stiefel_generators(m, k)
     return FreeCdga(gens, diff, label=f"V_{m}(R^{m + k})")
@@ -250,7 +250,7 @@ def framed_bundle_model(M: ManifoldModel, k: int) -> RelativeModel:
     otherwise), and for k even x_s additionally carries e_k^2.
     """
     if k < 2:
-        raise ValueError(f"codimension must be >= 2, got k={k}")
+        raise InputError(f"codimension must be >= 2, got k={k}")
     m = M.dimension
     s = k // 2
     gens, _ = _stiefel_generators(m, k)

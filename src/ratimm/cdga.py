@@ -9,6 +9,22 @@ Three algebra kinds share one element type and one cohomology routine:
 * `RelativeModel` -- an inclusion of a base CDGA into base (x) fiber with
   a twisted differential on the fiber generators.
 
+All three derive from `Cdga` and answer the same questions, so the code
+that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
+asks which kind it holds:
+
+* `algebra`, `label` -- the underlying key algebra and a display name;
+* `diff_key(key)` -- d of one basis key, as an `Element`;
+* `diff(element)` -- d extended linearly (shared, in `Cdga`);
+* `generator_items()` -- (name, degree, element, d-image) for each
+  generator a morphism is given on: the free generators, the fiber
+  generators, or the finite basis;
+* `d2_items()` -- the same for every generator whose d^2 is checked (a
+  relative model adds its base's generators, embedded, first);
+* `key_word(key)` -- (base key or None, [(generator name, exponent)]),
+  the key as a word in those generators;
+* `d_symbol` -- "d", or "D" for the twisted differential.
+
 Cohomology is computed degreewise by exact sparse elimination; a dense
 eliminator is available as an independent cross-check oracle.
 
@@ -29,7 +45,7 @@ from .errors import ChainMapError, ContextError, DegreeError
 from .gca import Element, FreeAlgebra, Generator, parse_element, parse_linear
 
 __all__ = [
-    "FreeCdga", "FiniteAlgebra", "FiniteCdga", "RelativeModel",
+    "Cdga", "FreeCdga", "FiniteAlgebra", "FiniteCdga", "RelativeModel",
     "TensorAlgebra", "CdgaMorphism", "BettiTable", "Violation",
     "check_d_squared", "cohomology", "tensor", "is_quasi_iso", "unit_cdga",
 ]
@@ -91,11 +107,28 @@ def _leibniz(fiber: FreeAlgebra, mono, dgen) -> dict:
     return out
 
 
+class Cdga:
+    """What every CDGA kind provides; see the module docstring."""
+
+    d_symbol = "d"
+
+    def diff(self, element: Element) -> Element:
+        if element.algebra is not self.algebra:
+            raise ContextError("element not over this algebra")
+        result = self.algebra.zero()
+        for key, c in element.terms.items():
+            result = result + self.diff_key(key) * c
+        return result
+
+    def d2_items(self):
+        return self.generator_items()
+
+
 # ---------------------------------------------------------------------------
 # Free CDGA
 # ---------------------------------------------------------------------------
 
-class FreeCdga:
+class FreeCdga(Cdga):
     """Free graded-commutative algebra with a differential on generators."""
 
     def __init__(self, generators, differential=None, label: str = "", check: bool = True):
@@ -125,11 +158,11 @@ class FreeCdga:
             if deg != g.degree + 1:
                 raise DegreeError(
                     f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
-        for g in self.algebra.generators:
-            residue = self.diff(self.diff(self.algebra.gen(g.name)))
+        for name, _, _, dg in self.generator_items():
+            residue = self.diff(dg)
             if not residue.is_zero():
                 raise ValueError(
-                    f"d^2 != 0 on generator {g.name}: residue {residue}")
+                    f"d^2 != 0 on generator {name}: residue {residue}")
 
     @property
     def generators(self):
@@ -143,16 +176,14 @@ class FreeCdga:
         terms = _leibniz(self.algebra, mono, self._dgen)
         return Element(self.algebra, {m: c for (_, m), c in terms.items()})
 
-    def diff(self, element: Element) -> Element:
-        if element.algebra is not self.algebra:
-            raise ContextError("element not over this algebra")
-        result = self.algebra.zero()
-        for mono, c in element.terms.items():
-            result = result + self.diff_key(mono) * c
-        return result
+    def generator_items(self):
+        for i, g in enumerate(self.algebra.generators):
+            yield (g.name, g.degree, self.algebra.gen(g.name),
+                   self._diff.get(i, self.algebra.zero()))
 
-    def d2_check_generators(self):
-        return [g.name for g in self.algebra.generators]
+    def key_word(self, mono):
+        gens = self.algebra.generators
+        return None, [(gens[i].name, e) for i, e in mono]
 
     def __repr__(self):
         return f"FreeCdga({self.label!r}, {len(self.algebra.generators)} generators)"
@@ -338,7 +369,7 @@ class FiniteAlgebra:
         return Element(self, out)
 
 
-class FiniteCdga:
+class FiniteCdga(Cdga):
     """Finite-dimensional CDGA: a FiniteAlgebra plus a differential."""
 
     def __init__(self, basis, products=None, differential=None, label: str = "",
@@ -367,9 +398,9 @@ class FiniteCdga:
                     f"expected {alg.basis[i][1] + 1}")
         if not self.diff(alg.one()).is_zero():
             raise ValueError("d(1) must vanish")
-        for i in range(len(alg.basis)):
-            if not self.diff(self.diff_key(i)).is_zero():
-                raise ValueError(f"d^2 != 0 on basis element {alg.basis[i][0]}")
+        for name, _, _, dv in self.generator_items():
+            if not self.diff(dv).is_zero():
+                raise ValueError(f"d^2 != 0 on basis element {name}")
         # Leibniz on basis pairs
         for u in range(len(alg.basis)):
             for v in range(len(alg.basis)):
@@ -392,16 +423,12 @@ class FiniteCdga:
     def diff_key(self, i: int) -> Element:
         return self._diff.get(i, self.algebra.zero())
 
-    def diff(self, element: Element) -> Element:
-        if element.algebra is not self.algebra:
-            raise ContextError("element not over this algebra")
-        result = self.algebra.zero()
-        for i, c in element.terms.items():
-            result = result + self.diff_key(i) * c
-        return result
+    def generator_items(self):
+        for i, (name, deg) in enumerate(self.algebra.basis):
+            yield name, deg, Element(self.algebra, {i: Fraction(1)}), self.diff_key(i)
 
-    def d2_check_generators(self):
-        return [name for name, _ in self.algebra.basis]
+    def key_word(self, i: int):
+        return None, [(self.algebra.basis[i][0], 1)]
 
     def __repr__(self):
         return f"FiniteCdga({self.label!r}, dim {len(self.algebra.basis)})"
@@ -497,24 +524,30 @@ class TensorAlgebra:
                 and other.right.generators == self.right.generators)
 
 
-class RelativeModel:
+class RelativeModel(Cdga):
     """Inclusion of a base CDGA into base (x) fiber with twisted differential.
 
     The fiber is a free algebra; the differential restricted to the base
     is the base differential, and on each fiber generator it is a given
-    element of the tensor algebra (zero when omitted).
+    element of the tensor algebra (zero when omitted).  A fiber generator
+    whose name is taken (by the base or an earlier fiber generator) is
+    renamed to one that no base or given fiber name uses; `renamings`
+    maps given names to new ones.
     """
+
+    d_symbol = "D"
 
     def __init__(self, base, fiber_generators, twist=None, label: str = "",
                  check: bool = True):
         self.base = base
-        taken = self._base_names()
+        taken = {name for name, *_ in base.generator_items()}
+        given = {g.name for g in fiber_generators}
         self.renamings: dict[str, str] = {}
         gens = []
         for g in fiber_generators:
             name = g.name
             if name in taken:
-                new = _unique_name(name, taken)
+                new = _unique_name(name, taken | given)
                 self.renamings[name] = new
                 name = new
             taken.add(name)
@@ -550,12 +583,6 @@ class RelativeModel:
             raise ContextError("twist element built over a foreign algebra")
         return _as_element(value, self.algebra)
 
-    def _base_names(self) -> set[str]:
-        alg = self.base.algebra
-        if isinstance(alg, FreeAlgebra):
-            return {g.name for g in alg.generators}
-        return {n for n, _ in alg.basis}
-
     def _validate(self):
         for i, elt in self._twist.items():
             g = self.fiber.generators[i]
@@ -565,10 +592,10 @@ class RelativeModel:
             if deg != g.degree + 1:
                 raise DegreeError(
                     f"D({g.name}) has degree {deg}, expected {g.degree + 1}")
-        for g in self.fiber.generators:
-            residue = self.diff(self.diff(self.fiber_gen(g.name)))
+        for name, _, _, dg in self.generator_items():
+            residue = self.diff(dg)
             if not residue.is_zero():
-                raise ValueError(f"D^2 != 0 on fiber generator {g.name}: {residue}")
+                raise ValueError(f"D^2 != 0 on fiber generator {name}: {residue}")
 
     # -- embeddings --------------------------------------------------------
 
@@ -613,19 +640,20 @@ class RelativeModel:
                     out.pop(k, None)
         return Element(self.algebra, out)
 
-    def diff(self, element: Element) -> Element:
-        if element.algebra is not self.algebra:
-            raise ContextError("element not over this relative model")
-        result = self.algebra.zero()
-        for key, c in element.terms.items():
-            result = result + self.diff_key(key) * c
-        return result
+    def generator_items(self):
+        for i, g in enumerate(self.fiber.generators):
+            yield (g.name, g.degree, self.embed_fiber(self.fiber.gen(g.name)),
+                   self._twist.get(i, self.algebra.zero()))
 
-    def d2_check_generators(self):
-        names = [g.name for g in self.fiber.generators]
-        if isinstance(self.base, FreeCdga):
-            names = [g.name for g in self.base.algebra.generators] + names
-        return names
+    def d2_items(self):
+        for name, deg, elt, dv in self.base.d2_items():
+            yield name, deg, self.embed_base(elt), self.embed_base(dv)
+        yield from self.generator_items()
+
+    def key_word(self, key):
+        lk, rm = key
+        gens = self.fiber.generators
+        return lk, [(gens[i].name, e) for i, e in rm]
 
     def __repr__(self):
         fg = ", ".join(f"{g.name}:{g.degree}" for g in self.fiber.generators)
@@ -648,23 +676,10 @@ class Violation:
 def check_d_squared(cdga, cutoff: int) -> list[Violation]:
     """Nonzero d^2 residues on generators with |g| + 2 <= cutoff."""
     violations = []
-    for name in cdga.d2_check_generators():
-        if isinstance(cdga, RelativeModel):
-            if name in (g.name for g in cdga.fiber.generators):
-                elt = cdga.fiber_gen(name)
-                self_deg = cdga.fiber.generator(name).degree
-            else:
-                elt = cdga.embed_base(cdga.base.algebra.gen(name))
-                self_deg = cdga.base.algebra.generator(name).degree
-        elif isinstance(cdga, FiniteCdga):
-            elt = cdga.algebra.gen(name)
-            self_deg = cdga.algebra.basis[cdga.algebra.basis_index(name)][1]
-        else:
-            elt = cdga.algebra.gen(name)
-            self_deg = cdga.algebra.generator(name).degree
-        if self_deg + 2 > cutoff:
+    for name, degree, _, dg in cdga.d2_items():
+        if degree + 2 > cutoff:
             continue
-        residue = cdga.diff(cdga.diff(elt))
+        residue = cdga.diff(dg)
         if not residue.is_zero():
             violations.append(Violation(name, residue))
     return violations
@@ -941,63 +956,35 @@ class CdgaMorphism:
             raise KeyError(f"morphism {self.label!r} has no image for {name!r}") from None
 
     def apply(self, element: Element) -> Element:
+        """Multiplicative extension of the images; a relative source fixes
+        the base, so a base key maps to itself (times the fiber unit)."""
         src = self.source
-        out = self.target.algebra.zero()
-        if isinstance(src, (FreeCdga,)):
-            if element.algebra is not src.algebra:
-                raise ContextError("element not over the morphism source")
-            for mono, c in element.terms.items():
-                term = self.target.algebra.one()
-                for i, e in mono:
-                    img = self._image_of_generator(src.algebra.generators[i].name)
-                    for _ in range(e):
-                        term = term * img
-                out = out + term * c
-            return out
-        if isinstance(src, RelativeModel):
-            if element.algebra is not src.algebra:
-                raise ContextError("element not over the morphism source")
-            tgt: RelativeModel = self.target
-            for (lk, rm), c in element.terms.items():
-                term = Element(tgt.algebra,
-                               {(lk, tgt.fiber.one_key()): Fraction(1)})
-                for i, e in rm:
-                    img = self._image_of_generator(src.fiber.generators[i].name)
-                    for _ in range(e):
-                        term = term * img
-                out = out + term * c
-            return out
-        if isinstance(src, FiniteCdga):
-            if element.algebra is not src.algebra:
-                raise ContextError("element not over the morphism source")
-            for i, c in element.terms.items():
-                out = out + self._image_of_generator(src.algebra.basis[i][0]) * c
-            return out
-        raise TypeError(f"unsupported morphism source {type(src).__name__}")
+        if element.algebra is not src.algebra:
+            raise ContextError("element not over the morphism source")
+        tgt = self.target.algebra
+        out = tgt.zero()
+        for key, c in element.terms.items():
+            base_key, word = src.key_word(key)
+            term = (tgt.one() if base_key is None
+                    else Element(tgt, {(base_key, tgt.right.one_key()): Fraction(1)}))
+            for name, e in word:
+                img = self._image_of_generator(name)
+                for _ in range(e):
+                    term = term * img
+            out = out + term * c
+        return out
 
     # -- validation ----------------------------------------------------------
 
-    def _generator_items(self):
-        src = self.source
-        if isinstance(src, FreeCdga):
-            for g in src.algebra.generators:
-                yield g.name, g.degree, src.algebra.gen(g.name)
-        elif isinstance(src, RelativeModel):
-            for g in src.fiber.generators:
-                yield g.name, g.degree, src.fiber_gen(g.name)
-        elif isinstance(src, FiniteCdga):
-            for i, (name, deg) in enumerate(src.algebra.basis):
-                yield name, deg, Element(src.algebra, {i: Fraction(1)})
-
     def validate(self):
         src = self.source
-        for name, deg, elt in self._generator_items():
+        for name, deg, elt, dg in src.generator_items():
             img = self.apply(elt)
             if not img.is_zero() and img.degree() != deg:
                 raise DegreeError(
                     f"morphism image of {name} has degree {img.degree()}, "
                     f"expected {deg}")
-            lhs = self.apply(src.diff(elt))
+            lhs = self.apply(dg)
             rhs = self.target.diff(img)
             if lhs != rhs:
                 raise ChainMapError(
@@ -1019,14 +1006,7 @@ class CdgaMorphism:
 
     @staticmethod
     def identity(cdga, label: str = "id"):
-        if isinstance(cdga, FreeCdga):
-            images = {g.name: cdga.algebra.gen(g.name) for g in cdga.algebra.generators}
-        elif isinstance(cdga, RelativeModel):
-            images = {g.name: cdga.fiber_gen(g.name) for g in cdga.fiber.generators}
-        elif isinstance(cdga, FiniteCdga):
-            images = {name: cdga.algebra.gen(name) for name, _ in cdga.algebra.basis}
-        else:
-            raise TypeError(f"unsupported cdga {type(cdga).__name__}")
+        images = {name: elt for name, _, elt, _ in cdga.generator_items()}
         return CdgaMorphism(cdga, cdga, images, label=label)
 
     def __repr__(self):

@@ -7,6 +7,9 @@ explicitly marked non-canonical).
 
 Exit codes: 0 resolved, 2 input error, 3 theorem-hypothesis failure,
 4 symbolic mapping-space factor; verify exits nonzero on any failed check.
+An input error is a `RatimmError` (bad arguments, malformed or
+unsupported models) or an `OSError`; any other exception is a fault in
+the program and propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import sys
 
 from .bundles import framed_bundle_model, stiefel_model
-from .cdga import FiniteCdga, FreeCdga, RelativeModel, cohomology
+from .cdga import cohomology
 from .errors import RatimmError
 from .immersions import description_to_dict, immersion_components
 from .io import load_manifold, load_cdga
@@ -45,29 +48,13 @@ def _betti_lines(dims: list[int]) -> list[str]:
 
 
 def _generator_lines(cdga) -> list[str]:
-    lines = []
-    if isinstance(cdga, FreeCdga):
-        for g in cdga.algebra.generators:
-            d = cdga.differential_of_generator(g.name)
-            lines.append(f"generator: {g.name}  degree {g.degree}  d = {d}")
-    elif isinstance(cdga, RelativeModel):
-        for g in cdga.fiber.generators:
-            d = cdga.twist_of(g.name)
-            lines.append(f"generator: {g.name}  degree {g.degree}  D = {d}")
-    return lines
+    return [f"generator: {name}  degree {deg}  {cdga.d_symbol} = {d}"
+            for name, deg, _, d in cdga.generator_items()]
 
 
 def _generator_dicts(cdga) -> list[dict]:
-    out = []
-    if isinstance(cdga, FreeCdga):
-        for g in cdga.algebra.generators:
-            out.append({"name": g.name, "degree": g.degree,
-                        "differential": str(cdga.differential_of_generator(g.name))})
-    elif isinstance(cdga, RelativeModel):
-        for g in cdga.fiber.generators:
-            out.append({"name": g.name, "degree": g.degree,
-                        "differential": str(cdga.twist_of(g.name))})
-    return out
+    return [{"name": name, "degree": deg, "differential": str(d)}
+            for name, deg, _, d in cdga.generator_items()]
 
 
 def cmd_stiefel(args) -> int:
@@ -281,7 +268,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.fn(args)
-    except (RatimmError, ValueError, TypeError, OSError) as exc:
+    except (RatimmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

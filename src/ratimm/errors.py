@@ -5,6 +5,10 @@ class RatimmError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(RatimmError, ValueError):
+    """An argument or input model that a computation does not accept."""
+
+
 class ContextError(RatimmError):
     """Operands belong to different algebra contexts."""
 

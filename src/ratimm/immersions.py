@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .bundles import (ManifoldModel, check_pontryagin_hypothesis, stiefel_model)
 from .cdga import FiniteCdga, FreeCdga, cohomology
+from .errors import InputError
 from .mapping import (EMFactor, SphereFactor, em_mapping_space,
                       sphere_map_null_model)
 from .series import (PoincareSeries, RationalForm, em_series,
@@ -112,7 +113,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     symbolically otherwise.
     """
     if k < 2:
-        raise ValueError(f"codimension must be >= 2, got {k}")
+        raise InputError(f"codimension must be >= 2, got {k}")
     m = M.dimension
     connectivity = connectivity_verdict(m, k)
     threshold, failures = check_pontryagin_hypothesis(M, k)
@@ -156,7 +157,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         hk = bettiM.dims[k] if k <= bettiM.cutoff else 0
         if hk == 0:
             if not isinstance(M.model, FiniteCdga):
-                raise TypeError(
+                raise InputError(
                     "resolving the even-sphere mapping factor needs a "
                     "finite-dimensional model of the manifold")
             sphere_factor = SphereFactor(k, "resolved-null")

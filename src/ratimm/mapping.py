@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
                    TensorAlgebra, _unique_name, cohomology)
-from .errors import ComponentObstruction, DegreeError
+from .errors import ComponentObstruction, DegreeError, InputError
 from .gca import Element, FreeAlgebra, Generator
 
 __all__ = [
@@ -75,9 +75,9 @@ def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
 def odd_sphere_mapping(bettiM: BettiTable, k: int) -> list[EMFactor]:
     """Odd spheres are rationally Eilenberg-MacLane: same factor list."""
     if k % 2 == 0:
-        raise ValueError(f"odd_sphere_mapping needs odd k, got {k}")
+        raise InputError(f"odd_sphere_mapping needs odd k, got {k}")
     if k < 3:
-        raise ValueError("k must be >= 3 (simply connected target)")
+        raise InputError("k must be >= 3 (simply connected target)")
     return em_mapping_space(bettiM, k)
 
 
@@ -302,15 +302,15 @@ def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
     belong to em_mapping_space(betti, k).  A must be simply connected.
     """
     if k % 2:
-        raise ValueError(f"k must be even (odd spheres are Eilenberg-MacLane "
+        raise InputError(f"k must be even (odd spheres are Eilenberg-MacLane "
                          f"rationally; use em_mapping_space with n={k})")
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InputError(f"k must be >= 2, got {k}")
     if not isinstance(A, FiniteCdga):
-        raise TypeError("the source model must be finite-dimensional")
+        raise InputError("the source model must be finite-dimensional")
     table = cohomology(A, 1, representatives=False)
     if table.dims[1] != 0:
-        raise ValueError("the source model must be simply connected")
+        raise InputError("the source model must be simply connected")
     return dual_mapping_null_model(A, sphere_model(k),
                                    label=f"Map({A.label},S{k},0)")
 

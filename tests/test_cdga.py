@@ -418,3 +418,142 @@ def test_quasi_iso_needs_injectivity_not_just_dimensions():
     f = CdgaMorphism(src, tgt, {"u": "0", "w": "z"})
     report = is_quasi_iso(f, 6)
     assert not report.ok and 3 in report.failing_degrees()
+
+
+# -- the CDGA protocol -------------------------------------------------------
+#
+# `CdgaMorphism.apply` reads every source kind through `key_word`; the
+# oracle below is the earlier per-kind version, kept as an independent
+# reference.
+
+def reference_apply(f, element):
+    src, tgt = f.source, f.target
+    out = tgt.algebra.zero()
+    for key, c in element.terms.items():
+        if isinstance(src, FiniteCdga):
+            out = out + f.images[src.algebra.basis[key][0]] * c
+            continue
+        if isinstance(src, RelativeModel):
+            lk, mono = key
+            term = Element(tgt.algebra, {(lk, tgt.fiber.one_key()): Fraction(1)})
+            gens = src.fiber.generators
+        else:
+            mono = key
+            term = tgt.algebra.one()
+            gens = src.algebra.generators
+        for i, e in mono:
+            for _ in range(e):
+                term = term * f.images[gens[i].name]
+        out = out + term * c
+    return out
+
+
+def _assert_apply_matches(f, upto):
+    alg = f.source.algebra
+    checked = 0
+    for n in range(upto + 1):
+        keys = alg.keys_of_degree(n)
+        for key in keys:
+            elt = Element(alg, {key: Fraction(3, 2)})
+            assert f.apply(elt) == reference_apply(f, elt), (f, key)
+        whole = Element(alg, {key: j + 1 for j, key in enumerate(keys)})
+        assert f.apply(whole) == reference_apply(f, whole), (f, n)
+        checked += len(keys)
+    return checked
+
+
+def test_apply_matches_reference_on_free_sources(s2_model):
+    from ratimm.bundles import sphere_manifold
+    from ratimm.mapping import sigma_normalize, sphere_model
+    nf = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
+                    {("a", "a"): "a2", ("a", "y"): "w"}, {"y": "a2"},
+                    label="NF", simply_connected=True)
+    sigmas = [CdgaMorphism(sphere_model(2), sphere_manifold(4).model,
+                           {"x": "0", "y": "0"}),
+              CdgaMorphism(sphere_model(2), sphere_manifold(3).model,
+                           {"x": "0", "y": "a3"}),
+              CdgaMorphism(sphere_model(4), nf, {"x": "a2", "y": "0"})]
+    morphisms = sigmas + [sigma_normalize(s).morphism for s in sigmas]
+    # a free target, where products of images do not vanish
+    morphisms.append(CdgaMorphism(sphere_model(2), s2_model,
+                                  {"x": "2*e2", "y": "4*x3"}))
+    assert sum(_assert_apply_matches(f, 24) for f in morphisms) > 50
+
+
+def test_apply_matches_reference_on_finite_sources(cp2):
+    f = CdgaMorphism.identity(cp2)
+    cp2s2 = tensor(cp2, FiniteCdga([("one", 0), ("b", 2)], {}, label="S2f"))
+    g = CdgaMorphism.identity(cp2s2)
+    for h in (f, g):
+        _assert_apply_matches(h, 8)
+        alg = h.source.algebra
+        for u in range(len(alg.basis)):
+            for v in range(len(alg.basis)):
+                prod = (Element(alg, {u: Fraction(1)}) * Element(alg, {v: Fraction(1)})
+                        * Fraction(-5, 3))
+                assert h.apply(prod) == reference_apply(h, prod)
+
+
+def test_apply_matches_reference_on_relative_sources():
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    checked = 0
+    for M, k in sweep_instances(random.Random(0)):
+        _, phi = unreduced_framed_model(M, k)
+        checked += _assert_apply_matches(phi, 24)
+    assert checked > 10000
+
+
+def test_d_squared_reports_the_base_generator_of_a_relative_model():
+    bad_base = FreeCdga([Generator("e2", 2), Generator("x3", 3), Generator("b4", 4),
+                         Generator("w5", 5)],
+                        {"x3": "e2^2 + b4", "b4": "w5"}, check=False)
+    model = RelativeModel(bad_base, [Generator("u3", 3), Generator("t5", 5)],
+                          {"u3": "e2^2", "t5": "e2*e2*e2"})
+    violations = check_d_squared(model, 24)
+    assert [v.generator for v in violations] == ["x3"]
+    assert check_d_squared(model, 4) == []  # |x3| + 2 > 4
+
+
+def test_fiber_renaming_avoids_later_fiber_names():
+    # the fiber generator x clashes with the base; its new name must not be
+    # x_2, which a later fiber generator already has
+    base = FreeCdga([Generator("x", 2)], label="base")
+    model = RelativeModel(base, [Generator("x", 3), Generator("x_2", 5)],
+                          {"x": "x^2", "x_2": "x^3"}, label="collide")
+    assert model.renamings == {"x": "x_3"}
+    assert [g.name for g in model.fiber.generators] == ["x_3", "x_2"]
+    assert model.fiber_gen("x") == model.fiber_gen("x_3")
+    assert model.fiber_gen("x").degree() == 3
+    assert model.twist_of("x_2").degree() == 6
+    assert check_d_squared(model, 20) == []
+    assert is_quasi_iso(CdgaMorphism.identity(model), 12).ok
+    # duplicate fiber names are still renamed apart
+    dup = RelativeModel(base, [Generator("y", 3), Generator("y", 3)], {})
+    assert [g.name for g in dup.fiber.generators] == ["y", "y_2"]
+
+
+def test_protocol_consumers_name_no_cdga_kind():
+    import ast
+    import inspect
+    import textwrap
+
+    from ratimm import cli
+
+    kinds = {"FreeCdga", "FiniteCdga", "RelativeModel"}
+
+    def parse(fn):
+        return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+
+    def named(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    for fn in (check_d_squared, CdgaMorphism.apply, CdgaMorphism.identity,
+               cli._generator_lines, cli._generator_dicts):
+        assert not named(parse(fn)) & kinds, fn.__qualname__
+    # validate keeps its finite-source multiplicativity check; only the
+    # loop over the source's generators must be kind-free
+    loop = next(n for n in ast.walk(parse(CdgaMorphism.validate))
+                if isinstance(n, ast.For))
+    assert "generator_items" in ast.unparse(loop.iter)
+    assert not named(loop) & kinds

@@ -56,6 +56,47 @@ def test_stiefel_invalid_k_exits_2(capsys):
     assert "error:" in err and err.count("\n") == 1
 
 
+@pytest.fixture
+def s3_free_file(tmp_path):
+    # S^3 with a free model: accepted as a manifold, but the even-sphere
+    # factor of an immersion space needs a finite model
+    path = tmp_path / "s3free.manifold"
+    path.write_text("manifold: S^3\ndimension: 3\nkind: free\nlabel: S3\n"
+                    "generator: a3 3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stiefel", "--m", "0", "--k", "3"],
+    ["framed-model", "--manifold", "{cp2}", "--k", "1"],
+    ["immersion", "--manifold", "{cp2}", "--k", "1"],
+    ["map-sphere", "--manifold", "{cp2}", "--k", "0"],
+    ["map-sphere", "--manifold", "{cp2}", "--k", "1"],
+    ["immersion", "--manifold", "{s3_free}", "--k", "4"],
+    ["map-sphere", "--manifold", "{s3_free}", "--k", "4"],
+], ids=lambda argv: "-".join(a.strip("{}") for a in argv if not a.startswith("--")))
+def test_invalid_input_exits_2(capsys, cp2_file, s3_free_file, argv):
+    argv = [a.format(cp2=cp2_file, s3_free=s3_free_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unexpected_value_error_is_not_an_input_error(capsys, tmp_path,
+                                                      monkeypatch):
+    from ratimm import cli
+    path = tmp_path / "s2.cdga"
+    path.write_text("kind: free\nlabel: S2\ngenerator: e2 2\n"
+                    "generator: x3 3\nd: x3 = e2^2\n")
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "cohomology", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["cohomology", str(path), "--max-degree", "6"])
+
+
 def test_immersion_resolved_exit_0(capsys, s2_file):
     code, out, _ = run(capsys, "immersion", "--manifold", s2_file, "--k", "3",
                        "--max-degree", "15")
