@@ -2,7 +2,9 @@
 
 A free CDGA carries a degree +1 derivation given on generators; d^2 = 0
 is validated at construction and cohomology is computed degree by
-degree with exact sparse elimination (a dense eliminator double-checks).
+degree with exact sparse elimination.  Two independent engines can
+recompute the ranks: a modular rank certified by exactly verified kernel
+relations, and a dense eliminator.
 """
 
 from ratimm import (FiniteCdga, FreeCdga, Generator, check_d_squared,
@@ -30,7 +32,8 @@ s3 = FreeCdga([Generator("x", 3)], {}, label="S3")
 s5 = FreeCdga([Generator("y", 5)], {}, label="S5")
 print("H(S3 x S5):", cohomology(tensor(s3, s5), 9, representatives=False).dims)
 
-# Both engines agree (the dense one exists purely as a cross-check):
+# The production and dense engines agree (the dense one is the oracle;
+# `ratimm cohomology` checks against engine="certified"):
 sparse = cohomology(cp2, 6, representatives=False).dims
 dense = cohomology(cp2, 6, representatives=False, engine="dense").dims
 print("sparse == dense:", sparse == dense)

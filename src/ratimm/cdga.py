@@ -25,8 +25,11 @@ asks which kind it holds:
   the key as a word in those generators;
 * `d_symbol` -- "d", or "D" for the twisted differential.
 
-Cohomology is computed degreewise by exact sparse elimination; a dense
-eliminator is available as an independent cross-check oracle.
+Cohomology is computed degreewise by exact sparse elimination.  Two
+independent engines recompute the ranks as a check: a modular rank
+certified by exactly verified kernel relations (what `ratimm cohomology`
+checks against), and the dense eliminator, the oracle of the tests and
+of `ratimm verify`.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
 order; `diff_key` builds each column by the Leibniz rule on plain {key:
@@ -723,20 +726,28 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     representatives that elimination computes the rank only.  With them
     it also yields the kernel, and its echelon is the image that the
     next degree's cocycles are reduced against when representatives are
-    chosen.  engine="dense" recomputes the ranks with the independent
-    dense eliminator and returns no representatives.
+    chosen.  The two checking engines share no elimination code with it
+    and return no representatives: engine="certified" takes each rank
+    from the modular certificate (`linalg.certified_rank`), and from the
+    dense eliminator in a degree the certificate cannot settle;
+    engine="dense" takes every rank from the dense eliminator.
     """
+    if engine not in ("sparse", "certified", "dense"):
+        raise ValueError(f"unknown cohomology engine {engine!r}")
     alg = cdga.algebra
     keys = [alg.keys_of_degree(n) for n in range(cutoff + 2)]
     index = [{k: i for i, k in enumerate(kk)} for kk in keys]
     dims = []
     reps: list[list[Element]] = []
-    if engine == "dense":
+    if engine != "sparse":
         ranks = []
         for n in range(cutoff + 1):
             cols = _diff_columns(cdga, keys[n], index[n + 1])
-            mat = linalg.dense_from_columns(cols, len(keys[n + 1]))
-            ranks.append(linalg.dense_rank(mat))
+            rank = linalg.certified_rank(cols) if engine == "certified" else None
+            if rank is None:
+                rank = linalg.dense_rank(
+                    linalg.dense_from_columns(cols, len(keys[n + 1])))
+            ranks.append(rank)
         for n in range(cutoff + 1):
             prev = ranks[n - 1] if n else 0
             dims.append(len(keys[n]) - ranks[n] - prev)

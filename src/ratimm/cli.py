@@ -5,6 +5,10 @@ verify.  Every command is deterministic: identical inputs produce
 byte-identical outputs (verify prints wall-clock timings, which are
 explicitly marked non-canonical).
 
+`cohomology` checks every sparse rank against an independent exact one:
+the rank mod a large prime, certified by kernel relations verified over
+Q, or the dense eliminator's where the certificate cannot be made.
+
 Exit codes: 0 resolved, 2 input error, 3 theorem-hypothesis failure,
 4 symbolic mapping-space factor; verify exits nonzero on any failed check.
 An input error is a `RatimmError` (bad arguments, malformed or
@@ -178,10 +182,11 @@ def cmd_map_sphere(args) -> int:
 def cmd_cohomology(args) -> int:
     cdga = load_cdga(args.file)
     table = cohomology(cdga, args.max_degree, representatives=False)
-    dense = cohomology(cdga, args.max_degree, representatives=False, engine="dense")
-    if table.dims != dense.dims:
+    check = cohomology(cdga, args.max_degree, representatives=False,
+                       engine="certified")
+    if table.dims != check.dims:
         # an internal fault, not bad input: it must not exit as one
-        raise AssertionError("sparse and dense eliminators disagree; please report")
+        raise AssertionError("sparse and certified ranks disagree; please report")
     if args.format == "json":
         payload = {
             "command": "cohomology", "label": cdga.label,

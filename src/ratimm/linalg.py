@@ -1,11 +1,16 @@
 """Exact rank/kernel computations over the rationals.
 
-Two independent elimination routines live here on purpose:
+Three independent elimination routines live here on purpose:
 
 * a sparse, fraction-free (integer cross-multiplication) echelon
-  accumulator used by all production code paths, and
-* a dense textbook Gauss-Jordan eliminator kept solely as a cross-check
-  oracle for tests and the CLI verify suites.
+  accumulator (`SparseEchelon`) used by all production code paths;
+* a modular certificate (`certified_rank`): the rank mod a 61-bit prime,
+  proved equal to the rank over Q by relations lifted from the mod-p
+  kernel and verified exactly; `ratimm cohomology` checks every sparse
+  rank against it;
+* a dense textbook Gauss-Jordan eliminator (`dense_rank`), the oracle for
+  tests, `ratimm verify` and `cohomology(engine="dense")`, and the
+  fallback for a degree the certificate cannot settle.
 
 Sparse reduction visits only the pivot columns a vector touches, fill-in
 included, smallest first (a heap); rational bookkeeping is carried only
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, isqrt, lcm
 
 
 def clear_denominators(vec: dict):
@@ -197,7 +202,116 @@ def sparse_solve(columns: list[dict], target: dict):
 
 
 # ---------------------------------------------------------------------------
-# Dense cross-check oracle (independent code path; not used in production)
+# Modular certificate (independent of SparseEchelon and clear_denominators)
+# ---------------------------------------------------------------------------
+
+PRIME = 2**61 - 1
+_LIFT_BOUND = isqrt(PRIME // 2)
+
+
+def _lift(a: int):
+    """Rational reconstruction: (r, s) with r == a*s (mod PRIME), |r| and
+    0 < s at most sqrt(PRIME/2); None when no such pair exists."""
+    r0, r1, s0, s1 = PRIME, a, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def certified_rank(columns: list[dict]) -> int | None:
+    """Rank of the matrix whose columns are the given sparse vectors,
+    certified exactly, or None when the certificate cannot be made.
+
+    The entries are mapped to GF(p), p = 2^61 - 1, as num * den^-1 (None
+    if p divides a denominator) and eliminated mod p column by column.
+    Each dependent column j leaves a mod-p relation with coefficient 1
+    on j and support on j and the independent columns before it; every
+    relation is lifted to Q by rational reconstruction and checked
+    exactly, sum_i c_i * column_i = 0, on the original entries.  The
+    rank mod p, r_p, is returned when every relation holds:
+
+    * r_p <= r_Q, because a minor that is nonzero mod p is nonzero over Z;
+    * the verified relations are linearly independent, since each
+      contains its own dependent index j and no other relation does; so
+      nullity_Q >= n - r_p, which gives r_Q <= r_p.
+
+    None (a reconstruction or a check failed, or p divides a
+    denominator) says nothing about the rank; the caller must compute
+    it another way.
+    """
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    relations: list[dict[int, int]] = []
+    for j, col in enumerate(columns):
+        vec = {}
+        for i, c in col.items():
+            den = c.denominator % PRIME
+            if not den:
+                return None
+            v = c.numerator * pow(den, -1, PRIME) % PRIME
+            if v:
+                vec[i] = v
+        rel = {j: 1}
+        heap = [i for i in vec if i in pivots]
+        heapify(heap)
+        while heap:
+            i = heappop(heap)
+            coeff = vec.get(i)
+            if not coeff:
+                continue
+            # pivot rows are monic with no entries left of their pivot
+            row, rowrel = pivots[i]
+            for k, v in row.items():
+                s = (vec.get(k, 0) - coeff * v) % PRIME
+                if s:
+                    if k not in vec and k in pivots:
+                        heappush(heap, k)
+                    vec[k] = s
+                else:
+                    vec.pop(k, None)
+            for k, v in rowrel.items():
+                s = (rel.get(k, 0) - coeff * v) % PRIME
+                if s:
+                    rel[k] = s
+                else:
+                    rel.pop(k, None)
+        if vec:
+            pivot = min(vec)
+            inv = pow(vec[pivot], -1, PRIME)
+            pivots[pivot] = ({k: v * inv % PRIME for k, v in vec.items()},
+                             {k: v * inv % PRIME for k, v in rel.items()})
+        else:
+            relations.append(rel)
+
+    # column_i as integers over one common denominator: column_i = ints / den
+    scaled: dict[int, tuple[int, dict[int, int]]] = {}
+    for rel in relations:
+        lifted = {}
+        for i, a in rel.items():
+            pair = _lift(a)
+            if pair is None:
+                return None
+            if i not in scaled:
+                den = lcm(*(c.denominator for c in columns[i].values()))
+                scaled[i] = (den, {k: c.numerator * (den // c.denominator)
+                                   for k, c in columns[i].items()})
+            lifted[i] = (pair[0], pair[1] * scaled[i][0])
+        # sum_i (r_i / (s_i * den_i)) * ints_i, cleared to integers
+        common = lcm(*(s for _, s in lifted.values()))
+        total: dict[int, int] = {}
+        for i, (r, s) in lifted.items():
+            b = r * (common // s)
+            for k, v in scaled[i][1].items():
+                total[k] = total.get(k, 0) + b * v
+        if any(total.values()):
+            return None
+    return len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle (independent code path; the certificate's fallback)
 # ---------------------------------------------------------------------------
 
 def dense_rank(rows: list[list[Fraction]]) -> int:

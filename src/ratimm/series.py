@@ -212,12 +212,14 @@ def reconstruct_rational_series(coeffs, denominator_degrees,
     correct, terminates before `verify_from` (default: half the data);
     every coefficient from there on acts as a verification sample.
     Returns the reduced RationalForm, or None when the data does not
-    match such a form.
+    match such a form or leaves no verification sample.
     """
     coeffs = list(coeffs)
     degrees = sorted(denominator_degrees)
     if verify_from is None:
         verify_from = len(coeffs) // 2
+    if verify_from >= len(coeffs):
+        return None
     numer = coeffs
     for d in degrees:
         numer = _poly_mul(numer, [1] + [0] * (d - 1) + [-1])[:len(coeffs)]

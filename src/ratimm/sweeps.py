@@ -200,6 +200,9 @@ def suite_core(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             sparse = linalg.sparse_rank(cols)
             dense = linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
             assert sparse == dense, f"rank mismatch {sparse} vs {dense}"
+            certified = linalg.certified_rank(cols)
+            assert certified in (None, dense), \
+                f"certified rank {certified} vs dense {dense}"
             rank, kernel = linalg.sparse_rank_kernel(cols)
             assert rank + len(kernel) == ncols, "rank-nullity"
             for ker in kernel:
@@ -208,7 +211,7 @@ def suite_core(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                     for i, v in cols[j].items():
                         acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * v
                 assert not any(acc.values()), "kernel vector fails"
-        return "sparse vs dense rank, kernel validity x20"
+        return "sparse and certified vs dense rank, kernel validity x20"
 
     results.append(_run("core.koszul", koszul))
     results.append(_run("core.associativity", associativity))

@@ -230,6 +230,13 @@ def test_dense_engine_agrees(s2_model, cp2):
         assert sp.dims == de.dims
 
 
+def test_unknown_engine_is_rejected(s2_model):
+    # a misspelt checking engine must not silently run the sparse path
+    for engine in ("Dense", "modular", ""):
+        with pytest.raises(ValueError, match="engine"):
+            cohomology(s2_model, 4, engine=engine)
+
+
 def test_rank_only_representative_and_dense_paths_agree():
     from ratimm.bundles import sphere_product_manifold, stiefel_model
     from ratimm.mapping import sphere_map_null_model

@@ -156,15 +156,30 @@ def test_cohomology_command(capsys, tmp_path):
     assert "1   0   1   0   0   0   0" in out
 
 
-def test_engine_disagreement_is_not_an_input_error(capsys, tmp_path, monkeypatch):
-    from ratimm import linalg
+def _s2_cdga(tmp_path):
     path = tmp_path / "s2.cdga"
     path.write_text("kind: free\nlabel: S2\ngenerator: e2 2\n"
                     "generator: x3 3\nd: x3 = e2^2\n")
-    monkeypatch.setattr(linalg, "dense_rank", lambda rows: len(rows) + 1)
+    return str(path)
+
+
+def test_engine_disagreement_is_not_an_input_error(tmp_path, monkeypatch):
+    from ratimm import linalg
+    path = _s2_cdga(tmp_path)
+    monkeypatch.setattr(linalg, "certified_rank", lambda cols: len(cols) + 1)
     # an internal fault propagates instead of returning exit code 2
     with pytest.raises(AssertionError, match="disagree"):
-        main(["cohomology", str(path), "--max-degree", "6"])
+        main(["cohomology", path, "--max-degree", "6"])
+
+
+def test_dense_fallback_disagreement_is_not_an_input_error(tmp_path, monkeypatch):
+    from ratimm import linalg
+    path = _s2_cdga(tmp_path)
+    # no certificate: every degree falls back to the dense oracle
+    monkeypatch.setattr(linalg, "certified_rank", lambda cols: None)
+    monkeypatch.setattr(linalg, "dense_rank", lambda rows: len(rows) + 1)
+    with pytest.raises(AssertionError, match="disagree"):
+        main(["cohomology", path, "--max-degree", "6"])
 
 
 def test_cohomology_bad_file_exit_2(capsys, tmp_path):

@@ -51,6 +51,16 @@ def test_imm_s3_r5():
     assert d.growth == "polynomial(0)"
 
 
+def test_imm_without_a_verified_fit_has_undetermined_growth(monkeypatch):
+    import ratimm.immersions as immersions
+    monkeypatch.setattr(immersions, "reconstruct_rational_series",
+                        lambda *args, **kwargs: None)
+    d = immersion_components(sphere_manifold(3), 2, 12)
+    assert d.status == "resolved" and d.sphere_series.form is None
+    assert d.growth == "undetermined"
+    assert description_to_dict(d)["growth"] == "undetermined"
+
+
 def test_imm_s2_r4_symbolic():
     d = immersion_components(sphere_manifold(2), 2, 10)
     assert d.status == "symbolic-sphere"

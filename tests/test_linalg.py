@@ -147,3 +147,63 @@ def test_random_sparse_fill_in_cross_check(monkeypatch):
                 check[i] = check.get(i, Fraction(0)) + c * v
         assert {i: v for i, v in check.items() if v} == target
     assert pushes, "no reduction filled in a later pivot column"
+
+
+def test_certified_rank_random_planted_dependencies(monkeypatch):
+    # sparse columns, some of them rational combinations of earlier ones:
+    # the certificate gives the dense rank or declines, and rarely declines
+    def unused(*args):
+        raise AssertionError("the certificate must not use the sparse path")
+    monkeypatch.setattr(linalg, "SparseEchelon", unused)
+    monkeypatch.setattr(linalg, "clear_denominators", unused)
+    rng = random.Random(1618)
+    certified = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 25), rng.randint(1, 30)
+        cols = []
+        for _j in range(ncols):
+            if cols and rng.random() < 0.4:
+                col = {}
+                for src in rng.sample(range(len(cols)), min(len(cols), 3)):
+                    c = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                    for i, v in cols[src].items():
+                        col[i] = col.get(i, Fraction(0)) + c * v
+            else:
+                col = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for i in rng.sample(range(nrows), rng.randint(0, min(nrows, 4)))}
+            cols.append({i: v for i, v in col.items() if v})
+        rank = linalg.certified_rank(cols)
+        assert rank in (None, linalg.dense_rank(linalg.dense_from_columns(cols, nrows)))
+        certified += rank is not None
+    assert certified >= 55
+
+
+def test_certified_rank_declines_rather_than_undercount():
+    p = linalg.PRIME
+    # rank 2 over Q, rank 1 mod p: the lifted relation c0 - c1 fails
+    assert linalg.certified_rank([{0: p, 1: 1}, {1: 1}]) is None
+    assert linalg.certified_rank([{0: Fraction(p + 1, p)}, {0: 1}]) is None
+    # relation coefficient 3^-80 is beyond rational reconstruction
+    assert linalg.certified_rank([{0: 3 ** 80}, {0: 1}]) is None
+    assert linalg.certified_rank([{0: 3 ** 80, 1: 1}, {0: 1}]) == 2
+    assert linalg.certified_rank([]) == 0
+    assert linalg.certified_rank([{}, {0: Fraction(1, 2)}, {0: 3}]) == 1
+
+
+def test_certified_engine_matches_dense_on_models():
+    from pathlib import Path
+
+    from ratimm.bundles import sphere_product_manifold, stiefel_model
+    from ratimm.cdga import cohomology
+    from ratimm.io import load_cdga
+    from ratimm.mapping import sphere_map_null_model
+
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    cases = ((sphere_map_null_model(sphere_product_manifold(2, 4).model, 8), 24),
+             (stiefel_model(7, 4), 20),
+             (load_cdga(str(inputs / "free_s2xs2.cdga")), 30),
+             (load_cdga(str(inputs / "finite_nonformal.cdga")), 12))
+    for cdga, cutoff in cases:
+        certified = cohomology(cdga, cutoff, engine="certified")
+        assert certified.dims == cohomology(cdga, cutoff, engine="dense").dims
+        assert certified.representatives is None

@@ -112,3 +112,13 @@ def test_reconstruction_rejects_exponential_data():
 def test_reconstruction_rejects_wrong_denominator():
     data = RationalForm((1,), ((3, 1),)).coefficients(24)
     assert reconstruct_rational_series(data, [2]) is None
+
+
+def test_reconstruction_needs_a_verification_sample():
+    data = [2 ** i for i in range(24)]
+    # with no sample past the numerator, any data would "fit"
+    assert reconstruct_rational_series(data, [2], verify_from=len(data)) is None
+    assert reconstruct_rational_series(data, [2], verify_from=len(data) - 1) is None
+    form = RationalForm((1,), ((2, 1),))
+    fitted = reconstruct_rational_series(form.coefficients(23), [2], verify_from=23)
+    assert fitted == form
