@@ -25,17 +25,25 @@ asks which kind it holds:
   the key as a word in those generators;
 * `d_symbol` -- "d", or "D" for the twisted differential.
 
-Cohomology is computed degreewise by exact sparse elimination.  Two
-independent engines recompute the ranks as a check: a modular rank
-certified by exactly verified kernel relations (what `ratimm cohomology`
-checks against), and the dense eliminator, the oracle of the tests and
-of `ratimm verify`.
+Cohomology is computed degreewise by exact sparse elimination, and each
+(model, degree) is assembled and eliminated once: `_cochains` walks the
+degrees, enumerating each one's keys once and handing its columns to
+every consumer.  Rank comes first, untagged; a kernel, with its rational
+bookkeeping, is computed only in a degree with b_n > 0 whose
+representatives a caller asked for.  `is_quasi_iso` walks the target
+once, rank only, and tests f(representatives) against the image echelons
+of that walk.  Two independent engines recompute the ranks as a check: a
+modular rank certified by exactly verified kernel relations (what
+`ratimm cohomology` checks against, on the same columns), and the dense
+eliminator, the oracle of the tests and of `ratimm verify`.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
-order; `diff_key` builds each column by the Leibniz rule on plain {key:
-coefficient} dicts (`_leibniz`), from the terms of d on generators that
-each model caches once.  Integral input keeps int coefficients, which
-`linalg.clear_denominators` takes without Fraction arithmetic.
+order (a tensor algebra asks its base first and skips empty base degrees;
+a finite algebra indexes its basis by degree once); `diff_key` builds
+each column by the Leibniz rule on plain {key: coefficient} dicts
+(`_leibniz`), from the terms of d on generators that each model caches
+once.  Integral input keeps int coefficients, which `linalg.primitive`
+takes without Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import ChainMapError, ContextError, DegreeError
+from .errors import ChainMapError, ContextError, DegreeError, InputError
 from .gca import Element, FreeAlgebra, Generator, parse_element, parse_linear
 
 __all__ = [
@@ -223,6 +231,9 @@ class FiniteAlgebra:
         if any(d < 0 for _, d in self.basis):
             raise ValueError("negative-degree basis elements are not allowed")
         self.unit = units[0]
+        self._by_degree: dict[int, tuple[int, ...]] = {}
+        for i, (_, d) in enumerate(self.basis):
+            self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
         self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._load_products(products or {})
         if check:
@@ -332,7 +343,7 @@ class FiniteAlgebra:
         return self.basis[i][1]
 
     def keys_of_degree(self, n: int) -> tuple[int, ...]:
-        return tuple(i for i, (_, d) in enumerate(self.basis) if d == n)
+        return self._by_degree.get(n, ())
 
     def mul_key_pairs(self, i: int, j: int):
         return list(self._table[(i, j)].items())
@@ -459,12 +470,11 @@ class TensorAlgebra:
     def keys_of_degree(self, n: int):
         out = []
         for i in range(n + 1):
-            rkeys = self.right.keys_of_degree(n - i)
-            if not rkeys:
-                continue
-            for lk in self.left.keys_of_degree(i):
-                for rm in rkeys:
-                    out.append((lk, rm))
+            # the base first: a finite base has keys in few degrees
+            lkeys = self.left.keys_of_degree(i)
+            if lkeys:
+                rkeys = self.right.keys_of_degree(n - i)
+                out.extend((lk, rm) for lk in lkeys for rm in rkeys)
         # already in sort_key order: base degree ascending, then each
         # factor's own order
         return tuple(out)
@@ -532,10 +542,10 @@ class RelativeModel(Cdga):
 
     The fiber is a free algebra; the differential restricted to the base
     is the base differential, and on each fiber generator it is a given
-    element of the tensor algebra (zero when omitted).  A fiber generator
-    whose name is taken (by the base or an earlier fiber generator) is
-    renamed to one that no base or given fiber name uses; `renamings`
-    maps given names to new ones.
+    element of the tensor algebra (zero when omitted).  Fiber names must
+    be distinct; a fiber generator whose name the base takes is renamed
+    to one that no base or given fiber name uses; `renamings` maps given
+    names to new ones.
     """
 
     d_symbol = "D"
@@ -545,6 +555,9 @@ class RelativeModel(Cdga):
         self.base = base
         taken = {name for name, *_ in base.generator_items()}
         given = {g.name for g in fiber_generators}
+        if len(given) != len(fiber_generators):
+            names = [g.name for g in fiber_generators]
+            raise InputError(f"duplicate fiber generator names in {names}")
         self.renamings: dict[str, str] = {}
         gens = []
         for g in fiber_generators:
@@ -710,68 +723,82 @@ class BettiTable:
         return "[" + ", ".join(str(b) for b in self.dims) + f"] (N={self.cutoff})"
 
 
-def _diff_columns(cdga, keys_n, index_next) -> list[dict[int, Fraction]]:
-    cols = []
-    for key in keys_n:
-        img = cdga.diff_key(key)
-        cols.append({index_next[k]: c for k, c in img.terms.items()})
-    return cols
+def _cochains(cdga, cutoff: int):
+    """Walk degrees n = 0..cutoff once each, yielding (keys, index, columns,
+    rows): the degree-n keys, their positions, and d_n as one sparse column
+    per key (assembled by `diff_key`) over the `rows` degree-(n+1) keys."""
+    alg = cdga.algebra
+    keys = alg.keys_of_degree(0)
+    index = {k: i for i, k in enumerate(keys)}
+    for n in range(cutoff + 1):
+        keys_next = alg.keys_of_degree(n + 1)
+        index_next = {k: i for i, k in enumerate(keys_next)}
+        cols = [{index_next[k]: c for k, c in cdga.diff_key(key).terms.items()}
+                for key in keys]
+        yield keys, index, cols, len(keys_next)
+        keys, index = keys_next, index_next
+
+
+def _dense_rank(cols, rows: int) -> int:
+    return linalg.dense_rank(linalg.dense_from_columns(cols, rows))
+
 
 def cohomology(cdga, cutoff: int, representatives: bool = True,
                engine: str = "sparse") -> BettiTable:
     """Degreewise cohomology ranks, by exact elimination.
 
-    engine="sparse" is the production path: fraction-free sparse
-    elimination of each degree's differential, once.  Without
-    representatives that elimination computes the rank only.  With them
-    it also yields the kernel, and its echelon is the image that the
-    next degree's cocycles are reduced against when representatives are
-    chosen.  The two checking engines share no elimination code with it
-    and return no representatives: engine="certified" takes each rank
-    from the modular certificate (`linalg.certified_rank`), and from the
-    dense eliminator in a degree the certificate cannot settle;
-    engine="dense" takes every rank from the dense eliminator.
+    Each degree's keys are enumerated and its columns assembled once.
+    engine="sparse" is the production path: one fraction-free sparse
+    elimination of each degree's differential, rank only, and its
+    echelon is the image of d_n.  With representatives, a degree with
+    b_n > 0 also gets a tagged elimination for its kernel (a degree with
+    b_n = 0 gets none), and each kernel vector that is independent
+    modulo the image of d_{n-1} becomes a representative.
+
+    The checking engines return no representatives.  engine="certified"
+    hands the same columns to the sparse elimination and to the modular
+    certificate (`linalg.certified_rank`, or the dense eliminator in a
+    degree the certificate cannot settle) and raises AssertionError when
+    the two ranks disagree; the engines share columns, never
+    elimination.  engine="dense" takes every rank from the dense
+    eliminator alone.
     """
     if engine not in ("sparse", "certified", "dense"):
         raise ValueError(f"unknown cohomology engine {engine!r}")
+    representatives = representatives and engine == "sparse"
     alg = cdga.algebra
-    keys = [alg.keys_of_degree(n) for n in range(cutoff + 2)]
-    index = [{k: i for i, k in enumerate(kk)} for kk in keys]
     dims = []
     reps: list[list[Element]] = []
-    if engine != "sparse":
-        ranks = []
-        for n in range(cutoff + 1):
-            cols = _diff_columns(cdga, keys[n], index[n + 1])
-            rank = linalg.certified_rank(cols) if engine == "certified" else None
-            if rank is None:
-                rank = linalg.dense_rank(
-                    linalg.dense_from_columns(cols, len(keys[n + 1])))
-            ranks.append(rank)
-        for n in range(cutoff + 1):
-            prev = ranks[n - 1] if n else 0
-            dims.append(len(keys[n]) - ranks[n] - prev)
-        return BettiTable(cutoff, dims, None)
-
     rank_prev = 0
     image_prev = linalg.SparseEchelon()
-    for n in range(cutoff + 1):
-        cols = _diff_columns(cdga, keys[n], index[n + 1])
-        if not representatives:
-            rank_n = linalg.sparse_rank(cols)
-            dims.append(len(keys[n]) - rank_n - rank_prev)
-            rank_prev = rank_n
-            continue
-        image, kernel = linalg.kernel_echelon(cols)
-        b_n = len(keys[n]) - image.rank - rank_prev
+    for n, (keys, _, cols, rows) in enumerate(_cochains(cdga, cutoff)):
+        if engine == "dense":
+            rank = _dense_rank(cols, rows)
+        else:
+            image = linalg.SparseEchelon(cols)
+            rank = image.rank
+        if engine == "certified":
+            check = linalg.certified_rank(cols)
+            if check is None:
+                check = _dense_rank(cols, rows)
+            if check != rank:
+                # an internal fault, not bad input
+                raise AssertionError(f"sparse and certified ranks disagree in "
+                                     f"degree {n}; please report")
+        b_n = len(keys) - rank - rank_prev
         dims.append(b_n)
+        rank_prev = rank
+        if not representatives:
+            continue
         chosen = []
-        for ker in kernel:
-            residue = image_prev.reduce(ker)
-            if residue:
-                image_prev.add(residue)
-                chosen.append(Element(alg, {keys[n][j]: Fraction(c)
-                                            for j, c in ker.items()}))
+        if b_n:
+            _, kernel = linalg.kernel_echelon(cols)
+            for ker in kernel:
+                residue = image_prev.reduce(ker)
+                if residue:
+                    image_prev.add(residue)
+                    chosen.append(Element(alg, {keys[j]: Fraction(c)
+                                                for j, c in ker.items()}))
         if len(chosen) != b_n:
             raise AssertionError(
                 f"rank bookkeeping mismatch in degree {n}: "
@@ -779,7 +806,6 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
         reps.append(chosen)
         # the image of d_n is what degree n+1's cocycles are reduced against
         image_prev = image
-        rank_prev = image.rank
     return BettiTable(cutoff, dims, reps if representatives else None)
 
 
@@ -1041,30 +1067,29 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     """True iff f induces isomorphisms on cohomology in degrees <= cutoff.
 
     Dimension equality alone is not trusted: the induced map is also
-    checked to be injective on cohomology representatives.
+    checked to be injective on cohomology representatives.  The source
+    is walked by `cohomology` with representatives; the target is walked
+    once, rank only: each degree's columns are assembled and eliminated
+    once.  f of each degree-n representative is added to the echelon of
+    the target's d_{n-1}; one that adds no pivot shows a class sent into
+    the span of the image and the classes before it.
     """
     f.validate()
-    src_table = cohomology(f.source, cutoff, representatives=True)
-    tgt_table = cohomology(f.target, cutoff, representatives=True)
-    tgt_alg = f.target.algebra
+    source = cohomology(f.source, cutoff, representatives=True)
     per_degree = []
-    ok = True
-    for n in range(cutoff + 1):
-        ds, dt = src_table.dims[n], tgt_table.dims[n]
-        keys = tgt_alg.keys_of_degree(n)
-        index = {k: i for i, k in enumerate(keys)}
-        prev_keys = tgt_alg.keys_of_degree(n - 1) if n else ()
-        ech = linalg.SparseEchelon()
-        for key in prev_keys:
-            img = f.target.diff_key(key)
-            ech.add({index[k]: c for k, c in img.terms.items()})
+    rank_prev = 0
+    image_prev = linalg.SparseEchelon()
+    for n, (keys, index, cols, _) in enumerate(_cochains(f.target, cutoff)):
+        image = linalg.SparseEchelon(cols)
         injective = True
-        for rep in src_table.representatives[n]:
+        for rep in source.representatives[n]:
             vec = {index[k]: c for k, c in f.apply(rep).terms.items()}
-            pivot, _ = ech.add(vec)
+            pivot, _ = image_prev.add(vec)
             if pivot is None:
                 injective = False
-        per_degree.append((n, ds, dt, injective))
-        if ds != dt or not injective:
-            ok = False
+        dt = len(keys) - image.rank - rank_prev
+        per_degree.append((n, source.dims[n], dt, injective))
+        rank_prev = image.rank
+        image_prev = image
+    ok = all(ds == dt and inj for _, ds, dt, inj in per_degree)
     return QuasiIsoReport(ok, cutoff, per_degree)

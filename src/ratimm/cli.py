@@ -7,7 +7,8 @@ explicitly marked non-canonical).
 
 `cohomology` checks every sparse rank against an independent exact one:
 the rank mod a large prime, certified by kernel relations verified over
-Q, or the dense eliminator's where the certificate cannot be made.
+Q, or the dense eliminator's where the certificate cannot be made.  Both
+eliminate the same columns, assembled once per degree.
 
 Exit codes: 0 resolved, 2 input error, 3 theorem-hypothesis failure,
 4 symbolic mapping-space factor; verify exits nonzero on any failed check.
@@ -181,12 +182,10 @@ def cmd_map_sphere(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cdga = load_cdga(args.file)
-    table = cohomology(cdga, args.max_degree, representatives=False)
-    check = cohomology(cdga, args.max_degree, representatives=False,
+    # a disagreement of the two engines raises AssertionError, an internal
+    # fault that must not exit as bad input
+    table = cohomology(cdga, args.max_degree, representatives=False,
                        engine="certified")
-    if table.dims != check.dims:
-        # an internal fault, not bad input: it must not exit as one
-        raise AssertionError("sparse and certified ranks disagree; please report")
     if args.format == "json":
         payload = {
             "command": "cohomology", "label": cdga.label,

@@ -7,14 +7,17 @@ Three independent elimination routines live here on purpose:
 * a modular certificate (`certified_rank`): the rank mod a 61-bit prime,
   proved equal to the rank over Q by relations lifted from the mod-p
   kernel and verified exactly; `ratimm cohomology` checks every sparse
-  rank against it;
+  rank against it, on the same columns;
 * a dense textbook Gauss-Jordan eliminator (`dense_rank`), the oracle for
   tests, `ratimm verify` and `cohomology(engine="dense")`, and the
   fallback for a degree the certificate cannot settle.
 
 Sparse reduction visits only the pivot columns a vector touches, fill-in
-included, smallest first (a heap); rational bookkeeping is carried only
-for tagged vectors, so a rank computation pays for none of it.
+included, smallest first (a heap).  Every vector enters as coprime
+integers (`primitive`); rational bookkeeping, a Fraction scale included,
+is carried only for tagged vectors, so a rank computation or a reduction
+pays for none of it, and an untagged row equals the tagged row of the
+same input.
 
 Vectors are dicts mapping coordinate index -> Fraction (or int).  All
 results are exact and deterministic.
@@ -27,22 +30,18 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
 
-def clear_denominators(vec: dict):
-    """Scale a rational vector to coprime integers.
+def primitive(vec: dict):
+    """Scale a rational vector to coprime integers, building no Fraction.
 
-    Returns (ivec, alpha) with ivec = alpha * vec, alpha a positive Fraction.
-    An all-int vector skips the Fraction conversion.
+    Returns (ivec, denom, g): ivec = vec * denom / g, with denom the lcm of
+    the denominators and g the gcd of the scaled entries (1 for zero).
     """
     denom = 1
-    if all(type(c) is int for c in vec.values()):
-        ivec = {j: c for j, c in vec.items() if c}
-    else:
-        vec = {j: Fraction(c) for j, c in vec.items() if c}
-        for c in vec.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ivec = {j: int(c * denom) for j, c in vec.items()}
-    if not ivec:
-        return {}, Fraction(1)
+    for c in vec.values():
+        d = c.denominator
+        if d != 1:
+            denom = denom * d // gcd(denom, d)
+    ivec = {j: c.numerator * (denom // c.denominator) for j, c in vec.items() if c}
     g = 0
     for v in ivec.values():
         g = gcd(g, v)
@@ -50,6 +49,15 @@ def clear_denominators(vec: dict):
         ivec = {j: v // g for j, v in ivec.items()}
     else:
         g = 1
+    return ivec, denom, g
+
+
+def clear_denominators(vec: dict):
+    """Scale a rational vector to coprime integers.
+
+    Returns (ivec, alpha) with ivec = alpha * vec, alpha a positive Fraction.
+    """
+    ivec, denom, g = primitive(vec)
     return ivec, Fraction(denom, g)
 
 
@@ -64,12 +72,15 @@ class SparseEchelon:
 
     over the tagged columns fed to :meth:`add`, which yields kernels and
     solves.  Untagged rows carry None: add tagged vectors only to an
-    echelon whose rows are all tagged.
+    echelon whose rows are all tagged.  `columns`, if given, are added
+    untagged, in order.
     """
 
-    def __init__(self):
+    def __init__(self, columns=()):
         self.rows: list[tuple[dict[int, int], dict[int, Fraction] | None]] = []
         self.pivot_cols: dict[int, int] = {}  # pivot col -> row position
+        for col in columns:
+            self.add(col)
 
     @property
     def rank(self) -> int:
@@ -127,8 +138,7 @@ class SparseEchelon:
 
     def reduce(self, vec: dict) -> dict[int, int]:
         """Residue of a vector modulo the row space (integer-normalized)."""
-        ivec, _ = clear_denominators(vec)
-        res, _ = self._reduce(ivec, None)
+        res, _ = self._reduce(primitive(vec)[0], None)
         return res
 
     def contains(self, vec: dict) -> bool:
@@ -141,8 +151,11 @@ class SparseEchelon:
         a dependent vector (pivot None) it is the tagged input
         combination that equals zero.  Without a tag it is None.
         """
-        ivec, alpha = clear_denominators(vec)
-        aug = {tag: alpha} if tag is not None else None
+        if tag is None:
+            ivec, aug = primitive(vec)[0], None
+        else:
+            ivec, alpha = clear_denominators(vec)
+            aug = {tag: alpha}
         ivec, aug = self._reduce(ivec, aug)
         if not ivec:
             return None, aug
@@ -154,10 +167,7 @@ class SparseEchelon:
 
 def sparse_rank(columns: list[dict]) -> int:
     """Rank of the matrix whose columns are the given sparse vectors."""
-    ech = SparseEchelon()
-    for col in columns:
-        ech.add(col)
-    return ech.rank
+    return SparseEchelon(columns).rank
 
 
 def kernel_echelon(columns: list[dict]):
@@ -172,8 +182,7 @@ def kernel_echelon(columns: list[dict]):
     for j, col in enumerate(columns):
         pivot, aug = ech.add(col, tag=j)
         if pivot is None:
-            ker, _ = clear_denominators(aug)
-            kernel.append(ker)
+            kernel.append(primitive(aug)[0])
     return ech, kernel
 
 
@@ -202,7 +211,7 @@ def sparse_solve(columns: list[dict], target: dict):
 
 
 # ---------------------------------------------------------------------------
-# Modular certificate (independent of SparseEchelon and clear_denominators)
+# Modular certificate (independent of SparseEchelon and the scaling helpers)
 # ---------------------------------------------------------------------------
 
 PRIME = 2**61 - 1

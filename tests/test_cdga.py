@@ -1,14 +1,16 @@
 """Differentials, cohomology, tensor products, quasi-isomorphisms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ratimm import linalg
 from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, RelativeModel,
                          check_d_squared, cohomology, is_quasi_iso, tensor,
                          unit_cdga)
-from ratimm.errors import ChainMapError, DegreeError
+from ratimm.errors import ChainMapError, DegreeError, InputError
 from ratimm.gca import Element, Generator, parse_element
 
 
@@ -427,6 +429,159 @@ def test_quasi_iso_needs_injectivity_not_just_dimensions():
     assert not report.ok and 3 in report.failing_degrees()
 
 
+def test_equal_dimensions_with_a_non_injective_map_fail():
+    # Λ(x2) -> Λ(x2), x -> 0: equal dimensions in every degree, yet every
+    # class of positive degree maps to 0
+    a = FreeCdga([Generator("x", 2)], {})
+    report = is_quasi_iso(CdgaMorphism(a, a, {"x": "0"}), 6)
+    assert all(ds == dt for _, ds, dt, _ in report.per_degree)
+    assert not report.ok and report.failing_degrees() == [2, 4, 6]
+
+
+# -- oracles for cohomology representatives and is_quasi_iso -----------------
+#
+# The references below are the earlier implementations: a tagged kernel
+# elimination in every degree, and a quasi-isomorphism check that computes
+# the target's representatives too and rebuilds the echelon of the target's
+# d_{n-1} in every degree.
+
+def reference_cohomology(cdga, cutoff):
+    alg = cdga.algebra
+    keys = [alg.keys_of_degree(n) for n in range(cutoff + 2)]
+    index = [{k: i for i, k in enumerate(kk)} for kk in keys]
+    dims, reps = [], []
+    rank_prev, image_prev = 0, linalg.SparseEchelon()
+    for n in range(cutoff + 1):
+        cols = [{index[n + 1][k]: c for k, c in cdga.diff_key(key).terms.items()}
+                for key in keys[n]]
+        image, kernel = linalg.kernel_echelon(cols)
+        chosen = []
+        for ker in kernel:
+            residue = image_prev.reduce(ker)
+            if residue:
+                image_prev.add(residue)
+                chosen.append(Element(alg, {keys[n][j]: Fraction(c)
+                                            for j, c in ker.items()}))
+        dims.append(len(keys[n]) - image.rank - rank_prev)
+        reps.append(chosen)
+        image_prev, rank_prev = image, image.rank
+    return dims, reps
+
+
+def reference_is_quasi_iso(f, cutoff):
+    f.validate()
+    src_dims, src_reps = reference_cohomology(f.source, cutoff)
+    tgt_dims, _ = reference_cohomology(f.target, cutoff)
+    tgt_alg = f.target.algebra
+    per_degree = []
+    for n in range(cutoff + 1):
+        index = {k: i for i, k in enumerate(tgt_alg.keys_of_degree(n))}
+        ech = linalg.SparseEchelon()
+        for key in tgt_alg.keys_of_degree(n - 1) if n else ():
+            ech.add({index[k]: c for k, c in f.target.diff_key(key).terms.items()})
+        injective = True
+        for rep in src_reps[n]:
+            pivot, _ = ech.add({index[k]: c for k, c in f.apply(rep).terms.items()})
+            if pivot is None:
+                injective = False
+        per_degree.append((n, src_dims[n], tgt_dims[n], injective))
+    ok = all(ds == dt and inj for _, ds, dt, inj in per_degree)
+    return ok, cutoff, per_degree
+
+
+def _failing_morphisms():
+    x3 = FreeCdga([Generator("x3", 3)], {})
+    b4 = FreeCdga([Generator("b4", 4)], {})
+    b4x3 = FreeCdga([Generator("b4", 4), Generator("x3", 3)], {"x3": "b4"})
+    uw = FreeCdga([Generator("u", 3), Generator("w", 5)], {})
+    vz = FreeCdga([Generator("v", 3), Generator("z", 5)], {})
+    x2 = FreeCdga([Generator("x", 2)], {})
+    return [(CdgaMorphism(x3, x3, {"x3": "0"}), 5),
+            (CdgaMorphism(b4, b4x3, {"b4": "b4"}), 8),
+            (CdgaMorphism(uw, vz, {"u": "0", "w": "z"}), 6),
+            (CdgaMorphism(x2, x2, {"x": "0"}), 6)]
+
+
+def test_is_quasi_iso_matches_reference():
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    cases = _failing_morphisms()
+    for seed in (0, 1):
+        for M, k in sweep_instances(random.Random(seed)):
+            cases.append((unreduced_framed_model(M, k)[1], 24))
+    verdicts = set()
+    for f, cutoff in cases:
+        report = is_quasi_iso(f, cutoff)
+        got = (report.ok, report.cutoff, report.per_degree)
+        assert got == reference_is_quasi_iso(f, cutoff), f
+        verdicts.add(report.ok)
+    assert len(cases) == 104 and verdicts == {True, False}
+
+
+def test_representatives_match_the_every_degree_kernel_reference():
+    from ratimm.bundles import (sphere_product_manifold, stiefel_model,
+                                unreduced_framed_model)
+    from ratimm.mapping import sphere_map_null_model
+    from ratimm.sweeps import sweep_instances
+    cases = [(stiefel_model(7, 4), 20),
+             (sphere_map_null_model(sphere_product_manifold(2, 4).model, 8), 24)]
+    for M, k in sweep_instances(random.Random(0)):
+        phi = unreduced_framed_model(M, k)[1]
+        cases += [(phi.source, 24), (phi.target, 24)]
+    compared = 0
+    for cdga, cutoff in cases:
+        table = cohomology(cdga, cutoff, representatives=True)
+        dims, reps = reference_cohomology(cdga, cutoff)
+        assert table.dims == dims, cdga
+        got = [[list(r.terms.items()) for r in rr] for rr in table.representatives]
+        want = [[list(r.terms.items()) for r in rr] for rr in reps]
+        assert got == want, cdga
+        compared += sum(dims)
+    assert compared > 1500
+
+
+def _count_diff_key(monkeypatch, *quiet):
+    """Count the outermost `diff_key` calls per (model, key), leaving out
+    calls made inside the functions in `quiet` (a relative model's call
+    to its base's `diff_key` is part of its own)."""
+    counts = Counter()
+    depth = [0]
+
+    def wrap(fn, counted):
+        def wrapper(self, *args):
+            if counted and not depth[0]:
+                counts[(id(self), args[0])] += 1
+            depth[0] += 1
+            try:
+                return fn(self, *args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for cls in (FreeCdga, FiniteCdga, RelativeModel):
+        monkeypatch.setattr(cls, "diff_key", wrap(cls.diff_key, True))
+    for owner, name in quiet:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name), False))
+    return counts
+
+
+def test_is_quasi_iso_assembles_each_key_at_most_once(monkeypatch):
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    cutoff = 16
+    phis = [unreduced_framed_model(M, k)[1]
+            for M, k in sweep_instances(random.Random(0))[:6]]
+    counts = _count_diff_key(monkeypatch, (CdgaMorphism, "validate"))
+    for phi in phis:
+        counts.clear()
+        is_quasi_iso(phi, cutoff)
+        # each key of degree <= cutoff of either side, once; none above
+        assert max(counts.values()) == 1
+        assert set(counts) == {(id(model), key) for model in (phi.source, phi.target)
+                               for n in range(cutoff + 1)
+                               for key in model.algebra.keys_of_degree(n)}
+
+
 # -- the CDGA protocol -------------------------------------------------------
 #
 # `CdgaMorphism.apply` reads every source kind through `key_word`; the
@@ -535,9 +690,9 @@ def test_fiber_renaming_avoids_later_fiber_names():
     assert model.twist_of("x_2").degree() == 6
     assert check_d_squared(model, 20) == []
     assert is_quasi_iso(CdgaMorphism.identity(model), 12).ok
-    # duplicate fiber names are still renamed apart
-    dup = RelativeModel(base, [Generator("y", 3), Generator("y", 3)], {})
-    assert [g.name for g in dup.fiber.generators] == ["y", "y_2"]
+    # duplicate fiber names are rejected: `renamings` could not address both
+    with pytest.raises(InputError, match="duplicate"):
+        RelativeModel(base, [Generator("y", 3), Generator("y", 3)], {})
 
 
 def test_protocol_consumers_name_no_cdga_kind():

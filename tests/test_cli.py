@@ -182,6 +182,41 @@ def test_dense_fallback_disagreement_is_not_an_input_error(tmp_path, monkeypatch
         main(["cohomology", path, "--max-degree", "6"])
 
 
+def test_cohomology_assembles_each_key_once(capsys, monkeypatch):
+    # both engines read one set of columns: d of each key of degree <= N
+    # is assembled once (the load's own d^2 check left out)
+    from collections import Counter
+    from pathlib import Path
+
+    from ratimm import cli
+    from ratimm.cdga import FreeCdga
+    from ratimm.io import load_cdga
+
+    path = str(Path(__file__).resolve().parent / "golden" / "inputs" / "free_s2xs2.cdga")
+    counts = Counter()
+    loading = [False]
+    diff_key = FreeCdga.diff_key
+
+    def counted(self, key):
+        if not loading[0]:
+            counts[key] += 1
+        return diff_key(self, key)
+
+    def quiet_load(*args):
+        loading[0] = True
+        try:
+            return load_cdga(*args)
+        finally:
+            loading[0] = False
+
+    monkeypatch.setattr(FreeCdga, "diff_key", counted)
+    monkeypatch.setattr(cli, "load_cdga", quiet_load)
+    code, out, _ = run(capsys, "cohomology", path, "--max-degree", "20")
+    assert code == 0 and out.startswith("model: S2xS2")
+    alg = quiet_load(path).algebra
+    assert counts == Counter(key for n in range(21) for key in alg.keys_of_degree(n))
+
+
 def test_cohomology_bad_file_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.cdga"
     path.write_text("kind: free\ngenerator: e2\n")

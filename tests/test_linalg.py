@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from ratimm import linalg
 
@@ -149,6 +150,64 @@ def test_random_sparse_fill_in_cross_check(monkeypatch):
     assert pushes, "no reduction filled in a later pivot column"
 
 
+def _random_vectors(rng, count, width):
+    vecs = []
+    for t in range(count):
+        support = rng.sample(range(width), rng.randint(0, min(width, 5)))
+        if t % 3 == 0:  # all int
+            vec = {i: rng.randint(-6, 6) for i in support}
+        elif t % 3 == 1:  # all Fraction
+            vec = {i: Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for i in support}
+        else:  # mixed, with a common factor to take out
+            vec = {i: rng.choice([4, -6, Fraction(8, 3), Fraction(-2, 9), 0])
+                   for i in support}
+        vecs.append(vec)
+    return vecs
+
+
+def test_primitive_matches_clear_denominators():
+    rng = random.Random(2718)
+    for vec in _random_vectors(rng, 300, 8):
+        ivec, denom, g = linalg.primitive(vec)
+        assert linalg.clear_denominators(vec) == (ivec, Fraction(denom, g))
+        assert ivec == {i: c * Fraction(denom, g) for i, c in vec.items() if c}
+        assert gcd(*ivec.values()) == (1 if ivec else 0)
+
+
+def test_untagged_rows_equal_tagged_rows(monkeypatch):
+    # rank-only elimination skips the rational bookkeeping, never the rows;
+    # an untagged vector builds no Fraction scale
+    scaled = []
+    clear_denominators = linalg.clear_denominators
+
+    def counted(vec):
+        scaled.append(vec)
+        return clear_denominators(vec)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counted)
+    rng = random.Random(314)
+    for _ in range(40):
+        width = rng.randint(1, 10)
+        vecs = _random_vectors(rng, rng.randint(1, 14), width)
+        untagged, tagged = linalg.SparseEchelon(), linalg.SparseEchelon()
+        for j, vec in enumerate(vecs):
+            before = len(scaled)
+            pivot = untagged.add(vec)[0]
+            assert len(scaled) == before
+            assert pivot == tagged.add(vec, tag=j)[0]
+        assert [row for row, _ in untagged.rows] == [row for row, _ in tagged.rows]
+        assert untagged.pivot_cols == tagged.pivot_cols
+        assert all(aug is None for _, aug in untagged.rows)
+        assert linalg.SparseEchelon(vecs).rows == untagged.rows
+        for vec in _random_vectors(rng, 5, width):
+            ivec, alpha = clear_denominators(vec)
+            residue, _ = tagged._reduce(ivec, {len(vecs): alpha})
+            before = len(scaled)
+            assert untagged.reduce(vec) == residue
+            assert len(scaled) == before
+    assert scaled
+
+
 def test_certified_rank_random_planted_dependencies(monkeypatch):
     # sparse columns, some of them rational combinations of earlier ones:
     # the certificate gives the dense rank or declines, and rarely declines
@@ -156,6 +215,7 @@ def test_certified_rank_random_planted_dependencies(monkeypatch):
         raise AssertionError("the certificate must not use the sparse path")
     monkeypatch.setattr(linalg, "SparseEchelon", unused)
     monkeypatch.setattr(linalg, "clear_denominators", unused)
+    monkeypatch.setattr(linalg, "primitive", unused)
     rng = random.Random(1618)
     certified = 0
     for _ in range(60):
