@@ -14,7 +14,10 @@ that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
 asks which kind it holds:
 
 * `algebra`, `label` -- the underlying key algebra and a display name;
-* `diff_key(key)` -- d of one basis key, as an `Element`;
+* `_diff_terms(key, memo)` -- d of one basis key as a plain
+  {key: coefficient} dict; `memo` is a walk's memo of d(R) (see below),
+  or None;
+* `diff_key(key)` -- the same as an `Element`;
 * `diff(element)` -- d extended linearly (shared, in `Cdga`);
 * `generator_items()` -- (name, degree, element, d-image) for each
   generator a morphism is given on: the free generators, the fiber
@@ -39,11 +42,19 @@ eliminator, the oracle of the tests and of `ratimm verify`.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
 order (a tensor algebra asks its base first and skips empty base degrees;
-a finite algebra indexes its basis by degree once); `diff_key` builds
-each column by the Leibniz rule on plain {key: coefficient} dicts
-(`_leibniz`), from the terms of d on generators that each model caches
-once.  Integral input keeps int coefficients, which `linalg.primitive`
-takes without Fraction arithmetic.
+a finite algebra indexes its basis by degree once).  Call a generator
+closed when it is even with d = 0 (an even free or fiber generator with
+no differential or twist).  A key's monomial splits as P*R, P its closed
+factors; P is even and closed, so d(P*R) = P*d(R) and, in a relative
+model, D(lk (x) P*R) = d_B(lk) (x) P*R + (-1)^{|lk|} (lk (x) P)*D(1 (x) R).
+`_diff_terms` expands the Leibniz rule (`_leibniz`) on R only, from the
+terms of d on generators that each model caches once, and merges P into
+each term, a plain exponent merge with no sign.  `d_columns` builds a
+degree's sparse columns straight from these dicts, with no `Element`;
+`_cochains` hands it one memo of d(R), keyed by R, that lives as long as
+its walk (a free CDGA with no closed generator keeps none: each of its R
+is a whole key).  Integral input keeps int coefficients, which
+`linalg.primitive` takes without Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -118,6 +129,52 @@ def _leibniz(fiber: FreeAlgebra, mono, dgen) -> dict:
     return out
 
 
+def _times_closed(mono, closed, m):
+    """m times the factors of `mono` whose generators are in `closed`.
+
+    Closed generators are even, so this is a plain exponent merge with no
+    Koszul sign, done in one walk of the two index-sorted monomials; it
+    sends distinct m to distinct products.
+    """
+    out = []
+    j, n = 0, len(m)
+    for f in mono:
+        i = f[0]
+        if i not in closed:
+            continue
+        while j < n and m[j][0] < i:
+            out.append(m[j])
+            j += 1
+        if j < n and m[j][0] == i:
+            out.append((i, f[1] + m[j][1]))
+            j += 1
+        else:
+            out.append(f)
+    if j < n:
+        out.extend(m[j:])
+    return tuple(out)
+
+
+def _rest_leibniz(fiber: FreeAlgebra, mono, dgen, closed, memo):
+    """The terms of d(R), as `_leibniz` items, for `mono` = P*R.
+
+    P is the part of `mono` in the `closed` generators (even, with d = 0),
+    R the rest, so d(mono) = P*d(R): merging P into each term's monomial
+    (`_times_closed`) gives `_leibniz(fiber, mono, dgen)`, insertion order
+    included.  d(R) is looked up in `memo`, keyed by R, and stored there
+    on a miss; `memo` None keeps nothing.
+    """
+    # from a list, not a generator: tuple(generator) resizes its result,
+    # and freeing such tuples fills CPython's tuple free lists (peak RSS)
+    rest = tuple([f for f in mono if f[0] not in closed])
+    terms = None if memo is None else memo.get(rest)
+    if terms is None:
+        terms = list(_leibniz(fiber, rest, dgen).items())
+        if memo is not None:
+            memo[rest] = terms
+    return terms
+
+
 class Cdga:
     """What every CDGA kind provides; see the module docstring."""
 
@@ -126,10 +183,16 @@ class Cdga:
     def diff(self, element: Element) -> Element:
         if element.algebra is not self.algebra:
             raise ContextError("element not over this algebra")
-        result = self.algebra.zero()
+        out: dict = {}
         for key, c in element.terms.items():
-            result = result + self.diff_key(key) * c
-        return result
+            c = Fraction(c)
+            for k, v in self._diff_terms(key, None).items():
+                s = out.get(k, 0) + c * v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return Element(self.algebra, out)
 
     def d2_items(self):
         return self.generator_items()
@@ -157,6 +220,8 @@ class FreeCdga(Cdga):
             self._diff[i] = elt
         self._dgen = {i: [(None, False, m, _exact(c)) for m, c in elt.terms.items()]
                       for i, elt in self._diff.items() if elt.terms}
+        self._closed = frozenset(i for i, g in enumerate(self.algebra.generators)
+                                 if not g.is_odd and i not in self._dgen)
         if check:
             self._validate()
 
@@ -183,9 +248,16 @@ class FreeCdga(Cdga):
         i = self.algebra.generator_index(name)
         return self._diff.get(i, self.algebra.zero())
 
+    def _diff_terms(self, mono, memo) -> dict:
+        closed = self._closed
+        # with no closed generator every R is a whole key, met once in a
+        # walk: nothing to memoize
+        terms = _rest_leibniz(self.algebra, mono, self._dgen, closed,
+                              memo if closed else None)
+        return {_times_closed(mono, closed, m): c for (_, m), c in terms}
+
     def diff_key(self, mono) -> Element:
-        terms = _leibniz(self.algebra, mono, self._dgen)
-        return Element(self.algebra, {m: c for (_, m), c in terms.items()})
+        return Element(self.algebra, self._diff_terms(mono, None))
 
     def generator_items(self):
         for i, g in enumerate(self.algebra.generators):
@@ -434,8 +506,12 @@ class FiniteCdga(Cdga):
         if cohomology(self, 0, representatives=False).dims[0] != 1:
             raise ValueError("H^0 must be one-dimensional (connected input)")
 
+    def _diff_terms(self, i: int, memo) -> dict:
+        elt = self._diff.get(i)
+        return {} if elt is None else elt.terms
+
     def diff_key(self, i: int) -> Element:
-        return self._diff.get(i, self.algebra.zero())
+        return Element(self.algebra, self._diff_terms(i, None))
 
     def generator_items(self):
         for i, (name, deg) in enumerate(self.algebra.basis):
@@ -581,6 +657,8 @@ class RelativeModel(Cdga):
         self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, _exact(c))
                             for (bk, m), c in elt.terms.items()]
                         for i, elt in self._twist.items() if elt.terms}
+        self._closed = frozenset(i for i, g in enumerate(self.fiber.generators)
+                                 if not g.is_odd and i not in self._dtwist)
         if check:
             self._validate()
 
@@ -640,13 +718,17 @@ class RelativeModel(Cdga):
 
     # -- differential --------------------------------------------------------
 
-    def diff_key(self, key) -> Element:
+    def _diff_terms(self, key, memo) -> dict:
         lk, rm = key
         base_alg = self.base.algebra
-        # d_base(lk) (x) rm, then (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm)
-        out = {(k, rm): _exact(c) for k, c in self.base.diff_key(lk).terms.items()}
+        # d_base(lk) (x) rm, then (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm), where
+        # D(1 (x) P*R) = P * D(1 (x) R) is memoized by R: every base key
+        # of a walk meets the same R
+        out = {(k, rm): _exact(c) for k, c in self.base._diff_terms(lk, None).items()}
         sign = -1 if base_alg.key_degree(lk) % 2 else 1
-        for (bk, fm), c in _leibniz(self.fiber, rm, self._dtwist).items():
+        closed = self._closed
+        for (bk, fm), c in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo):
+            fm = _times_closed(rm, closed, fm)
             for prod, bc in base_alg.mul_key_pairs(lk, bk):
                 k = (prod, fm)
                 v = out.get(k, 0) + sign * c * _exact(bc)
@@ -654,7 +736,10 @@ class RelativeModel(Cdga):
                     out[k] = v
                 else:
                     out.pop(k, None)
-        return Element(self.algebra, out)
+        return out
+
+    def diff_key(self, key) -> Element:
+        return Element(self.algebra, self._diff_terms(key, None))
 
     def generator_items(self):
         for i, g in enumerate(self.fiber.generators):
@@ -723,19 +808,30 @@ class BettiTable:
         return "[" + ", ".join(str(b) for b in self.dims) + f"] (N={self.cutoff})"
 
 
+def d_columns(cdga, keys, index, memo=None) -> list[dict]:
+    """d of each of `keys` (one degree) as a sparse column {row: coefficient},
+    rows numbered by `index` over the next degree's keys.  Columns come
+    from `_diff_terms` as plain dicts, with no Element; `memo` is the
+    caller's per-walk memo of d(R), a fresh one when omitted."""
+    if memo is None:
+        memo = {}
+    diff_terms = cdga._diff_terms
+    return [{index[k]: c for k, c in diff_terms(key, memo).items()} for key in keys]
+
+
 def _cochains(cdga, cutoff: int):
     """Walk degrees n = 0..cutoff once each, yielding (keys, index, columns,
     rows): the degree-n keys, their positions, and d_n as one sparse column
-    per key (assembled by `diff_key`) over the `rows` degree-(n+1) keys."""
+    per key (`d_columns`) over the `rows` degree-(n+1) keys.  One memo of
+    d(R) serves the whole walk and is dropped with it."""
     alg = cdga.algebra
+    memo: dict = {}
     keys = alg.keys_of_degree(0)
     index = {k: i for i, k in enumerate(keys)}
     for n in range(cutoff + 1):
         keys_next = alg.keys_of_degree(n + 1)
         index_next = {k: i for i, k in enumerate(keys_next)}
-        cols = [{index_next[k]: c for k, c in cdga.diff_key(key).terms.items()}
-                for key in keys]
-        yield keys, index, cols, len(keys_next)
+        yield keys, index, d_columns(cdga, keys, index_next, memo), len(keys_next)
         keys, index = keys_next, index_next
 
 

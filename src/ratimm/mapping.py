@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
-                   TensorAlgebra, _unique_name, cohomology)
+                   TensorAlgebra, _unique_name, cohomology, d_columns)
 from .errors import ComponentObstruction, DegreeError, InputError
 from .gca import Element, FreeAlgebra, Generator
 
@@ -116,12 +116,8 @@ def _solve_differential(target, value: Element):
         return None  # zero needs no primitive
     alg = target.algebra
     dom_keys = alg.keys_of_degree(deg - 1)
-    cod_keys = alg.keys_of_degree(deg)
-    index = {key: i for i, key in enumerate(cod_keys)}
-    columns = []
-    for key in dom_keys:
-        img = target.diff_key(key)
-        columns.append({index[m]: c for m, c in img.terms.items()})
+    index = {key: i for i, key in enumerate(alg.keys_of_degree(deg))}
+    columns = d_columns(target, dom_keys, index)
     rhs = {index[m]: c for m, c in value.terms.items()}
     solution = linalg.sparse_solve(columns, rhs)
     if solution is None:

@@ -19,7 +19,7 @@ from .bundles import (ManifoldModel, complex_projective_plane, framed_bundle_mod
                       is_rationally_trivial, sphere_manifold,
                       sphere_product_manifold, stiefel_model,
                       unreduced_framed_model)
-from .cdga import (FiniteCdga, FreeCdga, check_d_squared, cohomology,
+from .cdga import (FiniteCdga, FreeCdga, check_d_squared, cohomology, d_columns,
                    is_quasi_iso, tensor)
 from .gca import Element, FreeAlgebra, Generator, basis_count_series, parse_element
 from .immersions import (growth_degree, immersion_components,
@@ -97,9 +97,7 @@ def random_closed_classes(rng: random.Random, M: ManifoldModel):
         if not keys:
             continue
         index = {k: j for j, k in enumerate(alg.keys_of_degree(deg + 1))}
-        columns = [{index[kk]: c for kk, c in M.model.diff_key(key).terms.items()}
-                   for key in keys]
-        _, kernel = linalg.sparse_rank_kernel(columns)
+        _, kernel = linalg.sparse_rank_kernel(d_columns(M.model, keys, index))
         if not kernel:
             continue
         vec = rng.choice(kernel)

@@ -132,9 +132,15 @@ def _oracle_models():
     free_base = RelativeModel(s2, [Generator("u2", 2), Generator("t5", 5),
                                    Generator("w6", 6)],
                               {"t5": "e2*u2^2", "w6": "x3*u2^2 - e2*t5"})
+    # a closed (a2) and a non-closed (z4) even generator in one free CDGA
+    mixed = FreeCdga([Generator("a2", 2), Generator("y3", 3), Generator("z4", 4)],
+                     {"z4": "a2*y3"})
+    # no closed generator at all: every even generator has a differential
+    unclosed = FreeCdga([Generator("w2", 2), Generator("y3", 3), Generator("u4", 4)],
+                        {"w2": "y3", "u4": "w2*y3"})
     models = [(sphere_map_null_model(sphere_product_manifold(2, 4).model, 8), 20),
               (stiefel_model(7, 4), 20), (fractional, 24),
-              (odd_base, 20), (free_base, 20)]
+              (odd_base, 20), (free_base, 20), (mixed, 24), (unclosed, 24)]
     for M, k in sweep_instances(random.Random(0)):
         big, phi = unreduced_framed_model(M, k)
         models += [(big, 20), (phi.target, 20)]
@@ -163,6 +169,46 @@ def test_diff_key_matches_reference_leibniz():
                     assert all(type(c) is int for c in got.terms.values())
                 checked += 1
     assert checked > 5000
+
+
+def test_walk_columns_match_reference_leibniz():
+    # one walk per model, so later degrees read d(R) from the walk's memo
+    from ratimm.cdga import _cochains
+    checked = 0
+    for cdga, upto in _oracle_models():
+        integral = _integral(cdga)
+        alg = cdga.algebra
+        for n, (keys, _, cols, rows) in enumerate(_cochains(cdga, upto)):
+            rows_index = {k: i for i, k in enumerate(alg.keys_of_degree(n + 1))}
+            assert rows == len(rows_index)
+            for key, col in zip(keys, cols, strict=True):
+                want = reference_diff_key(cdga, key)
+                assert col == {rows_index[k]: c for k, c in want.terms.items()}, (cdga, key)
+                if integral:
+                    assert all(type(c) is int for c in col.values())
+                checked += 1
+    assert checked > 5000
+
+
+def test_null_model_walk_expands_each_odd_word_once(monkeypatch):
+    # d vanishes on the four even generators of this pure model, so a walk
+    # to degree 76 runs the Leibniz rule once per word in its four odd ones
+    from ratimm import cdga
+    from ratimm.bundles import sphere_product_manifold
+    from ratimm.mapping import sphere_map_null_model
+    model = sphere_map_null_model(sphere_product_manifold(2, 4).model, 8)
+    assert sum(g.is_odd for g in model.generators) == 4
+    calls = Counter()
+    leibniz = cdga._leibniz
+
+    def counted(fiber, mono, dgen):
+        calls[mono] += 1
+        return leibniz(fiber, mono, dgen)
+
+    monkeypatch.setattr(cdga, "_leibniz", counted)
+    cohomology(model, 76, representatives=False)
+    assert sum(calls.values()) == 16 and set(calls.values()) == {1}
+    assert all(model.generators[i].is_odd for word in calls for i, _ in word)
 
 
 def test_tensor_keys_are_enumerated_in_sort_order():
@@ -540,10 +586,11 @@ def test_representatives_match_the_every_degree_kernel_reference():
     assert compared > 1500
 
 
-def _count_diff_key(monkeypatch, *quiet):
-    """Count the outermost `diff_key` calls per (model, key), leaving out
-    calls made inside the functions in `quiet` (a relative model's call
-    to its base's `diff_key` is part of its own)."""
+def _count_diff_terms(monkeypatch, *quiet):
+    """Count the outermost `_diff_terms` calls (the assembly routine that
+    walks and `diff_key` share) per (model, key), leaving out calls made
+    inside the functions in `quiet` (a relative model's call to its
+    base's `_diff_terms` is part of its own)."""
     counts = Counter()
     depth = [0]
 
@@ -559,7 +606,7 @@ def _count_diff_key(monkeypatch, *quiet):
         return wrapper
 
     for cls in (FreeCdga, FiniteCdga, RelativeModel):
-        monkeypatch.setattr(cls, "diff_key", wrap(cls.diff_key, True))
+        monkeypatch.setattr(cls, "_diff_terms", wrap(cls._diff_terms, True))
     for owner, name in quiet:
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name), False))
     return counts
@@ -571,7 +618,7 @@ def test_is_quasi_iso_assembles_each_key_at_most_once(monkeypatch):
     cutoff = 16
     phis = [unreduced_framed_model(M, k)[1]
             for M, k in sweep_instances(random.Random(0))[:6]]
-    counts = _count_diff_key(monkeypatch, (CdgaMorphism, "validate"))
+    counts = _count_diff_terms(monkeypatch, (CdgaMorphism, "validate"))
     for phi in phis:
         counts.clear()
         is_quasi_iso(phi, cutoff)

@@ -195,12 +195,12 @@ def test_cohomology_assembles_each_key_once(capsys, monkeypatch):
     path = str(Path(__file__).resolve().parent / "golden" / "inputs" / "free_s2xs2.cdga")
     counts = Counter()
     loading = [False]
-    diff_key = FreeCdga.diff_key
+    diff_terms = FreeCdga._diff_terms
 
-    def counted(self, key):
+    def counted(self, key, memo):
         if not loading[0]:
             counts[key] += 1
-        return diff_key(self, key)
+        return diff_terms(self, key, memo)
 
     def quiet_load(*args):
         loading[0] = True
@@ -209,7 +209,7 @@ def test_cohomology_assembles_each_key_once(capsys, monkeypatch):
         finally:
             loading[0] = False
 
-    monkeypatch.setattr(FreeCdga, "diff_key", counted)
+    monkeypatch.setattr(FreeCdga, "_diff_terms", counted)
     monkeypatch.setattr(cli, "load_cdga", quiet_load)
     code, out, _ = run(capsys, "cohomology", path, "--max-degree", "20")
     assert code == 0 and out.startswith("model: S2xS2")
