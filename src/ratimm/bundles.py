@@ -10,12 +10,12 @@ its reduction quasi-isomorphism, and the rational-triviality test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
-                   RelativeModel, cohomology)
-from .errors import DegreeError, InputError
+                   RelativeModel, TensorAlgebra, cohomology)
+from .errors import ContextError, DegreeError, InputError
 from .gca import Element, FreeAlgebra, Generator, parse_element
+from .series import PoincareSeries
 
 __all__ = [
     "BsoModel", "ManifoldModel", "bso_model", "borel_assoc_model",
@@ -204,22 +204,11 @@ def borel_assoc_model(baseA, phi: CdgaMorphism, VK, sVH, Bmu_images, Bnu_images,
 
     with Bmu(sv) over phi's source and Bnu(sv) over Lambda(V_K).
     """
-    vk = list(VK)
-    svh = list(sVH)
+    vk, svh = tuple(VK), tuple(sVH)
     vk_algebra = FreeAlgebra(vk, label="VK")
-    scratch = RelativeModel(baseA, vk + svh, twist={}, label=label, check=False)
-
-    def fiber_embed(elt: Element) -> Element:
-        terms = {}
-        for mono, c in elt.terms.items():
-            new = []
-            for i, e in mono:
-                nm = vk_algebra.generators[i].name
-                nm = scratch.renamings.get(nm, nm)
-                new.append((scratch.fiber.generator_index(nm), e))
-            terms[(baseA.algebra.one_key(), tuple(sorted(new)))] = c
-        return Element(scratch.algebra, terms)
-
+    # V_K comes first in the fiber, so a Lambda(V_K) monomial keeps its
+    # indices there
+    alg = TensorAlgebra(baseA.algebra, FreeAlgebra(vk + svh))
     twist = {}
     for g in svh:
         mu_val = Bmu_images.get(g.name, 0)
@@ -228,11 +217,15 @@ def borel_assoc_model(baseA, phi: CdgaMorphism, VK, sVH, Bmu_images, Bnu_images,
             parse_element(str(mu_val), phi.source.algebra)
         nu_elt = nu_val if isinstance(nu_val, Element) else \
             parse_element(str(nu_val), vk_algebra)
+        if not (isinstance(nu_elt.algebra, FreeAlgebra)
+                and nu_elt.algebra.generators == vk):
+            raise ContextError(f"Bnu({g.name}) is not over the V_K generators")
         for name, elt in ((f"Bmu({g.name})", mu_elt), (f"Bnu({g.name})", nu_elt)):
             if not elt.is_zero() and elt.degree() != g.degree + 1:
                 raise DegreeError(
                     f"{name} has degree {elt.degree()}, expected {g.degree + 1}")
-        image = scratch.embed_base(phi.apply(mu_elt)) - fiber_embed(nu_elt)
+        image = (alg.embed_left(phi.apply(mu_elt))
+                 - alg.embed_right(Element(alg.right, nu_elt.terms)))
         if not image.is_zero():
             twist[g.name] = image
     return RelativeModel(baseA, vk + svh, twist=twist, label=label)
@@ -254,24 +247,24 @@ def framed_bundle_model(M: ManifoldModel, k: int) -> RelativeModel:
     m = M.dimension
     s = k // 2
     gens, _ = _stiefel_generators(m, k)
-    label = f"Framed_{m}({M.name}, k={k})"
-    scratch = RelativeModel(M.model, gens, twist={}, label=label, check=False)
+    # the twist is written over the fiber generators as given
+    alg = TensorAlgebra(M.model.algebra, FreeAlgebra(gens))
     twist = {}
     for g in gens:
         if not g.name.startswith("x"):
             continue
         i = int(g.name[1:])
-        total = scratch.algebra.zero()
+        total = alg.zero()
         if k % 2 == 0 and i == s:
-            euler = scratch.renamings.get(f"e{k}", f"e{k}")
-            total = total + scratch.embed_fiber(scratch.fiber.name_power(euler, 2))
+            total = total + alg.embed_right(alg.right.name_power(f"e{k}", 2))
         if 4 * i <= m:
             p = M.pontryagin_class(i)
             if p is not None:
-                total = total + scratch.embed_base(p)
+                total = total + alg.embed_left(p)
         if not total.is_zero():
             twist[g.name] = total
-    return RelativeModel(M.model, gens, twist=twist, label=label)
+    return RelativeModel(M.model, gens, twist=twist,
+                         label=f"Framed_{m}({M.name}, k={k})")
 
 
 def unreduced_framed_model(M: ManifoldModel, k: int):
@@ -305,18 +298,18 @@ def unreduced_framed_model(M: ManifoldModel, k: int):
     if k % 2 == 0:
         gens.append(Generator(f"e{k}", k))
 
-    scratch = RelativeModel(M.model, gens, twist={}, label="scratch", check=False)
+    # the twist is written over the fiber generators as given
+    alg = TensorAlgebra(M.model.algebra, FreeAlgebra(gens))
     twist = {}
     for i in range(1, T + 1):
-        total = scratch.algebra.zero()
+        total = alg.zero()
         p = M.pontryagin_class(i) if 4 * i <= m else None
         if p is not None:
-            total = total + scratch.embed_base(p)
+            total = total + alg.embed_left(p)
         if i <= paired:
-            total = total - scratch.fiber_gen(f"b{i}")
+            total = total - alg.embed_right(alg.right.gen(f"b{i}"))
         if k % 2 == 0 and i == s:
-            euler = scratch.renamings.get(f"e{k}", f"e{k}")
-            total = total + scratch.embed_fiber(scratch.fiber.name_power(euler, 2))
+            total = total + alg.embed_right(alg.right.name_power(f"e{k}", 2))
         if not total.is_zero():
             twist[f"x{i}"] = total
     big = RelativeModel(M.model, gens, twist=twist,
@@ -396,19 +389,10 @@ def is_rationally_trivial(M: ManifoldModel, k: int, cutoff: int = 20) -> Trivial
     base_table = M.betti(cutoff)
     fiber_table = cohomology(stiefel_model(M.dimension, k), cutoff,
                              representatives=False)
-    product = _convolve(base_table.dims, fiber_table.dims, cutoff)
-    cert = KunnethCertificate(cutoff, list(model_table.dims), product)
+    product = (PoincareSeries(base_table.dims, cutoff)
+               * PoincareSeries(fiber_table.dims, cutoff))
+    cert = KunnethCertificate(cutoff, list(model_table.dims), list(product.coeffs))
     if not cert.matches:
         return TrivialityVerdict("not-established", cert,
                                  ["Kunneth certificate failed"])
     return TrivialityVerdict("trivial", cert)
-
-
-def _convolve(a: list[int], b: list[int], cutoff: int) -> list[int]:
-    out = [0] * (cutoff + 1)
-    for i, x in enumerate(a[:cutoff + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[:cutoff + 1 - i]):
-            out[i + j] += x * y
-    return out

@@ -9,6 +9,13 @@ Three algebra kinds share one element type and one cohomology routine:
 * `RelativeModel` -- an inclusion of a base CDGA into base (x) fiber with
   a twisted differential on the fiber generators.
 
+Generators set beside others (a relative model's fiber, the second factor
+of `tensor`) are renamed where their names clash, by the one rule of
+`_renamed`.  Renaming changes a name, never an index or a degree, so an
+element written over the generators as given already has the keys of the
+result: a relative model takes its twist in that form and is built once,
+and `tensor` shifts the second factor's monomials by index.
+
 All three derive from `Cdga` and answer the same questions, so the code
 that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
 asks which kind it holds:
@@ -590,10 +597,14 @@ class TensorAlgebra:
     # -- name resolution (fiber names first; renaming keeps them disjoint) --
 
     def embed_left(self, element: Element) -> Element:
+        if element.algebra is not self.left:
+            raise ContextError("element not over the base algebra")
         unit = self.right.one_key()
         return Element(self, {(k, unit): c for k, c in element.terms.items()})
 
     def embed_right(self, element: Element) -> Element:
+        if element.algebra is not self.right:
+            raise ContextError("element not over the fiber algebra")
         unit = self.left.one_key()
         return Element(self, {(unit, m): c for m, c in element.terms.items()})
 
@@ -607,11 +618,6 @@ class TensorAlgebra:
             return self.embed_right(self.right.name_power(name, exp))
         return self.embed_left(self.left.name_power(name, exp))
 
-    def compatible(self, other) -> bool:
-        return (isinstance(other, TensorAlgebra)
-                and other.left is self.left
-                and other.right.generators == self.right.generators)
-
 
 class RelativeModel(Cdga):
     """Inclusion of a base CDGA into base (x) fiber with twisted differential.
@@ -620,30 +626,31 @@ class RelativeModel(Cdga):
     is the base differential, and on each fiber generator it is a given
     element of the tensor algebra (zero when omitted).  Fiber names must
     be distinct; a fiber generator whose name the base takes is renamed
-    to one that no base or given fiber name uses; `renamings` maps given
-    names to new ones.
+    by the rule of `_renamed`; `renamings` maps given names to new ones.
+
+    Renaming changes a generator's name, never its index or degree, so
+    the model's keys are those of the fiber generators as given.  A twist
+    is keyed by given (or new) fiber names, and each value is one of:
+
+    * a string, parsed over the model's algebra (new fiber names);
+    * an element of the model's own algebra, or of the base algebra;
+    * an element of `FreeAlgebra(fiber_generators)`, or of
+      `TensorAlgebra(base.algebra, FreeAlgebra(fiber_generators))`: an
+      algebra over the fiber generators as given, whose keys are the
+      model's own.
+
+    An element over any other algebra raises ContextError.
     """
 
     d_symbol = "D"
 
-    def __init__(self, base, fiber_generators, twist=None, label: str = "",
-                 check: bool = True):
+    def __init__(self, base, fiber_generators, twist=None, label: str = ""):
         self.base = base
-        taken = {name for name, *_ in base.generator_items()}
-        given = {g.name for g in fiber_generators}
-        if len(given) != len(fiber_generators):
-            names = [g.name for g in fiber_generators]
+        given = tuple(fiber_generators)
+        names = [g.name for g in given]
+        if len(set(names)) != len(names):
             raise InputError(f"duplicate fiber generator names in {names}")
-        self.renamings: dict[str, str] = {}
-        gens = []
-        for g in fiber_generators:
-            name = g.name
-            if name in taken:
-                new = _unique_name(name, taken | given)
-                self.renamings[name] = new
-                name = new
-            taken.add(name)
-            gens.append(Generator(name, g.degree))
+        gens, self.renamings = _renamed(given, [n for n, *_ in base.generator_items()])
         self.fiber = FreeAlgebra(gens, label=f"{label}:fiber")
         self.algebra = TensorAlgebra(base.algebra, self.fiber, label=label)
         self.label = label
@@ -652,30 +659,31 @@ class RelativeModel(Cdga):
             name = key.name if isinstance(key, Generator) else key
             name = self.renamings.get(name, name)
             i = self.fiber.generator_index(name)
-            self._twist[i] = self._as_twist(value)
+            self._twist[i] = self._as_twist(value, given)
         base_degree = base.algebra.key_degree
         self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, _exact(c))
                             for (bk, m), c in elt.terms.items()]
                         for i, elt in self._twist.items() if elt.terms}
         self._closed = frozenset(i for i, g in enumerate(self.fiber.generators)
                                  if not g.is_odd and i not in self._dtwist)
-        if check:
-            self._validate()
+        self._validate()
 
-    def _as_twist(self, value) -> Element:
-        if isinstance(value, Element):
-            if value.algebra is self.algebra:
-                return value
-            # retag an element built over a structurally identical tensor
-            # algebra (same base object, same fiber generators)
-            if self.algebra.compatible(value.algebra):
-                return Element(self.algebra, value.terms)
-            if value.algebra is self.base.algebra:
-                return self.embed_base(value)
-            if value.algebra is self.fiber:
-                return self.embed_fiber(value)
-            raise ContextError("twist element built over a foreign algebra")
-        return _as_element(value, self.algebra)
+    def _as_twist(self, value, given) -> Element:
+        if not isinstance(value, Element):
+            return _as_element(value, self.algebra)
+        alg = value.algebra
+        if alg is self.algebra:
+            return value
+        if alg is self.base.algebra:
+            return self.embed_base(value)
+        # over the fiber generators as given: the keys are already ours
+        if isinstance(alg, FreeAlgebra) and alg.generators == given:
+            unit = self.base.algebra.one_key()
+            return Element(self.algebra, {(unit, m): c for m, c in value.terms.items()})
+        if (isinstance(alg, TensorAlgebra) and alg.left is self.base.algebra
+                and alg.right.generators == given):
+            return Element(self.algebra, value.terms)
+        raise ContextError("twist element built over a foreign algebra")
 
     def _validate(self):
         for i, elt in self._twist.items():
@@ -694,18 +702,10 @@ class RelativeModel(Cdga):
     # -- embeddings --------------------------------------------------------
 
     def embed_base(self, element: Element) -> Element:
-        if element.algebra is not self.base.algebra:
-            raise ContextError("element not over the base algebra")
-        unit = self.fiber.one_key()
-        return Element(self.algebra,
-                       {(k, unit): c for k, c in element.terms.items()})
+        return self.algebra.embed_left(element)
 
     def embed_fiber(self, element: Element) -> Element:
-        if element.algebra is not self.fiber:
-            raise ContextError("element not over the fiber algebra")
-        unit = self.base.algebra.one_key()
-        return Element(self.algebra,
-                       {(unit, m): c for m, c in element.terms.items()})
+        return self.algebra.embed_right(element)
 
     def fiber_gen(self, name: str) -> Element:
         name = self.renamings.get(name, name)
@@ -800,9 +800,6 @@ class BettiTable:
 
     def support(self) -> list[int]:
         return [n for n, b in enumerate(self.dims) if b]
-
-    def poincare_coefficients(self) -> list[int]:
-        return list(self.dims)
 
     def __str__(self):
         return "[" + ", ".join(str(b) for b in self.dims) + f"] (N={self.cutoff})"
@@ -916,49 +913,53 @@ def _unique_name(name: str, taken: set[str]) -> str:
     return f"{name}_{i}"
 
 
+def _renamed(generators, taken) -> tuple[list[Generator], dict[str, str]]:
+    """The one renaming rule for generators set beside others: a generator
+    whose name is taken (by `taken`, or by a new name chosen before it)
+    gets the first name `<name>_<i>`, i = 2, 3, ..., that no taken and no
+    given name uses; the others keep theirs.  Returns the generators, in
+    order and with their degrees, and the map {given name: new name}."""
+    taken = set(taken)
+    avoid = taken | {g.name for g in generators}
+    renamings: dict[str, str] = {}
+    out = []
+    for g in generators:
+        name = g.name
+        if name in taken:
+            name = renamings[g.name] = _unique_name(name, avoid)
+            avoid.add(name)
+        taken.add(name)
+        out.append(Generator(name, g.degree))
+    return out, renamings
+
+
 def tensor(a, b, label: str = ""):
     """Tensor product CDGA with differential d(x)1 + 1(x)d.
 
-    free (x) free yields a FreeCdga (right-hand generators renamed on a
-    name clash, recorded in `.renamings`); finite (x) finite yields a
+    free (x) free yields a FreeCdga; finite (x) finite yields a
     FiniteCdga; mixed pairs yield a RelativeModel over the finite factor.
+    The free (or fiber) generators of the second factor are renamed where
+    their names clash, by the one rule of `_renamed`, and `.renamings`
+    records it.  Renaming keeps each generator's index: b's generators
+    follow a's, so b's monomials shift by the number of a's generators.
     """
     label = label or f"{a.label}(x){b.label}"
     if isinstance(a, FreeCdga) and isinstance(b, FreeCdga):
-        taken = {g.name for g in a.algebra.generators}
-        renamings: dict[str, str] = {}
-        gens = list(a.algebra.generators)
-        for g in b.algebra.generators:
-            name = g.name
-            if name in taken:
-                name = _unique_name(name, taken)
-                renamings[g.name] = name
-            taken.add(name)
-            gens.append(Generator(name, g.degree))
-        merged = FreeAlgebra(gens, label=label)
-
-        def relocate(elt: Element, rename: bool) -> Element:
-            terms = {}
-            src = b.algebra if rename else a.algebra
-            for mono, c in elt.terms.items():
-                new = []
-                for i, e in mono:
-                    nm = src.generators[i].name
-                    if rename:
-                        nm = renamings.get(nm, nm)
-                    new.append((merged.generator_index(nm), e))
-                terms[tuple(sorted(new))] = c
-            return Element(merged, terms)
-
+        gens, renamings = _renamed(b.algebra.generators,
+                                   [g.name for g in a.algebra.generators])
+        merged = FreeAlgebra(a.algebra.generators + tuple(gens), label=label)
+        shift = len(a.algebra.generators)
         diff = {}
         for g in a.algebra.generators:
             img = a.differential_of_generator(g.name)
             if not img.is_zero():
-                diff[g.name] = relocate(img, rename=False)
-        for g in b.algebra.generators:
+                diff[g.name] = Element(merged, img.terms)
+        for g, new in zip(b.algebra.generators, gens):
             img = b.differential_of_generator(g.name)
             if not img.is_zero():
-                diff[renamings.get(g.name, g.name)] = relocate(img, rename=True)
+                diff[new.name] = Element(merged, {
+                    tuple((i + shift, e) for i, e in mono): c
+                    for mono, c in img.terms.items()})
         result = FreeCdga(merged, diff, label=label)
         result.renamings = renamings
         return result
@@ -974,24 +975,8 @@ def tensor(a, b, label: str = ""):
 
 
 def _tensor_relative(base: FiniteCdga, free: FreeCdga, label: str) -> RelativeModel:
-    model = RelativeModel(base, free.algebra.generators, twist={}, label=label,
-                          check=False)
-    twist = {}
-    for g in free.algebra.generators:
-        img = free.differential_of_generator(g.name)
-        if img.is_zero():
-            continue
-        # relocate the purely fiber-side differential, following renamings
-        terms = {}
-        for mono, c in img.terms.items():
-            new = []
-            for i, e in mono:
-                nm = free.algebra.generators[i].name
-                nm = model.renamings.get(nm, nm)
-                new.append((model.fiber.generator_index(nm), e))
-            terms[(base.algebra.one_key(), tuple(sorted(new)))] = c
-        twist[model.renamings.get(g.name, g.name)] = Element(model.algebra, terms)
-    return RelativeModel(base, free.algebra.generators, twist=twist, label=label)
+    return RelativeModel(base, free.algebra.generators, label=label,
+                         twist={name: dv for name, _, _, dv in free.generator_items()})
 
 
 def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import ContextError, DegreeError, ParseError
 
@@ -244,14 +243,6 @@ class Element:
     def is_homogeneous(self) -> bool:
         return len({self.algebra.key_degree(k) for k in self.terms}) <= 1
 
-    def homogeneous_part(self, n: int) -> "Element":
-        return Element(self.algebra,
-                       {k: c for k, c in self.terms.items()
-                        if self.algebra.key_degree(k) == n})
-
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_context(self, other: "Element"):
@@ -308,9 +299,7 @@ class Element:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative powers are not defined")
-        result = self.algebra.one() if hasattr(self.algebra, "one") else None
-        if result is None:
-            result = Element(self.algebra, {self.algebra.one_key(): Fraction(1)})
+        result = self.algebra.one()
         for _ in range(exp):
             result = result * self
         return result

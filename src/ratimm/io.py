@@ -23,11 +23,9 @@ Manifold document: the same fields plus
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bundles import ManifoldModel
 from .cdga import FiniteAlgebra, FiniteCdga, FreeCdga
-from .errors import ParseError
+from .errors import ContextError, DegreeError, ParseError
 from .gca import Element, FreeAlgebra, Generator, parse_element
 
 __all__ = ["parse_cdga", "serialize_cdga", "parse_manifold",
@@ -36,6 +34,9 @@ __all__ = ["parse_cdga", "serialize_cdga", "parse_manifold",
 _CDGA_KEYS = {"kind", "label", "generator", "basis", "product", "d",
               "simply-connected"}
 _MANIFOLD_KEYS = _CDGA_KEYS | {"manifold", "dimension", "pontryagin"}
+# what the constructors raise on bad input; anything else is an internal
+# fault and propagates
+_INPUT_ERRORS = (ValueError, DegreeError, ContextError)
 
 
 def _lines(text: str):
@@ -92,6 +93,15 @@ def _single(fields, key, required: bool = False, default=None):
 
 
 def _build_cdga(fields) -> FreeCdga | FiniteCdga:
+    """The CDGA the fields describe; a constructor's complaint about the
+    input becomes a ParseError for the document as a whole (line 0)."""
+    try:
+        return _cdga_of(fields)
+    except _INPUT_ERRORS as exc:
+        raise ParseError(str(exc), line=0) from None
+
+
+def _cdga_of(fields) -> FreeCdga | FiniteCdga:
     kind = _single(fields, "kind", required=True)
     label = _single(fields, "label", default="") or ""
     if kind == "free":
@@ -120,10 +130,7 @@ def _build_cdga(fields) -> FreeCdga | FiniteCdga:
                 raise ParseError(f"differential set on unknown generator {name!r}",
                                  line=lineno)
             diff[name] = _parse_expr(expr, algebra, lineno)
-        try:
-            return FreeCdga(algebra, diff, label=label)
-        except Exception as exc:
-            raise ParseError(str(exc), line=0) from None
+        return FreeCdga(algebra, diff, label=label)
     if kind == "finite":
         if "generator" in fields:
             raise ParseError("field 'generator' is not valid for kind 'finite' "
@@ -143,13 +150,8 @@ def _build_cdga(fields) -> FreeCdga | FiniteCdga:
                 if f not in names:
                     raise ParseError(f"unknown basis element {f!r}", line=lineno)
             products[(factors[0], factors[1])] = (lineno, expr)
-        try:
-            algebra = FiniteAlgebra(basis, {k: e for k, (_, e) in products.items()},
-                                    label=label)
-        except ParseError as exc:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), line=0) from None
+        algebra = FiniteAlgebra(basis, {k: e for k, (_, e) in products.items()},
+                                label=label)
         diff = {}
         for lineno, value in fields.get("d", []):
             name, expr = _parse_assignment(value, lineno, "name")
@@ -162,11 +164,8 @@ def _build_cdga(fields) -> FreeCdga | FiniteCdga:
         sc = _single(fields, "simply-connected", default="false")
         if sc not in ("true", "false"):
             raise ParseError("simply-connected must be 'true' or 'false'", line=0)
-        try:
-            return FiniteCdga(algebra, differential=diff, label=label,
-                              simply_connected=(sc == "true"))
-        except Exception as exc:
-            raise ParseError(str(exc), line=0) from None
+        return FiniteCdga(algebra, differential=diff, label=label,
+                          simply_connected=(sc == "true"))
     lineno = fields["kind"][0][0]
     raise ParseError(f"kind must be 'free' or 'finite', got {kind!r}", line=lineno)
 
@@ -179,13 +178,7 @@ def _parse_expr(expr: str, algebra, lineno: int):
 
 
 def parse_cdga(text: str) -> FreeCdga | FiniteCdga:
-    fields = _collect(text, _CDGA_KEYS)
-    try:
-        return _build_cdga(fields)
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(str(exc), line=0) from None
+    return _build_cdga(_collect(text, _CDGA_KEYS))
 
 
 def serialize_cdga(cdga) -> str:
@@ -255,9 +248,7 @@ def parse_manifold(text: str) -> ManifoldModel:
     model = _build_cdga(cdga_fields)
     try:
         return ManifoldModel(dimension, model, pont, name=name)
-    except ParseError:
-        raise
-    except Exception as exc:
+    except _INPUT_ERRORS as exc:
         # attribute the failure to the pontryagin line when one is at fault
         msg = str(exc)
         for idx, lineno in pont_lines.items():

@@ -17,14 +17,13 @@ from fractions import Fraction
 from . import linalg
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
                    TensorAlgebra, _unique_name, cohomology, d_columns)
-from .errors import ComponentObstruction, DegreeError, InputError
+from .errors import ComponentObstruction, InputError
 from .gca import Element, FreeAlgebra, Generator
 
 __all__ = [
-    "EMFactor", "SphereFactor", "MapDescription", "em_mapping_space",
-    "odd_sphere_mapping", "sphere_model", "sigma_normalize",
-    "SigmaNormalization", "sphere_map_null_model", "sphere_mapping_description",
-    "dual_mapping_null_model",
+    "EMFactor", "SphereFactor", "em_mapping_space", "odd_sphere_mapping",
+    "sphere_model", "sigma_normalize", "SigmaNormalization",
+    "sphere_map_null_model", "dual_mapping_null_model",
 ]
 
 
@@ -44,13 +43,6 @@ class EMFactor:
 class SphereFactor:
     k: int
     status: str  # "resolved-null" | "symbolic"
-
-
-@dataclass
-class MapDescription:
-    em_factors: list[EMFactor]
-    sphere_factor: SphereFactor | None = None
-    model: FreeCdga | None = None
 
 
 def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
@@ -309,23 +301,3 @@ def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
         raise InputError("the source model must be simply connected")
     return dual_mapping_null_model(A, sphere_model(k),
                                    label=f"Map({A.label},S{k},0)")
-
-
-def sphere_mapping_description(A: FiniteCdga, k: int) -> MapDescription:
-    """Description of Map(M, S^k): EM factors for odd k, a model otherwise.
-
-    For even k the null component is resolved when H^k(M;Q) = 0 (always
-    when k exceeds the top degree of A); an essential component is left
-    symbolic, which is as far as these methods reach.
-    """
-    betti = cohomology(A, min(k, A.algebra.top_degree), representatives=False)
-    if k % 2:
-        padded = BettiTable(k, betti.dims + [0] * (k - betti.cutoff))
-        return MapDescription(em_factors=odd_sphere_mapping(padded, k))
-    hk = betti.dims[k] if k <= betti.cutoff else 0
-    if hk:
-        return MapDescription(em_factors=[], sphere_factor=SphereFactor(k, "symbolic"))
-    model = sphere_map_null_model(A, k)
-    return MapDescription(em_factors=[],
-                          sphere_factor=SphereFactor(k, "resolved-null"),
-                          model=model)

@@ -9,7 +9,6 @@ pole-order (growth) computations stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = ["RationalForm", "PoincareSeries", "em_series", "series_product",
            "reconstruct_rational_series"]

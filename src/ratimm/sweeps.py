@@ -20,11 +20,11 @@ from .bundles import (ManifoldModel, complex_projective_plane, framed_bundle_mod
                       sphere_product_manifold, stiefel_model,
                       unreduced_framed_model)
 from .cdga import (FiniteCdga, FreeCdga, check_d_squared, cohomology, d_columns,
-                   is_quasi_iso, tensor)
+                   is_quasi_iso)
 from .gca import Element, FreeAlgebra, Generator, basis_count_series, parse_element
 from .immersions import (growth_degree, immersion_components,
                          verify_growth_bounds)
-from .mapping import dual_mapping_null_model, sphere_map_null_model
+from .mapping import dual_mapping_null_model
 from .series import PoincareSeries, em_series, series_product
 
 DEFAULT_SEED = 20250809

@@ -8,10 +8,11 @@ from ratimm.bundles import (ManifoldModel, borel_assoc_model, bso_model,
                             is_rationally_trivial, sphere_manifold,
                             sphere_product_manifold, stiefel_model,
                             unreduced_framed_model)
-from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, check_d_squared,
-                         cohomology, is_quasi_iso, unit_cdga)
-from ratimm.errors import DegreeError
-from ratimm.gca import Generator, parse_element
+from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, RelativeModel,
+                         check_d_squared, cohomology, is_quasi_iso, tensor,
+                         unit_cdga)
+from ratimm.errors import ContextError, DegreeError
+from ratimm.gca import FreeAlgebra, Generator, parse_element
 
 
 # -- BSO models --------------------------------------------------------------
@@ -317,12 +318,84 @@ def test_threshold_is_parity_dependent():
     assert failures == [1]
 
 
-def test_fiber_names_renamed_on_base_clash():
-    base = FiniteCdga([("one", 0), ("e2", 2), ("x1", 4)], {("e2", "e2"): "x1"},
+def _clash_base():
+    return FiniteCdga([("one", 0), ("e2", 2), ("x1", 4)], {("e2", "e2"): "x1"},
                       label="clash", simply_connected=True)
+
+
+def test_fiber_names_renamed_on_base_clash():
+    # fixed outputs: every renaming and twist string below must stay as is
+    base = _clash_base()
     M = ManifoldModel(4, base, {1: "3*x1"}, name="clash4")
     fm = framed_bundle_model(M, 2)
     assert fm.renamings == {"x1": "x1_2", "e2": "e2_2"}
     assert str(fm.twist_of("x1")) == "e2_2^2 + 3*x1"
     big, phi = unreduced_framed_model(M, 2)
+    assert big.renamings == {"x1": "x1_2", "e2": "e2_2"}
+    assert [(g.name, str(big.twist_of(g.name))) for g in big.fiber.generators] == [
+        ("x1_2", "e2_2^2 + 3*x1"), ("x2", "0"), ("ebar5", "0"), ("e2_2", "0")]
     assert is_quasi_iso(phi, 12).ok
+    # sV_H names that a renamed V_K generator must also avoid
+    model = _clashing_borel(base)
+    assert model.renamings == {"x1": "x1_3", "e2": "e2_3"}
+    assert [g.name for g in model.fiber.generators] == ["x1_3", "e2_3", "x1_2", "e2_2"]
+    assert [str(model.twist_of(n)) for n in ("x1", "e2", "x1_2", "e2_2")] == [
+        "0", "0", "-x1_3 + x1", "-e2_3^2 + x1"]
+    assert check_d_squared(model, 20) == []
+    free = FreeCdga([Generator("e2", 2), Generator("x1", 3), Generator("x1_2", 5)],
+                    {"x1": "e2^2", "x1_2": "e2^3"}, label="F")
+    for rel in (tensor(base, free), tensor(free, base)):
+        assert rel.renamings == {"e2": "e2_2", "x1": "x1_3"}
+        assert [g.name for g in rel.fiber.generators] == ["e2_2", "x1_3", "x1_2"]
+        assert [str(rel.twist_of(n)) for n in ("e2", "x1", "x1_2")] == [
+            "0", "e2_2^2", "e2_2^3"]
+
+
+def _clashing_borel(base, **images):
+    """A Borel model over `base` (basis e2, x1) whose fiber names clash."""
+    vg = FreeCdga([Generator("p1", 4)], {}, label="VG")
+    phi = CdgaMorphism(vg, base, {"p1": "x1"})
+    return borel_assoc_model(
+        base, phi, VK=[Generator("x1", 4), Generator("e2", 2)],
+        sVH=[Generator("x1_2", 3), Generator("e2_2", 3)],
+        Bmu_images={"x1_2": "p1", "e2_2": "p1"},
+        Bnu_images={"x1_2": "x1", "e2_2": "e2^2", **images})
+
+
+def test_borel_bnu_element_over_the_vk_generators_only():
+    base = _clash_base()
+    vk = FreeAlgebra([Generator("x1", 4), Generator("e2", 2)])
+    as_given = _clashing_borel(base, e2_2=vk.name_power("e2", 2))
+    assert str(as_given.twist_of("e2_2")) == "-e2_3^2 + x1"
+    # an element over other generators is rejected, even where its
+    # indices would fit the fiber
+    for foreign in (FreeAlgebra([Generator("y", 4), Generator("e2", 2)]),
+                    FreeAlgebra([Generator("x1", 4), Generator("e2", 2),
+                                 Generator("z", 2)])):
+        with pytest.raises(ContextError):
+            _clashing_borel(base, e2_2=foreign.name_power("e2", 2))
+
+
+def test_each_constructor_builds_its_model_once(monkeypatch):
+    builds = []
+    init = RelativeModel.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.label)
+
+    monkeypatch.setattr(RelativeModel, "__init__", counted)
+    cp2 = complex_projective_plane()
+    framed_bundle_model(cp2, 2)
+    assert builds == ["Framed_4(CP^2, k=2)"]
+    builds.clear()
+    # its own model, then the reduction's target from framed_bundle_model
+    unreduced_framed_model(cp2, 2)
+    assert builds == ["UnreducedFramed_4(CP^2, k=2)", "Framed_4(CP^2, k=2)"]
+    builds.clear()
+    _clashing_borel(_clash_base())
+    assert builds == [""]
+    builds.clear()
+    s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"})
+    tensor(cp2.model, s2, label="T")
+    assert builds == ["T"]

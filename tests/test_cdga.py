@@ -8,10 +8,10 @@ import pytest
 
 from ratimm import linalg
 from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, RelativeModel,
-                         check_d_squared, cohomology, is_quasi_iso, tensor,
-                         unit_cdga)
-from ratimm.errors import ChainMapError, DegreeError, InputError
-from ratimm.gca import Element, Generator, parse_element
+                         TensorAlgebra, check_d_squared, cohomology,
+                         is_quasi_iso, tensor, unit_cdga)
+from ratimm.errors import ChainMapError, ContextError, DegreeError, InputError
+from ratimm.gca import Element, FreeAlgebra, Generator, parse_element
 
 
 @pytest.fixture
@@ -341,6 +341,23 @@ def test_tensor_renames_on_clash():
     prod = tensor(a, b)
     names = [g.name for g in prod.algebra.generators]
     assert names == ["x", "x_2"] and prod.renamings == {"x": "x_2"}
+    # one rule on both tensor paths: only a clashing name is renamed, and
+    # its new name avoids every given name (b's own x_2 included)
+    b = FreeCdga([Generator("x", 3), Generator("x_2", 5)], {})
+    prod = tensor(a, b)
+    assert [g.name for g in prod.algebra.generators] == ["x", "x_3", "x_2"]
+    assert prod.renamings == {"x": "x_3"}
+    over_finite = tensor(FiniteCdga([("one", 0), ("x", 2)], {}, label="fb"), b)
+    assert [g.name for g in over_finite.fiber.generators] == ["x_3", "x_2"]
+    assert over_finite.renamings == {"x": "x_3"}
+    # b's differential follows its generators by index
+    a = FreeCdga([Generator("e", 2), Generator("x", 3)], {"x": "e^2"})
+    b = FreeCdga([Generator("e", 2), Generator("u", 2), Generator("x", 5)],
+                 {"x": "e^3 - 2*e*u^2"})
+    prod = tensor(a, b)
+    assert prod.renamings == {"e": "e_2", "x": "x_2"}
+    assert str(prod.differential_of_generator("x")) == "e^2"
+    assert str(prod.differential_of_generator("x_2")) == "e_2^3 - 2*e_2*u^2"
 
 
 def test_kunneth_two_spheres(s2_model):
@@ -740,6 +757,42 @@ def test_fiber_renaming_avoids_later_fiber_names():
     # duplicate fiber names are rejected: `renamings` could not address both
     with pytest.raises(InputError, match="duplicate"):
         RelativeModel(base, [Generator("y", 3), Generator("y", 3)], {})
+
+
+def test_twist_over_the_fiber_generators_as_given():
+    # renaming keeps indices, so a twist written over the fiber generators
+    # as given has the model's keys, whatever the new names are
+    base = FreeCdga([Generator("x", 2)], label="base")
+    given = [Generator("x", 3), Generator("e", 2), Generator("y", 5)]
+    fiber = FreeAlgebra(given)
+    over = TensorAlgebra(base.algebra, fiber)
+    twist = {"x": fiber.name_power("e", 2),
+             "y": over.embed_right(fiber.name_power("e", 3))
+             - over.embed_left(base.algebra.name_power("x", 3))}
+    model = RelativeModel(base, given, twist, label="given")
+    assert model.renamings == {"x": "x_2"}
+    assert model.twist_of("x") == model.fiber_gen("e") ** 2
+    assert str(model.twist_of("y")) == "e^3 - x^3"
+    assert model.twist_of("y") == parse_element("e^3 - x^3", model.algebra)
+    # the same fiber generators over another base algebra object
+    other = TensorAlgebra(FreeAlgebra([Generator("x", 2)]), fiber)
+    with pytest.raises(ContextError, match="foreign"):
+        RelativeModel(base, given, {"x": other.zero()})
+
+
+@pytest.mark.parametrize("foreign", [
+    [Generator("x_2", 3), Generator("e", 2)],  # the new names
+    [Generator("x", 3), Generator("e", 4)],    # another degree
+    [Generator("x", 3)],                       # fewer generators
+], ids=["renamed", "degree", "prefix"])
+def test_twist_over_a_foreign_algebra_is_rejected(foreign):
+    base = FreeCdga([Generator("x", 2)], label="base")
+    given = [Generator("x", 3), Generator("e", 2)]
+    fiber = FreeAlgebra(foreign)
+    with pytest.raises(ContextError, match="foreign"):
+        RelativeModel(base, given, {"e": fiber.gen(foreign[0].name)})
+    with pytest.raises(ContextError, match="foreign"):
+        RelativeModel(base, given, {"e": TensorAlgebra(base.algebra, fiber).zero()})
 
 
 def test_protocol_consumers_name_no_cdga_kind():

@@ -97,6 +97,28 @@ def test_unexpected_value_error_is_not_an_input_error(capsys, tmp_path,
         main(["cohomology", str(path), "--max-degree", "6"])
 
 
+def test_internal_fault_while_loading_is_not_an_input_error(capsys, tmp_path,
+                                                            s2_file, monkeypatch):
+    # loading converts only what constructors raise on bad input into a
+    # ParseError (exit 2); an internal fault propagates
+    from ratimm import bundles, cdga
+    path = tmp_path / "s2.cdga"
+    path.write_text("kind: free\nlabel: S2\ngenerator: e2 2\n"
+                    "generator: x3 3\nd: x3 = e2^2\n")
+
+    def broken(*args, **kwargs):
+        raise AssertionError("internal fault")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cdga.FreeCdga, "_validate", broken)
+        with pytest.raises(AssertionError, match="internal fault"):
+            main(["cohomology", str(path), "--max-degree", "6"])
+    with monkeypatch.context() as patch:
+        patch.setattr(bundles, "cohomology", broken)
+        with pytest.raises(AssertionError, match="internal fault"):
+            main(["immersion", "--manifold", s2_file, "--k", "3"])
+
+
 def test_immersion_resolved_exit_0(capsys, s2_file):
     code, out, _ = run(capsys, "immersion", "--manifold", s2_file, "--k", "3",
                        "--max-degree", "15")

@@ -169,27 +169,3 @@ def test_normalized_morphism_is_chain_map():
     sigma = CdgaMorphism(sph, s3, {"x": "0", "y": "2*a3"})
     result = sigma_normalize(sigma)
     result.morphism.validate()
-
-
-# -- whole-mapping-space descriptions --------------------------------------------
-
-def test_sphere_mapping_description_odd():
-    desc = __import__("ratimm.mapping", fromlist=["sphere_mapping_description"]) \
-        .sphere_mapping_description(sphere_manifold(2).model, 7)
-    assert desc.sphere_factor is None
-    assert desc.em_factors == [EMFactor(1, 5), EMFactor(1, 7)]
-
-
-def test_sphere_mapping_description_even_resolved():
-    from ratimm.mapping import sphere_mapping_description
-    desc = sphere_mapping_description(sphere_manifold(3).model, 2)
-    assert desc.sphere_factor.status == "resolved-null"
-    assert desc.model is not None
-    assert check_d_squared(desc.model, 20) == []
-
-
-def test_sphere_mapping_description_even_symbolic():
-    from ratimm.mapping import sphere_mapping_description
-    desc = sphere_mapping_description(sphere_manifold(2).model, 2)
-    assert desc.sphere_factor.status == "symbolic"
-    assert desc.model is None
