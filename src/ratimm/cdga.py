@@ -35,16 +35,17 @@ asks which kind it holds:
   the key as a word in those generators;
 * `d_symbol` -- "d", or "D" for the twisted differential.
 
-Cohomology is computed degreewise by exact sparse elimination, and each
-(model, degree) is assembled and eliminated once: `_cochains` walks the
-degrees, enumerating each one's keys once and handing its columns to
-every consumer.  Rank comes first, untagged; a kernel, with its rational
+Cohomology is computed degreewise by exact sparse elimination: `_cochains`
+walks the degrees, enumerating each one's keys once and assembling each
+column at most once.  Rank comes first, untagged and cleared: since
+d^2 = 0, the columns of d_n at the pivots of im d_{n-1} depend on the
+others and are skipped (`_image`).  A kernel, with its rational
 bookkeeping, is computed only in a degree with b_n > 0 whose
 representatives a caller asked for.  `is_quasi_iso` walks the target
 once, rank only, and tests f(representatives) against the image echelons
-of that walk.  Two independent engines recompute the ranks as a check: a
-modular rank certified by exactly verified kernel relations (what
-`ratimm cohomology` checks against, on the same columns), and the dense
+of that walk.  Two independent engines recompute the ranks, on every
+column, as a check: a modular rank certified by exactly verified kernel
+relations (what `ratimm cohomology` checks against), and the dense
 eliminator, the oracle of the tests and of `ratimm verify`.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
@@ -506,11 +507,11 @@ class FiniteCdga(Cdga):
                     raise ValueError(
                         f"differential violates the Leibniz rule on "
                         f"({alg.basis[u][0]},{alg.basis[v][0]})")
-        if self.simply_connected:
-            table = cohomology(self, 1, representatives=False)
-            if table.dims[1] != 0:
-                raise ValueError("flagged simply connected but H^1 != 0")
-        if cohomology(self, 0, representatives=False).dims[0] != 1:
+        # one walk for both checks, the H^1 one first
+        dims = cohomology(self, int(self.simply_connected), representatives=False).dims
+        if self.simply_connected and dims[1] != 0:
+            raise ValueError("flagged simply connected but H^1 != 0")
+        if dims[0] != 1:
             raise ValueError("H^0 must be one-dimensional (connected input)")
 
     def _diff_terms(self, i: int, memo) -> dict:
@@ -816,11 +817,34 @@ def d_columns(cdga, keys, index, memo=None) -> list[dict]:
     return [{index[k]: c for k, c in diff_terms(key, memo).items()} for key in keys]
 
 
+class _Degree:
+    """Degree n of a walk: its `keys`, their positions `index`, the number
+    `rows` of degree-(n+1) keys, and the columns of d_n (`columns`)."""
+
+    def __init__(self, cdga, keys, index, index_next, memo):
+        self.keys, self.index, self.rows = keys, index, len(index_next)
+        self._cdga, self._index_next, self._memo = cdga, index_next, memo
+        self._cols = None
+
+    def columns(self, skip=()) -> list[dict]:
+        """`d_columns` of the keys at positions not in `skip`, in key
+        order; each is assembled on its first request only."""
+        keys, cols = self.keys, self._cols
+        if cols is None and not skip:
+            self._cols = d_columns(self._cdga, keys, self._index_next, self._memo)
+            return self._cols
+        cols = self._cols = cols or [None] * len(keys)
+        todo = [j for j, col in enumerate(cols) if col is None and j not in skip]
+        built = d_columns(self._cdga, [keys[j] for j in todo], self._index_next,
+                          self._memo)
+        for j, col in zip(todo, built):
+            cols[j] = col
+        return [col for j, col in enumerate(cols) if j not in skip]
+
+
 def _cochains(cdga, cutoff: int):
-    """Walk degrees n = 0..cutoff once each, yielding (keys, index, columns,
-    rows): the degree-n keys, their positions, and d_n as one sparse column
-    per key (`d_columns`) over the `rows` degree-(n+1) keys.  One memo of
-    d(R) serves the whole walk and is dropped with it."""
+    """Walk degrees n = 0..cutoff once each, yielding a `_Degree` for each.
+    One memo of d(R) serves the whole walk and is dropped with it."""
     alg = cdga.algebra
     memo: dict = {}
     keys = alg.keys_of_degree(0)
@@ -828,8 +852,19 @@ def _cochains(cdga, cutoff: int):
     for n in range(cutoff + 1):
         keys_next = alg.keys_of_degree(n + 1)
         index_next = {k: i for i, k in enumerate(keys_next)}
-        yield keys, index, d_columns(cdga, keys, index_next, memo), len(keys_next)
+        yield _Degree(cdga, keys, index, index_next, memo)
         keys, index = keys_next, index_next
+
+
+def _image(degree: _Degree, image_prev) -> linalg.SparseEchelon:
+    """Echelon of im d_n, skipping the columns at the pivots of im d_{n-1}.
+
+    The rows of `image_prev` span im d_{n-1}, inside ker d_n as d^2 = 0,
+    with distinct pivots; in reduced echelon form each row gives the
+    column at its pivot as a combination of columns at non-pivots.  A
+    span's pivot set does not depend on the rows giving it.
+    """
+    return linalg.SparseEchelon(degree.columns(image_prev.pivot_cols))
 
 
 def _dense_rank(cols, rows: int) -> int:
@@ -840,21 +875,25 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                engine: str = "sparse") -> BettiTable:
     """Degreewise cohomology ranks, by exact elimination.
 
-    Each degree's keys are enumerated and its columns assembled once.
+    Each degree's keys are enumerated, and each column assembled, once.
     engine="sparse" is the production path: one fraction-free sparse
-    elimination of each degree's differential, rank only, and its
-    echelon is the image of d_n.  With representatives, a degree with
-    b_n > 0 also gets a tagged elimination for its kernel (a degree with
-    b_n = 0 gets none), and each kernel vector that is independent
-    modulo the image of d_{n-1} becomes a representative.
+    elimination of each degree's differential, rank only and cleared
+    (`_image`), and its echelon is the image of d_n.  With
+    representatives, a degree with b_n > 0 also gets a tagged
+    elimination of all its columns, in key order, for its kernel (a
+    degree with b_n = 0 gets none); each kernel vector that is
+    independent modulo the image of d_{n-1} becomes a representative,
+    up to the b_n-th, where the elimination stops.
 
     The checking engines return no representatives.  engine="certified"
-    hands the same columns to the sparse elimination and to the modular
-    certificate (`linalg.certified_rank`, or the dense eliminator in a
-    degree the certificate cannot settle) and raises AssertionError when
-    the two ranks disagree; the engines share columns, never
-    elimination.  engine="dense" takes every rank from the dense
-    eliminator alone.
+    hands the uncleared columns to the sparse elimination and all of
+    them to the modular certificate (`linalg.certified_rank`, or the
+    dense eliminator in a degree the certificate cannot settle) and
+    raises AssertionError when the two ranks disagree; the engines share
+    columns, never elimination.  engine="dense" takes every rank from
+    the dense eliminator alone and clears nothing.  Clearing needs
+    d^2 = 0, which every constructor checks: a model built with
+    check=False and d^2 != 0 has no defined table.
     """
     if engine not in ("sparse", "certified", "dense"):
         raise ValueError(f"unknown cohomology engine {engine!r}")
@@ -864,41 +903,44 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     reps: list[list[Element]] = []
     rank_prev = 0
     image_prev = linalg.SparseEchelon()
-    for n, (keys, _, cols, rows) in enumerate(_cochains(cdga, cutoff)):
+    for n, degree in enumerate(_cochains(cdga, cutoff)):
         if engine == "dense":
-            rank = _dense_rank(cols, rows)
+            rank = _dense_rank(degree.columns(), degree.rows)
         else:
-            image = linalg.SparseEchelon(cols)
+            image = _image(degree, image_prev)
             rank = image.rank
         if engine == "certified":
+            cols = degree.columns()
             check = linalg.certified_rank(cols)
             if check is None:
-                check = _dense_rank(cols, rows)
+                check = _dense_rank(cols, degree.rows)
             if check != rank:
                 # an internal fault, not bad input
                 raise AssertionError(f"sparse and certified ranks disagree in "
                                      f"degree {n}; please report")
+        keys = degree.keys
         b_n = len(keys) - rank - rank_prev
         dims.append(b_n)
         rank_prev = rank
-        if not representatives:
-            continue
-        chosen = []
-        if b_n:
-            _, kernel = linalg.kernel_echelon(cols)
-            for ker in kernel:
+        if representatives:
+            chosen = []
+            tagged = linalg.SparseEchelon()
+            for ker in linalg.kernel_vectors(tagged, degree.columns()) if b_n else ():
                 residue = image_prev.reduce(ker)
                 if residue:
                     image_prev.add(residue)
                     chosen.append(Element(alg, {keys[j]: Fraction(c)
                                                 for j, c in ker.items()}))
-        if len(chosen) != b_n:
-            raise AssertionError(
-                f"rank bookkeeping mismatch in degree {n}: "
-                f"{len(chosen)} representatives for b_{n}={b_n}")
-        reps.append(chosen)
-        # the image of d_n is what degree n+1's cocycles are reduced against
-        image_prev = image
+                    if len(chosen) == b_n:  # later kernel vectors are in the span
+                        break
+            if len(chosen) != b_n:
+                raise AssertionError(
+                    f"rank bookkeeping mismatch in degree {n}: "
+                    f"{len(chosen)} representatives for b_{n}={b_n}")
+            reps.append(chosen)
+        if engine != "dense":
+            # degree n+1 clears the pivots of im d_n, and reduces against it
+            image_prev = image
     return BettiTable(cutoff, dims, reps if representatives else None)
 
 
@@ -1150,25 +1192,25 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     Dimension equality alone is not trusted: the induced map is also
     checked to be injective on cohomology representatives.  The source
     is walked by `cohomology` with representatives; the target is walked
-    once, rank only: each degree's columns are assembled and eliminated
-    once.  f of each degree-n representative is added to the echelon of
-    the target's d_{n-1}; one that adds no pivot shows a class sent into
-    the span of the image and the classes before it.
+    once, rank only and cleared (`_image`).  f of each degree-n
+    representative is added to the echelon of the target's d_{n-1}; one
+    that adds no pivot shows a class sent into the span of the image and
+    the classes before it, whatever rows span it.
     """
     f.validate()
     source = cohomology(f.source, cutoff, representatives=True)
     per_degree = []
     rank_prev = 0
     image_prev = linalg.SparseEchelon()
-    for n, (keys, index, cols, _) in enumerate(_cochains(f.target, cutoff)):
-        image = linalg.SparseEchelon(cols)
+    for n, degree in enumerate(_cochains(f.target, cutoff)):
+        image = _image(degree, image_prev)
         injective = True
         for rep in source.representatives[n]:
-            vec = {index[k]: c for k, c in f.apply(rep).terms.items()}
+            vec = {degree.index[k]: c for k, c in f.apply(rep).terms.items()}
             pivot, _ = image_prev.add(vec)
             if pivot is None:
                 injective = False
-        dt = len(keys) - image.rank - rank_prev
+        dt = len(degree.keys) - image.rank - rank_prev
         per_degree.append((n, source.dims[n], dt, injective))
         rank_prev = image.rank
         image_prev = image

@@ -248,13 +248,15 @@ def parse_manifold(text: str) -> ManifoldModel:
     model = _build_cdga(cdga_fields)
     try:
         return ManifoldModel(dimension, model, pont, name=name)
+    except ParseError:  # from the first bad expression, which has a line
+        for idx, expr in pont.items():
+            _parse_expr(expr, model.algebra, pont_lines[idx])
+        raise
     except _INPUT_ERRORS as exc:
-        # attribute the failure to the pontryagin line when one is at fault
+        # a message about p_i starts with "p_<i> "
         msg = str(exc)
-        for idx, lineno in pont_lines.items():
-            if f"p_{idx}" in msg:
-                raise ParseError(msg, line=lineno) from None
-        raise ParseError(msg, line=0) from None
+        lines = {f"p_{idx}": lineno for idx, lineno in pont_lines.items()}
+        raise ParseError(msg, line=lines.get(msg.split(" ")[0], 0)) from None
 
 
 def serialize_manifold(M: ManifoldModel) -> str:

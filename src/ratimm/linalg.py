@@ -7,7 +7,7 @@ Three independent elimination routines live here on purpose:
 * a modular certificate (`certified_rank`): the rank mod a 61-bit prime,
   proved equal to the rank over Q by relations lifted from the mod-p
   kernel and verified exactly; `ratimm cohomology` checks every sparse
-  rank against it, on the same columns;
+  rank against it, on every column, cleared or not;
 * a dense textbook Gauss-Jordan eliminator (`dense_rank`), the oracle for
   tests, `ratimm verify` and `cohomology(engine="dense")`, and the
   fallback for a degree the certificate cannot settle.
@@ -170,20 +170,20 @@ def sparse_rank(columns: list[dict]) -> int:
     return SparseEchelon(columns).rank
 
 
-def kernel_echelon(columns: list[dict]):
-    """Echelon of the columns, each tagged by its index, and the kernel
-    basis of the linear map sending e_j to columns[j].
-
-    Kernel vectors are integer-normalized dicts over the domain indices,
-    produced in a deterministic order.
-    """
-    ech = SparseEchelon()
-    kernel: list[dict[int, int]] = []
+def kernel_vectors(ech: SparseEchelon, columns):
+    """Add the columns to `ech`, each tagged by its index, yielding as it
+    goes a kernel basis of the map e_j -> columns[j]: integer-normalized
+    dicts over the domain indices, in a deterministic order."""
     for j, col in enumerate(columns):
         pivot, aug = ech.add(col, tag=j)
         if pivot is None:
-            kernel.append(primitive(aug)[0])
-    return ech, kernel
+            yield primitive(aug)[0]
+
+
+def kernel_echelon(columns: list[dict]):
+    """Echelon and kernel basis (`kernel_vectors`) of the columns."""
+    ech = SparseEchelon()
+    return ech, list(kernel_vectors(ech, columns))
 
 
 def sparse_rank_kernel(columns: list[dict]):

@@ -241,10 +241,13 @@ def suite_models(seed: int = DEFAULT_SEED, d2_cutoff: int = 24,
     def stiefel_tables():
         expected = {(2, 2): [0, 2, 3, 5], (2, 3): [0, 7], (3, 2): [0, 2, 7, 9]}
         for (m, k), support in expected.items():
-            table = cohomology(stiefel_model(m, k), 10, representatives=False,
-                               engine="dense")
+            model = stiefel_model(m, k)
+            table = cohomology(model, 10, representatives=False, engine="dense")
             assert table.support() == support, \
                 f"V_{m}(R^{m + k}) support {table.support()} != {support}"
+            sparse = cohomology(model, 10, representatives=False)  # cleared
+            assert sparse.dims == table.dims, \
+                f"V_{m}(R^{m + k}) sparse {sparse.dims} != dense {table.dims}"
         return "V2(R4), V2(R5), V3(R5) tables (dense oracle)"
 
     def reduction_sweep():

@@ -101,6 +101,28 @@ def test_pontryagin_errors_carry_lines():
     assert err.value.line == 8
 
 
+def test_pontryagin_error_blames_the_line_of_its_own_index():
+    # p_10's error must not go to the p_1 line, whose "p_1" it contains
+    text = ("dimension: 4\nkind: finite\nbasis: one 0\nbasis: aa 4\n"
+            "pontryagin: 1 = 3*aa\npontryagin: 10 = 0\n")
+    with pytest.raises(ParseError) as err:
+        parse_manifold(text)
+    assert err.value.line == 6
+    assert str(err.value) == ("line 6: p_10 lives in degree 40 > dimension 4; "
+                              "indices with 4i > m are rejected")
+
+
+def test_bad_pontryagin_expression_carries_its_line():
+    text = ("manifold: X\ndimension: 8\nkind: finite\nbasis: one 0\n"
+            "basis: a 2\nbasis: aa 4\nproduct: a * a = aa\n"
+            "pontryagin: 1 = aa\npontryagin: 2 = q\n")
+    with pytest.raises(ParseError) as err:
+        parse_manifold(text)
+    assert err.value.line == 9
+    assert str(err.value) == ("line 9: at offset 0: unknown generator 'q' "
+                              "(in expression 'q')")
+
+
 def test_pontryagin_index_out_of_range():
     text = ("manifold: X\ndimension: 2\nkind: finite\nbasis: one 0\n"
             "basis: a 2\npontryagin: 1 = 0\n")
