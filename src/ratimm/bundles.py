@@ -284,7 +284,7 @@ def unreduced_framed_model(M: ManifoldModel, k: int):
     validated on construction.
     """
     if k < 2:
-        raise ValueError(f"codimension must be >= 2, got k={k}")
+        raise InputError(f"codimension must be >= 2, got k={k}")
     m = M.dimension
     s = k // 2
     T = (m + k - 1) // 2

@@ -22,13 +22,15 @@ asks which kind it holds:
 
 * `algebra`, `label` -- the underlying key algebra and a display name;
 * `_diff_terms(key, memo)` -- d of one basis key as a plain
-  {key: coefficient} dict; `memo` is a walk's memo of d(R) (see below),
-  or None;
+  {key: coefficient} dict; `memo` is a dict that the caller keeps for
+  one walk or one `diff` call, and the kind fills (see below);
 * `diff_key(key)` -- the same as an `Element`;
-* `diff(element)` -- d extended linearly (shared, in `Cdga`);
+* `diff(element)` -- d extended linearly, one memo for all its keys
+  (shared, in `Cdga`);
 * `generator_items()` -- (name, degree, element, d-image) for each
   generator a morphism is given on: the free generators, the fiber
   generators, or the finite basis;
+* `generator_names()` -- their names alone, with no element built;
 * `d2_items()` -- the same for every generator whose d^2 is checked (a
   relative model adds its base's generators, embedded, first);
 * `key_word(key)` -- (base key or None, [(generator name, exponent)]),
@@ -53,16 +55,29 @@ order (a tensor algebra asks its base first and skips empty base degrees;
 a finite algebra indexes its basis by degree once).  Call a generator
 closed when it is even with d = 0 (an even free or fiber generator with
 no differential or twist).  A key's monomial splits as P*R, P its closed
-factors; P is even and closed, so d(P*R) = P*d(R) and, in a relative
-model, D(lk (x) P*R) = d_B(lk) (x) P*R + (-1)^{|lk|} (lk (x) P)*D(1 (x) R).
-`_diff_terms` expands the Leibniz rule (`_leibniz`) on R only, from the
-terms of d on generators that each model caches once, and merges P into
-each term, a plain exponent merge with no sign.  `d_columns` builds a
-degree's sparse columns straight from these dicts, with no `Element`;
-`_cochains` hands it one memo of d(R), keyed by R, that lives as long as
-its walk (a free CDGA with no closed generator keeps none: each of its R
-is a whole key).  Integral input keeps int coefficients, which
+factors; P is even and closed, so d(P*R) = P*d(R).  `_diff_terms`
+expands the Leibniz rule (`_leibniz`) on R only, from the terms of d on
+generators that each model caches once, keeps d(R) in the memo under R
+(a free CDGA with no closed generator keeps none: each of its R is a
+whole key), and merges P into each term, a plain exponent merge with no
+sign.  A relative model splits once more:
+
+    D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm).
+
+Every base key of a walk meets the same fiber monomials rm and the
+other way round, so its memo also keeps D(1 (x) rm), P merged in, under
+rm, and under (None, lk) a row for each base key lk: d_B(lk), its sign
+and the products lk*bk as exact coefficients, each product asked of the
+base once.  `d_columns` builds a degree's sparse columns straight from
+these dicts, with no `Element`; `_cochains` hands it one memo that lives
+as long as its walk.  Integral input keeps int coefficients, which
 `linalg.primitive` takes without Fraction arithmetic.
+
+A morphism applies the same split, f(lk (x) word) = (lk (x) 1) * f(word)
+(`CdgaMorphism._apply_terms`): f(word) is built once per word, from
+the image of the word without its last factor, and multiplied by lk
+through a table of base products like a walk's.  `apply` keeps these
+for one call, `is_quasi_iso` for all the representatives it maps.
 """
 
 from __future__ import annotations
@@ -183,6 +198,20 @@ def _rest_leibniz(fiber: FreeAlgebra, mono, dgen, closed, memo):
     return terms
 
 
+class _Products(dict):
+    """{bk: lk*bk as [(key, exact coefficient)]} for one key lk of `algebra`;
+    each product is asked of `algebra` on its first lookup only."""
+
+    def __init__(self, algebra, lk):
+        super().__init__()
+        self.algebra, self.lk = algebra, lk
+
+    def __missing__(self, bk):
+        pairs = self[bk] = [(k, _exact(c))
+                            for k, c in self.algebra.mul_key_pairs(self.lk, bk)]
+        return pairs
+
+
 class Cdga:
     """What every CDGA kind provides; see the module docstring."""
 
@@ -192,9 +221,10 @@ class Cdga:
         if element.algebra is not self.algebra:
             raise ContextError("element not over this algebra")
         out: dict = {}
+        memo: dict = {}
         for key, c in element.terms.items():
             c = Fraction(c)
-            for k, v in self._diff_terms(key, None).items():
+            for k, v in self._diff_terms(key, memo).items():
                 s = out.get(k, 0) + c * v
                 if s:
                     out[k] = s
@@ -265,12 +295,15 @@ class FreeCdga(Cdga):
         return {_times_closed(mono, closed, m): c for (_, m), c in terms}
 
     def diff_key(self, mono) -> Element:
-        return Element(self.algebra, self._diff_terms(mono, None))
+        return Element(self.algebra, self._diff_terms(mono, {}))
 
     def generator_items(self):
         for i, g in enumerate(self.algebra.generators):
             yield (g.name, g.degree, self.algebra.gen(g.name),
                    self._diff.get(i, self.algebra.zero()))
+
+    def generator_names(self):
+        return [g.name for g in self.algebra.generators]
 
     def key_word(self, mono):
         gens = self.algebra.generators
@@ -519,11 +552,14 @@ class FiniteCdga(Cdga):
         return {} if elt is None else elt.terms
 
     def diff_key(self, i: int) -> Element:
-        return Element(self.algebra, self._diff_terms(i, None))
+        return Element(self.algebra, self._diff_terms(i, {}))
 
     def generator_items(self):
         for i, (name, deg) in enumerate(self.algebra.basis):
             yield name, deg, Element(self.algebra, {i: Fraction(1)}), self.diff_key(i)
+
+    def generator_names(self):
+        return [name for name, _ in self.algebra.basis]
 
     def key_word(self, i: int):
         return None, [(self.algebra.basis[i][0], 1)]
@@ -651,7 +687,7 @@ class RelativeModel(Cdga):
         names = [g.name for g in given]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate fiber generator names in {names}")
-        gens, self.renamings = _renamed(given, [n for n, *_ in base.generator_items()])
+        gens, self.renamings = _renamed(given, base.generator_names())
         self.fiber = FreeAlgebra(gens, label=f"{label}:fiber")
         self.algebra = TensorAlgebra(base.algebra, self.fiber, label=label)
         self.label = label
@@ -721,18 +757,28 @@ class RelativeModel(Cdga):
 
     def _diff_terms(self, key, memo) -> dict:
         lk, rm = key
-        base_alg = self.base.algebra
-        # d_base(lk) (x) rm, then (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm), where
-        # D(1 (x) P*R) = P * D(1 (x) R) is memoized by R: every base key
-        # of a walk meets the same R
-        out = {(k, rm): _exact(c) for k, c in self.base._diff_terms(lk, None).items()}
-        sign = -1 if base_alg.key_degree(lk) % 2 else 1
-        closed = self._closed
-        for (bk, fm), c in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo):
-            fm = _times_closed(rm, closed, fm)
-            for prod, bc in base_alg.mul_key_pairs(lk, bk):
+        # d_B(lk) (x) rm, then (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm): every
+        # base key of a walk meets the same rm, and every rm the same lk
+        row = memo.get((None, lk))
+        if row is None:
+            base_alg = self.base.algebra
+            row = memo[None, lk] = (
+                [(k, _exact(c)) for k, c in self.base._diff_terms(lk, {}).items()],
+                -1 if base_alg.key_degree(lk) % 2 else 1, _Products(base_alg, lk))
+        dlk, sign, products = row
+        terms = memo.get(rm)
+        if terms is None:
+            closed = self._closed
+            terms = _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)
+            if rm not in memo:  # rm is not R: merge its closed factors in
+                terms = memo[rm] = [((bk, _times_closed(rm, closed, fm)), c)
+                                    for (bk, fm), c in terms]
+        out = {(k, rm): c for k, c in dlk}
+        for (bk, fm), c in terms:
+            c = sign * c
+            for prod, bc in products[bk]:
                 k = (prod, fm)
-                v = out.get(k, 0) + sign * c * _exact(bc)
+                v = out.get(k, 0) + c * bc
                 if v:
                     out[k] = v
                 else:
@@ -740,12 +786,15 @@ class RelativeModel(Cdga):
         return out
 
     def diff_key(self, key) -> Element:
-        return Element(self.algebra, self._diff_terms(key, None))
+        return Element(self.algebra, self._diff_terms(key, {}))
 
     def generator_items(self):
         for i, g in enumerate(self.fiber.generators):
             yield (g.name, g.degree, self.embed_fiber(self.fiber.gen(g.name)),
                    self._twist.get(i, self.algebra.zero()))
+
+    def generator_names(self):
+        return [g.name for g in self.fiber.generators]
 
     def d2_items(self):
         for name, deg, elt, dv in self.base.d2_items():
@@ -810,7 +859,8 @@ def d_columns(cdga, keys, index, memo=None) -> list[dict]:
     """d of each of `keys` (one degree) as a sparse column {row: coefficient},
     rows numbered by `index` over the next degree's keys.  Columns come
     from `_diff_terms` as plain dicts, with no Element; `memo` is the
-    caller's per-walk memo of d(R), a fresh one when omitted."""
+    caller's per-walk memo (see the module docstring), a fresh one when
+    omitted."""
     if memo is None:
         memo = {}
     diff_terms = cdga._diff_terms
@@ -844,7 +894,7 @@ class _Degree:
 
 def _cochains(cdga, cutoff: int):
     """Walk degrees n = 0..cutoff once each, yielding a `_Degree` for each.
-    One memo of d(R) serves the whole walk and is dropped with it."""
+    One memo serves the whole walk and is dropped with it."""
     alg = cdga.algebra
     memo: dict = {}
     keys = alg.keys_of_degree(0)
@@ -987,8 +1037,7 @@ def tensor(a, b, label: str = ""):
     """
     label = label or f"{a.label}(x){b.label}"
     if isinstance(a, FreeCdga) and isinstance(b, FreeCdga):
-        gens, renamings = _renamed(b.algebra.generators,
-                                   [g.name for g in a.algebra.generators])
+        gens, renamings = _renamed(b.algebra.generators, a.generator_names())
         merged = FreeAlgebra(a.algebra.generators + tuple(gens), label=label)
         shift = len(a.algebra.generators)
         diff = {}
@@ -1116,23 +1165,63 @@ class CdgaMorphism:
             raise KeyError(f"morphism {self.label!r} has no image for {name!r}") from None
 
     def apply(self, element: Element) -> Element:
-        """Multiplicative extension of the images; a relative source fixes
-        the base, so a base key maps to itself (times the fiber unit)."""
-        src = self.source
-        if element.algebra is not src.algebra:
+        """The multiplicative extension of the images, f(lk (x) word) =
+        (lk (x) 1) * f(word): a relative source fixes its base, so a base
+        key lk maps to itself (times the fiber unit); other sources have
+        no base key.  One call shares f(word) among the keys of `element`
+        (see `_apply_terms`)."""
+        if element.algebra is not self.source.algebra:
             raise ContextError("element not over the morphism source")
+        return Element(self.target.algebra, self._apply_terms(element.terms, {}))
+
+    def _apply_terms(self, terms: dict, memo: dict) -> dict:
+        """f of the element with `terms`, as a plain {key: coefficient}
+        dict.  `memo` keeps f(word) under each word read by `key_word`,
+        and the products of the target's base by lk under (None, lk),
+        for as long as the caller keeps it."""
+        key_word = self.source.key_word
         tgt = self.target.algebra
-        out = tgt.zero()
-        for key, c in element.terms.items():
-            base_key, word = src.key_word(key)
-            term = (tgt.one() if base_key is None
-                    else Element(tgt, {(base_key, tgt.right.one_key()): Fraction(1)}))
-            for name, e in word:
-                img = self._image_of_generator(name)
-                for _ in range(e):
-                    term = term * img
-            out = out + term * c
+        out: dict = {}
+        for key, c in terms.items():
+            lk, word = key_word(key)
+            image = self._word_image(tuple(word), memo).terms.items()
+            if lk is not None:
+                products = memo.get((None, lk))
+                if products is None:
+                    products = memo[None, lk] = _Products(tgt.left, lk)
+                # (lk (x) 1) * (bk (x) fm) = lk*bk (x) fm: no sign
+                prod: dict = {}
+                for (bk, fm), v in image:
+                    for p, pc in products[bk]:
+                        k = (p, fm)
+                        s = prod.get(k, 0) + v * pc
+                        if s:
+                            prod[k] = s
+                        else:
+                            del prod[k]
+                image = prod.items()
+            for k, v in image:
+                s = out.get(k, 0) + c * v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
         return out
+
+    def _word_image(self, word: tuple, memo: dict) -> Element:
+        """f(word), the images multiplied from the left: f of the word
+        without its last factor times that factor's image, kept in `memo`
+        under the word."""
+        image = memo.get(word)
+        if image is None:
+            if word:
+                name, e = word[-1]
+                prefix = word[:-1] + ((name, e - 1),) if e > 1 else word[:-1]
+                image = self._word_image(prefix, memo) * self._image_of_generator(name)
+            else:
+                image = self.target.algebra.one()
+            memo[word] = image
+        return image
 
     # -- validation ----------------------------------------------------------
 
@@ -1202,11 +1291,12 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     per_degree = []
     rank_prev = 0
     image_prev = linalg.SparseEchelon()
+    memo: dict = {}
     for n, degree in enumerate(_cochains(f.target, cutoff)):
         image = _image(degree, image_prev)
         injective = True
         for rep in source.representatives[n]:
-            vec = {degree.index[k]: c for k, c in f.apply(rep).terms.items()}
+            vec = {degree.index[k]: c for k, c in f._apply_terms(rep.terms, memo).items()}
             pivot, _ = image_prev.add(vec)
             if pivot is None:
                 injective = False

@@ -70,7 +70,7 @@ class ImmersionDescription:
 def connectivity_verdict(m: int, k: int) -> str:
     """"connected" when the fiber connectivity exceeds dim M (k >= m+1)."""
     if k < 2:
-        raise ValueError(f"codimension must be >= 2, got {k}")
+        raise InputError(f"codimension must be >= 2, got {k}")
     return "connected" if k >= m + 1 else "components-indexed"
 
 

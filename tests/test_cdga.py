@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from ratimm import linalg
-from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, RelativeModel,
-                         TensorAlgebra, check_d_squared, cohomology,
-                         is_quasi_iso, tensor, unit_cdga)
+from ratimm.cdga import (CdgaMorphism, FiniteAlgebra, FiniteCdga, FreeCdga,
+                         RelativeModel, TensorAlgebra, check_d_squared,
+                         cohomology, is_quasi_iso, tensor, unit_cdga)
 from ratimm.errors import ChainMapError, ContextError, DegreeError, InputError
 from ratimm.gca import Element, FreeAlgebra, Generator, parse_element
 
@@ -209,6 +209,43 @@ def test_null_model_walk_expands_each_odd_word_once(monkeypatch):
     cohomology(model, 76, representatives=False)
     assert sum(calls.values()) == 16 and set(calls.values()) == {1}
     assert all(model.generators[i].is_odd for word in calls for i, _ in word)
+
+
+def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
+    # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm):
+    # a walk merges the closed factors of rm into D(1 (x) rm) once per rm,
+    # and asks the base for each product lk*bk once
+    from ratimm import cdga
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    models = [unreduced_framed_model(M, k)[0]
+              for M, k in sweep_instances(random.Random(0))[:8]]
+    merges, leibniz_calls, products = Counter(), Counter(), Counter()
+    times_closed, leibniz = cdga._times_closed, cdga._leibniz
+    mul_key_pairs = FiniteAlgebra.mul_key_pairs
+
+    def counted_merge(mono, closed, m):
+        merges[(mono, m)] += 1
+        return times_closed(mono, closed, m)
+
+    def counted_leibniz(fiber, mono, dgen):
+        leibniz_calls[mono] += 1
+        return leibniz(fiber, mono, dgen)
+
+    def counted_products(self, i, j):
+        products[(id(self), i, j)] += 1
+        return mul_key_pairs(self, i, j)
+
+    monkeypatch.setattr(cdga, "_times_closed", counted_merge)
+    monkeypatch.setattr(cdga, "_leibniz", counted_leibniz)
+    monkeypatch.setattr(FiniteAlgebra, "mul_key_pairs", counted_products)
+    for model in models:
+        for counts in (merges, leibniz_calls, products):
+            counts.clear()
+        cohomology(model, 24, representatives=False)
+        assert set(merges.values()) == {1} and set(leibniz_calls.values()) == {1}
+        assert set(products.values()) == {1}
+        assert {i for i, _, _ in products} == {id(model.base.algebra)}
 
 
 def test_tensor_keys_are_enumerated_in_sort_order():
@@ -693,30 +730,33 @@ def test_is_quasi_iso_assembles_each_key_at_most_once(monkeypatch):
 
 # -- the CDGA protocol -------------------------------------------------------
 #
-# `CdgaMorphism.apply` reads every source kind through `key_word`; the
-# oracle below is the earlier per-kind version, kept as an independent
-# reference.
+# `CdgaMorphism.apply` reads every source kind through `key_word`, and
+# computes f(lk (x) word) as (lk (x) 1) * f(word) with f(word) shared
+# among keys; the oracle below is the earlier generic version, which
+# multiplies the images into each key from the left.
 
 def reference_apply(f, element):
-    src, tgt = f.source, f.target
-    out = tgt.algebra.zero()
+    src = f.source
+    tgt = f.target.algebra
+    out = tgt.zero()
     for key, c in element.terms.items():
-        if isinstance(src, FiniteCdga):
-            out = out + f.images[src.algebra.basis[key][0]] * c
-            continue
-        if isinstance(src, RelativeModel):
-            lk, mono = key
-            term = Element(tgt.algebra, {(lk, tgt.fiber.one_key()): Fraction(1)})
-            gens = src.fiber.generators
-        else:
-            mono = key
-            term = tgt.algebra.one()
-            gens = src.algebra.generators
-        for i, e in mono:
+        base_key, word = src.key_word(key)
+        term = (tgt.one() if base_key is None
+                else Element(tgt, {(base_key, tgt.right.one_key()): Fraction(1)}))
+        for name, e in word:
+            img = f.images[name]
             for _ in range(e):
-                term = term * f.images[gens[i].name]
+                term = term * img
         out = out + term * c
     return out
+
+
+def _identical(got, want):
+    """Equal terms, in the same order and with the same coefficient types."""
+    return (got.algebra is want.algebra
+            and list(got.terms.items()) == list(want.terms.items())
+            and [type(c) for c in got.terms.values()]
+            == [type(c) for c in want.terms.values()])
 
 
 def _assert_apply_matches(f, upto):
@@ -726,11 +766,30 @@ def _assert_apply_matches(f, upto):
         keys = alg.keys_of_degree(n)
         for key in keys:
             elt = Element(alg, {key: Fraction(3, 2)})
-            assert f.apply(elt) == reference_apply(f, elt), (f, key)
+            assert _identical(f.apply(elt), reference_apply(f, elt)), (f, key)
         whole = Element(alg, {key: j + 1 for j, key in enumerate(keys)})
-        assert f.apply(whole) == reference_apply(f, whole), (f, n)
+        assert _identical(f.apply(whole), reference_apply(f, whole)), (f, n)
         checked += len(keys)
     return checked
+
+
+def test_apply_matches_reference_on_representatives():
+    # is_quasi_iso maps every representative through one memo
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    checked = 0
+    for seed in (0, 1):
+        for M, k in sweep_instances(random.Random(seed)):
+            phi = unreduced_framed_model(M, k)[1]
+            memo = {}
+            for reps in cohomology(phi.source, 24).representatives:
+                for rep in reps:
+                    want = reference_apply(phi, rep)
+                    assert _identical(phi.apply(rep), want), (phi, rep)
+                    shared = phi._apply_terms(rep.terms, memo)
+                    assert _identical(Element(phi.target.algebra, shared), want), (phi, rep)
+                    checked += 1
+    assert checked > 1500
 
 
 def test_apply_matches_reference_on_free_sources(s2_model):

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from ratimm.bundles import (complex_projective_plane, sphere_manifold,
-                            sphere_product_manifold, stiefel_model)
+from ratimm.bundles import (complex_projective_plane, framed_bundle_model,
+                            sphere_manifold, sphere_product_manifold,
+                            stiefel_model, unreduced_framed_model)
 from ratimm.cdga import cohomology
+from ratimm.errors import InputError
 from ratimm.immersions import (Growth, connectivity_verdict, description_to_dict,
                                description_to_json, growth_degree,
                                immersion_components, verify_growth_bounds)
@@ -22,6 +24,18 @@ def test_connectivity_examples():
     assert connectivity_verdict(2, 2) == "components-indexed"
     with pytest.raises(ValueError):
         connectivity_verdict(2, 1)
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_small_codimension_is_an_input_error(k):
+    # the four entry points that take a codimension reject k < 2 alike
+    M = sphere_manifold(2)
+    for call in (lambda: connectivity_verdict(2, k),
+                 lambda: unreduced_framed_model(M, k),
+                 lambda: framed_bundle_model(M, k),
+                 lambda: immersion_components(M, k, 10)):
+        with pytest.raises(InputError, match="codimension must be >= 2"):
+            call()
 
 
 # -- desk-scale descriptions ------------------------------------------------------
