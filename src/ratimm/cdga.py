@@ -86,8 +86,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import ChainMapError, ContextError, DegreeError, InputError
-from .gca import Element, FreeAlgebra, Generator, parse_element, parse_linear
+from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
+from .gca import _NAME_RE, Element, FreeAlgebra, Generator, parse_element
 
 __all__ = [
     "Cdga", "FreeCdga", "FiniteAlgebra", "FiniteCdga", "RelativeModel",
@@ -327,10 +327,13 @@ class FiniteAlgebra:
 
     Keys are basis indices; the single degree-0 element is the unit.
     Products may be given for either orientation of a pair, the other is
-    filled in with the Koszul sign.
+    filled in with the Koszul sign.  A product value is an expression
+    linear in basis names, or a {name: coefficient} dict; a complaint
+    about one value (a ParseError or DegreeError) names its pair in the
+    exception's `product` attribute.
     """
 
-    def __init__(self, basis, products=None, label: str = "", check: bool = True):
+    def __init__(self, basis, products=None, label: str = ""):
         self.basis = tuple((str(n), int(d)) for n, d in basis)
         self.label = label
         names = [n for n, _ in self.basis]
@@ -349,22 +352,29 @@ class FiniteAlgebra:
             self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
         self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._load_products(products or {})
-        if check:
-            self._validate()
+        self._validate()
 
     # -- construction ----------------------------------------------------
 
     def _load_products(self, products):
+        # the basis names an expression can write, all as degree-2
+        # generators: a product or power of names stays a monomial (an odd
+        # square would vanish), which `_value_vector` rejects as nonlinear
+        names = FreeAlgebra([Generator(n, 2) for n, _ in self.basis if _NAME_RE.match(n)])
         given: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (uname, vname), value in products.items():
             u, v = self.basis_index(uname), self.basis_index(vname)
-            vec = self._value_vector(value)
             deg = self.basis[u][1] + self.basis[v][1]
-            for w, c in vec.items():
-                if c and self.basis[w][1] != deg:
-                    raise DegreeError(
-                        f"product {uname}*{vname} has a degree-{self.basis[w][1]} "
-                        f"term; expected degree {deg}")
+            try:
+                vec = self._value_vector(value, names)
+                for w, c in vec.items():
+                    if c and self.basis[w][1] != deg:
+                        raise DegreeError(
+                            f"product {uname}*{vname} has a degree-{self.basis[w][1]} "
+                            f"term; expected degree {deg}")
+            except (ParseError, DegreeError) as exc:
+                exc.product = (uname, vname)
+                raise
             given[(u, v)] = vec
         n = len(self.basis)
         for u in range(n):
@@ -393,15 +403,17 @@ class FiniteAlgebra:
                             f"odd element {self.basis[u][0]} has a nonzero square")
                 self._table[(u, v)] = {w: Fraction(c) for w, c in vec.items() if c}
 
-    def _value_vector(self, value) -> dict[int, Fraction]:
-        if isinstance(value, Element):
-            if value.algebra is not self:
-                raise ContextError("product value over a foreign algebra")
-            return dict(value.terms)
+    def _value_vector(self, value, names: FreeAlgebra) -> dict[int, Fraction]:
         if isinstance(value, str):
             # product-table entries are linear in basis names (the table is
             # what defines products, so powers cannot appear on this side)
-            return parse_linear(value, self.basis_index)
+            vec = {}
+            for mono, c in parse_element(value, names).terms.items():
+                if len(mono) != 1 or mono[0][1] != 1:
+                    raise ParseError(f"term {names.format_key(mono)!r} is not a "
+                                     "basis name; a product value is linear")
+                vec[self._index[names.generators[mono[0][0]].name]] = c
+            return vec
         if isinstance(value, dict):
             return {self.basis_index(k) if not isinstance(k, int) else k: Fraction(c)
                     for k, c in value.items()}
@@ -440,10 +452,6 @@ class FiniteAlgebra:
         except KeyError:
             raise KeyError(f"unknown basis element {name!r} in {self.label!r}") from None
 
-    @property
-    def top_degree(self) -> int:
-        return max(d for _, d in self.basis)
-
     def __repr__(self):
         return f"FiniteAlgebra({self.label!r}, dim {len(self.basis)})"
 
@@ -478,41 +486,29 @@ class FiniteAlgebra:
     def gen(self, name: str) -> Element:
         return Element(self, {self.basis_index(name): Fraction(1)})
 
-    def resolve_name(self, name: str) -> Element:
-        return self.gen(name)
-
     def name_power(self, name: str, exp: int) -> Element:
         result = self.gen(name)
         for _ in range(exp - 1):
             result = result * self.gen(name)
         return result
 
-    def element(self, terms) -> Element:
-        out = {}
-        for k, c in terms.items():
-            i = k if isinstance(k, int) else self.basis_index(k)
-            if c:
-                out[i] = Fraction(c)
-        return Element(self, out)
-
 
 class FiniteCdga(Cdga):
     """Finite-dimensional CDGA: a FiniteAlgebra plus a differential."""
 
     def __init__(self, basis, products=None, differential=None, label: str = "",
-                 simply_connected: bool = False, check: bool = True):
+                 simply_connected: bool = False):
         if isinstance(basis, FiniteAlgebra):
             self.algebra = basis
         else:
-            self.algebra = FiniteAlgebra(basis, products, label=label, check=check)
+            self.algebra = FiniteAlgebra(basis, products, label=label)
         self.label = label or self.algebra.label
         self.simply_connected = simply_connected
         self._diff: dict[int, Element] = {}
         for key, value in (differential or {}).items():
             i = self.algebra.basis_index(key) if not isinstance(key, int) else key
             self._diff[i] = _as_element(value, self.algebra)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         alg = self.algebra
@@ -645,11 +641,6 @@ class TensorAlgebra:
         unit = self.left.one_key()
         return Element(self, {(unit, m): c for m, c in element.terms.items()})
 
-    def resolve_name(self, name: str) -> Element:
-        if name in self.right:
-            return self.embed_right(self.right.gen(name))
-        return self.embed_left(self.left.resolve_name(name))
-
     def name_power(self, name: str, exp: int) -> Element:
         if name in self.right:
             return self.embed_right(self.right.name_power(name, exp))
@@ -670,7 +661,7 @@ class RelativeModel(Cdga):
     is keyed by given (or new) fiber names, and each value is one of:
 
     * a string, parsed over the model's algebra (new fiber names);
-    * an element of the model's own algebra, or of the base algebra;
+    * an element of the base algebra;
     * an element of `FreeAlgebra(fiber_generators)`, or of
       `TensorAlgebra(base.algebra, FreeAlgebra(fiber_generators))`: an
       algebra over the fiber generators as given, whose keys are the
@@ -709,8 +700,6 @@ class RelativeModel(Cdga):
         if not isinstance(value, Element):
             return _as_element(value, self.algebra)
         alg = value.algebra
-        if alg is self.algebra:
-            return value
         if alg is self.base.algebra:
             return self.embed_base(value)
         # over the fiber generators as given: the keys are already ours
@@ -1138,7 +1127,7 @@ class CdgaMorphism:
     identity there) or on the whole basis (finite source).
     """
 
-    def __init__(self, source, target, images, label: str = "", check: bool = True):
+    def __init__(self, source, target, images, label: str = ""):
         self.source = source
         self.target = target
         self.label = label
@@ -1153,8 +1142,7 @@ class CdgaMorphism:
                 raise ContextError(
                     "a morphism from a relative model must target a relative "
                     "model over the same base")
-        if check:
-            self.validate()
+        self.validate()
 
     # -- application -------------------------------------------------------
 

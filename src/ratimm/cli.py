@@ -29,7 +29,7 @@ from .errors import RatimmError
 from .immersions import description_to_dict, immersion_components
 from .io import load_manifold, load_cdga
 from .mapping import odd_sphere_mapping, sphere_map_null_model
-from .series import em_series, series_product, PoincareSeries
+from .series import em_product_series
 from .sweeps import DEFAULT_SEED, run_suites
 
 EXIT_OK = 0
@@ -142,11 +142,7 @@ def cmd_map_sphere(args) -> int:
     if args.k % 2:
         betti = M.betti(args.k)
         factors = odd_sphere_mapping(betti, args.k)
-        series = PoincareSeries.one(args.max_degree)
-        for f in factors:
-            series = series_product(series,
-                                    em_series(f.degree, f.coefficient_dim,
-                                              args.max_degree))
+        series = em_product_series(factors, args.max_degree)
         if args.format == "json":
             payload = {
                 "command": "map-sphere", "manifold": M.name, "k": args.k,

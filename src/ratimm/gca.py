@@ -198,9 +198,6 @@ class FreeAlgebra:
         i = self.generator_index(name)
         return Element(self, {((i, 1),): Fraction(1)})
 
-    def resolve_name(self, name: str) -> "Element":
-        return self.gen(name)
-
     def name_power(self, name: str, exp: int) -> "Element":
         g = self.generator(name)
         if g.is_odd and exp > 1:
@@ -347,7 +344,9 @@ class Element:
 #            factor  = name ["^" positive-int]
 #            rational as "p/q" or an integer; whitespace insignificant.
 # As a convenience a bare rational is accepted as a term, so "0" and
-# constant expressions parse.
+# constant expressions parse.  This is the one grammar of model input:
+# differentials, Pontryagin classes, twists and product-table values,
+# which `FiniteAlgebra` then checks to be linear in basis names.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -379,9 +378,9 @@ def _tokenize(text: str):
 def parse_element(text: str, context) -> Element:
     """Parse an expression string into an Element over `context`.
 
-    `context` is any algebra exposing `resolve_name`, `name_power`, `one`
-    and `zero`; both free algebras and finite basis-presented algebras
-    qualify (powers in a finite context expand through the product table).
+    `context` is any algebra exposing `name_power` and `one`: free
+    algebras, finite basis-presented algebras (powers expand through the
+    product table) and tensor algebras qualify.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -461,58 +460,6 @@ def parse_element(text: str, context) -> Element:
     if tok[0] != "end":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", position=tok[2])
     return result
-
-
-def parse_linear(text: str, resolve) -> dict:
-    """Parse a linear combination "c1*name1 + c2*name2 + ...".
-
-    `resolve` maps a name to a key; used for product-table values, which
-    are linear in basis names by definition.  Returns {key: Fraction}.
-    """
-    tokens = _tokenize(text)
-    pos = 0
-    out: dict = {}
-
-    def rational(tok) -> Fraction:
-        if "/" in tok[1]:
-            p, q = tok[1].split("/")
-            if int(q) == 0:
-                raise ParseError(f"malformed rational {tok[1]!r}", position=tok[2])
-            return Fraction(int(p), int(q))
-        return Fraction(int(tok[1]))
-
-    while tokens[pos][0] != "end":
-        sign = 1
-        while tokens[pos][:2] in (("op", "+"), ("op", "-")):
-            if tokens[pos][1] == "-":
-                sign = -sign
-            pos += 1
-        coeff = Fraction(1)
-        tok = tokens[pos]
-        if tok[0] == "number":
-            coeff = rational(tok)
-            pos += 1
-            if tokens[pos][:2] == ("op", "*"):
-                pos += 1
-                tok = tokens[pos]
-            else:
-                if coeff != 0:
-                    raise ParseError("linear combination expects name after coefficient",
-                                     position=tok[2])
-                continue
-        if tok[0] != "name":
-            raise ParseError(f"expected basis name, found {tok[1]!r}", position=tok[2])
-        try:
-            key = resolve(tok[1])
-        except KeyError:
-            raise ParseError(f"unknown basis element {tok[1]!r}", position=tok[2]) from None
-        pos += 1
-        val = out.get(key, Fraction(0)) + sign * coeff
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return out
 
 
 def basis_count_series(generators, upto: int) -> list[int]:

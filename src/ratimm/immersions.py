@@ -19,7 +19,7 @@ from .cdga import FiniteCdga, FreeCdga, cohomology
 from .errors import InputError
 from .mapping import (EMFactor, SphereFactor, em_mapping_space,
                       sphere_map_null_model)
-from .series import (PoincareSeries, RationalForm, em_series,
+from .series import (PoincareSeries, RationalForm, em_product_series,
                      reconstruct_rational_series, series_product)
 
 __all__ = [
@@ -145,9 +145,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         em_factors.extend(em_mapping_space(bettiM, n))
     em_factors.sort(key=lambda f: (f.degree, -f.coefficient_dim))
 
-    em_part = PoincareSeries.one(cutoff)
-    for f in em_factors:
-        em_part = series_product(em_part, em_series(f.degree, f.coefficient_dim, cutoff))
+    em_part = em_product_series(em_factors, cutoff)
 
     sphere_factor = None
     sphere_model_ = None

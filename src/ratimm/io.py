@@ -150,8 +150,12 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
                 if f not in names:
                     raise ParseError(f"unknown basis element {f!r}", line=lineno)
             products[(factors[0], factors[1])] = (lineno, expr)
-        algebra = FiniteAlgebra(basis, {k: e for k, (_, e) in products.items()},
-                                label=label)
+        try:
+            algebra = FiniteAlgebra(basis, {k: e for k, (_, e) in products.items()},
+                                    label=label)
+        except (ParseError, DegreeError) as exc:  # about one product value
+            lineno, expr = products[exc.product]
+            raise ParseError(f"{exc} (in expression {expr!r})", line=lineno) from None
         diff = {}
         for lineno, value in fields.get("d", []):
             name, expr = _parse_assignment(value, lineno, "name")

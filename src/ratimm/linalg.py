@@ -180,15 +180,11 @@ def kernel_vectors(ech: SparseEchelon, columns):
             yield primitive(aug)[0]
 
 
-def kernel_echelon(columns: list[dict]):
-    """Echelon and kernel basis (`kernel_vectors`) of the columns."""
-    ech = SparseEchelon()
-    return ech, list(kernel_vectors(ech, columns))
-
-
 def sparse_rank_kernel(columns: list[dict]):
-    """Rank and kernel basis (see :func:`kernel_echelon`)."""
-    ech, kernel = kernel_echelon(columns)
+    """Rank and kernel basis of the matrix whose columns are the given
+    sparse vectors, from one fresh echelon filled by `kernel_vectors`."""
+    ech = SparseEchelon()
+    kernel = list(kernel_vectors(ech, columns))
     return ech.rank, kernel
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["RationalForm", "PoincareSeries", "em_series", "series_product",
-           "reconstruct_rational_series"]
+           "em_product_series", "reconstruct_rational_series"]
 
 
 def _poly_mul(a, b):
@@ -201,6 +201,15 @@ def em_series(n: int, multiplicity: int, cutoff: int) -> PoincareSeries:
 def series_product(a: PoincareSeries, b: PoincareSeries) -> PoincareSeries:
     """Truncated convolution (cutoffs reconciled by taking the minimum)."""
     return a * b
+
+
+def em_product_series(factors, cutoff: int) -> PoincareSeries:
+    """Betti series of a product of Eilenberg-MacLane factors, each with
+    a `degree` and a `coefficient_dim` (multiplicity)."""
+    series = PoincareSeries.one(cutoff)
+    for f in factors:
+        series = series_product(series, em_series(f.degree, f.coefficient_dim, cutoff))
+    return series
 
 
 def reconstruct_rational_series(coeffs, denominator_degrees,

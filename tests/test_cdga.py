@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from ratimm import linalg
+from ratimm.bundles import sphere_manifold
 from ratimm.cdga import (CdgaMorphism, FiniteAlgebra, FiniteCdga, FreeCdga,
                          RelativeModel, TensorAlgebra, check_d_squared,
                          cohomology, is_quasi_iso, tensor, unit_cdga)
 from ratimm.errors import ChainMapError, ContextError, DegreeError, InputError
 from ratimm.gca import Element, FreeAlgebra, Generator, parse_element
+from ratimm.sweeps import nonformal_base
 
 
 @pytest.fixture
@@ -471,6 +473,19 @@ def test_kunneth_finite_pairs(cp2):
     assert tp == _convolve(ta, tb, 8)
 
 
+def test_kunneth_finite_pairs_with_differential():
+    # a factor with d != 0 reaches the differential of the finite tensor
+    nf, s3 = nonformal_base(), sphere_manifold(3).model
+    for a, b in ((nf, s3), (nf, nf), (s3, nf)):
+        prod = tensor(a, b)
+        assert isinstance(prod, FiniteCdga)
+        ta = cohomology(a, 14, representatives=False).dims
+        tb = cohomology(b, 14, representatives=False).dims
+        tp = cohomology(prod, 14, representatives=False).dims
+        assert tp == _convolve(ta, tb, 14)
+        assert cohomology(prod, 14, engine="dense").dims == tp
+
+
 def test_kunneth_mixed_relative(cp2):
     s3 = FreeCdga([Generator("x", 3)], {})
     rel = tensor(cp2, s3)
@@ -485,6 +500,15 @@ def test_kunneth_mixed_relative(cp2):
 
 
 # -- finite algebra validation -----------------------------------------------
+
+def test_power_in_finite_context_uses_the_product_table(cp2):
+    assert parse_element("a^2", cp2.algebra) == cp2.algebra.gen("aa")
+
+
+def test_basis_name_need_not_be_an_identifier_unless_written():
+    cdga = FiniteCdga([("one", 0), ("a-b", 2), ("c", 4)], {("a-b", "a-b"): "0"})
+    assert cohomology(cdga, 4, representatives=False).dims == [1, 0, 1, 0, 1]
+
 
 def test_two_units_rejected():
     with pytest.raises(ValueError):
@@ -586,7 +610,8 @@ def reference_cohomology(cdga, cutoff):
     for n in range(cutoff + 1):
         cols = [{index[n + 1][k]: c for k, c in cdga.diff_key(key).terms.items()}
                 for key in keys[n]]
-        image, kernel = linalg.kernel_echelon(cols)
+        image = linalg.SparseEchelon()
+        kernel = list(linalg.kernel_vectors(image, cols))
         chosen = []
         for ker in kernel:
             residue = image_prev.reduce(ker)

@@ -92,6 +92,21 @@ def test_duplicate_differential_rejected():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("value, complaint", [
+    ("2*aa + b", "unknown generator 'b'"),
+    ("aa*aa", "term 'aa^2' is not a basis name"),
+    ("a3", "product a*a has a degree-6 term; expected degree 4"),
+])
+def test_product_value_errors_carry_lines(value, complaint):
+    text = ("kind: finite\nbasis: one 0\nbasis: a 2\nbasis: aa 4\nbasis: a3 6\n"
+            f"product: a * aa = a3\nproduct: a * a = {value}\n")
+    with pytest.raises(ParseError) as err:
+        parse_cdga(text)
+    assert err.value.line == 7
+    assert complaint in str(err.value)
+    assert str(err.value).endswith(f" (in expression {value!r})")
+
+
 def test_pontryagin_errors_carry_lines():
     text = ("manifold: X\ndimension: 4\nkind: finite\nbasis: one 0\n"
             "basis: a 2\nbasis: aa 4\nproduct: a * a = aa\n"
