@@ -97,6 +97,8 @@ class ManifoldModel:
                 if not model.diff(elt).is_zero():
                     raise ValueError(f"p_{i} cocycle is not closed: d = {model.diff(elt)}")
             self.pontryagin[i] = elt
+        if isinstance(model, FiniteCdga) and model.simply_connected:
+            return  # its constructor checked H^0 = Q and H^1 = 0
         table = cohomology(model, 1, representatives=False)
         if table.dims[0] != 1:
             raise ValueError("manifold model must be connected (H^0 = Q)")

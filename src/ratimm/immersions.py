@@ -17,9 +17,10 @@ from fractions import Fraction
 from .bundles import (ManifoldModel, check_pontryagin_hypothesis, stiefel_model)
 from .cdga import FiniteCdga, FreeCdga, cohomology
 from .errors import InputError
+from .groebner import pure_krull_dimension
 from .mapping import (EMFactor, SphereFactor, em_mapping_space,
                       sphere_map_null_model)
-from .series import (PoincareSeries, RationalForm, em_product_series,
+from .series import (PoincareSeries, em_product_series,
                      reconstruct_rational_series, series_product)
 
 __all__ = [
@@ -58,6 +59,8 @@ class ImmersionDescription:
     sphere_factor: SphereFactor | None = None
     sphere_model: FreeCdga | None = field(default=None, compare=False)
     sphere_series: PoincareSeries | None = None
+    # dim ΛQ/I of the sphere model when it is pure (see `growth_degree`)
+    sphere_dimension: int | None = None
     em_part_series: PoincareSeries | None = None
     series: PoincareSeries | None = None
     growth: str = "none"
@@ -74,31 +77,33 @@ def connectivity_verdict(m: int, k: int) -> str:
     return "connected" if k >= m + 1 else "components-indexed"
 
 
-def _sphere_series(model: FreeCdga, cutoff: int) -> PoincareSeries:
-    """Betti series of a mapping-space model, with a verified closed form.
+def _sphere_series(model: FreeCdga, cutoff: int, pure: bool) -> PoincareSeries:
+    """Betti series of a mapping-space model, with a fitted closed form.
 
-    The cohomology is computed past the requested cutoff and fitted to
-    P(t)/prod(1-t^d) over the even generator degrees of the model; the
-    extra computed coefficients validate the fit.  Without a verified
-    fit the series is returned cutoff-only (no growth classification).
+    The fit walks the cohomology past the requested cutoff, to
+    3*span+16 (span = the sum of the even generator degrees), fits
+    P(t)/prod(1-t^d) over the even generator degrees of the model, and
+    lets the coefficients past the numerator's end validate it; without
+    a verified fit the form is None.  A pure model's growth needs no
+    fit (`pure_krull_dimension`), so its cohomology is walked to the
+    cutoff only, and the fit runs when something first reads the form.
+    Any other model is walked once, to the fit's cutoff, and fitted now.
     """
     even_degrees = [g.degree for g in model.algebra.generators
                     if g.degree % 2 == 0]
-    span = sum(even_degrees)
-    if even_degrees:
-        recon_cutoff = max(cutoff, 3 * span + 16)
-    else:
-        # all generators odd: the model is finite-dimensional, so computing
-        # past its top degree makes the polynomial form exact
-        recon_cutoff = max(cutoff, sum(g.degree for g in model.algebra.generators))
-    table = cohomology(model, recon_cutoff, representatives=False)
-    coeffs = table.dims
-    if not even_degrees:
-        form = RationalForm.polynomial(coeffs)
-        return PoincareSeries(coeffs[:cutoff + 1], cutoff, form)
-    form = reconstruct_rational_series(coeffs, even_degrees,
-                                       verify_from=recon_cutoff - 8)
-    return PoincareSeries(coeffs[:cutoff + 1], cutoff, form)
+    recon_cutoff = max(cutoff, 3 * sum(even_degrees) + 16)
+
+    def fit(coeffs=None):
+        if coeffs is None:
+            coeffs = cohomology(model, recon_cutoff, representatives=False).dims
+        return reconstruct_rational_series(coeffs, even_degrees,
+                                           verify_from=recon_cutoff - 8)
+
+    if pure:
+        return PoincareSeries(cohomology(model, cutoff, representatives=False).dims,
+                              cutoff, fit=fit)
+    coeffs = cohomology(model, recon_cutoff, representatives=False).dims
+    return PoincareSeries(coeffs[:cutoff + 1], cutoff, fit(coeffs))
 
 
 def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> ImmersionDescription:
@@ -150,6 +155,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     sphere_factor = None
     sphere_model_ = None
     sphere_series = None
+    sphere_dimension = None
     status = "resolved"
     if k % 2 == 0:
         hk = bettiM.dims[k] if k <= bettiM.cutoff else 0
@@ -160,7 +166,14 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
                     "finite-dimensional model of the manifold")
             sphere_factor = SphereFactor(k, "resolved-null")
             sphere_model_ = sphere_map_null_model(M.model, k)
-            sphere_series = _sphere_series(sphere_model_, cutoff)
+            # a source model in even degrees only has d = 0, so its null
+            # model is pure: d(x_u) = 0 and d(y_u) is quadratic in the x_u;
+            # any other source keeps the fit, even where its null model is
+            # pure too (S^3 at k = 2 gives the model of S^2)
+            if all(deg % 2 == 0 for _, deg in M.model.algebra.basis):
+                sphere_dimension = pure_krull_dimension(sphere_model_)
+            sphere_series = _sphere_series(sphere_model_, cutoff,
+                                           pure=sphere_dimension is not None)
         else:
             sphere_factor = SphereFactor(k, "symbolic")
             status = "symbolic-sphere"
@@ -175,7 +188,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         hypotheses=checks, connectivity=connectivity,
         em_factors=em_factors, sphere_factor=sphere_factor,
         sphere_model=sphere_model_, sphere_series=sphere_series,
-        em_part_series=em_part, series=total)
+        sphere_dimension=sphere_dimension, em_part_series=em_part, series=total)
     if status == "symbolic-sphere":
         desc.growth = "symbolic"
     else:
@@ -189,19 +202,28 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
 def growth_degree(description: ImmersionDescription) -> Growth:
     """Coefficient growth of the component's Betti numbers.
 
-    The total series is a product of (1 +- t^n)^{+-1} factors, so its
-    coefficients grow like j^(E-1) with E the pole order at t = 1;
-    E = 0 means a finite-dimensional answer.  Exponential growth cannot
-    occur for these descriptions.
+    The coefficients grow like j^(E-1) with E the pole order at t = 1 of
+    the total series; E = 0 means a finite-dimensional answer.  The EM
+    part is a product of (1 +- t^n)^{+-1} factors, whose pole order its
+    closed form gives.  A pure sphere model's cohomology H is a finitely
+    generated module over ΛQ/I with ΛQ/I as a direct summand, so by
+    Hilbert-Serre its pole order is dim ΛQ/I (Félix-Halperin-Thomas,
+    §32), and E is their sum.  Otherwise E is read from the fitted
+    closed form of the total series.  Exponential growth cannot occur
+    for these descriptions.
     """
     if description.status == "symbolic-sphere":
         raise ValueError("growth is undefined while the sphere factor is symbolic")
     if description.status == "hypothesis-failed":
         raise ValueError("no description: hypotheses failed")
     series = description.series
-    if series is None or series.form is None:
+    if description.sphere_dimension is not None:
+        pole = (description.em_part_series.form.pole_order_at_one()
+                + description.sphere_dimension)
+    elif series is None or series.form is None:
         raise ValueError("series has no verified closed form; growth undetermined")
-    pole = series.form.pole_order_at_one()
+    else:
+        pole = series.form.pole_order_at_one()
     if pole == 0:
         return Growth("finite")
     return Growth("polynomial", pole - 1)

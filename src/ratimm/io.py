@@ -149,7 +149,11 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
             for f in factors:
                 if f not in names:
                     raise ParseError(f"unknown basis element {f!r}", line=lineno)
-            products[(factors[0], factors[1])] = (lineno, expr)
+            pair = (factors[0], factors[1])
+            if pair in products:
+                raise ParseError(f"product: {pair[0]} * {pair[1]} given more than once",
+                                 line=lineno)
+            products[pair] = (lineno, expr)
         try:
             algebra = FiniteAlgebra(basis, {k: e for k, (_, e) in products.items()},
                                     label=label)

@@ -119,10 +119,15 @@ class RationalForm:
 
 
 class PoincareSeries:
-    """Truncated Betti-number generating series with exact product."""
+    """Truncated Betti-number generating series with exact product.
+
+    The closed form may be given, or computed on first use by `fit`, a
+    callable that returns it (or None when there is none); a product's
+    form is the product of its factors' forms, computed on first use too.
+    """
 
     def __init__(self, coeffs, cutoff: int | None = None,
-                 form: RationalForm | None = None):
+                 form: RationalForm | None = None, fit=None):
         coeffs = [int(c) for c in coeffs]
         if cutoff is None:
             cutoff = len(coeffs) - 1
@@ -130,7 +135,14 @@ class PoincareSeries:
             coeffs = coeffs + [0] * (cutoff + 1 - len(coeffs))
         self.cutoff = cutoff
         self.coeffs = tuple(coeffs[:cutoff + 1])
-        self.form = form
+        self._form = form
+        self._fit = fit
+
+    @property
+    def form(self) -> RationalForm | None:
+        if self._fit is not None:
+            self._form, self._fit = self._fit(), None
+        return self._form
 
     @staticmethod
     def from_form(form: RationalForm, cutoff: int) -> "PoincareSeries":
@@ -148,8 +160,8 @@ class PoincareSeries:
                 continue
             for j, y in enumerate(other.coeffs[:cutoff + 1 - i]):
                 out[i + j] += x * y
-        form = self.form * other.form if (self.form and other.form) else None
-        return PoincareSeries(out, cutoff, form)
+        return PoincareSeries(out, cutoff, fit=lambda: (
+            self.form * other.form if self.form and other.form else None))
 
     def __eq__(self, other):
         if not isinstance(other, PoincareSeries):

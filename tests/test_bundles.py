@@ -126,6 +126,25 @@ def test_manifold_rejects_non_simply_connected():
         ManifoldModel(2, circleish, {})
 
 
+def test_manifold_walks_only_models_not_checked_at_construction(monkeypatch):
+    import ratimm.bundles as bundles
+    walks = []
+
+    def counted(model, cutoff, **kwargs):
+        walks.append(model.label)
+        return cohomology(model, cutoff, **kwargs)
+
+    flagged = FiniteCdga([("one", 0), ("a", 2)], {}, label="flagged",
+                         simply_connected=True)
+    unflagged = FiniteCdga([("one", 0), ("a", 2)], {}, label="unflagged")
+    free = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"},
+                    label="free")
+    monkeypatch.setattr(bundles, "cohomology", counted)
+    for model in (flagged, unflagged, free):
+        ManifoldModel(2, model, {})
+    assert walks == ["unflagged", "free"]
+
+
 def test_manifold_rejects_non_closed_cocycle():
     nf = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
                     {("a", "a"): "a2", ("a", "y"): "w"}, {"y": "a2"},

@@ -1,13 +1,15 @@
 """Immersion-space component descriptions, series assembly, growth."""
 
+import hashlib
 import json
 
 import pytest
 
-from ratimm.bundles import (complex_projective_plane, framed_bundle_model,
-                            sphere_manifold, sphere_product_manifold,
-                            stiefel_model, unreduced_framed_model)
-from ratimm.cdga import cohomology
+from ratimm.bundles import (ManifoldModel, complex_projective_plane,
+                            framed_bundle_model, sphere_manifold,
+                            sphere_product_manifold, stiefel_model,
+                            unreduced_framed_model)
+from ratimm.cdga import FiniteCdga, cohomology
 from ratimm.errors import InputError
 from ratimm.immersions import (Growth, connectivity_verdict, description_to_dict,
                                description_to_json, growth_degree,
@@ -73,6 +75,59 @@ def test_imm_without_a_verified_fit_has_undetermined_growth(monkeypatch):
     assert d.status == "resolved" and d.sphere_series.form is None
     assert d.growth == "undetermined"
     assert description_to_dict(d)["growth"] == "undetermined"
+
+
+# sources in even degrees only, whose sphere null models are pure
+PURE_SOURCES = {
+    "S2": lambda: sphere_manifold(2),
+    "S4": lambda: sphere_manifold(4),
+    "S6": lambda: sphere_manifold(6),
+    "S2xS2": lambda: sphere_product_manifold(2, 2),
+    "S2xS4": lambda: sphere_product_manifold(2, 4),
+    "S2xS6": lambda: sphere_product_manifold(2, 6),
+    "CP2": lambda: complex_projective_plane(p1=0),
+    "CP3": lambda: ManifoldModel(6, FiniteCdga(
+        [("one", 0), ("a", 2), ("a2", 4), ("a3", 6)],
+        {("a", "a"): "a2", ("a", "a2"): "a3"}, label="CP3",
+        simply_connected=True), {}, name="CP^3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURE_SOURCES))
+def test_krull_dimension_is_the_fitted_pole(name):
+    M = PURE_SOURCES[name]()
+    betti = M.betti(10)
+    for k in (2, 4, 6, 8, 10):
+        if betti.dims[k]:
+            continue  # symbolic sphere factor
+        d = immersion_components(M, k, 10)
+        form = d.sphere_series.form
+        assert form is not None, (name, k)
+        assert d.sphere_dimension == form.pole_order_at_one(), (name, k)
+        pole = d.series.form.pole_order_at_one()
+        assert d.growth == ("finite" if pole == 0 else f"polynomial({pole - 1})")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pure_growth_needs_no_fit(monkeypatch):
+    import ratimm.immersions as immersions
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the closed form was fitted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(immersions, "reconstruct_rational_series", no_fit)
+        d = immersion_components(sphere_product_manifold(2, 4), 8, 30)
+        text = description_to_json(d)
+    # digests of the output of the code that fitted every series at once
+    assert _sha256(text) == \
+        "50dca5c38aca473f87af704f0d8152d02e1721345c2d9ef95da146d6f3ca623d"
+    assert _sha256(str(d.series)) == \
+        "f0c51e4fe45e7cad9d8fb9e96a727bdb8acc752f13c44581708dca972fe8bbeb"
+    assert str(d.series).endswith(" / (1-t^6)(1-t^8)")
 
 
 def test_imm_s2_r4_symbolic():

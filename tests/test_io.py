@@ -92,6 +92,16 @@ def test_duplicate_differential_rejected():
     assert err.value.line == 5
 
 
+def test_duplicate_product_rejected():
+    # the same ordered pair twice; the mirrored pair is a consistency check
+    text = ("kind: finite\nbasis: one 0\nbasis: a 2\nbasis: aa 4\n"
+            "product: a * a = aa\nproduct: a * a = 2*aa\n")
+    with pytest.raises(ParseError) as err:
+        parse_cdga(text)
+    assert err.value.line == 6
+    assert "product: a * a given more than once" in str(err.value)
+
+
 @pytest.mark.parametrize("value, complaint", [
     ("2*aa + b", "unknown generator 'b'"),
     ("aa*aa", "term 'aa^2' is not a basis name"),
