@@ -41,9 +41,9 @@ Cohomology is computed degreewise by exact sparse elimination: `_cochains`
 walks the degrees, enumerating each one's keys once and assembling each
 column at most once.  Rank comes first, untagged and cleared: since
 d^2 = 0, the columns of d_n at the pivots of im d_{n-1} depend on the
-others and are skipped (`_image`).  A kernel, with its rational
-bookkeeping, is computed only in a degree with b_n > 0 whose
-representatives a caller asked for.  `is_quasi_iso` walks the target
+others and are skipped (`_image`).  Representatives are the kernel of
+the kept columns, one tagged pass where b_n > 0: cocycles off the pivots
+of im d_{n-1}, none a coboundary.  `is_quasi_iso` walks the target
 once, rank only, and tests f(representatives) against the image echelons
 of that walk.  Two independent engines recompute the ranks, on every
 column, as a check: a modular rank certified by exactly verified kernel
@@ -84,6 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
@@ -918,11 +919,12 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     engine="sparse" is the production path: one fraction-free sparse
     elimination of each degree's differential, rank only and cleared
     (`_image`), and its echelon is the image of d_n.  With
-    representatives, a degree with b_n > 0 also gets a tagged
-    elimination of all its columns, in key order, for its kernel (a
-    degree with b_n = 0 gets none); each kernel vector that is
-    independent modulo the image of d_{n-1} becomes a representative,
-    up to the b_n-th, where the elimination stops.
+    representatives, a degree with b_n > 0 also gets one tagged
+    elimination of the columns left after clearing, in key order; each
+    of their first b_n kernel vectors is a representative.  A nonzero coboundary
+    has its lowest coordinate at a pivot of im d_{n-1}, and a cocycle
+    reduces modulo im d_{n-1} to one off them: the cocycles off the
+    pivots, of dimension b_n, complement the coboundaries.
 
     The checking engines return no representatives.  engine="certified"
     hands the uncleared columns to the sparse elimination and all of
@@ -962,23 +964,19 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
         dims.append(b_n)
         rank_prev = rank
         if representatives:
-            chosen = []
-            tagged = linalg.SparseEchelon()
-            for ker in linalg.kernel_vectors(tagged, degree.columns()) if b_n else ():
-                residue = image_prev.reduce(ker)
-                if residue:
-                    image_prev.add(residue)
-                    chosen.append(Element(alg, {keys[j]: Fraction(c)
-                                                for j, c in ker.items()}))
-                    if len(chosen) == b_n:  # later kernel vectors are in the span
-                        break
+            skip = image_prev.pivot_cols
+            kept = [key for j, key in enumerate(keys) if j not in skip]
+            kernel = linalg.kernel_vectors(linalg.SparseEchelon(),
+                                           degree.columns(skip)) if b_n else ()
+            chosen = [Element(alg, {kept[j]: Fraction(c) for j, c in ker.items()})
+                      for ker in islice(kernel, b_n)]
             if len(chosen) != b_n:
                 raise AssertionError(
                     f"rank bookkeeping mismatch in degree {n}: "
                     f"{len(chosen)} representatives for b_{n}={b_n}")
             reps.append(chosen)
         if engine != "dense":
-            # degree n+1 clears the pivots of im d_n, and reduces against it
+            # degree n+1 clears the pivots of im d_n
             image_prev = image
     return BettiTable(cutoff, dims, reps if representatives else None)
 
@@ -1110,7 +1108,9 @@ def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
     for name, vec in differential.items():
         diff_exprs[name] = Element(result_alg,
                                    {result_alg.basis_index(k): v for k, v in vec.items()})
-    result = FiniteCdga(result_alg, differential=diff_exprs, label=label)
+    # by Kunneth H^0 = Q and H^1 = 0 when both factors are simply connected
+    result = FiniteCdga(result_alg, differential=diff_exprs, label=label,
+                        simply_connected=a.simply_connected and b.simply_connected)
     result.renamings = {}
     return result
 

@@ -471,6 +471,8 @@ def test_kunneth_finite_pairs(cp2):
     tb = cohomology(s2f, 8, representatives=False).dims
     tp = cohomology(prod, 8, representatives=False).dims
     assert tp == _convolve(ta, tb, 8)
+    # H^0 = Q and H^1 = 0 pass to the product when both factors have them
+    assert tensor(cp2, cp2).simply_connected and not prod.simply_connected
 
 
 def test_kunneth_finite_pairs_with_differential():
@@ -599,7 +601,8 @@ def test_equal_dimensions_with_a_non_injective_map_fail():
 # The references below are the earlier implementations: a tagged kernel
 # elimination in every degree, and a quasi-isomorphism check that computes
 # the target's representatives too and rebuilds the echelon of the target's
-# d_{n-1} in every degree.
+# d_{n-1} in every degree.  `reference_cleared_representatives` picks the
+# basis that `cohomology` picks, by the same rule but on its own walk.
 
 def reference_cohomology(cdga, cutoff):
     alg = cdga.algebra
@@ -646,6 +649,26 @@ def reference_is_quasi_iso(f, cutoff):
     return ok, cutoff, per_degree
 
 
+def reference_cleared_representatives(cdga, cutoff):
+    """For each degree n: the pivot set P of an uncleared echelon of all of
+    d_{n-1}'s columns, the kernel vectors of a fresh echelon over d_n's
+    columns off P, in key order, as elements, and d_{n-1}'s columns."""
+    alg = cdga.algebra
+    keys = [alg.keys_of_degree(n) for n in range(cutoff + 2)]
+    index = [{k: i for i, k in enumerate(kk)} for kk in keys]
+    out, pivots, cols_prev = [], {}, []
+    for n in range(cutoff + 1):
+        cols = [{index[n + 1][k]: c for k, c in cdga.diff_key(key).terms.items()}
+                for key in keys[n]]
+        kept = [j for j in range(len(cols)) if j not in pivots]
+        kernel = linalg.kernel_vectors(linalg.SparseEchelon(), [cols[j] for j in kept])
+        reps = [Element(alg, {keys[n][kept[j]]: Fraction(c) for j, c in ker.items()})
+                for ker in kernel]
+        out.append((set(pivots), reps, cols_prev))
+        pivots, cols_prev = linalg.SparseEchelon(cols).pivot_cols, cols
+    return out
+
+
 def _failing_morphisms():
     x3 = FreeCdga([Generator("x3", 3)], {})
     b4 = FreeCdga([Generator("b4", 4)], {})
@@ -676,6 +699,9 @@ def test_is_quasi_iso_matches_reference():
 
 
 def test_representatives_match_the_every_degree_kernel_reference():
+    # the representatives are the kernel of the columns off the pivots P of
+    # im d_{n-1}; by the dense oracle they are cocycles off P that span the
+    # same complement of the coboundaries as the earlier greedy basis
     from ratimm.bundles import (sphere_product_manifold, stiefel_model,
                                 unreduced_framed_model)
     from ratimm.mapping import sphere_map_null_model
@@ -688,11 +714,29 @@ def test_representatives_match_the_every_degree_kernel_reference():
     compared = 0
     for cdga, cutoff in cases:
         table = cohomology(cdga, cutoff, representatives=True)
-        dims, reps = reference_cohomology(cdga, cutoff)
+        dims, old = reference_cohomology(cdga, cutoff)
         assert table.dims == dims, cdga
+        cleared = reference_cleared_representatives(cdga, cutoff)
         got = [[list(r.terms.items()) for r in rr] for rr in table.representatives]
-        want = [[list(r.terms.items()) for r in rr] for rr in reps]
+        want = [[list(r.terms.items()) for r in rr] for _, rr, _ in cleared]
         assert got == want, cdga
+        for n, (pivots, new, cob) in enumerate(cleared):
+            assert len(new) == dims[n], (cdga, n)
+            if not dims[n]:
+                continue
+            index = {k: i for i, k in enumerate(cdga.algebra.keys_of_degree(n))}
+
+            def rank(*parts):
+                cols = [col for part in parts for col in part]
+                return linalg.dense_rank(linalg.dense_from_columns(cols, len(index)))
+
+            new_cols = [{index[k]: c for k, c in r.terms.items()} for r in new]
+            old_cols = [{index[k]: c for k, c in r.terms.items()} for r in old[n]]
+            assert all(cdga.diff(r).is_zero() for r in new), (cdga, n)
+            assert not any(j in pivots for col in new_cols for j in col), (cdga, n)
+            full = rank(cob) + dims[n]
+            assert rank(cob, new_cols) == rank(cob, old_cols) == full, (cdga, n)
+            assert rank(cob, new_cols, old_cols) == full, (cdga, n)
         compared += sum(dims)
     assert compared > 1500
 
@@ -741,15 +785,13 @@ def test_is_quasi_iso_assembles_each_key_at_most_once(monkeypatch):
                                for n in range(cutoff + 1)
                                for key in model.algebra.keys_of_degree(n)}
         # the keys left out of degree n are the rank(d_{n-1}) cleared ones,
-        # except where the source's representatives need every column (b_n > 0)
+        # on both sides: the source's representatives need no cleared column
         for model in (phi.source, phi.target):
             rank_prev = 0
             for n, rank in enumerate(ranks[id(model)]):
                 keys = model.algebra.keys_of_degree(n)
                 left_out = sum((id(model), key) not in counts for key in keys)
-                b_n = len(keys) - rank - rank_prev
-                full = model is phi.source and b_n > 0
-                assert left_out == (0 if full else rank_prev), (model, n)
+                assert left_out == rank_prev, (model, n)
                 rank_prev = rank
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from ratimm.bundles import complex_projective_plane, sphere_manifold
-from ratimm.cdga import FiniteCdga, FreeCdga, cohomology
+from ratimm.cdga import FiniteCdga, FreeCdga, cohomology, tensor
 from ratimm.errors import ParseError
 from ratimm.gca import Generator
 from ratimm.io import (parse_cdga, parse_manifold, serialize_cdga,
@@ -30,6 +30,17 @@ def test_finite_cdga_round_trip():
     assert [b for b in again.algebra.basis] == [b for b in cdga.algebra.basis]
     assert cohomology(again, 5, representatives=False).dims == \
         cohomology(cdga, 5, representatives=False).dims
+
+
+def test_product_of_simply_connected_models_round_trip():
+    # a product of flagged finite models is flagged, and its text says so
+    cdga = tensor(sphere_manifold(2).model, sphere_manifold(4).model, label="S2xS4")
+    text = serialize_cdga(cdga)
+    assert "simply-connected: true" in text.splitlines()
+    again = parse_cdga(text)
+    assert again.simply_connected
+    assert serialize_cdga(again) == text
+    assert cohomology(again, 6, representatives=False).dims == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_manifold_round_trip():
