@@ -927,7 +927,7 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     pivots, of dimension b_n, complement the coboundaries.
 
     The checking engines return no representatives.  engine="certified"
-    hands the uncleared columns to the sparse elimination and all of
+    hands the cleared columns to the sparse elimination and all of
     them to the modular certificate (`linalg.certified_rank`, or the
     dense eliminator in a degree the certificate cannot settle) and
     raises AssertionError when the two ranks disagree; the engines share

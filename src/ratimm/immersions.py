@@ -117,8 +117,6 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     when H^k(M;Q) = 0 (in particular whenever k >= m+1) and reported
     symbolically otherwise.
     """
-    if k < 2:
-        raise InputError(f"codimension must be >= 2, got {k}")
     m = M.dimension
     connectivity = connectivity_verdict(m, k)
     threshold, failures = check_pontryagin_hypothesis(M, k)
@@ -166,22 +164,16 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
                     "finite-dimensional model of the manifold")
             sphere_factor = SphereFactor(k, "resolved-null")
             sphere_model_ = sphere_map_null_model(M.model, k)
-            # a source model in even degrees only has d = 0, so its null
-            # model is pure: d(x_u) = 0 and d(y_u) is quadratic in the x_u;
-            # any other source keeps the fit, even where its null model is
-            # pure too (S^3 at k = 2 gives the model of S^2)
-            if all(deg % 2 == 0 for _, deg in M.model.algebra.basis):
-                sphere_dimension = pure_krull_dimension(sphere_model_)
+            sphere_dimension = pure_krull_dimension(sphere_model_)
             sphere_series = _sphere_series(sphere_model_, cutoff,
                                            pure=sphere_dimension is not None)
         else:
             sphere_factor = SphereFactor(k, "symbolic")
             status = "symbolic-sphere"
 
-    if status == "resolved" and (sphere_factor is None or sphere_series is not None):
+    total = None
+    if status == "resolved":
         total = em_part if sphere_series is None else series_product(em_part, sphere_series)
-    else:
-        total = None
 
     desc = ImmersionDescription(
         manifold=M.name, m=m, k=k, cutoff=cutoff, status=status,

@@ -14,10 +14,10 @@ Three independent elimination routines live here on purpose:
 
 Sparse reduction visits only the pivot columns a vector touches, fill-in
 included, smallest first (a heap).  Every vector enters as coprime
-integers (`primitive`); rational bookkeeping, a Fraction scale included,
-is carried only for tagged vectors, so a rank computation or a reduction
-pays for none of it, and an untagged row equals the tagged row of the
-same input.
+integers (`primitive`) and every row is a plain dict of integers: a
+tagged vector carries its tag as one more coordinate, so a kernel or a
+solve builds no Fraction and runs the elimination a rank computation
+runs.
 
 Vectors are dicts mapping coordinate index -> Fraction (or int).  All
 results are exact and deterministic.
@@ -28,6 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
+
+# tag j of a vector is its coordinate _TAG + j, right of every row index
+_TAG = 1 << 60
 
 
 def primitive(vec: dict):
@@ -52,32 +55,22 @@ def primitive(vec: dict):
     return ivec, denom, g
 
 
-def clear_denominators(vec: dict):
-    """Scale a rational vector to coprime integers.
-
-    Returns (ivec, alpha) with ivec = alpha * vec, alpha a positive Fraction.
-    """
-    ivec, denom, g = primitive(vec)
-    return ivec, Fraction(denom, g)
-
-
 class SparseEchelon:
     """Incremental fraction-free row echelon over the rationals.
 
-    Row vectors keep integer entries; elimination uses integer
-    cross-multiplication followed by a gcd reduction.  A tagged row
-    carries an exact rational bookkeeping record `aug` with the invariant
-
-        row == sum_i aug[i] * column_i
-
-    over the tagged columns fed to :meth:`add`, which yields kernels and
-    solves.  Untagged rows carry None: add tagged vectors only to an
-    echelon whose rows are all tagged.  `columns`, if given, are added
-    untagged, in order.
+    Rows are dicts of integers; elimination uses integer
+    cross-multiplication followed by a gcd reduction.  A vector added
+    with tag j gets the coordinate _TAG + j with entry 1, scaled with
+    it, so every row carries on its tag coordinates the integer
+    combination of the tagged inputs that it equals.  No tag coordinate
+    is ever a pivot: a tagged vector that reduces to tag coordinates
+    alone is a relation among the inputs, which yields kernels and
+    solves.  Add tagged vectors only to an echelon whose rows are all
+    tagged.  `columns`, if given, are added untagged, in order.
     """
 
     def __init__(self, columns=()):
-        self.rows: list[tuple[dict[int, int], dict[int, Fraction] | None]] = []
+        self.rows: list[dict[int, int]] = []
         self.pivot_cols: dict[int, int] = {}  # pivot col -> row position
         for col in columns:
             self.add(col)
@@ -87,22 +80,25 @@ class SparseEchelon:
         return len(self.rows)
 
     @staticmethod
-    def _normalize(vec: dict[int, int], aug: dict[int, Fraction] | None):
+    def _normalize(vec: dict[int, int]) -> dict[int, int]:
+        """Divide out the gcd, leading entry positive; a relation (tag
+        coordinates only) is left as it is."""
+        if not vec:
+            return vec
+        lead = min(vec)
+        if lead >= _TAG:
+            return vec
         g = 0
         for v in vec.values():
             g = gcd(g, v)
-        if vec and vec[min(vec)] < 0:
+        if vec[lead] < 0:
             g = -g
-        if g in (0, 1):
-            return vec, aug
-        vec = {j: v // g for j, v in vec.items()}
-        if aug is not None:
-            aug = {j: v / g for j, v in aug.items()}
-        return vec, aug
+        if g == 1:
+            return vec
+        return {j: v // g for j, v in vec.items()}
 
-    def _reduce(self, vec: dict[int, int], aug: dict[int, Fraction] | None):
-        """Eliminate the pivot columns of `vec`, smallest first, updating
-        `aug` alongside (None: no bookkeeping)."""
+    def _reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """Eliminate the pivot columns of `vec`, smallest first."""
         pivot_cols = self.pivot_cols
         heap = [j for j in vec if j in pivot_cols]
         heapify(heap)
@@ -111,7 +107,7 @@ class SparseEchelon:
             coeff = vec.get(col)
             if not coeff:  # cancelled by an earlier row, or pushed twice
                 continue
-            row, rowaug = self.rows[pivot_cols[col]]
+            row = self.rows[pivot_cols[col]]
             lead = row[col]
             # vec <- lead*vec - coeff*row  (kills column `col`; a row has
             # no entries left of its pivot, so fill-in lands right of it)
@@ -124,50 +120,35 @@ class SparseEchelon:
                     new[j] = s
                 else:
                     new.pop(j, None)
-            if aug is not None:
-                newaug = {j: lead * v for j, v in aug.items()}
-                for j, v in rowaug.items():
-                    s = newaug.get(j, 0) - coeff * v
-                    if s:
-                        newaug[j] = s
-                    else:
-                        newaug.pop(j, None)
-                aug = newaug
-            vec, aug = self._normalize(new, aug)
-        return vec, aug
+            vec = self._normalize(new)
+        return vec
 
     def reduce(self, vec: dict) -> dict[int, int]:
-        """Residue of a vector modulo the row space (integer-normalized)."""
-        res, _ = self._reduce(primitive(vec)[0], None)
-        return res
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        """Residue of a vector modulo the row space (integer-normalized),
+        on row coordinates only."""
+        res = self._reduce(primitive(vec)[0])
+        real = {j: v for j, v in res.items() if j < _TAG}
+        # tags dropped can leave a common factor on the rest
+        return real if len(real) == len(res) else self._normalize(real)
 
     def add(self, vec: dict, tag=None):
         """Insert a vector; returns (pivot_col_or_None, relation).
 
-        With a tag, the relation maps tags to rational coefficients: for
-        a dependent vector (pivot None) it is the tagged input
-        combination that equals zero.  Without a tag it is None.
+        With a tag, a dependent vector (pivot None) is not inserted and
+        the relation maps tags to the integer coefficients of a
+        combination of tagged inputs, this one included, that is zero.
+        Otherwise the relation is None.
         """
-        if tag is None:
-            ivec, aug = primitive(vec)[0], None
-        else:
-            ivec, alpha = clear_denominators(vec)
-            aug = {tag: alpha}
-        ivec, aug = self._reduce(ivec, aug)
-        if not ivec:
-            return None, aug
-        pivot = min(ivec)
+        if tag is not None:
+            vec = {**vec, _TAG + tag: 1}
+        ivec = self._reduce(primitive(vec)[0])
+        pivot = min(ivec) if ivec else _TAG
+        if pivot >= _TAG:
+            return None, ({j - _TAG: v for j, v in ivec.items()}
+                          if tag is not None else None)
         self.pivot_cols[pivot] = len(self.rows)
-        self.rows.append((ivec, aug))
-        return pivot, aug
-
-
-def sparse_rank(columns: list[dict]) -> int:
-    """Rank of the matrix whose columns are the given sparse vectors."""
-    return SparseEchelon(columns).rank
+        self.rows.append(ivec)
+        return pivot, None
 
 
 def kernel_vectors(ech: SparseEchelon, columns):
@@ -175,9 +156,9 @@ def kernel_vectors(ech: SparseEchelon, columns):
     goes a kernel basis of the map e_j -> columns[j]: integer-normalized
     dicts over the domain indices, in a deterministic order."""
     for j, col in enumerate(columns):
-        pivot, aug = ech.add(col, tag=j)
+        pivot, rel = ech.add(col, tag=j)
         if pivot is None:
-            yield primitive(aug)[0]
+            yield primitive(rel)[0]
 
 
 def sparse_rank_kernel(columns: list[dict]):
@@ -193,17 +174,14 @@ def sparse_solve(columns: list[dict], target: dict):
     ech = SparseEchelon()
     for j, col in enumerate(columns):
         ech.add(col, tag=j)
-    ivec, beta = clear_denominators(target)
-    if not ivec:
-        return {}
-    # the target, tagged past the columns, reduces to
-    # aug[t]*target + sum_j aug[j]*columns[j]
+    # the target, tagged past the columns, is dependent exactly when
+    # rel[t]*target + sum_j rel[j]*columns[j] = 0 for some rel[t] != 0
     t = len(columns)
-    residue, aug = ech._reduce(ivec, {t: beta})
-    if residue:
+    pivot, rel = ech.add(target, tag=t)
+    if pivot is not None:
         return None
-    scale = -aug.pop(t)
-    return {j: v / scale for j, v in aug.items()}
+    scale = -rel.pop(t)
+    return {j: Fraction(v, scale) for j, v in rel.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,11 @@ def with_classes(M: ManifoldModel, classes) -> ManifoldModel:
     return ManifoldModel(M.dimension, M.model, classes, name=M.name)
 
 
-def sweep_instances(rng: random.Random, m_range=range(2, 8), k_range=range(2, 8)):
+def sweep_instances(rng: random.Random):
     """(M, k) pairs of the verification grid: zero and random tangent classes."""
     out = []
-    for m in m_range:
-        for k in k_range:
+    for m in range(2, 8):
+        for k in range(2, 8):
             M = random_manifold(rng, m)
             out.append((M, k))
             classes = random_closed_classes(rng, M)
@@ -195,7 +195,7 @@ def suite_core(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                     if rng.random() < 0.5:
                         col[i] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
                 cols.append({i: c for i, c in col.items() if c})
-            sparse = linalg.sparse_rank(cols)
+            sparse = linalg.SparseEchelon(cols).rank
             dense = linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
             assert sparse == dense, f"rank mismatch {sparse} vs {dense}"
             certified = linalg.certified_rank(cols)
@@ -219,8 +219,7 @@ def suite_core(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return results
 
 
-def suite_models(seed: int = DEFAULT_SEED, d2_cutoff: int = 24,
-                 qi_cutoff: int = 20) -> list[CheckResult]:
+def suite_models(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
     instances = sweep_instances(rng)
@@ -229,14 +228,14 @@ def suite_models(seed: int = DEFAULT_SEED, d2_cutoff: int = 24,
         count = 0
         for m in range(2, 8):
             for k in range(2, 8):
-                bad = check_d_squared(stiefel_model(m, k), d2_cutoff)
+                bad = check_d_squared(stiefel_model(m, k), 24)
                 assert not bad, f"stiefel({m},{k}): {bad[0]}"
                 count += 1
         for M, k in instances:
-            bad = check_d_squared(framed_bundle_model(M, k), d2_cutoff)
+            bad = check_d_squared(framed_bundle_model(M, k), 24)
             assert not bad, f"framed({M.name},{k}): {bad[0]}"
             count += 1
-        return f"{count} models, d^2 = 0 to N={d2_cutoff}"
+        return f"{count} models, d^2 = 0 to N=24"
 
     def stiefel_tables():
         expected = {(2, 2): [0, 2, 3, 5], (2, 3): [0, 7], (3, 2): [0, 2, 7, 9]}
@@ -254,11 +253,11 @@ def suite_models(seed: int = DEFAULT_SEED, d2_cutoff: int = 24,
         count = 0
         for M, k in instances:
             big, phi = unreduced_framed_model(M, k)
-            report = is_quasi_iso(phi, qi_cutoff)
+            report = is_quasi_iso(phi, 20)
             assert report.ok, \
                 f"reduction fails for ({M.name}, k={k}) at {report.failing_degrees()}"
             count += 1
-        return f"{count} reductions quasi-iso to N={qi_cutoff}"
+        return f"{count} reductions quasi-iso to N=20"
 
     def kunneth_sweep():
         count = 0
@@ -289,7 +288,7 @@ def suite_models(seed: int = DEFAULT_SEED, d2_cutoff: int = 24,
     return results
 
 
-def suite_immersion(seed: int = DEFAULT_SEED, cutoff: int = 15) -> list[CheckResult]:
+def suite_immersion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
 
@@ -325,7 +324,7 @@ def suite_immersion(seed: int = DEFAULT_SEED, cutoff: int = 15) -> list[CheckRes
         for m in range(2, 8):
             for k in range(2, 8):
                 M = sphere_manifold(m)
-                d = immersion_components(M, k, cutoff)
+                d = immersion_components(M, k, 15)
                 if d.status != "resolved":
                     continue
                 g = growth_degree(d)

@@ -71,7 +71,7 @@ def test_imm_without_a_verified_fit_has_undetermined_growth(monkeypatch):
     import ratimm.immersions as immersions
     monkeypatch.setattr(immersions, "reconstruct_rational_series",
                         lambda *args, **kwargs: None)
-    d = immersion_components(sphere_manifold(3), 2, 12)
+    d = immersion_components(sphere_manifold(3), 4, 12)  # null model not pure
     assert d.status == "resolved" and d.sphere_series.form is None
     assert d.growth == "undetermined"
     assert description_to_dict(d)["growth"] == "undetermined"
@@ -122,6 +122,8 @@ def test_pure_growth_needs_no_fit(monkeypatch):
         patch.setattr(immersions, "reconstruct_rational_series", no_fit)
         d = immersion_components(sphere_product_manifold(2, 4), 8, 30)
         text = description_to_json(d)
+        # an odd source whose null model, Λ(x2, y3; dy = x^2), is pure
+        assert immersion_components(sphere_manifold(3), 2, 12).growth == "polynomial(0)"
     # digests of the output of the code that fitted every series at once
     assert _sha256(text) == \
         "50dca5c38aca473f87af704f0d8152d02e1721345c2d9ef95da146d6f3ca623d"

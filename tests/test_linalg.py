@@ -19,7 +19,7 @@ def _columns_from_rows(rows):
 def test_rank_known_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     cols = _columns_from_rows(rows)
-    assert linalg.sparse_rank(cols) == 2
+    assert linalg.SparseEchelon(cols).rank == 2
     assert linalg.dense_rank([[Fraction(x) for x in r] for r in rows]) == 2
 
 
@@ -53,8 +53,8 @@ def test_reduce_and_membership():
     ech = linalg.SparseEchelon()
     ech.add({0: 1, 1: 1})
     ech.add({1: 1, 2: 1})
-    assert ech.contains({0: 1, 2: -1})           # (r1 - r2)
-    assert not ech.contains({0: 1})
+    assert not ech.reduce({0: 1, 2: -1})         # (r1 - r2)
+    assert ech.reduce({0: 1}) == {2: 1}
 
 
 def test_random_cross_check_against_dense_oracle():
@@ -70,7 +70,7 @@ def test_random_cross_check_against_dense_oracle():
                     if val:
                         col[i] = val
             cols.append(col)
-        sparse = linalg.sparse_rank(cols)
+        sparse = linalg.SparseEchelon(cols).rank
         dense = linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
         assert sparse == dense
         rank, kernel = linalg.sparse_rank_kernel(cols)
@@ -124,7 +124,7 @@ def test_random_sparse_fill_in_cross_check(monkeypatch):
                                      rng.choice([1, 1, 2, 5]))
                          for i in support})
         rank, kernel = linalg.sparse_rank_kernel(cols)
-        assert linalg.sparse_rank(cols) == rank
+        assert linalg.SparseEchelon(cols).rank == rank
         assert rank == linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
         assert rank + len(kernel) == ncols
         for ker in kernel:
@@ -165,47 +165,63 @@ def _random_vectors(rng, count, width):
     return vecs
 
 
-def test_primitive_matches_clear_denominators():
+def test_primitive_scales_to_coprime_integers():
     rng = random.Random(2718)
     for vec in _random_vectors(rng, 300, 8):
         ivec, denom, g = linalg.primitive(vec)
-        assert linalg.clear_denominators(vec) == (ivec, Fraction(denom, g))
         assert ivec == {i: c * Fraction(denom, g) for i, c in vec.items() if c}
         assert gcd(*ivec.values()) == (1 if ivec else 0)
 
 
-def test_untagged_rows_equal_tagged_rows(monkeypatch):
-    # rank-only elimination skips the rational bookkeeping, never the rows;
-    # an untagged vector builds no Fraction scale
-    scaled = []
-    clear_denominators = linalg.clear_denominators
-
-    def counted(vec):
-        scaled.append(vec)
-        return clear_denominators(vec)
-
-    monkeypatch.setattr(linalg, "clear_denominators", counted)
+def test_untagged_rows_equal_tagged_rows():
+    # a tagged row is the untagged row, up to a positive factor, followed
+    # by the tag coordinates of the input combination it equals
     rng = random.Random(314)
     for _ in range(40):
         width = rng.randint(1, 10)
         vecs = _random_vectors(rng, rng.randint(1, 14), width)
         untagged, tagged = linalg.SparseEchelon(), linalg.SparseEchelon()
         for j, vec in enumerate(vecs):
-            before = len(scaled)
-            pivot = untagged.add(vec)[0]
-            assert len(scaled) == before
-            assert pivot == tagged.add(vec, tag=j)[0]
-        assert [row for row, _ in untagged.rows] == [row for row, _ in tagged.rows]
+            assert untagged.add(vec)[0] == tagged.add(vec, tag=j)[0]
         assert untagged.pivot_cols == tagged.pivot_cols
-        assert all(aug is None for _, aug in untagged.rows)
         assert linalg.SparseEchelon(vecs).rows == untagged.rows
+        for row, trow in zip(untagged.rows, tagged.rows):
+            real = {i: v for i, v in trow.items() if i < linalg._TAG}
+            factor = Fraction(real[min(row)], row[min(row)])
+            assert factor > 0 and real == {i: factor * v for i, v in row.items()}
+            combo = {}
+            for t, c in trow.items():
+                if t >= linalg._TAG:
+                    for i, v in vecs[t - linalg._TAG].items():
+                        combo[i] = combo.get(i, 0) + c * v
+            assert {i: v for i, v in combo.items() if v} == real
         for vec in _random_vectors(rng, 5, width):
-            ivec, alpha = clear_denominators(vec)
-            residue, _ = tagged._reduce(ivec, {len(vecs): alpha})
-            before = len(scaled)
-            assert untagged.reduce(vec) == residue
-            assert len(scaled) == before
-    assert scaled
+            assert untagged.reduce(vec) == tagged.reduce(vec)
+
+
+def test_elimination_builds_no_fraction(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the elimination must build no Fraction")
+
+    rng = random.Random(577)
+    cases = []
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+        cols = [{i: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 7]))
+                 for i in range(nrows) if rng.random() < 0.5} for _j in range(ncols)]
+        cases.append(([{i: v for i, v in c.items() if v} for c in cols], nrows))
+    monkeypatch.setattr(linalg, "Fraction", unused)
+    results = [linalg.sparse_rank_kernel(cols) for cols, _ in cases]
+    monkeypatch.undo()
+    for (cols, nrows), (rank, kernel) in zip(cases, results):
+        assert rank == linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
+        assert rank + len(kernel) == len(cols)
+        for ker in kernel:
+            acc = {}
+            for j, c in ker.items():
+                for i, v in cols[j].items():
+                    acc[i] = acc.get(i, 0) + c * v
+            assert not any(acc.values())
 
 
 def test_certified_rank_random_planted_dependencies(monkeypatch):
@@ -214,7 +230,6 @@ def test_certified_rank_random_planted_dependencies(monkeypatch):
     def unused(*args):
         raise AssertionError("the certificate must not use the sparse path")
     monkeypatch.setattr(linalg, "SparseEchelon", unused)
-    monkeypatch.setattr(linalg, "clear_denominators", unused)
     monkeypatch.setattr(linalg, "primitive", unused)
     rng = random.Random(1618)
     certified = 0
