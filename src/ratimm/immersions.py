@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import (ManifoldModel, check_pontryagin_hypothesis, stiefel_model)
-from .cdga import FiniteCdga, FreeCdga, cohomology
+from .cdga import FreeCdga, cohomology
 from .errors import InputError
 from .groebner import pure_krull_dimension
 from .mapping import (EMFactor, SphereFactor, em_mapping_space,
@@ -158,10 +158,6 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     if k % 2 == 0:
         hk = bettiM.dims[k] if k <= bettiM.cutoff else 0
         if hk == 0:
-            if not isinstance(M.model, FiniteCdga):
-                raise InputError(
-                    "resolving the even-sphere mapping factor needs a "
-                    "finite-dimensional model of the manifold")
             sphere_factor = SphereFactor(k, "resolved-null")
             sphere_model_ = sphere_map_null_model(M.model, k)
             sphere_dimension = pure_krull_dimension(sphere_model_)
@@ -196,22 +192,25 @@ def growth_degree(description: ImmersionDescription) -> Growth:
 
     The coefficients grow like j^(E-1) with E the pole order at t = 1 of
     the total series; E = 0 means a finite-dimensional answer.  The EM
-    part is a product of (1 +- t^n)^{+-1} factors, whose pole order its
-    closed form gives.  A pure sphere model's cohomology H is a finitely
+    part is a product of factors (1 + t^q)^c for odd q, with no pole at
+    t = 1, and 1/(1 - t^q)^c for even q, with a pole of order c, so its
+    pole order is the sum of c over the even-degree factors, read from
+    the factor list.  A pure sphere model's cohomology H is a finitely
     generated module over ΛQ/I with ΛQ/I as a direct summand, so by
     Hilbert-Serre its pole order is dim ΛQ/I (Félix-Halperin-Thomas,
-    §32), and E is their sum.  Otherwise E is read from the fitted
-    closed form of the total series.  Exponential growth cannot occur
-    for these descriptions.
+    §32), and E is the sum of the two (the EM part's alone when there is
+    no sphere factor).  Otherwise E is read from the fitted closed form
+    of the total series.  Exponential growth cannot occur for these
+    descriptions.
     """
     if description.status == "symbolic-sphere":
         raise ValueError("growth is undefined while the sphere factor is symbolic")
     if description.status == "hypothesis-failed":
         raise ValueError("no description: hypotheses failed")
     series = description.series
-    if description.sphere_dimension is not None:
-        pole = (description.em_part_series.form.pole_order_at_one()
-                + description.sphere_dimension)
+    if description.sphere_dimension is not None or description.sphere_factor is None:
+        pole = (sum(f.coefficient_dim for f in description.em_factors if f.degree % 2 == 0)
+                + (description.sphere_dimension or 0))
     elif series is None or series.form is None:
         raise ValueError("series has no verified closed form; growth undetermined")
     else:

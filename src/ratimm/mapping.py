@@ -166,18 +166,22 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
 
         v  |->  sum_u  a_u (x) v_u
 
-    into A (x) (new model).  The null-component choice then divides by
-    the differential ideal of the generators of degree <= 0: those
-    generators are set to zero, and when such a generator has a nonzero
-    (necessarily linear, for degree reasons) differential, the degree-1
-    generators appearing in it are killed as well, iterating to closure.
-    d^2 = 0 on the result is asserted at construction.
+    into A (x) (new model), whose equations are expanded once.  The
+    null-component choice then divides by the differential ideal of the
+    generators of degree <= 0: those generators are set to zero, and when
+    such a generator has a nonzero (necessarily linear, for degree
+    reasons) differential, the degree-1 generators appearing in it are
+    killed as well, iterating to closure.  Setting generators to zero is
+    an algebra map, so each round drops the terms that contain a dead
+    generator instead of expanding again.  d^2 = 0 on the result is
+    asserted at construction.
     """
     basis = A.algebra.basis
-    pairs: dict[tuple[str, int], str] = {}
+    targets = target.algebra.generators
+    slots: list[dict[int, int]] = [{} for _ in targets]  # [v][u] = index of v_u
     gens: list[Generator] = []
     taken: set[str] = set()
-    for v in target.algebra.generators:
+    for t, v in enumerate(targets):
         for u, (uname, udeg) in enumerate(basis):
             deg = v.degree - udeg
             if deg < 1:
@@ -186,101 +190,71 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
             if name in taken:
                 name = _unique_name(name, taken)
             taken.add(name)
-            pairs[(v.name, u)] = name
+            slots[t][u] = len(gens)
             gens.append(Generator(name, deg))
-    B = FreeAlgebra(gens, label=label or f"Map(-,{target.label})")
-    T = TensorAlgebra(A.algebra, B, label="pairing")
+    label = label or f"Map(-,{target.label})"
+    T = TensorAlgebra(A.algebra, FreeAlgebra(gens, label=label), label="pairing")
+    pairing = [Element(T, {(u, ((g, 1),)): Fraction(1) for u, g in slot.items()})
+               for slot in slots]
 
-    def equations(alive: set[str]):
-        """Nominal differential for every (v, u) slot, alive gens only."""
+    # D(sum a_u (x) v_u) = sum d_A(a_u) (x) v_u
+    #                      + (-1)^{|a_u|} a_u (x) delta(v_u)
+    eqs: dict[tuple[int, int], dict] = {}  # (v, w) -> {monomial: coefficient}
+    for t, v in enumerate(targets):
+        rhs = T.zero()
+        for mono, c in target.differential_of_generator(v.name).terms.items():
+            term = T.one()
+            for i, e in mono:
+                for _ in range(e):
+                    term = term * pairing[i]
+            rhs = rhs + term * c
+        terms = dict(rhs.terms)
+        for u, g in slots[t].items():
+            for w, c in A.diff_key(u).terms.items():
+                key = (w, ((g, 1),))
+                rest = terms.get(key, 0) - c
+                if rest:
+                    terms[key] = rest
+                else:
+                    terms.pop(key, None)
+        for (w, mono), c in terms.items():
+            eqs.setdefault((t, w), {})[mono] = -c if basis[w][1] % 2 else c
 
-        def pairing(vname: str) -> Element:
-            terms = {}
-            for u in range(len(basis)):
-                gname = pairs.get((vname, u))
-                if gname is None or gname not in alive:
-                    continue
-                mono = ((B.generator_index(gname), 1),)
-                terms[(u, mono)] = Fraction(1)
-            return Element(T, terms)
-
-        eqs: dict[tuple[str, int], Element] = {}
-        for v in target.algebra.generators:
-            dv = target.differential_of_generator(v.name)
-            rhs = T.zero()
-            if not dv.is_zero():
-                for mono, c in dv.terms.items():
-                    term = T.one()
-                    for i, e in mono:
-                        factor = pairing(target.algebra.generators[i].name)
-                        for _ in range(e):
-                            term = term * factor
-                    rhs = rhs + term * c
-            # D(sum a_u (x) v_u) = sum d_A(a_u) (x) v_u
-            #                      + (-1)^{|a_u|} a_u (x) delta(v_u)
-            carried = T.zero()
-            for u in range(len(basis)):
-                gname = pairs.get((v.name, u))
-                if gname is None or gname not in alive:
-                    continue
-                da = A.diff_key(u)
-                if da.is_zero():
-                    continue
-                mono = ((B.generator_index(gname), 1),)
-                carried = carried + Element(
-                    T, {(w, mono): c for w, c in da.terms.items()})
-            rhs = rhs - carried
-            by_basis: dict[int, dict] = {}
-            for (u, mono), c in rhs.terms.items():
-                by_basis.setdefault(u, {})[mono] = c
-            for w in range(len(basis)):
-                value = Element(B, by_basis.get(w, {}))
-                if basis[w][1] % 2:
-                    value = -value
-                eqs[(v.name, w)] = value
-        return eqs
-
-    alive = {g.name for g in gens}
+    dead: set[int] = set()
     while True:
-        eqs = equations(alive)
-        new_kills: set[str] = set()
-        for (vname, u), value in eqs.items():
-            gname = pairs.get((vname, u))
-            if gname is not None and gname in alive:
+        kills: set[int] = set()
+        for (t, w), value in eqs.items():
+            g = slots[t].get(w)
+            if g is not None and g not in dead:
                 continue
             # the slot is a dropped (degree <= 0) or killed generator: its
             # differential lies in the quotient ideal
-            for mono, _c in value.terms.items():
-                if len(mono) == 1 and mono[0][1] == 1:
-                    name = B.generators[mono[0][0]].name
-                    if name in alive:
-                        new_kills.add(name)
-                else:
+            for mono in value:
+                if any(i in dead for i, _ in mono):
+                    continue
+                if len(mono) != 1 or mono[0][1] != 1:
                     raise AssertionError(
                         "null-component quotient is not free: nonlinear term "
-                        f"in the differential of a dropped generator ({vname})")
-        if not new_kills:
+                        f"in the differential of a dropped generator ({targets[t].name})")
+                kills.add(mono[0][0])
+        if not kills:
             break
-        alive -= new_kills
+        dead |= kills
 
-    final_gens = [g for g in gens if g.name in alive]
-    model_alg = FreeAlgebra(final_gens, label=label or f"Map(-,{target.label})")
-
-    def translate(elt: Element) -> Element:
-        terms = {}
-        for mono, c in elt.terms.items():
-            new = tuple(sorted((model_alg.generator_index(B.generators[i].name), e)
-                               for i, e in mono))
-            terms[new] = c
-        return Element(model_alg, terms)
-
+    live = [i for i in range(len(gens)) if i not in dead]
+    index = {i: n for n, i in enumerate(live)}  # monotone: monomials stay sorted
+    model_alg = FreeAlgebra([gens[i] for i in live], label=label)
     diff = {}
-    for (vname, u), value in eqs.items():
-        gname = pairs.get((vname, u))
-        if gname is None or gname not in alive or value.is_zero():
-            continue
-        diff[gname] = translate(value)
-    return FreeCdga(model_alg, diff, label=model_alg.label)
+    for t, slot in enumerate(slots):
+        for u, g in slot.items():
+            if g in dead:
+                continue
+            terms = {tuple((index[i], e) for i, e in mono): c
+                     for mono, c in eqs.get((t, u), {}).items()
+                     if all(i in index for i, _ in mono)}
+            if terms:
+                diff[gens[g].name] = Element(model_alg, terms)
+    return FreeCdga(model_alg, diff, label=label)
 
 
 def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
@@ -296,8 +270,8 @@ def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
         raise InputError(f"k must be >= 2, got {k}")
     if not isinstance(A, FiniteCdga):
         raise InputError("the source model must be finite-dimensional")
-    table = cohomology(A, 1, representatives=False)
-    if table.dims[1] != 0:
+    # a flagged model's constructor checked H^1 = 0
+    if not A.simply_connected and cohomology(A, 1, representatives=False).dims[1]:
         raise InputError("the source model must be simply connected")
     return dual_mapping_null_model(A, sphere_model(k),
                                    label=f"Map({A.label},S{k},0)")

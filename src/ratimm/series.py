@@ -57,10 +57,6 @@ class RationalForm:
             c.pop()
         return RationalForm(tuple(c), ())
 
-    @staticmethod
-    def geometric(degree: int, mult: int = 1) -> "RationalForm":
-        return RationalForm((1,), ((degree, mult),))
-
     def __mul__(self, other: "RationalForm") -> "RationalForm":
         numer = tuple(_poly_mul(list(self.numerator), list(other.numerator)))
         denom: dict[int, int] = {}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,9 @@ from ratimm.bundles import (ManifoldModel, complex_projective_plane,
                             framed_bundle_model, sphere_manifold,
                             sphere_product_manifold, stiefel_model,
                             unreduced_framed_model)
-from ratimm.cdga import FiniteCdga, cohomology
+from ratimm.cdga import FiniteCdga, FreeCdga, cohomology
 from ratimm.errors import InputError
+from ratimm.gca import Generator
 from ratimm.immersions import (Growth, connectivity_verdict, description_to_dict,
                                description_to_json, growth_degree,
                                immersion_components, verify_growth_bounds)
@@ -130,6 +132,45 @@ def test_pure_growth_needs_no_fit(monkeypatch):
     assert _sha256(str(d.series)) == \
         "f0c51e4fe45e7cad9d8fb9e96a727bdb8acc752f13c44581708dca972fe8bbeb"
     assert str(d.series).endswith(" / (1-t^6)(1-t^8)")
+
+
+def test_em_pole_is_read_from_the_factor_list(monkeypatch):
+    import ratimm.immersions as immersions
+    from ratimm.io import load_manifold
+    from ratimm.series import PoincareSeries
+    from ratimm.sweeps import nonformal_base
+    # the EM part does not depend on the sphere factor, whose eager fit
+    # (NF5 at even k >= 6) would take a minute
+    monkeypatch.setattr(immersions, "_sphere_series",
+                        lambda model, cutoff, pure: PoincareSeries([1], cutoff))
+    sources = [sphere_manifold(m) for m in range(2, 8)]
+    sources += [sphere_product_manifold(a, b) for a in range(2, 5) for b in range(a, 5)]
+    sources += [complex_projective_plane(p1=0),
+                ManifoldModel(5, nonformal_base(), {}, name="NF5")]
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    sources += [load_manifold(path) for path in sorted(data.glob("*.manifold"))]
+    read = 0
+    for M in sources:
+        for k in range(2, 11):
+            for cutoff in (5, 15):
+                d = immersion_components(M, k, cutoff)
+                if d.status != "resolved":
+                    continue
+                em_pole = d.em_part_series.form.pole_order_at_one()
+                assert sum(f.coefficient_dim for f in d.em_factors
+                           if f.degree % 2 == 0) == em_pole, (M.name, k, cutoff)
+                if d.sphere_factor is None or d.sphere_dimension is not None:
+                    pole = em_pole + (d.sphere_dimension or 0)
+                    assert str(growth_degree(d)) == \
+                        ("finite" if pole == 0 else f"polynomial({pole - 1})")
+                    read += 1
+    assert read == 258
+
+
+def test_sphere_factor_needs_a_finite_source():
+    s3 = ManifoldModel(3, FreeCdga([Generator("a3", 3)], {}, label="S3"), {})
+    with pytest.raises(InputError, match="the source model must be finite-dimensional"):
+        immersion_components(s3, 4, 10)  # H^4 = 0: the null component is resolved
 
 
 def test_imm_s2_r4_symbolic():

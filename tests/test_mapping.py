@@ -8,6 +8,7 @@ from ratimm.errors import ComponentObstruction
 from ratimm.mapping import (dual_mapping_null_model, em_mapping_space,
                             odd_sphere_mapping, sigma_normalize,
                             sphere_map_null_model, sphere_model, EMFactor)
+from ratimm.sweeps import nonformal_base
 
 
 def point_model():
@@ -104,6 +105,32 @@ def test_null_model_with_nonformal_source():
     assert table.dims[0] == 1
 
 
+def test_null_model_expands_each_target_differential_once():
+    target = sphere_model(4)
+    calls = []
+    expand = target.differential_of_generator
+
+    def counted(name):
+        calls.append(name)
+        return expand(name)
+
+    target.differential_of_generator = counted
+    dual_mapping_null_model(nonformal_base(), target)  # closure kills x_y
+    assert calls == ["x", "y"]
+
+
+def test_null_model_kill_path():
+    model = sphere_map_null_model(nonformal_base(), 4)
+    assert [g.name for g in model.algebra.generators] == \
+        ["x", "x_a", "y", "y_a", "y_y", "y_a2", "y_w"]
+    diffs = {g.name: str(model.differential_of_generator(g.name))
+             for g in model.algebra.generators}
+    assert {name: d for name, d in diffs.items() if d != "0"} == \
+        {"y": "x^2", "y_a": "2*x*x_a", "y_a2": "x_a^2 - y_y"}
+    assert cohomology(model, 12, representatives=False).dims == \
+        [1, 0, 2, 0, 4, 0, 5, 0, 6, 1, 7, 2, 8]
+
+
 def test_odd_k_routed_away():
     with pytest.raises(ValueError):
         sphere_map_null_model(sphere_manifold(2).model, 3)
@@ -113,6 +140,24 @@ def test_non_simply_connected_source_rejected():
     circleish = FiniteCdga([("one", 0), ("t", 1)], {})
     with pytest.raises(ValueError):
         sphere_map_null_model(circleish, 2)
+
+
+def test_only_unflagged_sources_are_walked_for_h1(monkeypatch):
+    import ratimm.mapping as mapping
+    walks = []
+
+    def counted(model, cutoff, **kwargs):
+        walks.append(model.label)
+        return cohomology(model, cutoff, **kwargs)
+
+    flagged = FiniteCdga([("one", 0), ("a", 2)], {}, label="flagged",
+                         simply_connected=True)
+    unflagged = FiniteCdga([("one", 0), ("a", 2)], {}, label="unflagged")
+    monkeypatch.setattr(mapping, "cohomology", counted)
+    models = [sphere_map_null_model(A, 4) for A in (flagged, unflagged)]
+    assert walks == ["unflagged"]
+    assert str(models[0].differential_of_generator("y")) == \
+        str(models[1].differential_of_generator("y"))
 
 
 def test_dual_model_of_stiefel_matches_product():
