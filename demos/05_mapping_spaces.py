@@ -4,13 +4,11 @@ Maps into odd spheres (rationally Eilenberg-MacLane) reduce to factor
 lists read off the Betti numbers of the source.  Maps into even spheres
 get a genuine model for the constant-map component, built on one
 generator per (sphere generator, dual basis class) pair in positive
-degree.
+degree and then cancelled down to a minimal model.
 """
 
-from ratimm import (CdgaMorphism, cohomology, em_mapping_space,
-                    odd_sphere_mapping, sigma_normalize, sphere_manifold,
-                    sphere_map_null_model, sphere_model)
-from ratimm.errors import ComponentObstruction
+from ratimm import (FiniteCdga, cohomology, em_mapping_space,
+                    odd_sphere_mapping, sphere_manifold, sphere_map_null_model)
 
 s2 = sphere_manifold(2)
 
@@ -35,17 +33,14 @@ model3 = sphere_map_null_model(sphere_manifold(3).model, 2)
 print("Map(S3,S2,0) Betti:", cohomology(model3, 8, representatives=False).dims)
 print()
 
-# Components: a map into an even sphere normalizes onto the constant
-# component exactly when its degree-k image is exact.  On S^3 every
-# degree-2 class vanishes, so every map normalizes:
-s3 = sphere_manifold(3)
-sigma = CdgaMorphism(sphere_model(2), s3.model, {"x": "0", "y": "a3"})
-result = sigma_normalize(sigma)
-print("normalized with absorbed cocycle:", result.absorbed)
-
-# On S^2 the identity-like map hits the fundamental class: obstruction.
-try:
-    sigma_normalize(CdgaMorphism(sphere_model(2), s2.model,
-                                 {"x": "a2", "y": "0"}))
-except ComponentObstruction as exc:
-    print("component obstruction:", exc)
+# The model does not depend on how the source is presented.  A has
+# d(y1) = d(y2) = a^2; B is A after y2 -> y2 - y1, so only d(y1) = a^2.
+# Both null models cancel down to the same minimal model.
+basis = [("one", 0), ("a", 2), ("y1", 3), ("y2", 3), ("a2", 4)]
+for name, diff in (("A", {"y1": "a2", "y2": "a2"}), ("B", {"y1": "a2"})):
+    source = FiniteCdga(basis, {("a", "a"): "a2"}, diff, label=name,
+                        simply_connected=True)
+    model = sphere_map_null_model(source, 4)
+    print(f"Map({name},S4,0) generators:",
+          ", ".join(f"{g.name}({g.degree})" for g in model.algebra.generators))
+    print("  Betti:", cohomology(model, 8, representatives=False).dims)

@@ -20,7 +20,7 @@ from .bundles import (BsoModel, ManifoldModel, TrivialityVerdict, bso_model,
                       sphere_manifold, sphere_product_manifold, stiefel_model,
                       unreduced_framed_model)
 from .mapping import (EMFactor, SphereFactor, dual_mapping_null_model,
-                      em_mapping_space, odd_sphere_mapping, sigma_normalize,
+                      em_mapping_space, odd_sphere_mapping,
                       sphere_map_null_model, sphere_model)
 from .series import PoincareSeries, RationalForm, em_series, series_product
 from .immersions import (Growth, HypothesisCheck, ImmersionDescription,

@@ -44,7 +44,3 @@ class ChainMapError(RatimmError):
     def __init__(self, message: str, generator=None):
         self.generator = generator
         super().__init__(message)
-
-
-class ComponentObstruction(RatimmError):
-    """A mapping-space component cannot be normalized to the null one."""

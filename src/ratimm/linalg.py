@@ -15,9 +15,8 @@ Three independent elimination routines live here on purpose:
 Sparse reduction visits only the pivot columns a vector touches, fill-in
 included, smallest first (a heap).  Every vector enters as coprime
 integers (`primitive`) and every row is a plain dict of integers: a
-tagged vector carries its tag as one more coordinate, so a kernel or a
-solve builds no Fraction and runs the elimination a rank computation
-runs.
+tagged vector carries its tag as one more coordinate, so a kernel
+builds no Fraction and runs the elimination a rank computation runs.
 
 Vectors are dicts mapping coordinate index -> Fraction (or int).  All
 results are exact and deterministic.
@@ -64,9 +63,9 @@ class SparseEchelon:
     it, so every row carries on its tag coordinates the integer
     combination of the tagged inputs that it equals.  No tag coordinate
     is ever a pivot: a tagged vector that reduces to tag coordinates
-    alone is a relation among the inputs, which yields kernels and
-    solves.  Add tagged vectors only to an echelon whose rows are all
-    tagged.  `columns`, if given, are added untagged, in order.
+    alone is a relation among the inputs, which yields kernels.  Add
+    tagged vectors only to an echelon whose rows are all tagged.
+    `columns`, if given, are added untagged, in order.
     """
 
     def __init__(self, columns=()):
@@ -167,21 +166,6 @@ def sparse_rank_kernel(columns: list[dict]):
     ech = SparseEchelon()
     kernel = list(kernel_vectors(ech, columns))
     return ech.rank, kernel
-
-
-def sparse_solve(columns: list[dict], target: dict):
-    """Solve sum_j x_j * columns[j] = target; None when unsolvable."""
-    ech = SparseEchelon()
-    for j, col in enumerate(columns):
-        ech.add(col, tag=j)
-    # the target, tagged past the columns, is dependent exactly when
-    # rel[t]*target + sum_j rel[j]*columns[j] = 0 for some rel[t] != 0
-    t = len(columns)
-    pivot, rel = ech.add(target, tag=t)
-    if pivot is not None:
-        return None
-    scale = -rel.pop(t)
-    return {j: Fraction(v, scale) for j, v in rel.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ the source.  Maps into even spheres need an actual model: the null
 component is modeled on generators (sphere generator) x (dual basis
 class), with the differential determined by requiring the evaluation
 pairing to be a chain map; the sign conventions are pinned operationally
-by the d^2 = 0 assertion at construction.
+by the d^2 = 0 assertion at construction.  One cancellation step, a
+generator solved out of a linear term and substituted away, both takes
+the null-component quotient (an echelon of linear forms) and removes
+contractible pairs, so the model comes out minimal.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
-                   TensorAlgebra, _unique_name, cohomology, d_columns)
-from .errors import ComponentObstruction, InputError
+from .cdga import (BettiTable, FiniteCdga, FreeCdga, TensorAlgebra,
+                   _unique_name, cohomology)
+from .errors import InputError
 from .gca import Element, FreeAlgebra, Generator
 
 __all__ = [
     "EMFactor", "SphereFactor", "em_mapping_space", "odd_sphere_mapping",
-    "sphere_model", "sigma_normalize", "SigmaNormalization",
-    "sphere_map_null_model", "dual_mapping_null_model",
+    "sphere_model", "sphere_map_null_model", "dual_mapping_null_model",
 ]
 
 
@@ -84,81 +85,11 @@ def sphere_model(k: int) -> FreeCdga:
 
 
 # ---------------------------------------------------------------------------
-# Component normalization (even-sphere targets)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SigmaNormalization:
-    """Result of pushing an even-sphere map to the null component.
-
-    `absorbed` is the cocycle a with sigma(y) = a once the x-image has
-    been absorbed (the change of variables y' = y - a); `primitive` is
-    the element h with d(h) = sigma(x) when sigma(x) was nonzero.
-    """
-
-    morphism: CdgaMorphism
-    absorbed: Element
-    primitive: Element | None = None
-
-
-def _solve_differential(target, value: Element):
-    """Find h with d(h) = value in the target CDGA, or None."""
-    deg = value.degree()
-    if deg is None:
-        return None  # zero needs no primitive
-    alg = target.algebra
-    dom_keys = alg.keys_of_degree(deg - 1)
-    index = {key: i for i, key in enumerate(alg.keys_of_degree(deg))}
-    columns = d_columns(target, dom_keys, index)
-    rhs = {index[m]: c for m, c in value.terms.items()}
-    solution = linalg.sparse_solve(columns, rhs)
-    if solution is None:
-        return None
-    return Element(alg, {dom_keys[j]: Fraction(c) for j, c in solution.items() if c})
-
-
-def sigma_normalize(sigma: CdgaMorphism) -> SigmaNormalization:
-    """Normalize a map out of an even-sphere model so both images vanish.
-
-    Requires [sigma(x)] = 0 in H^k of the target (automatic when that
-    group vanishes); a nonvanishing class is a genuine component
-    obstruction and raises ComponentObstruction.  When sigma(x) = d(h)
-    the y-image is corrected to the cocycle a = sigma(y) - h*sigma(x)
-    before the change of variables removes it.
-    """
-    src = sigma.source
-    if not isinstance(src, FreeCdga) or len(src.algebra.generators) != 2:
-        raise TypeError("source must be the two-generator even-sphere model")
-    x, y = src.algebra.generators
-    if x.degree % 2 or y.degree != 2 * x.degree - 1:
-        raise TypeError("source generators must have degrees (k, 2k-1) with k even")
-    sigma.validate()
-    sx = sigma.apply(src.algebra.gen(x.name))
-    sy = sigma.apply(src.algebra.gen(y.name))
-    primitive = None
-    if not sx.is_zero():
-        primitive = _solve_differential(sigma.target, sx)
-        if primitive is None:
-            raise ComponentObstruction(
-                f"[sigma({x.name})] is a nonzero class in degree {x.degree}; "
-                "the map does not land in the null component")
-        absorbed = sy - primitive * sx
-    else:
-        absorbed = sy
-    if not sigma.target.diff(absorbed).is_zero():
-        raise AssertionError("absorbed y-image failed to be a cocycle")
-    zero = sigma.target.algebra.zero()
-    normalized = CdgaMorphism(src, sigma.target, {x.name: zero, y.name: zero},
-                              label=f"{sigma.label}-normalized")
-    return SigmaNormalization(normalized, absorbed, primitive)
-
-
-# ---------------------------------------------------------------------------
 # Dual-basis mapping-space models
 # ---------------------------------------------------------------------------
 
 def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") -> FreeCdga:
-    """Model of the null component of Map(M, Y) for finite A and free target.
+    """Minimal model of the null component of Map(M, Y), A finite, Y free.
 
     Generators v_u = (target generator v) x (dual of basis element a_u)
     in degree |v| - |a_u|.  The differential is solved from the
@@ -167,14 +98,20 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
         v  |->  sum_u  a_u (x) v_u
 
     into A (x) (new model), whose equations are expanded once.  The
-    null-component choice then divides by the differential ideal of the
-    generators of degree <= 0: those generators are set to zero, and when
-    such a generator has a nonzero (necessarily linear, for degree
-    reasons) differential, the degree-1 generators appearing in it are
-    killed as well, iterating to closure.  Setting generators to zero is
-    an algebra map, so each round drops the terms that contain a dead
-    generator instead of expanding again.  d^2 = 0 on the result is
-    asserted at construction.
+    null-component choice divides by the differential ideal of the
+    generators of degree <= 0 (Brown-Szczarba).  Those generators never
+    enter the equations, and their differentials are linear forms L in
+    the degree-1 generators (every product has degree >= 2); d^2 = 0
+    puts d(L) in the ideal already, so the quotient only sets each L to
+    zero.  Then a live w whose differential has a linear term spans a
+    contractible pair, whose quotient is a quasi-isomorphism
+    (Félix-Halperin-Thomas, Thm 14.9).  Both are one step: solve a
+    generator u out of a linear term c*u of an equation e, put
+    u := u - e/c into the equations that contain u, and drop u with its
+    partner.  It runs over the L's in slot order, an echelon, and then
+    over the live generators by increasing degree, which leaves no
+    linear term: the result is minimal.  d^2 = 0 on it is asserted at
+    construction.
     """
     basis = A.algebra.basis
     targets = target.algebra.generators
@@ -193,7 +130,8 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
             slots[t][u] = len(gens)
             gens.append(Generator(name, deg))
     label = label or f"Map(-,{target.label})"
-    T = TensorAlgebra(A.algebra, FreeAlgebra(gens, label=label), label="pairing")
+    full = FreeAlgebra(gens, label=label)
+    T = TensorAlgebra(A.algebra, full, label="pairing")
     pairing = [Element(T, {(u, ((g, 1),)): Fraction(1) for u, g in slot.items()})
                for slot in slots]
 
@@ -220,40 +158,49 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
         for (w, mono), c in terms.items():
             eqs.setdefault((t, w), {})[mono] = -c if basis[w][1] % 2 else c
 
-    dead: set[int] = set()
-    while True:
-        kills: set[int] = set()
-        for (t, w), value in eqs.items():
-            g = slots[t].get(w)
-            if g is not None and g not in dead:
-                continue
-            # the slot is a dropped (degree <= 0) or killed generator: its
-            # differential lies in the quotient ideal
-            for mono in value:
-                if any(i in dead for i, _ in mono):
-                    continue
-                if len(mono) != 1 or mono[0][1] != 1:
-                    raise AssertionError(
-                        "null-component quotient is not free: nonlinear term "
-                        f"in the differential of a dropped generator ({targets[t].name})")
-                kills.add(mono[0][0])
-        if not kills:
-            break
-        dead |= kills
+    # the differentials of the generators, and the dropped slots' L's
+    diffs = {g: eqs.get((t, u), {}) for t, slot in enumerate(slots)
+             for u, g in slot.items()}
+    dropped = [e for (t, w), e in sorted(eqs.items()) if w not in slots[t]]
 
-    live = [i for i in range(len(gens)) if i not in dead]
-    index = {i: n for n, i in enumerate(live)}  # monotone: monomials stay sorted
-    model_alg = FreeAlgebra([gens[i] for i in live], label=label)
-    diff = {}
-    for t, slot in enumerate(slots):
-        for u, g in slot.items():
-            if g in dead:
-                continue
-            terms = {tuple((index[i], e) for i, e in mono): c
-                     for mono, c in eqs.get((t, u), {}).items()
-                     if all(i in index for i, _ in mono)}
-            if terms:
-                diff[gens[g].name] = Element(model_alg, terms)
+    def eliminate(u: int, value: dict):
+        """Drop generator u, putting u := value in every equation left."""
+        diffs.pop(u, None)
+        sub = Element(full, value)
+        for eq in (*dropped, *diffs.values()):
+            hits = [(m, p) for m in eq for p, (i, _) in enumerate(m) if i == u]
+            for mono, pos in hits:
+                c = eq.pop(mono)
+                term = (Element(full, {mono[:pos]: c}) * sub ** mono[pos][1]
+                        * Element(full, {mono[pos + 1:]: 1}))
+                for m, v in term.terms.items():
+                    s = eq.get(m, 0) + v
+                    if s:
+                        eq[m] = s
+                    else:
+                        eq.pop(m, None)
+
+    def solve(eq: dict, mono):
+        """Eliminate the generator of the linear term `mono` by eq = 0."""
+        q = Fraction(-1, eq.pop(mono))
+        eliminate(mono[0][0], {m: q * c for m, c in eq.items()})
+
+    while dropped:
+        L = dropped.pop(0)
+        if L:  # linear, so its smallest term is a pivot
+            solve(L, min(L))
+    for w in sorted(diffs, key=lambda g: gens[g].degree):
+        linear = [m for m in diffs.get(w, ()) if len(m) == 1 and m[0][1] == 1]
+        if linear:
+            solve(diffs.pop(w), min(linear))
+            eliminate(w, {})
+
+    live = list(diffs)  # in generator order
+    index = {g: n for n, g in enumerate(live)}  # monotone: monomials stay sorted
+    model_alg = FreeAlgebra([gens[g] for g in live], label=label)
+    diff = {gens[g].name: Element(model_alg, {tuple((index[i], e) for i, e in m): c
+                                              for m, c in diffs[g].items()})
+            for g in live if diffs[g]}
     return FreeCdga(model_alg, diff, label=label)
 
 

@@ -861,7 +861,7 @@ def test_apply_matches_reference_on_representatives():
 
 def test_apply_matches_reference_on_free_sources(s2_model):
     from ratimm.bundles import sphere_manifold
-    from ratimm.mapping import sigma_normalize, sphere_model
+    from ratimm.mapping import sphere_model
     nf = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
                     {("a", "a"): "a2", ("a", "y"): "w"}, {"y": "a2"},
                     label="NF", simply_connected=True)
@@ -870,7 +870,9 @@ def test_apply_matches_reference_on_free_sources(s2_model):
               CdgaMorphism(sphere_model(2), sphere_manifold(3).model,
                            {"x": "0", "y": "a3"}),
               CdgaMorphism(sphere_model(4), nf, {"x": "a2", "y": "0"})]
-    morphisms = sigmas + [sigma_normalize(s).morphism for s in sigmas]
+    # each source and target also with the zero morphism
+    morphisms = sigmas + [CdgaMorphism(s.source, s.target, {"x": "0", "y": "0"})
+                          for s in sigmas]
     # a free target, where products of images do not vanish
     morphisms.append(CdgaMorphism(sphere_model(2), s2_model,
                                   {"x": "2*e2", "y": "4*x3"}))

@@ -139,8 +139,8 @@ def test_em_pole_is_read_from_the_factor_list(monkeypatch):
     from ratimm.io import load_manifold
     from ratimm.series import PoincareSeries
     from ratimm.sweeps import nonformal_base
-    # the EM part does not depend on the sphere factor, whose eager fit
-    # (NF5 at even k >= 6) would take a minute
+    # the EM part does not depend on the sphere factor: skip walking and
+    # fitting its cohomology over the whole grid
     monkeypatch.setattr(immersions, "_sphere_series",
                         lambda model, cutoff, pure: PoincareSeries([1], cutoff))
     sources = [sphere_manifold(m) for m in range(2, 8)]

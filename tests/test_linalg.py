@@ -41,14 +41,6 @@ def test_zero_column_contributes_kernel_vector():
     assert rank == 1 and kernel == [{1: 1}]
 
 
-def test_solve_consistent_and_inconsistent():
-    cols = [{0: Fraction(2)}, {0: Fraction(0), 1: Fraction(3)}]
-    sol = linalg.sparse_solve(cols, {0: Fraction(1), 1: Fraction(1)})
-    assert sol == {0: Fraction(1, 2), 1: Fraction(1, 3)}
-    assert linalg.sparse_solve([{0: 1}], {1: 1}) is None
-    assert linalg.sparse_solve([{0: 1}], {}) == {}
-
-
 def test_reduce_and_membership():
     ech = linalg.SparseEchelon()
     ech.add({0: 1, 1: 1})
@@ -83,30 +75,6 @@ def test_random_cross_check_against_dense_oracle():
             assert not any(acc.values())
 
 
-def test_random_solve_round_trip():
-    rng = random.Random(424)
-    for _ in range(40):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        cols = []
-        for _j in range(ncols):
-            cols.append({i: Fraction(rng.randint(-4, 4))
-                         for i in range(nrows) if rng.random() < 0.5})
-        x = {j: Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-             for j in range(ncols) if rng.random() < 0.6}
-        target = {}
-        for j, c in x.items():
-            for i, v in cols[j].items():
-                target[i] = target.get(i, Fraction(0)) + c * v
-        target = {i: v for i, v in target.items() if v}
-        sol = linalg.sparse_solve(cols, target)
-        assert sol is not None
-        check = {}
-        for j, c in sol.items():
-            for i, v in cols[j].items():
-                check[i] = check.get(i, Fraction(0)) + c * v
-        assert {i: v for i, v in check.items() if v} == target
-
-
 def test_random_sparse_fill_in_cross_check(monkeypatch):
     # larger, very sparse matrices: eliminating one pivot puts entries on
     # later pivot columns, which the reduction must then visit too
@@ -133,20 +101,6 @@ def test_random_sparse_fill_in_cross_check(monkeypatch):
                 for i, v in cols[j].items():
                     acc[i] = acc.get(i, Fraction(0)) + c * v
             assert not any(acc.values())
-        x = {j: Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-             for j in range(ncols) if rng.random() < 0.3}
-        target = {}
-        for j, c in x.items():
-            for i, v in cols[j].items():
-                target[i] = target.get(i, Fraction(0)) + c * v
-        target = {i: v for i, v in target.items() if v}
-        sol = linalg.sparse_solve(cols, target)
-        assert sol is not None
-        check = {}
-        for j, c in sol.items():
-            for i, v in cols[j].items():
-                check[i] = check.get(i, Fraction(0)) + c * v
-        assert {i: v for i, v in check.items() if v} == target
     assert pushes, "no reduction filled in a later pivot column"
 
 

@@ -1,13 +1,14 @@
-"""Mapping-space factor lists, null-component models, normalization."""
+"""Mapping-space factor lists and null-component models."""
 
 import pytest
 
-from ratimm.bundles import sphere_manifold, sphere_product_manifold, stiefel_model
-from ratimm.cdga import CdgaMorphism, FiniteCdga, check_d_squared, cohomology
-from ratimm.errors import ComponentObstruction
+from ratimm.bundles import (ManifoldModel, sphere_manifold, sphere_product_manifold,
+                            stiefel_model)
+from ratimm.cdga import FiniteCdga, check_d_squared, cohomology
+from ratimm.immersions import immersion_components
 from ratimm.mapping import (dual_mapping_null_model, em_mapping_space,
-                            odd_sphere_mapping, sigma_normalize,
-                            sphere_map_null_model, sphere_model, EMFactor)
+                            odd_sphere_mapping, sphere_map_null_model,
+                            sphere_model, EMFactor)
 from ratimm.sweeps import nonformal_base
 
 
@@ -115,20 +116,88 @@ def test_null_model_expands_each_target_differential_once():
         return expand(name)
 
     target.differential_of_generator = counted
-    dual_mapping_null_model(nonformal_base(), target)  # closure kills x_y
+    dual_mapping_null_model(nonformal_base(), target)  # cancels a pair
     assert calls == ["x", "y"]
 
 
-def test_null_model_kill_path():
+def test_null_model_cancels_contractible_pair():
+    # (y_a2, y_y) with d(y_a2) = x_a^2 - y_y is a contractible pair
     model = sphere_map_null_model(nonformal_base(), 4)
     assert [g.name for g in model.algebra.generators] == \
-        ["x", "x_a", "y", "y_a", "y_y", "y_a2", "y_w"]
+        ["x", "x_a", "y", "y_a", "y_w"]
     diffs = {g.name: str(model.differential_of_generator(g.name))
              for g in model.algebra.generators}
     assert {name: d for name, d in diffs.items() if d != "0"} == \
-        {"y": "x^2", "y_a": "2*x*x_a", "y_a2": "x_a^2 - y_y"}
+        {"y": "x^2", "y_a": "2*x*x_a"}
     assert cohomology(model, 12, representatives=False).dims == \
         [1, 0, 2, 0, 4, 0, 5, 0, 6, 1, 7, 2, 8]
+
+
+# Betti numbers of the NF5 null model, as walked on its uncancelled
+# quotient (7 generators at k = 4, 10 at k >= 6)
+NF5_BETTI = {
+    4: [1, 0, 2, 0, 4, 0, 5, 0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 6, 12, 7, 13, 8, 14, 9, 15, 10, 16, 11, 17, 12, 18, 13, 19, 14, 20, 15, 21, 16, 22],
+    6: [1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 2, 3, 2, 2, 3, 3, 3, 3, 3, 4, 4, 3, 4, 5, 4, 4, 5, 5, 5, 5, 5, 6, 6, 5, 6, 7],
+    8: [1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 2, 1, 0, 2, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 3, 2, 2, 3, 2],
+    10: [1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 2, 0, 0, 2, 0, 1, 1, 0, 2, 1, 0, 2, 1, 1, 2, 0, 2],
+}
+
+
+@pytest.mark.parametrize("k", sorted(NF5_BETTI))
+def test_nf5_null_model_betti_to_40(k):
+    model = sphere_map_null_model(nonformal_base(), k)
+    assert cohomology(model, 40, representatives=False).dims == NF5_BETTI[k]
+
+
+NF5_SERIES = {
+    6: [1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5],
+    8: [1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 1],
+    10: [1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0],
+}
+
+
+@pytest.mark.parametrize("k", sorted(NF5_SERIES))
+def test_nf5_immersion_growth(k):
+    d = immersion_components(ManifoldModel(5, nonformal_base(), {}, name="NF5"), k, 15)
+    assert d.growth == "polynomial(3)"
+    assert list(d.series.coeffs) == NF5_SERIES[k]
+
+
+def _source(basis, products, diff, label):
+    return FiniteCdga(basis, products, diff, label=label, simply_connected=True)
+
+
+# Each pair is one source in two presentations: the null-model Betti
+# tables must agree.  The second source of the first pair is the first
+# after y2 -> y2 - y1; the others add an acyclic pair (e, f; de = f) and
+# change basis, so one basis element lies in the image of two.
+PRESENTATIONS = {
+    "A-B": (4, 8, [1, 1, 1, 1, 2, 2, 2, 2, 3],
+            _source([("one", 0), ("a", 2), ("y1", 3), ("y2", 3), ("a2", 4)],
+                    {("a", "a"): "a2"}, {"y1": "a2", "y2": "a2"}, "A"),
+            _source([("one", 0), ("a", 2), ("y1", 3), ("y2", 3), ("a2", 4)],
+                    {("a", "a"): "a2"}, {"y1": "a2"}, "B")),
+    "S2xS4+pair": (2, 10, [1, 1, 1, 1] + [0] * 7,
+                   sphere_product_manifold(2, 4).model,
+                   _source([("one", 0), ("a4", 4), ("a2", 2), ("a2_a4", 6),
+                            ("e2", 2), ("f3", 3)],
+                           {("a4", "a2"): "a2_a4"}, {"a2": "-f3", "e2": "f3"},
+                           "S2xS4+pair")),
+    "S3xS3+pair": (4, 12, [1, 2, 2, 1, 1, 4, 5, 2, 2, 7, 8, 3, 3],
+                   sphere_product_manifold(3, 3).model,
+                   _source([("one", 0), ("a3", 3), ("a3_2", 3), ("a3_a3", 6),
+                            ("e3", 3), ("f4", 4)],
+                           {("a3", "e3"): "a3_a3"}, {"a3_2": "f4", "e3": "f4"},
+                           "S3xS3+pair")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_null_model_independent_of_presentation(name):
+    k, cutoff, expected, first, second = PRESENTATIONS[name]
+    tables = [cohomology(sphere_map_null_model(A, k), cutoff,
+                         representatives=False).dims for A in (first, second)]
+    assert tables == [expected, expected]
 
 
 def test_odd_k_routed_away():
@@ -165,52 +234,3 @@ def test_dual_model_of_stiefel_matches_product():
     oracle = dual_mapping_null_model(sphere_manifold(3).model, stiefel_model(3, 2))
     table = cohomology(oracle, 12, representatives=False)
     assert table.dims == [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1]
-
-
-# -- sigma normalization ---------------------------------------------------------
-
-def test_normalize_zero_map_fixed_point():
-    cp2 = sphere_manifold(4).model
-    sph = sphere_model(2)
-    sigma = CdgaMorphism(sph, cp2, {"x": "0", "y": "0"})
-    result = sigma_normalize(sigma)
-    assert result.absorbed.is_zero() and result.primitive is None
-    assert result.morphism.apply(sph.algebra.gen("x")).is_zero()
-    assert result.morphism.apply(sph.algebra.gen("y")).is_zero()
-
-
-def test_normalize_reports_absorbed_cocycle():
-    s3 = sphere_manifold(3).model
-    sph = sphere_model(2)
-    sigma = CdgaMorphism(sph, s3, {"x": "0", "y": "a3"})
-    result = sigma_normalize(sigma)
-    assert str(result.absorbed) == "a3"
-    assert result.primitive is None
-
-
-def test_normalize_absorbs_exact_x_image():
-    nf = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
-                    {("a", "a"): "a2", ("a", "y"): "w"}, {"y": "a2"},
-                    label="NF", simply_connected=True)
-    sph = sphere_model(4)
-    sigma = CdgaMorphism(sph, nf, {"x": "a2", "y": "0"})
-    result = sigma_normalize(sigma)
-    assert result.primitive is not None
-    assert nf.diff(result.primitive) == nf.algebra.gen("a2")
-    assert nf.diff(result.absorbed).is_zero()
-
-
-def test_normalize_obstruction_on_fundamental_class():
-    s2 = sphere_manifold(2).model
-    sph = sphere_model(2)
-    sigma = CdgaMorphism(sph, s2, {"x": "a2", "y": "0"})
-    with pytest.raises(ComponentObstruction):
-        sigma_normalize(sigma)
-
-
-def test_normalized_morphism_is_chain_map():
-    s3 = sphere_manifold(3).model
-    sph = sphere_model(2)
-    sigma = CdgaMorphism(sph, s3, {"x": "0", "y": "2*a3"})
-    result = sigma_normalize(sigma)
-    result.morphism.validate()
