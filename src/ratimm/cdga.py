@@ -37,18 +37,22 @@ asks which kind it holds:
   the key as a word in those generators;
 * `d_symbol` -- "d", or "D" for the twisted differential.
 
-Cohomology is computed degreewise by exact sparse elimination: `_cochains`
-walks the degrees, enumerating each one's keys once and assembling each
-column at most once.  Rank comes first, untagged and cleared: since
-d^2 = 0, the columns of d_n at the pivots of im d_{n-1} depend on the
-others and are skipped (`_image`).  Representatives are the kernel of
-the kept columns, one tagged pass where b_n > 0: cocycles off the pivots
-of im d_{n-1}, none a coboundary.  `is_quasi_iso` walks the target
-once, rank only, and tests f(representatives) against the image echelons
-of that walk.  Two independent engines recompute the ranks, on every
-column, as a check: a modular rank certified by exactly verified kernel
-relations (what `ratimm cohomology` checks against), and the dense
-eliminator, the oracle of the tests and of `ratimm verify`.
+Cohomology is computed degreewise by exact sparse elimination, in one
+open-ended walk that each caller reads as far as it needs: `_cochains`
+enumerates each degree's keys once and assembles the columns asked for,
+and `_walk` eliminates them rank only and cleared: since d^2 = 0, the
+columns of d_n at the pivots of im d_{n-1} depend on the others and are
+skipped.  It yields b_n with the kept columns and the echelon of
+im d_{n-1}.  `cohomology` reads it to the cutoff and takes
+representatives from the kernel of the kept columns, one tagged pass
+where b_n > 0: cocycles off the pivots of im d_{n-1}, none a
+coboundary.  `is_quasi_iso` reads the target's walk and tests
+f(representatives) against its echelons; an immersion's sphere series
+reads b_0..b_N and, for its closed form, reads on.  Two independent
+engines recompute the ranks from `_cochains`, on every column, as a
+check: a modular rank certified by exactly verified kernel relations
+(what `ratimm cohomology` checks against), and the dense eliminator,
+the oracle of the tests and of `ratimm verify`.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
 order (a tensor algebra asks its base first and skips empty base degrees;
@@ -84,7 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from . import linalg
 from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
@@ -236,6 +240,17 @@ class Cdga:
     def d2_items(self):
         return self.generator_items()
 
+    def _validate(self):
+        """d(g) has degree |g| + 1 and d^2(g) = 0 on each generator."""
+        d = self.d_symbol
+        for name, degree, _, dg in self.generator_items():
+            if not dg.is_zero() and dg.degree() != degree + 1:
+                raise DegreeError(
+                    f"{d}({name}) has degree {dg.degree()}, expected {degree + 1}")
+            residue = self.diff(dg)
+            if not residue.is_zero():
+                raise ValueError(f"{d}^2 != 0 on generator {name}: residue {residue}")
+
 
 # ---------------------------------------------------------------------------
 # Free CDGA
@@ -263,21 +278,6 @@ class FreeCdga(Cdga):
                                  if not g.is_odd and i not in self._dgen)
         if check:
             self._validate()
-
-    def _validate(self):
-        for i, elt in self._diff.items():
-            g = self.algebra.generators[i]
-            if elt.is_zero():
-                continue
-            deg = elt.degree()
-            if deg != g.degree + 1:
-                raise DegreeError(
-                    f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
-        for name, _, _, dg in self.generator_items():
-            residue = self.diff(dg)
-            if not residue.is_zero():
-                raise ValueError(
-                    f"d^2 != 0 on generator {name}: residue {residue}")
 
     @property
     def generators(self):
@@ -513,18 +513,9 @@ class FiniteCdga(Cdga):
 
     def _validate(self):
         alg = self.algebra
-        for i, elt in self._diff.items():
-            if elt.is_zero():
-                continue
-            if elt.degree() != alg.basis[i][1] + 1:
-                raise DegreeError(
-                    f"d({alg.basis[i][0]}) has degree {elt.degree()}, "
-                    f"expected {alg.basis[i][1] + 1}")
         if not self.diff(alg.one()).is_zero():
             raise ValueError("d(1) must vanish")
-        for name, _, _, dv in self.generator_items():
-            if not self.diff(dv).is_zero():
-                raise ValueError(f"d^2 != 0 on basis element {name}")
+        super()._validate()
         # Leibniz on basis pairs
         for u in range(len(alg.basis)):
             for v in range(len(alg.basis)):
@@ -712,20 +703,6 @@ class RelativeModel(Cdga):
             return Element(self.algebra, value.terms)
         raise ContextError("twist element built over a foreign algebra")
 
-    def _validate(self):
-        for i, elt in self._twist.items():
-            g = self.fiber.generators[i]
-            if elt.is_zero():
-                continue
-            deg = elt.degree()
-            if deg != g.degree + 1:
-                raise DegreeError(
-                    f"D({g.name}) has degree {deg}, expected {g.degree + 1}")
-        for name, _, _, dg in self.generator_items():
-            residue = self.diff(dg)
-            if not residue.is_zero():
-                raise ValueError(f"D^2 != 0 on fiber generator {name}: {residue}")
-
     # -- embeddings --------------------------------------------------------
 
     def embed_base(self, element: Element) -> Element:
@@ -857,54 +834,46 @@ def d_columns(cdga, keys, index, memo=None) -> list[dict]:
     return [{index[k]: c for k, c in diff_terms(key, memo).items()} for key in keys]
 
 
-class _Degree:
-    """Degree n of a walk: its `keys`, their positions `index`, the number
-    `rows` of degree-(n+1) keys, and the columns of d_n (`columns`)."""
-
-    def __init__(self, cdga, keys, index, index_next, memo):
-        self.keys, self.index, self.rows = keys, index, len(index_next)
-        self._cdga, self._index_next, self._memo = cdga, index_next, memo
-        self._cols = None
-
-    def columns(self, skip=()) -> list[dict]:
-        """`d_columns` of the keys at positions not in `skip`, in key
-        order; each is assembled on its first request only."""
-        keys, cols = self.keys, self._cols
-        if cols is None and not skip:
-            self._cols = d_columns(self._cdga, keys, self._index_next, self._memo)
-            return self._cols
-        cols = self._cols = cols or [None] * len(keys)
-        todo = [j for j, col in enumerate(cols) if col is None and j not in skip]
-        built = d_columns(self._cdga, [keys[j] for j in todo], self._index_next,
-                          self._memo)
-        for j, col in zip(todo, built):
-            cols[j] = col
-        return [col for j, col in enumerate(cols) if j not in skip]
-
-
-def _cochains(cdga, cutoff: int):
-    """Walk degrees n = 0..cutoff once each, yielding a `_Degree` for each.
-    One memo serves the whole walk and is dropped with it."""
+def _cochains(cdga):
+    """Walk degrees n = 0, 1, ... once each, open-ended: the caller reads
+    as far as it needs.  Degree n is (keys, index, rows, columns): its
+    keys, their positions, the number of degree-(n+1) keys, and
+    `columns(skip)`, the `d_columns` of the keys at positions not in
+    `skip` (a set or dict), in key order.  One memo serves the whole
+    walk and is dropped with it."""
     alg = cdga.algebra
     memo: dict = {}
     keys = alg.keys_of_degree(0)
     index = {k: i for i, k in enumerate(keys)}
-    for n in range(cutoff + 1):
-        keys_next = alg.keys_of_degree(n + 1)
+    for n in count(1):
+        keys_next = alg.keys_of_degree(n)
         index_next = {k: i for i, k in enumerate(keys_next)}
-        yield _Degree(cdga, keys, index, index_next, memo)
+
+        def columns(skip=(), keys=keys, index_next=index_next):
+            return d_columns(cdga, [key for j, key in enumerate(keys) if j not in skip],
+                             index_next, memo)
+
+        yield keys, index, len(keys_next), columns
         keys, index = keys_next, index_next
 
 
-def _image(degree: _Degree, image_prev) -> linalg.SparseEchelon:
-    """Echelon of im d_n, skipping the columns at the pivots of im d_{n-1}.
+def _walk(cdga):
+    """The Betti walk, open-ended like `_cochains`: degree n is (b_n,
+    keys, index, kept, image_prev).
 
-    The rows of `image_prev` span im d_{n-1}, inside ker d_n as d^2 = 0,
-    with distinct pivots; in reduced echelon form each row gives the
-    column at its pivot as a combination of columns at non-pivots.  A
-    span's pivot set does not depend on the rows giving it.
+    `image_prev`, the echelon of im d_{n-1}, clears the columns of d_n
+    at its pivots: its rows lie in ker d_n, as d^2 = 0, and in reduced
+    echelon form each gives the column at its pivot as a combination of
+    columns at non-pivots (a span's pivot set does not depend on the
+    rows giving it).  The `kept` columns, eliminated rank only, give
+    the echelon of im d_n.
     """
-    return linalg.SparseEchelon(degree.columns(image_prev.pivot_cols))
+    image_prev = linalg.SparseEchelon()
+    for keys, index, _, columns in _cochains(cdga):
+        kept = columns(image_prev.pivot_cols)
+        image = linalg.SparseEchelon(kept)
+        yield len(keys) - image.rank - image_prev.rank, keys, index, kept, image_prev
+        image_prev = image
 
 
 def _dense_rank(cols, rows: int) -> int:
@@ -916,68 +885,71 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     """Degreewise cohomology ranks, by exact elimination.
 
     Each degree's keys are enumerated, and each column assembled, once.
-    engine="sparse" is the production path: one fraction-free sparse
-    elimination of each degree's differential, rank only and cleared
-    (`_image`), and its echelon is the image of d_n.  With
-    representatives, a degree with b_n > 0 also gets one tagged
-    elimination of the columns left after clearing, in key order; each
-    of their first b_n kernel vectors is a representative.  A nonzero coboundary
-    has its lowest coordinate at a pivot of im d_{n-1}, and a cocycle
-    reduces modulo im d_{n-1} to one off them: the cocycles off the
-    pivots, of dimension b_n, complement the coboundaries.
+    engine="sparse" is the production path, the first cutoff+1 degrees
+    of `_walk`: one fraction-free sparse elimination of each degree's
+    differential, rank only and cleared.  With representatives, a
+    degree with b_n > 0 also gets one tagged elimination of the kept
+    columns, in key order; each of their first b_n kernel vectors is a
+    representative.  A nonzero coboundary has its lowest coordinate at
+    a pivot of im d_{n-1}, and a cocycle reduces modulo im d_{n-1} to
+    one off them: the cocycles off the pivots, of dimension b_n,
+    complement the coboundaries.
 
-    The checking engines return no representatives.  engine="certified"
-    hands the cleared columns to the sparse elimination and all of
-    them to the modular certificate (`linalg.certified_rank`, or the
-    dense eliminator in a degree the certificate cannot settle) and
-    raises AssertionError when the two ranks disagree; the engines share
-    columns, never elimination.  engine="dense" takes every rank from
-    the dense eliminator alone and clears nothing.  Clearing needs
+    The checking engines read `_cochains` and return no
+    representatives.  engine="certified" clears and eliminates like
+    `_walk`, then assembles the cleared columns and hands all of them,
+    in key order, to the modular certificate (`linalg.certified_rank`,
+    or the dense eliminator in a degree the certificate cannot settle);
+    it raises AssertionError when the two ranks disagree.  The engines
+    share columns, never elimination.  engine="dense" takes every rank
+    from the dense eliminator alone and clears nothing.  Clearing needs
     d^2 = 0, which every constructor checks: a model built with
     check=False and d^2 != 0 has no defined table.
     """
     if engine not in ("sparse", "certified", "dense"):
         raise ValueError(f"unknown cohomology engine {engine!r}")
-    representatives = representatives and engine == "sparse"
-    alg = cdga.algebra
+    degrees = max(cutoff + 1, 0)
     dims = []
+    if engine != "sparse":
+        image = linalg.SparseEchelon()
+        rank = 0
+        for n, (keys, _, rows, columns) in enumerate(islice(_cochains(cdga), degrees)):
+            prev = rank
+            if engine == "dense":
+                rank = _dense_rank(columns(), rows)
+            else:
+                skip = image.pivot_cols
+                # eliminate before the cleared columns are built (peak memory)
+                kept = columns(skip)
+                image = linalg.SparseEchelon(kept)
+                rank = image.rank
+                kept, cleared = iter(kept), iter(columns(
+                    {j for j in range(len(keys)) if j not in skip}))
+                cols = [next(cleared if j in skip else kept) for j in range(len(keys))]
+                check = linalg.certified_rank(cols)
+                if check is None:
+                    check = _dense_rank(cols, rows)
+                if check != rank:
+                    # an internal fault, not bad input
+                    raise AssertionError(f"sparse and certified ranks disagree in "
+                                         f"degree {n}; please report")
+            dims.append(len(keys) - rank - prev)
+        return BettiTable(cutoff, dims)
+    alg = cdga.algebra
     reps: list[list[Element]] = []
-    rank_prev = 0
-    image_prev = linalg.SparseEchelon()
-    for n, degree in enumerate(_cochains(cdga, cutoff)):
-        if engine == "dense":
-            rank = _dense_rank(degree.columns(), degree.rows)
-        else:
-            image = _image(degree, image_prev)
-            rank = image.rank
-        if engine == "certified":
-            cols = degree.columns()
-            check = linalg.certified_rank(cols)
-            if check is None:
-                check = _dense_rank(cols, degree.rows)
-            if check != rank:
-                # an internal fault, not bad input
-                raise AssertionError(f"sparse and certified ranks disagree in "
-                                     f"degree {n}; please report")
-        keys = degree.keys
-        b_n = len(keys) - rank - rank_prev
+    for n, (b_n, keys, _, kept, image_prev) in enumerate(islice(_walk(cdga), degrees)):
         dims.append(b_n)
-        rank_prev = rank
         if representatives:
             skip = image_prev.pivot_cols
-            kept = [key for j, key in enumerate(keys) if j not in skip]
-            kernel = linalg.kernel_vectors(linalg.SparseEchelon(),
-                                           degree.columns(skip)) if b_n else ()
-            chosen = [Element(alg, {kept[j]: Fraction(c) for j, c in ker.items()})
+            kept_keys = [key for j, key in enumerate(keys) if j not in skip]
+            kernel = linalg.kernel_vectors(linalg.SparseEchelon(), kept) if b_n else ()
+            chosen = [Element(alg, {kept_keys[j]: Fraction(c) for j, c in ker.items()})
                       for ker in islice(kernel, b_n)]
             if len(chosen) != b_n:
                 raise AssertionError(
                     f"rank bookkeeping mismatch in degree {n}: "
                     f"{len(chosen)} representatives for b_{n}={b_n}")
             reps.append(chosen)
-        if engine != "dense":
-            # degree n+1 clears the pivots of im d_n
-            image_prev = image
     return BettiTable(cutoff, dims, reps if representatives else None)
 
 
@@ -1268,29 +1240,25 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
 
     Dimension equality alone is not trusted: the induced map is also
     checked to be injective on cohomology representatives.  The source
-    is walked by `cohomology` with representatives; the target is walked
-    once, rank only and cleared (`_image`).  f of each degree-n
-    representative is added to the echelon of the target's d_{n-1}; one
-    that adds no pivot shows a class sent into the span of the image and
-    the classes before it, whatever rows span it.
+    is walked by `cohomology` with representatives; the target's `_walk`
+    is read to the cutoff, rank only and cleared.  f of each degree-n
+    representative is added to the echelon of the target's d_{n-1},
+    after b_n is read; one that adds no pivot shows a class sent into
+    the span of the image and the classes before it, whatever rows span
+    it.
     """
     f.validate()
     source = cohomology(f.source, cutoff, representatives=True)
     per_degree = []
-    rank_prev = 0
-    image_prev = linalg.SparseEchelon()
     memo: dict = {}
-    for n, degree in enumerate(_cochains(f.target, cutoff)):
-        image = _image(degree, image_prev)
+    walk = islice(_walk(f.target), len(source.dims))
+    for n, (dt, _, index, _, image_prev) in enumerate(walk):
         injective = True
         for rep in source.representatives[n]:
-            vec = {degree.index[k]: c for k, c in f._apply_terms(rep.terms, memo).items()}
+            vec = {index[k]: c for k, c in f._apply_terms(rep.terms, memo).items()}
             pivot, _ = image_prev.add(vec)
             if pivot is None:
                 injective = False
-        dt = len(degree.keys) - image.rank - rank_prev
         per_degree.append((n, source.dims[n], dt, injective))
-        rank_prev = image.rank
-        image_prev = image
     ok = all(ds == dt and inj for _, ds, dt, inj in per_degree)
     return QuasiIsoReport(ok, cutoff, per_degree)

@@ -237,9 +237,6 @@ class Element:
             raise DegreeError(f"inhomogeneous element (degrees {sorted(degs)}): {self}")
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({self.algebra.key_degree(k) for k in self.terms}) <= 1
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_context(self, other: "Element"):

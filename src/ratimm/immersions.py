@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .bundles import (ManifoldModel, check_pontryagin_hypothesis, stiefel_model)
-from .cdga import FreeCdga, cohomology
+from .cdga import FreeCdga, _walk
 from .errors import InputError
 from .groebner import pure_krull_dimension
 from .mapping import (EMFactor, SphereFactor, em_mapping_space,
@@ -57,17 +58,12 @@ class ImmersionDescription:
     connectivity: str
     em_factors: list[EMFactor] = field(default_factory=list)
     sphere_factor: SphereFactor | None = None
-    sphere_model: FreeCdga | None = field(default=None, compare=False)
     sphere_series: PoincareSeries | None = None
     # dim ΛQ/I of the sphere model when it is pure (see `growth_degree`)
     sphere_dimension: int | None = None
     em_part_series: PoincareSeries | None = None
     series: PoincareSeries | None = None
     growth: str = "none"
-
-    @property
-    def hypotheses_ok(self) -> bool:
-        return all(h.status == "passed" for h in self.hypotheses)
 
 
 def connectivity_verdict(m: int, k: int) -> str:
@@ -77,33 +73,30 @@ def connectivity_verdict(m: int, k: int) -> str:
     return "connected" if k >= m + 1 else "components-indexed"
 
 
-def _sphere_series(model: FreeCdga, cutoff: int, pure: bool) -> PoincareSeries:
-    """Betti series of a mapping-space model, with a fitted closed form.
+def _sphere_series(model: FreeCdga, cutoff: int) -> PoincareSeries:
+    """Betti series of a mapping-space model, with a lazily fitted closed form.
 
-    The fit walks the cohomology past the requested cutoff, to
-    3*span+16 (span = the sum of the even generator degrees), fits
-    P(t)/prod(1-t^d) over the even generator degrees of the model, and
-    lets the coefficients past the numerator's end validate it; without
-    a verified fit the form is None.  A pure model's growth needs no
-    fit (`pure_krull_dimension`), so its cohomology is walked to the
-    cutoff only, and the fit runs when something first reads the form.
-    Any other model is walked once, to the fit's cutoff, and fitted now.
+    b_0..b_cutoff come from one Betti walk of the model (`cdga._walk`).
+    The fit, run when something first reads the form, continues that
+    walk past the cutoff, to 3*span+16 (span = the sum of the even
+    generator degrees), fits P(t)/prod(1-t^d) over the even generator
+    degrees of the model, and lets the coefficients past the
+    numerator's end validate it; without a verified fit the form is
+    None.  A pure model's growth needs no fit (`pure_krull_dimension`),
+    so its walk stops at the cutoff unless the form is read.
     """
     even_degrees = [g.degree for g in model.algebra.generators
                     if g.degree % 2 == 0]
     recon_cutoff = max(cutoff, 3 * sum(even_degrees) + 16)
+    betti = (b_n for b_n, *_ in _walk(model))
+    coeffs = list(islice(betti, cutoff + 1))
 
-    def fit(coeffs=None):
-        if coeffs is None:
-            coeffs = cohomology(model, recon_cutoff, representatives=False).dims
+    def fit():
+        coeffs.extend(islice(betti, recon_cutoff + 1 - len(coeffs)))
         return reconstruct_rational_series(coeffs, even_degrees,
                                            verify_from=recon_cutoff - 8)
 
-    if pure:
-        return PoincareSeries(cohomology(model, cutoff, representatives=False).dims,
-                              cutoff, fit=fit)
-    coeffs = cohomology(model, recon_cutoff, representatives=False).dims
-    return PoincareSeries(coeffs[:cutoff + 1], cutoff, fit(coeffs))
+    return PoincareSeries(coeffs, cutoff, fit=fit)
 
 
 def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> ImmersionDescription:
@@ -151,7 +144,6 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     em_part = em_product_series(em_factors, cutoff)
 
     sphere_factor = None
-    sphere_model_ = None
     sphere_series = None
     sphere_dimension = None
     status = "resolved"
@@ -159,10 +151,9 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         hk = bettiM.dims[k] if k <= bettiM.cutoff else 0
         if hk == 0:
             sphere_factor = SphereFactor(k, "resolved-null")
-            sphere_model_ = sphere_map_null_model(M.model, k)
-            sphere_dimension = pure_krull_dimension(sphere_model_)
-            sphere_series = _sphere_series(sphere_model_, cutoff,
-                                           pure=sphere_dimension is not None)
+            sphere_model = sphere_map_null_model(M.model, k)
+            sphere_dimension = pure_krull_dimension(sphere_model)
+            sphere_series = _sphere_series(sphere_model, cutoff)
         else:
             sphere_factor = SphereFactor(k, "symbolic")
             status = "symbolic-sphere"
@@ -174,8 +165,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     desc = ImmersionDescription(
         manifold=M.name, m=m, k=k, cutoff=cutoff, status=status,
         hypotheses=checks, connectivity=connectivity,
-        em_factors=em_factors, sphere_factor=sphere_factor,
-        sphere_model=sphere_model_, sphere_series=sphere_series,
+        em_factors=em_factors, sphere_factor=sphere_factor, sphere_series=sphere_series,
         sphere_dimension=sphere_dimension, em_part_series=em_part, series=total)
     if status == "symbolic-sphere":
         desc.growth = "symbolic"

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -180,10 +181,11 @@ def test_walk_columns_match_reference_leibniz():
     for cdga, upto in _oracle_models():
         integral = _integral(cdga)
         alg = cdga.algebra
-        for n, degree in enumerate(_cochains(cdga, upto)):
+        walk = islice(_cochains(cdga), upto + 1)
+        for n, (keys, _, rows, columns) in enumerate(walk):
             rows_index = {k: i for i, k in enumerate(alg.keys_of_degree(n + 1))}
-            assert degree.rows == len(rows_index)
-            for key, col in zip(degree.keys, degree.columns(), strict=True):
+            assert rows == len(rows_index)
+            for key, col in zip(keys, columns(), strict=True):
                 want = reference_diff_key(cdga, key)
                 assert col == {rows_index[k]: c for k, c in want.terms.items()}, (cdga, key)
                 if integral:
@@ -291,6 +293,21 @@ def test_wrong_degree_differential_rejected():
         FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2"})
 
 
+def test_every_kind_checks_its_generators_the_same_way():
+    # one check, in the kind's own symbol: d(g) has degree |g| + 1, d^2(g) = 0
+    s3 = FiniteCdga([("one", 0), ("a", 3)], {}, label="S3f")
+    fiber = [Generator("y2", 2), Generator("x3", 3), Generator("b4", 4),
+             Generator("w5", 5)]
+    with pytest.raises(DegreeError, match=r"^D\(x3\) has degree 3, expected 4$"):
+        RelativeModel(s3, [Generator("x3", 3)], {"x3": "a"})
+    with pytest.raises(ValueError, match=r"^D\^2 != 0 on generator x3: "):
+        RelativeModel(s3, fiber, {"x3": "y2^2 + b4", "b4": "w5"})
+    with pytest.raises(DegreeError, match=r"^d\(a\) has degree 4, expected 3$"):
+        FiniteCdga([("one", 0), ("a", 2), ("b", 4)], {}, {"a": "b"})
+    with pytest.raises(ValueError, match=r"^d\^2 != 0 on generator a: "):
+        FiniteCdga([("one", 0), ("a", 2), ("b", 3), ("c", 4)], {}, {"a": "b", "b": "c"})
+
+
 # -- cohomology --------------------------------------------------------------
 
 def test_exterior_on_one_odd_generator():
@@ -324,11 +341,30 @@ def test_unknown_engine_is_rejected(s2_model):
             cohomology(s2_model, 4, engine=engine)
 
 
+def test_walk_asks_for_the_degrees_to_cutoff_plus_one(s2_model, monkeypatch):
+    # the walk is open-ended: cohomology to N reads degrees 0..N+1 only
+    # (d_N lands in degree N+1), each once, whatever the engine
+    alg = s2_model.algebra
+    asked = []
+    keys_of_degree = alg.keys_of_degree
+
+    def recorded(n):
+        asked.append(n)
+        return keys_of_degree(n)
+
+    monkeypatch.setattr(alg, "keys_of_degree", recorded)
+    for engine, reps in (("sparse", True), ("sparse", False), ("certified", False),
+                         ("dense", False)):
+        asked.clear()
+        cohomology(s2_model, 9, representatives=reps, engine=engine)
+        assert asked == list(range(11)), engine
+
+
 def _dense_ranks(cdga, cutoff):
     """rank d_n, n = 0..cutoff, by the dense oracle on every column."""
     from ratimm.cdga import _cochains
-    return [linalg.dense_rank(linalg.dense_from_columns(degree.columns(), degree.rows))
-            for degree in _cochains(cdga, cutoff)]
+    return [linalg.dense_rank(linalg.dense_from_columns(columns(), rows))
+            for _, _, rows, columns in islice(_cochains(cdga), cutoff + 1)]
 
 
 def test_cleared_ranks_match_the_dense_oracle(monkeypatch):

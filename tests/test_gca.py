@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratimm.errors import ContextError, ParseError
+from ratimm.errors import ContextError, DegreeError, ParseError
 from ratimm.gca import (Element, FreeAlgebra, Generator, basis_count_series,
                         parse_element)
 
@@ -47,7 +47,8 @@ def test_mixed_contexts_rejected(alg):
 
 def test_element_degree_and_homogeneity(alg):
     e = alg.gen("a") + alg.gen("u")
-    assert not e.is_homogeneous()
+    with pytest.raises(DegreeError):
+        e.degree()
     assert alg.gen("a").degree() == 2
     assert alg.zero().degree() is None
 

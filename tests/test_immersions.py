@@ -134,6 +134,26 @@ def test_pure_growth_needs_no_fit(monkeypatch):
     assert str(d.series).endswith(" / (1-t^6)(1-t^8)")
 
 
+def test_reading_the_form_continues_the_walk_to_n(monkeypatch):
+    # the lazy fit of a pure null model extends the Betti walk that gave
+    # b_0..b_N; it does not walk the model again from degree 0
+    from ratimm import cdga
+    from ratimm.mapping import sphere_map_null_model
+    M = sphere_product_manifold(2, 4)
+    label = sphere_map_null_model(M.model, 8).label
+    walks = []
+    cochains = cdga._cochains
+
+    def counted(model):
+        walks.append(model.label)
+        return cochains(model)
+
+    monkeypatch.setattr(cdga, "_cochains", counted)
+    d = immersion_components(M, 8, 30)
+    assert str(d.series).endswith(" / (1-t^6)(1-t^8)")
+    assert walks.count(label) == 1
+
+
 def test_em_pole_is_read_from_the_factor_list(monkeypatch):
     import ratimm.immersions as immersions
     from ratimm.io import load_manifold
@@ -142,7 +162,7 @@ def test_em_pole_is_read_from_the_factor_list(monkeypatch):
     # the EM part does not depend on the sphere factor: skip walking and
     # fitting its cohomology over the whole grid
     monkeypatch.setattr(immersions, "_sphere_series",
-                        lambda model, cutoff, pure: PoincareSeries([1], cutoff))
+                        lambda model, cutoff: PoincareSeries([1], cutoff))
     sources = [sphere_manifold(m) for m in range(2, 8)]
     sources += [sphere_product_manifold(a, b) for a in range(2, 5) for b in range(a, 5)]
     sources += [complex_projective_plane(p1=0),
@@ -186,7 +206,7 @@ def test_imm_s2_r4_symbolic():
 def test_imm_cp2_hypothesis_failure():
     d = immersion_components(complex_projective_plane(), 2, 10)
     assert d.status == "hypothesis-failed"
-    assert not d.hypotheses_ok
+    assert [h.status for h in d.hypotheses] == ["passed", "failed"]
     assert d.em_factors == [] and d.series is None
     with pytest.raises(ValueError):
         growth_degree(d)
@@ -196,7 +216,7 @@ def test_imm_cp2_resolves_at_higher_codimension():
     # k = 5 puts the vanishing threshold at i >= 3, allowing p1 != 0
     d = immersion_components(complex_projective_plane(), 5, 12)
     assert d.status == "resolved"
-    assert d.hypotheses_ok
+    assert all(h.status == "passed" for h in d.hypotheses)
 
 
 def test_growth_examples():
