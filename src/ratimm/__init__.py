@@ -14,7 +14,7 @@ from .gca import Element, FreeAlgebra, Generator, parse_element
 from .cdga import (BettiTable, CdgaMorphism, FiniteAlgebra, FiniteCdga,
                    FreeCdga, RelativeModel, TensorAlgebra, check_d_squared,
                    cohomology, is_quasi_iso, tensor, unit_cdga)
-from .bundles import (BsoModel, ManifoldModel, TrivialityVerdict, bso_model,
+from .bundles import (ManifoldModel, TrivialityVerdict, bso_model,
                       borel_assoc_model, complex_projective_plane,
                       framed_bundle_model, is_rationally_trivial,
                       sphere_manifold, sphere_product_manifold, stiefel_model,

@@ -3,8 +3,21 @@
 The framed frame bundle of a rank-m vector bundle has the Stiefel
 manifold V_m(R^{m+k}) as fiber; its relative model over a model of the
 base twists the fiber differential by the Pontryagin cocycles of the
-bundle.  This module builds those models, the untruncated variant with
-its reduction quasi-isomorphism, and the rational-triviality test.
+bundle.  Every such model is built from one table of fiber generators
+(`_fiber_generators`).  With t = pontryagin_vanishing_threshold(k) and
+T = (m+k-1)//2 it lists, from an index `first` on,
+
+    x_i           degree 4i-1,   first <= i <= T,
+    ebar_{m+k-1}  degree m+k-1,  when m+k is even,
+    b_i           degree 4i,     first <= i < t,
+    e_k           degree k,      when k is even,
+
+and the differential is D(x_i) = p_i - b_i + e_k^2, where the b_i term
+is present for i < t and the e_k^2 term for 2i = k; the other generators
+are closed.  `stiefel_model` (no base) and `framed_bundle_model` read
+the table from first = t, `unreduced_framed_model` from first = 1, and
+its reduction quasi-isomorphism sends x_i to 0 and b_i to p_i for i < t.
+The module also holds the rational-triviality test.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from .gca import Element, FreeAlgebra, Generator, parse_element
 from .series import PoincareSeries
 
 __all__ = [
-    "BsoModel", "ManifoldModel", "bso_model", "borel_assoc_model",
+    "ManifoldModel", "bso_model", "borel_assoc_model",
     "stiefel_model", "framed_bundle_model", "unreduced_framed_model",
     "is_rationally_trivial", "TrivialityVerdict", "KunnethCertificate",
     "sphere_manifold", "complex_projective_plane", "sphere_product_manifold",
@@ -29,23 +42,12 @@ __all__ = [
 # Classifying-space models
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BsoModel:
+def bso_model(n: int) -> FreeCdga:
     """Polynomial cohomology algebra of BSO(n) with zero differential.
 
     n = 2r+1: Pontryagin generators p_1..p_r (degrees 4..4r);
     n = 2r:   p_1..p_{r-1} plus the Euler generator e_n of degree n.
     """
-
-    n: int
-    cdga: FreeCdga
-
-    @property
-    def algebra(self):
-        return self.cdga.algebra
-
-
-def bso_model(n: int) -> BsoModel:
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
     gens = []
@@ -55,7 +57,7 @@ def bso_model(n: int) -> BsoModel:
         gens.append(Generator(f"p{i}", 4 * i))
     if n % 2 == 0:
         gens.append(Generator(f"e{n}", n))
-    return BsoModel(n, FreeCdga(gens, {}, label=f"BSO({n})"))
+    return FreeCdga(gens, {}, label=f"BSO({n})")
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +81,6 @@ class ManifoldModel:
         self.model = model
         self.name = name or model.label
         self.pontryagin: dict[int, Element] = {}
-        self._betti_cache: dict[int, BettiTable] = {}
         for i, value in dict(pontryagin or {}).items():
             i = int(i)
             if i < 1:
@@ -112,11 +113,7 @@ class ManifoldModel:
         return elt
 
     def betti(self, cutoff: int) -> BettiTable:
-        cached = self._betti_cache.get(cutoff)
-        if cached is None:
-            cached = cohomology(self.model, cutoff, representatives=False)
-            self._betti_cache[cutoff] = cached
-        return cached
+        return cohomology(self.model, cutoff, representatives=False)
 
     def __repr__(self):
         ps = ", ".join(f"p{i}" for i, e in sorted(self.pontryagin.items())
@@ -151,43 +148,45 @@ def sphere_product_manifold(m1: int, m2: int) -> ManifoldModel:
 
 
 # ---------------------------------------------------------------------------
-# Stiefel models
+# The Stiefel fiber
 # ---------------------------------------------------------------------------
 
-def _stiefel_generators(m: int, k: int):
-    """Fiber generators and differentials for V_m(R^{m+k}), by parity case."""
-    s, l = k // 2, m // 2
-    gens: list[Generator] = []
-    diff: dict[str, str] = {}
-    if k % 2:  # k = 2s+1
-        lo, hi = s + 1, l + s
-    else:      # k = 2s
-        lo, hi = s, (l + s) if m % 2 else (l + s - 1)
-    for i in range(lo, hi + 1):
-        gens.append(Generator(f"x{i}", 4 * i - 1))
+def pontryagin_vanishing_threshold(k: int) -> int:
+    """Smallest index from which p_i must vanish: s+1 for k=2s+1, s for k=2s."""
+    s = k // 2
+    return s + 1 if k % 2 else s
+
+
+def _fiber_generators(m: int, k: int, first: int) -> list[Generator]:
+    """The fiber table of V_m(R^{m+k}) from index `first` on, in order:
+    x_i (first <= i <= (m+k-1)//2), ebar_{m+k-1}, b_i (first <= i < t),
+    e_k; see the module docstring."""
+    gens = [Generator(f"x{i}", 4 * i - 1) for i in range(first, (m + k + 1) // 2)]
     if (m + k) % 2 == 0:
         gens.append(Generator(f"ebar{m + k - 1}", m + k - 1))
+    gens += [Generator(f"b{i}", 4 * i)
+             for i in range(first, pontryagin_vanishing_threshold(k))]
     if k % 2 == 0:
         gens.append(Generator(f"e{k}", k))
-        diff[f"x{s}"] = f"e{k}^2"
-    return gens, diff
+    return gens
 
 
 def stiefel_model(m: int, k: int) -> FreeCdga:
     """Minimal model of the Stiefel manifold V_m(R^{m+k}).
 
-    Generators x_i of degree 4i-1 (range depending on the parities of m
-    and k), an Euler generator e_k for k even with dx_s = e_k^2, and a
-    top generator of degree m+k-1 when m+k is even.  Requires k >= 2 so
-    the fiber is simply connected.
+    The fiber table from the threshold t on: x_t..x_T of degree 4i-1
+    (T = (m+k-1)//2), the top generator ebar_{m+k-1} when m+k is even, and for k even the
+    Euler generator e_k with dx_s = e_k^2 (s = k/2 = t).  Requires
+    k >= 2 so the fiber is simply connected.
     """
     if m < 1:
         raise InputError(f"frame count must be >= 1, got m={m}")
     if k < 2:
         raise InputError(f"codimension must be >= 2, got k={k} "
                          "(the fiber is not simply connected otherwise)")
-    gens, diff = _stiefel_generators(m, k)
-    return FreeCdga(gens, diff, label=f"V_{m}(R^{m + k})")
+    t = pontryagin_vanishing_threshold(k)
+    diff = {f"x{t}": f"e{k}^2"} if k % 2 == 0 else {}
+    return FreeCdga(_fiber_generators(m, k, t), diff, label=f"V_{m}(R^{m + k})")
 
 
 # ---------------------------------------------------------------------------
@@ -237,100 +236,68 @@ def borel_assoc_model(baseA, phi: CdgaMorphism, VK, sVH, Bmu_images, Bnu_images,
 # Framed-bundle models
 # ---------------------------------------------------------------------------
 
-def framed_bundle_model(M: ManifoldModel, k: int) -> RelativeModel:
-    """Relative model of the framed bundle of the tangent bundle plus k.
-
-    Fiber generators come from stiefel_model(m, k); x_i carries the
-    Pontryagin cocycle p_i of the tangent bundle whenever 4i <= m (zero
-    otherwise), and for k even x_s additionally carries e_k^2.
-    """
+def _framed(M: ManifoldModel, k: int, first: int, label: str) -> RelativeModel:
+    """The relative model on the fiber table from `first` on, with
+    D(x_i) = p_i - b_i + e_k^2: b_i for i < t, e_k^2 for 2i = k."""
     if k < 2:
         raise InputError(f"codimension must be >= 2, got k={k}")
     m = M.dimension
-    s = k // 2
-    gens, _ = _stiefel_generators(m, k)
+    t = pontryagin_vanishing_threshold(k)
+    gens = _fiber_generators(m, k, first)
     # the twist is written over the fiber generators as given
     alg = TensorAlgebra(M.model.algebra, FreeAlgebra(gens))
     twist = {}
     for g in gens:
         if not g.name.startswith("x"):
-            continue
-        i = int(g.name[1:])
-        total = alg.zero()
-        if k % 2 == 0 and i == s:
-            total = total + alg.embed_right(alg.right.name_power(f"e{k}", 2))
-        if 4 * i <= m:
-            p = M.pontryagin_class(i)
-            if p is not None:
-                total = total + alg.embed_left(p)
+            continue  # ebar, b_i and e_k are closed
+        i = (g.degree + 1) // 4
+        p = M.pontryagin_class(i)
+        total = alg.zero() if p is None else alg.embed_left(p)
+        if i < t:
+            total -= alg.embed_right(alg.right.gen(f"b{i}"))
+        if 2 * i == k:
+            total += alg.embed_right(alg.right.name_power(f"e{k}", 2))
         if not total.is_zero():
             twist[g.name] = total
     return RelativeModel(M.model, gens, twist=twist,
-                         label=f"Framed_{m}({M.name}, k={k})")
+                         label=f"{label}_{m}({M.name}, k={k})")
+
+
+def framed_bundle_model(M: ManifoldModel, k: int) -> RelativeModel:
+    """Relative model of the framed bundle of the tangent bundle plus k.
+
+    Fiber generators are those of stiefel_model(m, k); x_i carries the
+    Pontryagin cocycle p_i of the tangent bundle (zero when M has none),
+    and for k even x_s additionally carries e_k^2.
+    """
+    return _framed(M, k, pontryagin_vanishing_threshold(k), "Framed")
 
 
 def unreduced_framed_model(M: ManifoldModel, k: int):
     """The Borel-style model before cancelling contractible pairs, with
     its reduction quasi-isomorphism onto framed_bundle_model(M, k).
 
-    Fiber: x_1..x_T (T from the parity of m+k), the top generator when
-    m+k is even, and the auxiliary closed generators of BSO(k): b_i of
-    degree 4i (plus e_k for k even).  Differentials:
+    Fiber: the table from index 1 on, so below the threshold t it adds
+    x_i and the closed generators b_i of BSO(k) for i < t, with
 
-        D(x_i) = p_i - b_i          for the paired range,
-        D(x_s) = e_k^2 + p_s        for k even,
-        D(x_i) = p_i                otherwise (zero when 4i > m),
+        D(x_i) = p_i - b_i          for i < t,
 
-    and the reduction sends the paired x_i to 0, b_i to p_i, and fixes
-    everything else.  Chain-map and quasi-isomorphism properties are
-    validated on construction.
+    and the differentials of framed_bundle_model otherwise.  The
+    reduction sends x_i to 0 and b_i to p_i for i < t and fixes every
+    generator of the reduced model; it is checked to be a chain map on
+    construction.
     """
-    if k < 2:
-        raise InputError(f"codimension must be >= 2, got k={k}")
-    m = M.dimension
-    s = k // 2
-    T = (m + k - 1) // 2
-    paired = s if k % 2 else s - 1
-
-    gens = [Generator(f"x{i}", 4 * i - 1) for i in range(1, T + 1)]
-    if (m + k) % 2 == 0:
-        gens.append(Generator(f"ebar{m + k - 1}", m + k - 1))
-    for i in range(1, paired + 1):
-        gens.append(Generator(f"b{i}", 4 * i))
-    if k % 2 == 0:
-        gens.append(Generator(f"e{k}", k))
-
-    # the twist is written over the fiber generators as given
-    alg = TensorAlgebra(M.model.algebra, FreeAlgebra(gens))
-    twist = {}
-    for i in range(1, T + 1):
-        total = alg.zero()
-        p = M.pontryagin_class(i) if 4 * i <= m else None
-        if p is not None:
-            total = total + alg.embed_left(p)
-        if i <= paired:
-            total = total - alg.embed_right(alg.right.gen(f"b{i}"))
-        if k % 2 == 0 and i == s:
-            total = total + alg.embed_right(alg.right.name_power(f"e{k}", 2))
-        if not total.is_zero():
-            twist[f"x{i}"] = total
-    big = RelativeModel(M.model, gens, twist=twist,
-                        label=f"UnreducedFramed_{m}({M.name}, k={k})")
-
+    big = _framed(M, k, 1, "UnreducedFramed")
     reduced = framed_bundle_model(M, k)
-    images: dict[str, Element] = {}
+    t = pontryagin_vanishing_threshold(k)
+    images = {g.name: reduced.fiber_gen(g.name)
+              for g in _fiber_generators(M.dimension, k, t)}
     zero = reduced.algebra.zero()
-    for i in range(1, T + 1):
-        images[f"x{i}"] = zero if i <= paired else reduced.fiber_gen(f"x{i}")
-    if (m + k) % 2 == 0:
-        images[f"ebar{m + k - 1}"] = reduced.fiber_gen(f"ebar{m + k - 1}")
-    for i in range(1, paired + 1):
-        p = M.pontryagin_class(i) if 4 * i <= m else None
-        images[f"b{i}"] = reduced.embed_base(p) if p is not None else zero
-    if k % 2 == 0:
-        images[f"e{k}"] = reduced.fiber_gen(f"e{k}")
-    phi = CdgaMorphism(big, reduced, images, label="reduction")
-    return big, phi
+    for i in range(1, t):
+        p = M.pontryagin_class(i)
+        images[f"x{i}"] = zero
+        images[f"b{i}"] = zero if p is None else reduced.embed_base(p)
+    return big, CdgaMorphism(big, reduced, images, label="reduction")
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +323,6 @@ class TrivialityVerdict:
 
     def __bool__(self):
         return self.status == "trivial"
-
-
-def pontryagin_vanishing_threshold(k: int) -> int:
-    """Smallest index from which p_i must vanish: s+1 for k=2s+1, s for k=2s."""
-    s = k // 2
-    return s + 1 if k % 2 else s
 
 
 def check_pontryagin_hypothesis(M: ManifoldModel, k: int):

@@ -979,8 +979,9 @@ def _renamed(generators, taken) -> tuple[list[Generator], dict[str, str]]:
         if name in taken:
             name = renamings[g.name] = _unique_name(name, avoid)
             avoid.add(name)
+            g = Generator(name, g.degree)
         taken.add(name)
-        out.append(Generator(name, g.degree))
+        out.append(g)
     return out, renamings
 
 

@@ -142,21 +142,6 @@ class FreeAlgebra:
         mono = tuple(sorted(merged.items()))
         return (-1 if swaps % 2 else 1), mono
 
-    def monomial(self, powers) -> Monomial:
-        """Build a monomial key from {name_or_generator: exponent}."""
-        merged: dict[int, int] = {}
-        for key, e in dict(powers).items():
-            name = key.name if isinstance(key, Generator) else key
-            i = self.generator_index(name)
-            if e < 0:
-                raise ValueError(f"negative exponent for {name}")
-            if e == 0:
-                continue
-            if self.generators[i].is_odd and e > 1:
-                raise ValueError(f"odd generator {name} raised to power {e}")
-            merged[i] = merged.get(i, 0) + e
-        return tuple(sorted(merged.items()))
-
     def basis_of_degree(self, n: int) -> tuple[Monomial, ...]:
         """All monomials of total degree n, in graded-lex order."""
         if n < 0:
@@ -204,9 +189,6 @@ class FreeAlgebra:
             raise ValueError(f"odd generator {name} raised to power {exp}")
         i = self.generator_index(name)
         return Element(self, {((i, exp),): Fraction(1)})
-
-    def element(self, terms) -> "Element":
-        return Element(self, {m: Fraction(c) for m, c in terms.items() if c})
 
 
 class Element:

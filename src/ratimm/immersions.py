@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .bundles import (ManifoldModel, check_pontryagin_hypothesis, stiefel_model)
+from .bundles import (ManifoldModel, _fiber_generators,
+                      check_pontryagin_hypothesis)
 from .cdga import FreeCdga, _walk
 from .errors import InputError
 from .groebner import pure_krull_dimension
@@ -128,11 +129,10 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         "pontryagin-vanishing", "passed",
         f"p_i = 0 for all i >= {threshold}"))
 
-    fiber = stiefel_model(m, k)
-    gens = list(fiber.algebra.generators)
-    s = k // 2
-    sphere_gen_names = {f"x{s}", f"e{k}"} if k % 2 == 0 else set()
-    em_degrees = [g.degree for g in gens if g.name not in sphere_gen_names]
+    # the Stiefel generators less the sphere pair (x_s, e_k) when k = 2s:
+    # the odd ones of the fiber table from s+1 on
+    em_degrees = [g.degree for g in _fiber_generators(m, k, k // 2 + 1)
+                  if g.is_odd]
     betti_need = max(em_degrees + [k])
     bettiM = M.betti(betti_need)
 

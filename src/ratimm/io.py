@@ -121,24 +121,15 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
             algebra = FreeAlgebra(gens, label=label)
         except ValueError as exc:
             raise ParseError(str(exc), line=0) from None
-        diff = {}
-        for lineno, value in fields.get("d", []):
-            name, expr = _parse_assignment(value, lineno, "name")
-            if name in diff:
-                raise ParseError(f"d: {name} given more than once", line=lineno)
-            if name not in algebra:
-                raise ParseError(f"differential set on unknown generator {name!r}",
-                                 line=lineno)
-            diff[name] = _parse_expr(expr, algebra, lineno)
-        return FreeCdga(algebra, diff, label=label)
-    if kind == "finite":
+        names, noun = {g.name for g in gens}, "generator"
+    elif kind == "finite":
         if "generator" in fields:
             raise ParseError("field 'generator' is not valid for kind 'finite' "
                              "(use 'basis')", line=fields["generator"][0][0])
         basis = []
         for lineno, value in fields.get("basis", []):
             basis.append(_parse_named_degree(value, lineno))
-        names = {name for name, _ in basis}
+        names, noun = {name for name, _ in basis}, "basis element"
         products = {}
         for lineno, value in fields.get("product", []):
             lhs, expr = _parse_assignment(value, lineno, "u * v")
@@ -160,22 +151,25 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
         except (ParseError, DegreeError) as exc:  # about one product value
             lineno, expr = products[exc.product]
             raise ParseError(f"{exc} (in expression {expr!r})", line=lineno) from None
-        diff = {}
-        for lineno, value in fields.get("d", []):
-            name, expr = _parse_assignment(value, lineno, "name")
-            if name not in names:
-                raise ParseError(f"differential set on unknown basis element "
-                                 f"{name!r}", line=lineno)
-            if name in diff:
-                raise ParseError(f"d: {name} given more than once", line=lineno)
-            diff[name] = _parse_expr(expr, algebra, lineno)
-        sc = _single(fields, "simply-connected", default="false")
-        if sc not in ("true", "false"):
-            raise ParseError("simply-connected must be 'true' or 'false'", line=0)
-        return FiniteCdga(algebra, differential=diff, label=label,
-                          simply_connected=(sc == "true"))
-    lineno = fields["kind"][0][0]
-    raise ParseError(f"kind must be 'free' or 'finite', got {kind!r}", line=lineno)
+    else:
+        lineno = fields["kind"][0][0]
+        raise ParseError(f"kind must be 'free' or 'finite', got {kind!r}", line=lineno)
+    diff = {}
+    for lineno, value in fields.get("d", []):
+        name, expr = _parse_assignment(value, lineno, "name")
+        if name not in names:
+            raise ParseError(f"differential set on unknown {noun} {name!r}",
+                             line=lineno)
+        if name in diff:
+            raise ParseError(f"d: {name} given more than once", line=lineno)
+        diff[name] = _parse_expr(expr, algebra, lineno)
+    if kind == "free":
+        return FreeCdga(algebra, diff, label=label)
+    sc = _single(fields, "simply-connected", default="false")
+    if sc not in ("true", "false"):
+        raise ParseError("simply-connected must be 'true' or 'false'", line=0)
+    return FiniteCdga(algebra, differential=diff, label=label,
+                      simply_connected=(sc == "true"))
 
 
 def _parse_expr(expr: str, algebra, lineno: int):

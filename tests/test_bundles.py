@@ -233,6 +233,29 @@ def test_unreduced_over_point_computes_stiefel():
     assert tb == tr
 
 
+def test_one_fiber_table_builds_every_framed_model():
+    # the framed fiber is the Stiefel model's; the unreduced one adds x_i
+    # and b_i below the threshold t and twists the rest the same way
+    manifolds = [sphere_manifold(m) for m in range(2, 10)]
+    manifolds.append(complex_projective_plane())  # p1 = 3 aa
+    for M in manifolds:
+        for k in range(2, 10):
+            t = check_pontryagin_hypothesis(M, k)[0]
+            framed = framed_bundle_model(M, k)
+            big, _ = unreduced_framed_model(M, k)
+            fiber = [(g.name, g.degree) for g in framed.fiber.generators]
+            assert fiber == [(g.name, g.degree) for g in
+                             stiefel_model(M.dimension, k).algebra.generators]
+            xs = [g for g in fiber if g[0].startswith("x")]
+            ebar = [g for g in fiber if g[0].startswith("ebar")]
+            euler = [(f"e{k}", k)] if k % 2 == 0 else []
+            assert [(g.name, g.degree) for g in big.fiber.generators] == (
+                [(f"x{i}", 4 * i - 1) for i in range(1, t)] + xs + ebar
+                + [(f"b{i}", 4 * i) for i in range(1, t)] + euler)
+            for name, _ in xs:
+                assert str(big.twist_of(name)) == str(framed.twist_of(name))
+
+
 # -- Borel associated-bundle model ----------------------------------------------
 
 def test_borel_zero_images_gives_tensor():
@@ -295,7 +318,7 @@ def test_unreduced_k_odd_matches_borel_construction():
     # with Bmu(x_i) = p_i, Bnu(x_i) = b_i
     M = complex_projective_plane()  # m=4: l=2; take k=3: s=1
     big, _ = unreduced_framed_model(M, 3)
-    vg = bso_model(4).cdga  # p1, e4
+    vg = bso_model(4)  # p1, e4
     phi = CdgaMorphism(vg, M.model, {"p1": "3*aa", "e4": "0"})
     model = borel_assoc_model(
         M.model, phi,

@@ -83,24 +83,26 @@ def test_bad_generator_line():
     assert err.value.line == 2
 
 
-def test_unknown_name_in_differential():
-    with pytest.raises(ParseError) as err:
-        parse_cdga("kind: free\ngenerator: e2 2\nd: zz = 0\n")
-    assert err.value.line == 3
-
-
 def test_bad_expression_positioned():
     with pytest.raises(ParseError) as err:
         parse_cdga("kind: free\ngenerator: e2 2\ngenerator: x3 3\nd: x3 = e2^\n")
     assert err.value.line == 4
 
 
-def test_duplicate_differential_rejected():
-    text = ("kind: free\ngenerator: e2 2\ngenerator: x3 3\n"
-            "d: x3 = e2^2\nd: x3 = 0\n")
+@pytest.mark.parametrize("text, message", [
+    ("kind: free\ngenerator: e2 2\nd: zz = 0\n",
+     "line 3: differential set on unknown generator 'zz'"),
+    ("kind: free\ngenerator: e2 2\ngenerator: x3 3\nd: x3 = e2^2\nd: x3 = 0\n",
+     "line 5: d: x3 given more than once"),
+    ("kind: finite\nbasis: one 0\nbasis: a 2\nd: zz = 0\n",
+     "line 4: differential set on unknown basis element 'zz'"),
+    ("kind: finite\nbasis: one 0\nbasis: a 2\nd: a = 0\nd: a = 0\n",
+     "line 5: d: a given more than once"),
+], ids=["free-unknown", "free-repeated", "finite-unknown", "finite-repeated"])
+def test_differential_line_errors_for_both_kinds(text, message):
     with pytest.raises(ParseError) as err:
         parse_cdga(text)
-    assert err.value.line == 5
+    assert str(err.value) == message
 
 
 def test_duplicate_product_rejected():
