@@ -14,7 +14,8 @@ of `tensor`) are renamed where their names clash, by the one rule of
 `_renamed`.  Renaming changes a name, never an index or a degree, so an
 element written over the generators as given already has the keys of the
 result: a relative model takes its twist in that form and is built once,
-and `tensor` shifts the second factor's monomials by index.
+and `tensor` shifts the second factor's monomials by index.  A finite
+`tensor` takes its products, Koszul sign included, from `TensorAlgebra`.
 
 All three derive from `Cdga` and answer the same questions, so the code
 that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
@@ -42,17 +43,20 @@ open-ended walk that each caller reads as far as it needs: `_cochains`
 enumerates each degree's keys once and assembles the columns asked for,
 and `_walk` eliminates them rank only and cleared: since d^2 = 0, the
 columns of d_n at the pivots of im d_{n-1} depend on the others and are
-skipped.  It yields b_n with the kept columns and the echelon of
-im d_{n-1}.  `cohomology` reads it to the cutoff and takes
-representatives from the kernel of the kept columns, one tagged pass
-where b_n > 0: cocycles off the pivots of im d_{n-1}, none a
-coboundary.  `is_quasi_iso` reads the target's walk and tests
-f(representatives) against its echelons; an immersion's sphere series
-reads b_0..b_N and, for its closed form, reads on.  Two independent
-engines recompute the ranks from `_cochains`, on every column, as a
-check: a modular rank certified by exactly verified kernel relations
+skipped.  It yields b_n, `_cochains`' degree (keys, index, rows,
+columns), the kept columns and the echelon of im d_{n-1}.  `cohomology`
+reads it to the cutoff and takes representatives from the kernel of
+the kept columns, one tagged pass where b_n > 0: cocycles off the
+pivots of im d_{n-1}, none a coboundary.  `is_quasi_iso` reads the
+target's walk and tests f(representatives) against its echelons; an
+immersion's sphere series reads b_0..b_N and, for its closed form,
+reads on.  Two independent engines check the ranks on every column: a
+modular rank certified by exactly verified kernel relations, which
+reads the walk and builds the cleared columns beside the kept ones
 (what `ratimm cohomology` checks against), and the dense eliminator,
-the oracle of the tests and of `ratimm verify`.
+which reads `_cochains` and clears nothing, the oracle of the tests and
+of `ratimm verify`.  They share columns with the walk, never
+elimination.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
 order (a tensor algebra asks its base first and skips empty base degrees;
@@ -80,8 +84,9 @@ as long as its walk.  Integral input keeps int coefficients, which
 A morphism applies the same split, f(lk (x) word) = (lk (x) 1) * f(word)
 (`CdgaMorphism._apply_terms`): f(word) is built once per word, from
 the image of the word without its last factor, and multiplied by lk
-through a table of base products like a walk's.  `apply` keeps these
-for one call, `is_quasi_iso` for all the representatives it maps.
+into the result by the loop that multiplies D(1 (x) rm) by lk in a
+walk (`_Products.add_times`).  `apply` keeps these for one call,
+`is_quasi_iso` for all the representatives it maps.
 """
 
 from __future__ import annotations
@@ -215,6 +220,19 @@ class _Products(dict):
         pairs = self[bk] = [(k, _exact(c))
                             for k, c in self.algebra.mul_key_pairs(self.lk, bk)]
         return pairs
+
+    def add_times(self, out: dict, terms, scale):
+        """Add scale * (lk (x) 1) * (bk (x) fm) = scale * lk*bk (x) fm, with
+        no sign, into `out` for each ((bk, fm), c) of `terms`."""
+        for (bk, fm), c in terms:
+            c = scale * c
+            for prod, bc in self[bk]:
+                k = (prod, fm)
+                v = out.get(k, 0) + c * bc
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
 
 
 class Cdga:
@@ -561,9 +579,9 @@ class FiniteCdga(Cdga):
 # ---------------------------------------------------------------------------
 
 class TensorAlgebra:
-    """Product algebra base (x) fiber; keys are (base_key, fiber_monomial)."""
+    """Product algebra base (x) fiber; keys are (base_key, fiber_key)."""
 
-    def __init__(self, left, right: FreeAlgebra, label: str = ""):
+    def __init__(self, left, right, label: str = ""):
         self.left = left
         self.right = right
         self.label = label
@@ -741,15 +759,7 @@ class RelativeModel(Cdga):
                 terms = memo[rm] = [((bk, _times_closed(rm, closed, fm)), c)
                                     for (bk, fm), c in terms]
         out = {(k, rm): c for k, c in dlk}
-        for (bk, fm), c in terms:
-            c = sign * c
-            for prod, bc in products[bk]:
-                k = (prod, fm)
-                v = out.get(k, 0) + c * bc
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+        products.add_times(out, terms, sign)
         return out
 
     def diff_key(self, key) -> Element:
@@ -859,7 +869,8 @@ def _cochains(cdga):
 
 def _walk(cdga):
     """The Betti walk, open-ended like `_cochains`: degree n is (b_n,
-    keys, index, kept, image_prev).
+    keys, index, rows, columns, kept, image_prev), `_cochains`' degree n
+    between b_n and the walk's own two.
 
     `image_prev`, the echelon of im d_{n-1}, clears the columns of d_n
     at its pivots: its rows lie in ker d_n, as d^2 = 0, and in reduced
@@ -869,10 +880,11 @@ def _walk(cdga):
     the echelon of im d_n.
     """
     image_prev = linalg.SparseEchelon()
-    for keys, index, _, columns in _cochains(cdga):
+    for keys, index, rows, columns in _cochains(cdga):
         kept = columns(image_prev.pivot_cols)
         image = linalg.SparseEchelon(kept)
-        yield len(keys) - image.rank - image_prev.rank, keys, index, kept, image_prev
+        yield (len(keys) - image.rank - image_prev.rank, keys, index, rows, columns,
+               kept, image_prev)
         image_prev = image
 
 
@@ -895,52 +907,48 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     one off them: the cocycles off the pivots, of dimension b_n,
     complement the coboundaries.
 
-    The checking engines read `_cochains` and return no
-    representatives.  engine="certified" clears and eliminates like
-    `_walk`, then assembles the cleared columns and hands all of them,
-    in key order, to the modular certificate (`linalg.certified_rank`,
-    or the dense eliminator in a degree the certificate cannot settle);
-    it raises AssertionError when the two ranks disagree.  The engines
-    share columns, never elimination.  engine="dense" takes every rank
-    from the dense eliminator alone and clears nothing.  Clearing needs
-    d^2 = 0, which every constructor checks: a model built with
-    check=False and d^2 != 0 has no defined table.
+    The checking engines return no representatives.
+    engine="certified" reads the same walk: it assembles the columns
+    the walk cleared and hands them with the kept ones, in key order,
+    to the modular certificate (`linalg.certified_rank`, or the dense
+    eliminator in a degree the certificate cannot settle), and raises
+    AssertionError unless that rank of d_n is |keys| - b_n - rank
+    d_{n-1}.  engine="dense" reads `_cochains`, clears nothing, and
+    takes every rank from the dense eliminator alone.  The certificate
+    and the dense eliminator share columns with the walk, never
+    elimination.  Clearing needs d^2 = 0, which every constructor
+    checks: a model built with check=False and d^2 != 0 has no defined
+    table.
     """
     if engine not in ("sparse", "certified", "dense"):
         raise ValueError(f"unknown cohomology engine {engine!r}")
     degrees = max(cutoff + 1, 0)
     dims = []
-    if engine != "sparse":
-        image = linalg.SparseEchelon()
+    if engine == "dense":
         rank = 0
-        for n, (keys, _, rows, columns) in enumerate(islice(_cochains(cdga), degrees)):
-            prev = rank
-            if engine == "dense":
-                rank = _dense_rank(columns(), rows)
-            else:
-                skip = image.pivot_cols
-                # eliminate before the cleared columns are built (peak memory)
-                kept = columns(skip)
-                image = linalg.SparseEchelon(kept)
-                rank = image.rank
-                kept, cleared = iter(kept), iter(columns(
-                    {j for j in range(len(keys)) if j not in skip}))
-                cols = [next(cleared if j in skip else kept) for j in range(len(keys))]
-                check = linalg.certified_rank(cols)
-                if check is None:
-                    check = _dense_rank(cols, rows)
-                if check != rank:
-                    # an internal fault, not bad input
-                    raise AssertionError(f"sparse and certified ranks disagree in "
-                                         f"degree {n}; please report")
+        for keys, _, rows, columns in islice(_cochains(cdga), degrees):
+            prev, rank = rank, _dense_rank(columns(), rows)
             dims.append(len(keys) - rank - prev)
         return BettiTable(cutoff, dims)
+    representatives = representatives and engine == "sparse"
     alg = cdga.algebra
     reps: list[list[Element]] = []
-    for n, (b_n, keys, _, kept, image_prev) in enumerate(islice(_walk(cdga), degrees)):
+    walk = islice(_walk(cdga), degrees)
+    for n, (b_n, keys, _, rows, columns, kept, image_prev) in enumerate(walk):
         dims.append(b_n)
-        if representatives:
-            skip = image_prev.pivot_cols
+        skip = image_prev.pivot_cols
+        if engine == "certified":
+            kept, cleared = iter(kept), iter(columns(
+                {j for j in range(len(keys)) if j not in skip}))
+            cols = [next(cleared if j in skip else kept) for j in range(len(keys))]
+            check = linalg.certified_rank(cols)
+            if check is None:
+                check = _dense_rank(cols, rows)
+            if check != len(keys) - b_n - image_prev.rank:
+                # an internal fault, not bad input
+                raise AssertionError(f"sparse and certified ranks disagree in "
+                                     f"degree {n}; please report")
+        elif representatives:
             kept_keys = [key for j, key in enumerate(keys) if j not in skip]
             kernel = linalg.kernel_vectors(linalg.SparseEchelon(), kept) if b_n else ()
             chosen = [Element(alg, {kept_keys[j]: Fraction(c) for j, c in ker.items()})
@@ -989,11 +997,13 @@ def tensor(a, b, label: str = ""):
     """Tensor product CDGA with differential d(x)1 + 1(x)d.
 
     free (x) free yields a FreeCdga; finite (x) finite yields a
-    FiniteCdga; mixed pairs yield a RelativeModel over the finite factor.
-    The free (or fiber) generators of the second factor are renamed where
-    their names clash, by the one rule of `_renamed`, and `.renamings`
-    records it.  Renaming keeps each generator's index: b's generators
-    follow a's, so b's monomials shift by the number of a's generators.
+    FiniteCdga on the basis pairs, a's index major, with the products of
+    `TensorAlgebra(a.algebra, b.algebra)`; mixed pairs yield a
+    RelativeModel over the finite factor.  The free (or fiber) generators
+    of the second factor are renamed where their names clash, by the one
+    rule of `_renamed`, and `.renamings` records it.  Renaming keeps each
+    generator's index: b's generators follow a's, so b's monomials shift
+    by the number of a's generators.
     """
     label = label or f"{a.label}(x){b.label}"
     if isinstance(a, FreeCdga) and isinstance(b, FreeCdga):
@@ -1032,13 +1042,12 @@ def _tensor_relative(base: FiniteCdga, free: FreeCdga, label: str) -> RelativeMo
 
 def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
     abasis, bbasis = a.algebra.basis, b.algebra.basis
-    names: list[str] = []
-    taken: set[str] = set()
     pairs = [(i, j) for i in range(len(abasis)) for j in range(len(bbasis))]
+    pos = {pair: t for t, pair in enumerate(pairs)}
+    basis = []
+    taken: set[str] = set()
     for i, j in pairs:
-        if i == a.algebra.unit and j == b.algebra.unit:
-            name = abasis[i][0]
-        elif j == b.algebra.unit:
+        if j == b.algebra.unit:
             name = abasis[i][0]
         elif i == a.algebra.unit:
             name = bbasis[j][0]
@@ -1047,42 +1056,24 @@ def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
         if name in taken:
             name = _unique_name(name, taken)
         taken.add(name)
-        names.append(name)
-    pos = {pair: t for t, pair in enumerate(pairs)}
-    basis = [(names[t], abasis[i][1] + bbasis[j][1]) for t, (i, j) in enumerate(pairs)]
+        basis.append((name, abasis[i][1] + bbasis[j][1]))
 
-    products = {}
-    for t1, (i1, j1) in enumerate(pairs):
-        for t2, (i2, j2) in enumerate(pairs):
-            sign = -1 if (bbasis[j1][1] % 2 and abasis[i2][1] % 2) else 1
-            vec: dict[str, Fraction] = {}
-            for ai, ac in a.algebra.mul_key_pairs(i1, i2):
-                for bj, bc in b.algebra.mul_key_pairs(j1, j2):
-                    t = pos[(ai, bj)]
-                    c = Fraction(ac) * Fraction(bc) * sign
-                    vec[names[t]] = vec.get(names[t], Fraction(0)) + c
-            products[(names[t1], names[t2])] = {k: v for k, v in vec.items() if v}
-
+    pair_alg = TensorAlgebra(a.algebra, b.algebra)
+    products = {(basis[t1][0], basis[t2][0]):
+                {pos[k]: c for k, c in pair_alg.mul_key_pairs(p1, p2)}
+                for t1, p1 in enumerate(pairs) for t2, p2 in enumerate(pairs)}
+    alg = FiniteAlgebra(basis, products, label=label)
+    # d(i (x) j) = d_A(i) (x) j + (-1)^{|i|} i (x) d_B(j); the two sums
+    # share no pair
     differential = {}
     for t, (i, j) in enumerate(pairs):
-        vec: dict[str, Fraction] = {}
-        for bi, c in a.diff_key(i).terms.items():
-            vec[names[pos[(bi, j)]]] = vec.get(names[pos[(bi, j)]], Fraction(0)) + c
         sign = -1 if abasis[i][1] % 2 else 1
-        for bj, c in b.diff_key(j).terms.items():
-            key = names[pos[(i, bj)]]
-            vec[key] = vec.get(key, Fraction(0)) + sign * c
-        vec = {k: v for k, v in vec.items() if v}
-        if vec:
-            differential[names[t]] = vec
-
-    diff_exprs = {}
-    result_alg = FiniteAlgebra(basis, products, label=label)
-    for name, vec in differential.items():
-        diff_exprs[name] = Element(result_alg,
-                                   {result_alg.basis_index(k): v for k, v in vec.items()})
+        terms = {pos[(ai, j)]: c for ai, c in a.diff_key(i).terms.items()}
+        terms.update((pos[(i, bj)], sign * c) for bj, c in b.diff_key(j).terms.items())
+        if terms:
+            differential[t] = Element(alg, terms)
     # by Kunneth H^0 = Q and H^1 = 0 when both factors are simply connected
-    result = FiniteCdga(result_alg, differential=diff_exprs, label=label,
+    result = FiniteCdga(alg, differential=differential, label=label,
                         simply_connected=a.simply_connected and b.simply_connected)
     result.renamings = {}
     return result
@@ -1146,27 +1137,18 @@ class CdgaMorphism:
         for key, c in terms.items():
             lk, word = key_word(key)
             image = self._word_image(tuple(word), memo).terms.items()
-            if lk is not None:
+            if lk is None:
+                for k, v in image:
+                    s = out.get(k, 0) + c * v
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            else:
                 products = memo.get((None, lk))
                 if products is None:
                     products = memo[None, lk] = _Products(tgt.left, lk)
-                # (lk (x) 1) * (bk (x) fm) = lk*bk (x) fm: no sign
-                prod: dict = {}
-                for (bk, fm), v in image:
-                    for p, pc in products[bk]:
-                        k = (p, fm)
-                        s = prod.get(k, 0) + v * pc
-                        if s:
-                            prod[k] = s
-                        else:
-                            del prod[k]
-                image = prod.items()
-            for k, v in image:
-                s = out.get(k, 0) + c * v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                products.add_times(out, image, c)
         return out
 
     def _word_image(self, word: tuple, memo: dict) -> Element:
@@ -1246,14 +1228,13 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     representative is added to the echelon of the target's d_{n-1},
     after b_n is read; one that adds no pivot shows a class sent into
     the span of the image and the classes before it, whatever rows span
-    it.
+    it.  f is not validated again: its constructor checked it.
     """
-    f.validate()
     source = cohomology(f.source, cutoff, representatives=True)
     per_degree = []
     memo: dict = {}
     walk = islice(_walk(f.target), len(source.dims))
-    for n, (dt, _, index, _, image_prev) in enumerate(walk):
+    for n, (dt, _, index, *_, image_prev) in enumerate(walk):
         injective = True
         for rep in source.representatives[n]:
             vec = {index[k]: c for k, c in f._apply_terms(rep.terms, memo).items()}

@@ -222,6 +222,22 @@ def test_unreduced_k_even_pairs_b_generators():
     assert is_quasi_iso(phi, 20).ok
 
 
+def test_quasi_iso_check_validates_the_reduction_once(monkeypatch):
+    # the CdgaMorphism constructor validates the reduction; is_quasi_iso
+    # does not validate it again
+    calls = []
+    validate = CdgaMorphism.validate
+
+    def counted(self):
+        calls.append(self.label)
+        validate(self)
+
+    monkeypatch.setattr(CdgaMorphism, "validate", counted)
+    _, phi = unreduced_framed_model(complex_projective_plane(), 2)
+    assert is_quasi_iso(phi, 14).ok
+    assert calls == [phi.label]
+
+
 def test_unreduced_over_point_computes_stiefel():
     # base = unit-like manifold is not allowed (dim >= 2), so compare the
     # sphere base against base (x) stiefel instead: both models' Betti agree

@@ -524,6 +524,74 @@ def test_kunneth_finite_pairs_with_differential():
         assert cohomology(prod, 14, engine="dense").dims == tp
 
 
+# literal texts pin each product's sign, which the Kunneth tests, comparing
+# Betti numbers only, cannot see
+_NF5_S3 = """kind: finite
+label: nonformal5(x)S3
+basis: one 0
+basis: a3 3
+basis: a 2
+basis: a_a3 5
+basis: y 3
+basis: y_a3 6
+basis: a2 4
+basis: a2_a3 7
+basis: w 5
+basis: w_a3 8
+product: a3 * a = a_a3
+product: a3 * y = -y_a3
+product: a3 * a2 = a2_a3
+product: a3 * w = -w_a3
+product: a * a = a2
+product: a * a_a3 = a2_a3
+product: a * y = w
+product: a * y_a3 = w_a3
+product: a_a3 * y = -w_a3
+d: y = a2
+d: y_a3 = a2_a3
+simply-connected: true
+"""
+
+_S3_S3 = """kind: finite
+label: S3(x)S3'
+basis: one 0
+basis: z 3
+basis: y 3
+basis: y_z 6
+product: z * y = -y_z
+simply-connected: true
+"""
+
+_S2_S2_S2 = """kind: finite
+label: S2(x)S2(x)S2
+basis: one 0
+basis: a2 2
+basis: a2_2 2
+basis: a2_a2 4
+basis: a2_2_2 2
+basis: a2_2_a2 4
+basis: a2_a2_2 4
+basis: a2_a2_a2 6
+product: a2 * a2_2 = a2_a2
+product: a2 * a2_2_2 = a2_2_a2
+product: a2 * a2_a2_2 = a2_a2_a2
+product: a2_2 * a2_2_2 = a2_a2_2
+product: a2_2 * a2_2_a2 = a2_a2_a2
+product: a2_a2 * a2_2_2 = a2_a2_a2
+simply-connected: true
+"""
+
+
+def test_finite_tensor_texts_are_pinned():
+    from ratimm.io import serialize_cdga
+    s2, s3 = sphere_manifold(2).model, sphere_manifold(3).model
+    y3 = FiniteCdga([("one", 0), ("y", 3)], {}, label="S3", simply_connected=True)
+    z3 = FiniteCdga([("one", 0), ("z", 3)], {}, label="S3'", simply_connected=True)
+    assert serialize_cdga(tensor(nonformal_base(), s3)) == _NF5_S3
+    assert serialize_cdga(tensor(y3, z3)) == _S3_S3
+    assert serialize_cdga(tensor(tensor(s2, s2), s2)) == _S2_S2_S2
+
+
 def test_kunneth_mixed_relative(cp2):
     s3 = FreeCdga([Generator("x", 3)], {})
     rel = tensor(cp2, s3)
