@@ -87,6 +87,15 @@ the image of the word without its last factor, and multiplied by lk
 into the result by the loop that multiplies D(1 (x) rm) by lk in a
 walk (`_Products.add_times`).  `apply` keeps these for one call,
 `is_quasi_iso` for all the representatives it maps.
+
+Sparse sums add terms through `gca.add_into`, which pops a key whose
+coefficient cancels: `Cdga.diff`, `FiniteAlgebra._mul_vec` and a
+morphism's terms with no base key.  Two loops keep their own copy of
+the rule, `_leibniz` and `_Products.add_times`: they build a key per
+term on the hot path of every walk, where a call per term costs about
+5-10 % of a quasi-isomorphism sweep.  `linalg` keeps its own as well,
+so that the certificate and the dense oracle stay independent of this
+code.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ from itertools import count, islice
 
 from . import linalg
 from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
-from .gca import _NAME_RE, Element, FreeAlgebra, Generator, parse_element
+from .gca import _NAME_RE, Element, FreeAlgebra, Generator, add_into, parse_element
 
 __all__ = [
     "Cdga", "FreeCdga", "FiniteAlgebra", "FiniteCdga", "RelativeModel",
@@ -246,13 +255,7 @@ class Cdga:
         out: dict = {}
         memo: dict = {}
         for key, c in element.terms.items():
-            c = Fraction(c)
-            for k, v in self._diff_terms(key, memo).items():
-                s = out.get(k, 0) + c * v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            add_into(out, self._diff_terms(key, memo).items(), Fraction(c))
         return Element(self.algebra, out)
 
     def d2_items(self):
@@ -455,12 +458,7 @@ class FiniteAlgebra:
         """sum_k vec[k] * (product of the basis pair `pair(k)`)."""
         out: dict[int, Fraction] = {}
         for k, c in vec.items():
-            for r, c2 in self._table[pair(k)].items():
-                s = out.get(r, 0) + c * c2
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+            add_into(out, self._table[pair(k)].items(), c)
         return out
 
     # -- introspection ---------------------------------------------------
@@ -1138,12 +1136,7 @@ class CdgaMorphism:
             lk, word = key_word(key)
             image = self._word_image(tuple(word), memo).terms.items()
             if lk is None:
-                for k, v in image:
-                    s = out.get(k, 0) + c * v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                add_into(out, image, c)
             else:
                 products = memo.get((None, lk))
                 if products is None:

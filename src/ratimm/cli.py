@@ -38,9 +38,16 @@ EXIT_HYPOTHESIS = 3
 EXIT_SYMBOLIC = 4
 
 
-def _write(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _report(args, payload: dict | None, lines):
+    """Write `payload` as JSON under --format json, else the table `lines`
+    (any iterable of str, read only here), to --out or stdout; `verify`
+    has no payload."""
+    if payload is not None and args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -65,20 +72,15 @@ def _generator_dicts(cdga) -> list[dict]:
 def cmd_stiefel(args) -> int:
     model = stiefel_model(args.m, args.k)
     table = cohomology(model, args.max_degree, representatives=False)
-    if args.format == "json":
-        payload = {
-            "command": "stiefel", "m": args.m, "k": args.k,
-            "max_degree": args.max_degree, "label": model.label,
-            "generators": _generator_dicts(model),
-            "betti": list(table.dims),
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"model: {model.label}"]
-        lines += _generator_lines(model)
-        lines += _betti_lines(table.dims)
-        lines.append(f"nonzero degrees: {table.support()}")
-        _write("\n".join(lines) + "\n", args.out)
+    payload = {
+        "command": "stiefel", "m": args.m, "k": args.k,
+        "max_degree": args.max_degree, "label": model.label,
+        "generators": _generator_dicts(model),
+        "betti": list(table.dims),
+    }
+    lines = [f"model: {model.label}", *_generator_lines(model),
+             *_betti_lines(table.dims), f"nonzero degrees: {table.support()}"]
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -86,50 +88,45 @@ def cmd_framed_model(args) -> int:
     M = load_manifold(args.manifold)
     model = framed_bundle_model(M, args.k)
     table = cohomology(model, args.max_degree, representatives=False)
-    if args.format == "json":
-        payload = {
-            "command": "framed-model", "manifold": M.name, "m": M.dimension,
-            "k": args.k, "max_degree": args.max_degree, "label": model.label,
-            "base": M.model.label,
-            "fiber": _generator_dicts(model),
-            "betti": list(table.dims),
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"model: {model.label}",
-                 f"base: {M.model.label or M.name}"]
-        lines += _generator_lines(model)
-        lines += _betti_lines(table.dims)
-        _write("\n".join(lines) + "\n", args.out)
+    payload = {
+        "command": "framed-model", "manifold": M.name, "m": M.dimension,
+        "k": args.k, "max_degree": args.max_degree, "label": model.label,
+        "base": M.model.label,
+        "fiber": _generator_dicts(model),
+        "betti": list(table.dims),
+    }
+    lines = [f"model: {model.label}", f"base: {M.model.label or M.name}",
+             *_generator_lines(model), *_betti_lines(table.dims)]
+    _report(args, payload, lines)
     return EXIT_OK
+
+
+def _immersion_lines(M, args, desc):
+    """The `immersion` table, generated: its series line reads the closed
+    form, which a pure sphere model fits only when asked (JSON never is)."""
+    yield (f"immersions of {M.name} in R^{M.dimension + args.k} "
+           f"(k={args.k}, N={args.max_degree})")
+    for h in desc.hypotheses:
+        yield f"hypothesis {h.name}: {h.status}  ({h.detail})"
+    yield f"connectivity: {desc.connectivity}"
+    if desc.status == "hypothesis-failed":
+        yield "no description: hypotheses failed"
+        return
+    for f in desc.em_factors:
+        yield f"factor: {f}"
+    if desc.sphere_factor is not None:
+        yield f"factor: Map(M,S^{desc.sphere_factor.k}) [{desc.sphere_factor.status}]"
+    if desc.series is not None:
+        yield f"series: {desc.series}"
+    else:
+        yield f"series (EM part only): {desc.em_part_series}"
+    yield f"growth: {desc.growth}"
 
 
 def cmd_immersion(args) -> int:
     M = load_manifold(args.manifold)
     desc = immersion_components(M, args.k, args.max_degree)
-    payload = description_to_dict(desc)
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"immersions of {M.name} in R^{M.dimension + args.k} "
-                 f"(k={args.k}, N={args.max_degree})"]
-        for h in desc.hypotheses:
-            lines.append(f"hypothesis {h.name}: {h.status}  ({h.detail})")
-        lines.append(f"connectivity: {desc.connectivity}")
-        if desc.status == "hypothesis-failed":
-            lines.append("no description: hypotheses failed")
-        else:
-            for f in desc.em_factors:
-                lines.append(f"factor: {f}")
-            if desc.sphere_factor is not None:
-                lines.append(f"factor: Map(M,S^{desc.sphere_factor.k}) "
-                             f"[{desc.sphere_factor.status}]")
-            if desc.series is not None:
-                lines.append(f"series: {desc.series}")
-            else:
-                lines.append(f"series (EM part only): {desc.em_part_series}")
-            lines.append(f"growth: {desc.growth}")
-        _write("\n".join(lines) + "\n", args.out)
+    _report(args, description_to_dict(desc), _immersion_lines(M, args, desc))
     if desc.status == "hypothesis-failed":
         return EXIT_HYPOTHESIS
     if desc.status == "symbolic-sphere":
@@ -143,36 +140,28 @@ def cmd_map_sphere(args) -> int:
         betti = M.betti(args.k)
         factors = odd_sphere_mapping(betti, args.k)
         series = em_product_series(factors, args.max_degree)
-        if args.format == "json":
-            payload = {
-                "command": "map-sphere", "manifold": M.name, "k": args.k,
-                "max_degree": args.max_degree, "component": "any",
-                "factors": [{"kind": "em", "degree": f.degree,
-                             "multiplicity": f.coefficient_dim} for f in factors],
-                "betti": series.extend(args.max_degree),
-            }
-            _write(json.dumps(payload, indent=2) + "\n", args.out)
-        else:
-            lines = [f"Map({M.name}, S^{args.k}) is an Eilenberg-MacLane product:"]
-            lines += [f"factor: {f}" for f in factors]
-            lines.append(f"series: {series}")
-            _write("\n".join(lines) + "\n", args.out)
+        payload = {
+            "command": "map-sphere", "manifold": M.name, "k": args.k,
+            "max_degree": args.max_degree, "component": "any",
+            "factors": [{"kind": "em", "degree": f.degree,
+                         "multiplicity": f.coefficient_dim} for f in factors],
+            "betti": series.extend(args.max_degree),
+        }
+        lines = [f"Map({M.name}, S^{args.k}) is an Eilenberg-MacLane product:",
+                 *(f"factor: {f}" for f in factors), f"series: {series}"]
+        _report(args, payload, lines)
         return EXIT_OK
     model = sphere_map_null_model(M.model, args.k)
     table = cohomology(model, args.max_degree, representatives=False)
-    if args.format == "json":
-        payload = {
-            "command": "map-sphere", "manifold": M.name, "k": args.k,
-            "max_degree": args.max_degree, "component": "null",
-            "generators": _generator_dicts(model),
-            "betti": list(table.dims),
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"model: {model.label} (null component)"]
-        lines += _generator_lines(model)
-        lines += _betti_lines(table.dims)
-        _write("\n".join(lines) + "\n", args.out)
+    payload = {
+        "command": "map-sphere", "manifold": M.name, "k": args.k,
+        "max_degree": args.max_degree, "component": "null",
+        "generators": _generator_dicts(model),
+        "betti": list(table.dims),
+    }
+    lines = [f"model: {model.label} (null component)", *_generator_lines(model),
+             *_betti_lines(table.dims)]
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -182,16 +171,12 @@ def cmd_cohomology(args) -> int:
     # fault that must not exit as bad input
     table = cohomology(cdga, args.max_degree, representatives=False,
                        engine="certified")
-    if args.format == "json":
-        payload = {
-            "command": "cohomology", "label": cdga.label,
-            "max_degree": args.max_degree, "betti": list(table.dims),
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"model: {cdga.label or '(unnamed)'}"]
-        lines += _betti_lines(table.dims)
-        _write("\n".join(lines) + "\n", args.out)
+    payload = {
+        "command": "cohomology", "label": cdga.label,
+        "max_degree": args.max_degree, "betti": list(table.dims),
+    }
+    lines = [f"model: {cdga.label or '(unnamed)'}", *_betti_lines(table.dims)]
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -202,7 +187,7 @@ def cmd_verify(args) -> int:
     lines += [r.line() for r in results]
     failures = sum(1 for r in results if not r.ok)
     lines.append(f"checks: {len(results)}  failures: {failures}")
-    _write("\n".join(lines) + "\n", args.out)
+    _report(args, None, lines)
     return EXIT_OK if failures == 0 else 1
 
 

@@ -10,6 +10,13 @@ Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
 generator index; the empty tuple is the unit monomial.  Generator order is
 declaration order and monomial order is graded-lexicographic, so every
 serialization is deterministic.
+
+Sparse sums of {key: coefficient} dicts are accumulated by one rule,
+`add_into`: a key whose coefficient cancels is popped, so no stored
+coefficient is ever 0.  `Element` arithmetic, `cdga` and `mapping` add
+their terms through it; `cdga` names the loops that keep their own copy
+and why.  `groebner` keeps its own too, since it imports nothing from
+the algebra layer.
 """
 
 from __future__ import annotations
@@ -191,6 +198,18 @@ class FreeAlgebra:
         return Element(self, {((i, exp),): Fraction(1)})
 
 
+def add_into(out: dict, items, scale=1) -> dict:
+    """Add scale * c into `out` for each (key, c) of `items` and return
+    `out`; a key whose sum is 0 is popped, so no stored coefficient is 0."""
+    for k, c in items:
+        s = out.get(k, 0) + scale * c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 class Element:
     """A rational linear combination of basis keys of one algebra.
 
@@ -230,14 +249,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_context(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return Element(self.algebra, terms)
+        return Element(self.algebra, add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return Element(self.algebra, {k: -c for k, c in self.terms.items()})
@@ -258,13 +270,7 @@ class Element:
         alg = self.algebra
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for k, c in alg.mul_key_pairs(k1, k2):
-                    s = acc.get(k, 0) + c12 * c
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
+                add_into(acc, alg.mul_key_pairs(k1, k2), c1 * c2)
         return Element(alg, acc)
 
     def __rmul__(self, other):

@@ -117,10 +117,7 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
                 gens.append(Generator(name, deg))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-        try:
-            algebra = FreeAlgebra(gens, label=label)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=0) from None
+        algebra = FreeAlgebra(gens, label=label)
         names, noun = {g.name for g in gens}, "generator"
     elif kind == "finite":
         if "generator" in fields:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cdga import (BettiTable, FiniteCdga, FreeCdga, TensorAlgebra,
                    _unique_name, cohomology)
 from .errors import InputError
-from .gca import Element, FreeAlgebra, Generator
+from .gca import Element, FreeAlgebra, Generator, add_into
 
 __all__ = [
     "EMFactor", "SphereFactor", "em_mapping_space", "odd_sphere_mapping",
@@ -148,13 +148,8 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
             rhs = rhs + term * c
         terms = dict(rhs.terms)
         for u, g in slots[t].items():
-            for w, c in A.diff_key(u).terms.items():
-                key = (w, ((g, 1),))
-                rest = terms.get(key, 0) - c
-                if rest:
-                    terms[key] = rest
-                else:
-                    terms.pop(key, None)
+            add_into(terms, (((w, ((g, 1),)), c)
+                             for w, c in A.diff_key(u).terms.items()), -1)
         for (w, mono), c in terms.items():
             eqs.setdefault((t, w), {})[mono] = -c if basis[w][1] % 2 else c
 
@@ -173,12 +168,7 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
                 c = eq.pop(mono)
                 term = (Element(full, {mono[:pos]: c}) * sub ** mono[pos][1]
                         * Element(full, {mono[pos + 1:]: 1}))
-                for m, v in term.terms.items():
-                    s = eq.get(m, 0) + v
-                    if s:
-                        eq[m] = s
-                    else:
-                        eq.pop(m, None)
+                add_into(eq, term.terms.items())
 
     def solve(eq: dict, mono):
         """Eliminate the generator of the linear term `mono` by eq = 0."""

@@ -270,6 +270,15 @@ def test_out_flag_writes_file(tmp_path, capsys, s2_file):
     assert payload["growth"] == "finite"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, fmt):
+    out_path = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "stiefel", "--m", "2", "--k", "3",
+                         "--format", fmt, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and not out_path.parent.exists()
+
+
 def test_verify_core_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "core")
     assert code == 0

@@ -7,14 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratimm.errors import ContextError, DegreeError, ParseError
-from ratimm.gca import (Element, FreeAlgebra, Generator, basis_count_series,
-                        parse_element)
+from ratimm.gca import (Element, FreeAlgebra, Generator, add_into,
+                        basis_count_series, parse_element)
 
 
 @pytest.fixture
 def alg():
     return FreeAlgebra([Generator("u", 3), Generator("v", 3), Generator("a", 2),
                         Generator("b", 4), Generator("w", 5)])
+
+
+def test_add_into_accumulates_sparse_sums():
+    out = {"a": 1, "b": Fraction(1, 2)}
+    items = [("e", 2), ("a", Fraction(-1, 3)), ("d", 0), ("b", Fraction(1, 6)),
+             ("c", 1)]
+    assert add_into(out, items, scale=3) is out
+    # a cancels and is popped, never stored as 0; the zero term on the
+    # absent key d stores nothing; scale multiplies every term; new keys
+    # follow the order of `items`
+    assert list(out.items()) == [("b", 1), ("e", 6), ("c", 3)]
+    assert [type(c) for c in out.values()] == [Fraction, int, int]
+    # a popped key comes back at the end; scale defaults to 1
+    assert list(add_into(out, [("a", 5), ("e", -6)]).items()) == [
+        ("b", 1), ("c", 3), ("a", 5)]
 
 
 def test_odd_square_vanishes(alg):

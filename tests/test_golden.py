@@ -4,9 +4,13 @@ Each case runs `ratimm.cli.main` in-process with a given `--format` and
 compares stdout, byte for byte, with a file under `tests/golden/`
 (`<name>.json` or `<name>.txt`).  Manifold inputs come from
 `demos/data/`, CDGA inputs from `tests/golden/inputs/`.  The files hold
-the output of earlier code; a changed byte is a changed answer.  The
-table cases cover the generator lines that `stiefel`, `framed-model`
-and `map-sphere` print, which the JSON cases list as dicts.
+the output of earlier code; a changed byte is a changed answer.  JSON
+cases cover `stiefel`, `framed-model`, `map-sphere` (even and odd k),
+`immersion` (exit 0 and the symbolic exit 4) and `cohomology`.  Table
+cases cover the generator lines that `stiefel`, `framed-model` and
+`map-sphere` print, which the JSON cases list as dicts, and the lines
+of `map-sphere` at odd k, of `immersion` (exits 0, 4 and the
+hypothesis failure 3) and of `cohomology`.
 
 To regenerate after an intended output change (and only then), run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -58,6 +62,14 @@ CASES = {
                             "--k", "3", "--max-degree", "30"], "table", 0),
     "map_cp2_k4_table": (["map-sphere", "--manifold", "cp2.manifold", "--k", "4",
                           "--max-degree", "30"], "table", 0),
+    "map_cp2_k5_table": (["map-sphere", "--manifold", "cp2.manifold", "--k", "5",
+                          "--max-degree", "20"], "table", 0),
+    "immersion_s3_k4_table": (["immersion", "--manifold", "s3.manifold",
+                               "--k", "4", "--max-degree", "30"], "table", 0),
+    "immersion_cp2_k4_table": (["immersion", "--manifold", "cp2.manifold",
+                                "--k", "4", "--max-degree", "16"], "table", 4),
+    "immersion_cp2_k2_table": (["immersion", "--manifold", "cp2.manifold",
+                                "--k", "2", "--max-degree", "16"], "table", 3),
     "cohomology_free": (["cohomology", "free_s2xs2.cdga", "--max-degree", "30"],
                         "json", 0),
     "cohomology_free_table": (["cohomology", "free_s2xs2.cdga",
