@@ -4,7 +4,7 @@ A free CDGA carries a degree +1 derivation given on generators; d^2 = 0
 is validated at construction and cohomology is computed degree by
 degree with exact sparse elimination.  Two independent engines can
 recompute the ranks: a modular rank certified by exactly verified kernel
-relations, and a dense eliminator.
+vectors (the sparse walk's image rows among them), and a dense eliminator.
 """
 
 from ratimm import (FiniteCdga, FreeCdga, Generator, check_d_squared,

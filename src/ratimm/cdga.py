@@ -51,12 +51,13 @@ pivots of im d_{n-1}, none a coboundary.  `is_quasi_iso` reads the
 target's walk and tests f(representatives) against its echelons; an
 immersion's sphere series reads b_0..b_N and, for its closed form,
 reads on.  Two independent engines check the ranks on every column: a
-modular rank certified by exactly verified kernel relations, which
-reads the walk and builds the cleared columns beside the kept ones
-(what `ratimm cohomology` checks against), and the dense eliminator,
-which reads `_cochains` and clears nothing, the oracle of the tests and
-of `ratimm verify`.  They share columns with the walk, never
-elimination.
+modular rank certified by exactly verified kernel vectors, which reads
+the walk, builds the cleared columns beside the kept ones and takes the
+rows of im d_{n-1} as untrusted kernel witnesses for them, each checked
+exactly (what `ratimm cohomology` checks against), and the dense
+eliminator, which reads `_cochains` and clears nothing, the oracle of
+the tests and of `ratimm verify`.  They share columns with the walk,
+and the certificate its image rows as data, never elimination.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
 order (a tensor algebra asks its base first and skips empty base degrees;
@@ -911,12 +912,16 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     to the modular certificate (`linalg.certified_rank`, or the dense
     eliminator in a degree the certificate cannot settle), and raises
     AssertionError unless that rank of d_n is |keys| - b_n - rank
-    d_{n-1}.  engine="dense" reads `_cochains`, clears nothing, and
-    takes every rank from the dense eliminator alone.  The certificate
-    and the dense eliminator share columns with the walk, never
-    elimination.  Clearing needs d^2 = 0, which every constructor
-    checks: a model built with check=False and d^2 != 0 has no defined
-    table.
+    d_{n-1}.  The rows of the echelon of im d_{n-1} go with them as
+    kernel witnesses, one led by each cleared column: the certificate
+    checks each exactly and eliminates only the kept columns, and a
+    wrong witness makes it decline (the dense eliminator then settles
+    the degree), never changes its rank.  engine="dense" reads
+    `_cochains`, clears nothing, and takes every rank from the dense
+    eliminator alone.  The certificate and the dense eliminator share
+    columns with the walk, never elimination.  Clearing needs d^2 = 0,
+    which every constructor checks: a model built with check=False and
+    d^2 != 0 has no defined table.
     """
     if engine not in ("sparse", "certified", "dense"):
         raise ValueError(f"unknown cohomology engine {engine!r}")
@@ -939,7 +944,7 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
             kept, cleared = iter(kept), iter(columns(
                 {j for j in range(len(keys)) if j not in skip}))
             cols = [next(cleared if j in skip else kept) for j in range(len(keys))]
-            check = linalg.certified_rank(cols)
+            check = linalg.certified_rank(cols, image_prev.rows)
             if check is None:
                 check = _dense_rank(cols, rows)
             if check != len(keys) - b_n - image_prev.rank:

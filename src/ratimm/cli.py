@@ -6,9 +6,11 @@ byte-identical outputs (verify prints wall-clock timings, which are
 explicitly marked non-canonical).
 
 `cohomology` checks every sparse rank against an independent exact one:
-the rank mod a large prime, certified by kernel relations verified over
-Q, or the dense eliminator's where the certificate cannot be made.  Both
-eliminate the same columns, assembled once per degree.
+the rank mod a large prime, certified by kernel vectors verified over
+Q (the walk's image rows for the cleared columns, relations lifted from
+the mod-p elimination of the others), or the dense eliminator's where
+the certificate cannot be made.  Both read the same columns, assembled
+once per degree.
 
 Exit codes: 0 resolved, 2 input error, 3 theorem-hypothesis failure,
 4 symbolic mapping-space factor; verify exits nonzero on any failed check.

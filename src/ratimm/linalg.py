@@ -4,10 +4,14 @@ Three independent elimination routines live here on purpose:
 
 * a sparse, fraction-free (integer cross-multiplication) echelon
   accumulator (`SparseEchelon`) used by all production code paths;
-* a modular certificate (`certified_rank`): the rank mod a 61-bit prime,
-  proved equal to the rank over Q by relations lifted from the mod-p
-  kernel and verified exactly; `ratimm cohomology` checks every sparse
-  rank against it, on every column, cleared or not;
+* a modular certificate (`certified_rank`) on the columns scaled to
+  integers: r_p, the rank mod a 61-bit prime of the columns that lead
+  no kernel witness, is at most the rank over Q; the witnesses and the
+  mod-p relations lifted to Q, each verified exactly and each with an
+  index of its own, give nullity >= n - r_p.  `ratimm cohomology`
+  checks every sparse rank against it, on every column, with the rows
+  of im d_{n-1} as witnesses for the cleared ones; a wrong witness
+  makes it decline, never changes the rank it returns;
 * a dense textbook Gauss-Jordan eliminator (`dense_rank`), the oracle for
   tests, `ratimm verify` and `cohomology(engine="dense")`, and the
   fallback for a degree the certificate cannot settle.
@@ -188,36 +192,75 @@ def _lift(a: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def certified_rank(columns: list[dict]) -> int | None:
+def _vanishes(ints: list[dict[int, int]], coeffs: dict[int, int]) -> bool:
+    """Whether sum_i c_i * ints[i] is zero, over coeffs {i: c_i} of integers."""
+    total: dict[int, int] = {}
+    for i, c in coeffs.items():
+        for k, v in ints[i].items():
+            total[k] = total.get(k, 0) + c * v
+    return not any(total.values())
+
+
+def certified_rank(columns: list[dict], witnesses=()) -> int | None:
     """Rank of the matrix whose columns are the given sparse vectors,
     certified exactly, or None when the certificate cannot be made.
 
-    The entries are mapped to GF(p), p = 2^61 - 1, as num * den^-1 (None
-    if p divides a denominator) and eliminated mod p column by column.
+    Each column is scaled once to integers over its own common
+    denominator, which changes no rank and no relation's support.
+    `witnesses` are untrusted integer vectors {column index: coefficient}
+    claimed to lie in the kernel; each is checked exactly, sum_i w_i *
+    column_i = 0, and their leading (smallest) indices must be distinct.
+    The columns that lead no witness are eliminated mod p = 2^61 - 1,
+    column by column.
     Each dependent column j leaves a mod-p relation with coefficient 1
-    on j and support on j and the independent columns before it; every
-    relation is lifted to Q by rational reconstruction and checked
-    exactly, sum_i c_i * column_i = 0, on the original entries.  The
-    rank mod p, r_p, is returned when every relation holds:
+    on j and support on j and the eliminated independent columns before
+    it; every relation is lifted to Q by rational reconstruction and
+    checked exactly on the integer columns.  The rank mod p, r_p, of the
+    eliminated columns is returned when every check holds:
 
-    * r_p <= r_Q, because a minor that is nonzero mod p is nonzero over Z;
-    * the verified relations are linearly independent, since each
-      contains its own dependent index j and no other relation does; so
-      nullity_Q >= n - r_p, which gives r_Q <= r_p.
+    * r_p <= r_Q, because a minor of the eliminated columns that is
+      nonzero mod p is nonzero over Z;
+    * the witnesses, restricted to their leading indices, form a
+      triangular matrix with a nonzero diagonal, and every relation is
+      zero there; each relation contains its own index j and no other
+      relation does.  So the witnesses W and relations R are linearly
+      independent, nullity_Q >= |W| + |R| = n - r_p, and r_Q <= r_p.
 
-    None (a reconstruction or a check failed, or p divides a
-    denominator) says nothing about the rank; the caller must compute
-    it another way.
+    None (a witness is empty, has a zero coefficient, an index out of
+    range or a repeated leading index, or fails its check; or a
+    reconstruction or a relation check failed) says nothing about the
+    rank; the caller must compute it another way.  A wrong witness can
+    only make the certificate decline, never change the rank it returns.
     """
+    n = len(columns)
+    dens, ints = [], []
+    for col in columns:
+        den = 1
+        for c in col.values():
+            d = c.denominator
+            if den % d:
+                den = lcm(den, d)
+        dens.append(den)
+        ints.append({i: c.numerator * (den // c.denominator) for i, c in col.items()})
+    # column_i = ints[i] * unit[i] / common
+    common = lcm(*dens)
+    unit = [common // den for den in dens]
+    leads = set()
+    for w in witnesses:
+        lead = min(w, default=-1)
+        if (lead < 0 or lead in leads or max(w) >= n or not all(w.values())
+                or not _vanishes(ints, {i: c * unit[i] for i, c in w.items()})):
+            return None
+        leads.add(lead)
+
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     relations: list[dict[int, int]] = []
-    for j, col in enumerate(columns):
+    for j, col in enumerate(ints):
+        if j in leads:
+            continue
         vec = {}
-        for i, c in col.items():
-            den = c.denominator % PRIME
-            if not den:
-                return None
-            v = c.numerator * pow(den, -1, PRIME) % PRIME
+        for i, v in col.items():
+            v %= PRIME
             if v:
                 vec[i] = v
         rel = {j: 1}
@@ -252,27 +295,16 @@ def certified_rank(columns: list[dict]) -> int | None:
         else:
             relations.append(rel)
 
-    # column_i as integers over one common denominator: column_i = ints / den
-    scaled: dict[int, tuple[int, dict[int, int]]] = {}
     for rel in relations:
         lifted = {}
         for i, a in rel.items():
             pair = _lift(a)
             if pair is None:
                 return None
-            if i not in scaled:
-                den = lcm(*(c.denominator for c in columns[i].values()))
-                scaled[i] = (den, {k: c.numerator * (den // c.denominator)
-                                   for k, c in columns[i].items()})
-            lifted[i] = (pair[0], pair[1] * scaled[i][0])
-        # sum_i (r_i / (s_i * den_i)) * ints_i, cleared to integers
-        common = lcm(*(s for _, s in lifted.values()))
-        total: dict[int, int] = {}
-        for i, (r, s) in lifted.items():
-            b = r * (common // s)
-            for k, v in scaled[i][1].items():
-                total[k] = total.get(k, 0) + b * v
-        if any(total.values()):
+            lifted[i] = pair
+        # sum_i (r_i / s_i) * ints_i, cleared to integers
+        scale = lcm(*(s for _, s in lifted.values()))
+        if not _vanishes(ints, {i: r * (scale // s) for i, (r, s) in lifted.items()}):
             return None
     return len(pivots)
 

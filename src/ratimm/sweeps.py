@@ -203,6 +203,9 @@ def suite_core(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                 f"certified rank {certified} vs dense {dense}"
             rank, kernel = linalg.sparse_rank_kernel(cols)
             assert rank + len(kernel) == ncols, "rank-nullity"
+            witnessed = linalg.certified_rank(cols, linalg.SparseEchelon(kernel).rows)
+            assert witnessed in (None, dense), \
+                f"certified rank {witnessed} with kernel witnesses vs dense {dense}"
             for ker in kernel:
                 acc: dict[int, Fraction] = {}
                 for j, c in ker.items():

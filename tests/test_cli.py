@@ -188,7 +188,7 @@ def _s2_cdga(tmp_path):
 def test_engine_disagreement_is_not_an_input_error(tmp_path, monkeypatch):
     from ratimm import linalg
     path = _s2_cdga(tmp_path)
-    monkeypatch.setattr(linalg, "certified_rank", lambda cols: len(cols) + 1)
+    monkeypatch.setattr(linalg, "certified_rank", lambda cols, witnesses=(): len(cols) + 1)
     # an internal fault propagates instead of returning exit code 2
     with pytest.raises(AssertionError, match="disagree"):
         main(["cohomology", path, "--max-degree", "6"])
@@ -198,7 +198,7 @@ def test_dense_fallback_disagreement_is_not_an_input_error(tmp_path, monkeypatch
     from ratimm import linalg
     path = _s2_cdga(tmp_path)
     # no certificate: every degree falls back to the dense oracle
-    monkeypatch.setattr(linalg, "certified_rank", lambda cols: None)
+    monkeypatch.setattr(linalg, "certified_rank", lambda cols, witnesses=(): None)
     monkeypatch.setattr(linalg, "dense_rank", lambda rows: len(rows) + 1)
     with pytest.raises(AssertionError, match="disagree"):
         main(["cohomology", path, "--max-degree", "6"])

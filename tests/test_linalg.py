@@ -236,3 +236,106 @@ def test_certified_engine_matches_dense_on_models():
         certified = cohomology(cdga, cutoff, engine="certified")
         assert certified.dims == cohomology(cdga, cutoff, engine="dense").dims
         assert certified.representatives is None
+
+
+def test_certified_rank_with_kernel_witnesses(monkeypatch):
+    # witnesses are the rows of an echelon of the kernel, built before the
+    # sparse path is taken away: the certificate gives the dense rank or
+    # declines, with any subset of them, and rarely declines
+    rng = random.Random(2718)
+    cases = []
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 25), rng.randint(1, 30)
+        cols = []
+        for _j in range(ncols):
+            if cols and rng.random() < 0.5:
+                col = {}
+                for src in rng.sample(range(len(cols)), min(len(cols), 3)):
+                    c = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                    for i, v in cols[src].items():
+                        col[i] = col.get(i, Fraction(0)) + c * v
+            else:
+                col = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for i in rng.sample(range(nrows), rng.randint(0, min(nrows, 4)))}
+            cols.append({i: v for i, v in col.items() if v})
+        rows = linalg.SparseEchelon(linalg.sparse_rank_kernel(cols)[1]).rows
+        subset = rng.sample(rows, rng.randint(0, len(rows)))
+        cases.append((cols, nrows, rows, subset))
+
+    def unused(*args):
+        raise AssertionError("the certificate must not use the sparse path")
+    monkeypatch.setattr(linalg, "SparseEchelon", unused)
+    monkeypatch.setattr(linalg, "primitive", unused)
+    results = [(linalg.certified_rank(cols, rows), linalg.certified_rank(cols, subset))
+               for cols, _, rows, subset in cases]
+    monkeypatch.undo()
+    certified = 0
+    for (cols, nrows, rows, _), (rank, partial) in zip(cases, results):
+        dense = linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
+        assert rank in (None, dense) and partial in (None, dense)
+        certified += rank is not None
+    assert certified >= 55
+    assert sum(len(rows) for _, _, rows, _ in cases) >= 100
+
+
+def test_certified_rank_declines_bad_witnesses():
+    # rank 2: c1 = 2*c0 and c3 = c0 + c2
+    cols = [{0: 1}, {0: 2}, {1: 1}, {0: 1, 1: 1}]
+    assert linalg.certified_rank(cols, [{0: 2, 1: -1}]) == 2
+    assert linalg.certified_rank(cols, [{0: 2, 1: -1}, {1: 1, 2: 2, 3: -2}]) == 2
+    # not in the kernel
+    assert linalg.certified_rank(cols, [{0: 1, 1: -1}]) is None
+    # two genuine kernel vectors with the same leading index
+    assert linalg.certified_rank(cols, [{0: 2, 1: -1}, {0: 1, 2: 1, 3: -1}]) is None
+    # empty, an index past the last column, a negative index
+    assert linalg.certified_rank(cols, [{}]) is None
+    assert linalg.certified_rank(cols, [{0: 2, 1: -1, 4: 1}]) is None
+    assert linalg.certified_rank(cols, [{-1: 1, 3: -1}]) is None
+    # a zero coefficient at the smallest index leads nothing
+    assert linalg.certified_rank([{0: 1}, {}], [{1: 1}]) == 1
+    assert linalg.certified_rank([{0: 1}, {}], [{0: 0, 1: 1}]) is None
+    # checked on the columns as given, not on their integer scalings
+    halves = [{0: Fraction(1, 2)}, {0: Fraction(1, 3)}]
+    assert linalg.certified_rank(halves, [{0: 2, 1: -3}]) == 1
+    assert linalg.certified_rank(halves, [{0: 1, 1: -1}]) is None
+    # in the kernel mod p only
+    p = linalg.PRIME
+    assert linalg.certified_rank([{0: p, 1: 1}, {1: 1}], [{0: 1, 1: -1}]) is None
+
+
+def test_certified_engine_never_falls_back(monkeypatch):
+    # the walk's image rows are good witnesses: the certificate settles
+    # every degree of these models, and with or without them gives one rank
+    from pathlib import Path
+
+    from ratimm.bundles import stiefel_model
+    from ratimm.cdga import cohomology
+    from ratimm.io import load_cdga, parse_cdga
+
+    def unused(rows):
+        raise AssertionError("the dense fallback must not run")
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    free7 = parse_cdga("kind: free\nlabel: free7\n"
+                       "generator: e2 2\ngenerator: x3 3\ngenerator: e4 4\n"
+                       "generator: y5 5\ngenerator: x7 7\ngenerator: e6 6\n"
+                       "generator: x11 11\n"
+                       "d: x3 = 2/3*e2^2\nd: y5 = -5/7*e2*e4\n"
+                       "d: x7 = 3*e4^2\nd: x11 = 1/4*e6^2\n")
+    cases = ((load_cdga(str(inputs / "free_s2xs2.cdga")), 30),
+             (load_cdga(str(inputs / "finite_nonformal.cdga")), 12),
+             (stiefel_model(3, 4), 30),
+             (free7, 50))
+    certify = linalg.certified_rank
+    calls = []
+
+    def recorded(cols, witnesses=()):
+        calls.append((cols, witnesses))
+        return certify(cols, witnesses)
+    monkeypatch.setattr(linalg, "dense_rank", unused)
+    monkeypatch.setattr(linalg, "certified_rank", recorded)
+    for cdga, cutoff in cases:
+        assert len(cohomology(cdga, cutoff, engine="certified").dims) == cutoff + 1
+    assert len(calls) == sum(cutoff + 1 for _, cutoff in cases)
+    assert sum(len(witnesses) for _, witnesses in calls) > 1000
+    for cols, witnesses in calls:
+        assert certify(cols, witnesses) == certify(cols) is not None
