@@ -1,23 +1,29 @@
 """Mapping spaces out of a manifold: EM products and even-sphere models.
 
-Maps into odd spheres (rationally Eilenberg-MacLane) reduce to factor
-lists read off the Betti numbers of the source.  Maps into even spheres
-get a genuine model for the constant-map component, built on one
-generator per (sphere generator, dual basis class) pair in positive
-degree and then cancelled down to a minimal model.
+Maps into S^k are the sections of the product bundle M x S^k.  Fibre
+generators that are closed and that no twist mentions, such as the one
+generator of an odd sphere (rationally Eilenberg-MacLane), split off as
+factor lists read off the Betti numbers of the source.  The rest, the
+pair of an even sphere, gets a genuine model for the constant-map
+component, built on one generator per (fibre generator, dual basis
+class) pair in positive degree and then cancelled down to a minimal
+model.
 """
 
-from ratimm import (FiniteCdga, cohomology, em_mapping_space,
-                    odd_sphere_mapping, sphere_manifold, sphere_map_null_model)
+from ratimm import (FiniteCdga, cohomology, em_mapping_space, em_split,
+                    sphere_bundle, sphere_manifold, sphere_map_null_model)
 
 s2 = sphere_manifold(2)
 
 # Maps into Eilenberg-MacLane spaces / odd spheres: pure bookkeeping.
 print("Map(S2, K(Q,3)):", [str(f) for f in em_mapping_space(s2.betti(3), 3)])
-print("Map(S2, S7):    ", [str(f) for f in odd_sphere_mapping(s2.betti(7), 7)])
+degrees, rest = em_split(sphere_bundle(s2.model, 7))  # [7], None
+print("Map(S2, S7):    ",
+      [str(f) for n in degrees for f in em_mapping_space(s2.betti(7), n)])
 print()
 
-# The even-sphere null component needs a model.  Map(S2, S2, 0):
+# The even-sphere null component needs a model: the section model of
+# sphere_bundle(A, k), which splits off nothing.  Map(S2, S2, 0):
 model = sphere_map_null_model(s2.model, 2)
 print("Map(S2,S2,0) generators:",
       ", ".join(f"{g.name}({g.degree})" for g in model.algebra.generators))

@@ -19,9 +19,9 @@ from .bundles import (ManifoldModel, TrivialityVerdict, bso_model,
                       framed_bundle_model, is_rationally_trivial,
                       sphere_manifold, sphere_product_manifold, stiefel_model,
                       unreduced_framed_model)
-from .mapping import (EMFactor, SphereFactor, dual_mapping_null_model,
-                      em_mapping_space, odd_sphere_mapping,
-                      sphere_map_null_model, sphere_model)
+from .mapping import (EMFactor, SphereFactor, em_mapping_space, em_split,
+                      section_model, sphere_bundle, sphere_map_null_model,
+                      sphere_model)
 from .series import PoincareSeries, RationalForm, em_series, series_product
 from .immersions import (Growth, HypothesisCheck, ImmersionDescription,
                          connectivity_verdict, description_to_dict,

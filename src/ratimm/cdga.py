@@ -663,7 +663,8 @@ class RelativeModel(Cdga):
     is the base differential, and on each fiber generator it is a given
     element of the tensor algebra (zero when omitted).  Fiber names must
     be distinct; a fiber generator whose name the base takes is renamed
-    by the rule of `_renamed`; `renamings` maps given names to new ones.
+    by the rule of `_renamed`; `renamings` maps given names to new ones,
+    and `given` keeps the fiber generators as given.
 
     Renaming changes a generator's name, never its index or degree, so
     the model's keys are those of the fiber generators as given.  A twist
@@ -683,7 +684,7 @@ class RelativeModel(Cdga):
 
     def __init__(self, base, fiber_generators, twist=None, label: str = ""):
         self.base = base
-        given = tuple(fiber_generators)
+        self.given = given = tuple(fiber_generators)
         names = [g.name for g in given]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate fiber generator names in {names}")

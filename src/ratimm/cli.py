@@ -27,10 +27,11 @@ import sys
 
 from .bundles import framed_bundle_model, stiefel_model
 from .cdga import cohomology
-from .errors import RatimmError
+from .errors import InputError, RatimmError
 from .immersions import description_to_dict, immersion_components
 from .io import load_manifold, load_cdga
-from .mapping import odd_sphere_mapping, sphere_map_null_model
+from .mapping import (em_mapping_space, em_split, sphere_bundle,
+                      sphere_map_null_model)
 from .series import em_product_series
 from .sweeps import DEFAULT_SEED, run_suites
 
@@ -139,8 +140,11 @@ def cmd_immersion(args) -> int:
 def cmd_map_sphere(args) -> int:
     M = load_manifold(args.manifold)
     if args.k % 2:
+        if args.k < 3:
+            raise InputError("k must be >= 3 (simply connected target)")
+        degrees, _ = em_split(sphere_bundle(M.model, args.k))  # the whole fibre
         betti = M.betti(args.k)
-        factors = odd_sphere_mapping(betti, args.k)
+        factors = [f for n in degrees for f in em_mapping_space(betti, n)]
         series = em_product_series(factors, args.max_degree)
         payload = {
             "command": "map-sphere", "manifold": M.name, "k": args.k,

@@ -1,11 +1,12 @@
 """Betti data and growth classification for components of immersion spaces.
 
-An immersion space of a simply-connected m-manifold into R^{m+k} is,
-component by component and under the Pontryagin-vanishing hypothesis, a
-product of Eilenberg-MacLane spaces (odd fiber generators, via the
-Betti numbers of the source) and, for k even, a mapping-space factor
-into S^k.  This module checks the hypotheses, assembles the factor
-list, multiplies the Poincaré series, and classifies coefficient growth.
+An immersion space of a simply-connected m-manifold into R^{m+k} is
+the section space of the framed bundle (Smale-Hirsch).  Under the
+Pontryagin-vanishing hypothesis `em_split` factors a component into
+Eilenberg-MacLane spaces and, for k even, the sections of the pair
+(x_s, e_k), a mapping-space factor into S^k.  This module checks the
+hypotheses, assembles the factor list, multiplies the Poincaré series,
+and classifies coefficient growth.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .bundles import (ManifoldModel, _fiber_generators,
-                      check_pontryagin_hypothesis)
+from .bundles import (ManifoldModel, check_pontryagin_hypothesis,
+                      framed_bundle_model)
 from .cdga import FreeCdga, _walk
 from .errors import InputError
 from .groebner import pure_krull_dimension
-from .mapping import (EMFactor, SphereFactor, em_mapping_space,
-                      sphere_map_null_model)
+from .mapping import (EMFactor, SphereFactor, em_mapping_space, em_split,
+                      section_model)
 from .series import (PoincareSeries, em_product_series,
                      reconstruct_rational_series, series_product)
 
@@ -104,76 +105,51 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     """Description of a component of Imm(M, R^{m+k}) up to the cutoff.
 
     Checks the Pontryagin-vanishing hypothesis first (failure is reported
-    in the returned record, not raised).  Odd fiber generators of the
-    Stiefel model contribute Eilenberg-MacLane factors computed from the
-    Betti numbers of M; for k even the (e_k, x_s) pair contributes the
-    mapping-space factor into S^k, resolved at the constant-map component
-    when H^k(M;Q) = 0 (in particular whenever k >= m+1) and reported
-    symbolically otherwise.
+    in the returned record, not raised).  `em_split` of the framed bundle
+    model gives the Eilenberg-MacLane factors, computed from the Betti
+    numbers of M, and for k even the rest, the (x_s, e_k) pair: its
+    section model is the mapping-space factor into S^k, resolved at the
+    constant-map component when H^k(M;Q) = 0 (in particular whenever
+    k >= m+1) and reported symbolically otherwise.
     """
     m = M.dimension
-    connectivity = connectivity_verdict(m, k)
+    desc = ImmersionDescription(
+        manifold=M.name, m=m, k=k, cutoff=cutoff, status="hypothesis-failed",
+        hypotheses=[HypothesisCheck(
+            "simply-connected", "passed", "H^0 = Q and H^1 = 0 verified")],
+        connectivity=connectivity_verdict(m, k))
     threshold, failures = check_pontryagin_hypothesis(M, k)
-    checks = [HypothesisCheck(
-        "simply-connected", "passed", "H^0 = Q and H^1 = 0 verified")]
     if failures:
-        checks.append(HypothesisCheck(
+        desc.hypotheses.append(HypothesisCheck(
             "pontryagin-vanishing", "failed",
             f"p_i must vanish for all i >= {threshold}; "
             f"nonzero at {', '.join('p_' + str(i) for i in failures)}"))
-        return ImmersionDescription(
-            manifold=M.name, m=m, k=k, cutoff=cutoff,
-            status="hypothesis-failed", hypotheses=checks,
-            connectivity=connectivity)
-    checks.append(HypothesisCheck(
+        return desc
+    desc.hypotheses.append(HypothesisCheck(
         "pontryagin-vanishing", "passed",
         f"p_i = 0 for all i >= {threshold}"))
 
-    # the Stiefel generators less the sphere pair (x_s, e_k) when k = 2s:
-    # the odd ones of the fiber table from s+1 on
-    em_degrees = [g.degree for g in _fiber_generators(m, k, k // 2 + 1)
-                  if g.is_odd]
-    betti_need = max(em_degrees + [k])
-    bettiM = M.betti(betti_need)
-
-    em_factors: list[EMFactor] = []
-    for n in sorted(em_degrees):
-        em_factors.extend(em_mapping_space(bettiM, n))
-    em_factors.sort(key=lambda f: (f.degree, -f.coefficient_dim))
-
-    em_part = em_product_series(em_factors, cutoff)
-
-    sphere_factor = None
-    sphere_series = None
-    sphere_dimension = None
-    status = "resolved"
-    if k % 2 == 0:
-        hk = bettiM.dims[k] if k <= bettiM.cutoff else 0
-        if hk == 0:
-            sphere_factor = SphereFactor(k, "resolved-null")
-            sphere_model = sphere_map_null_model(M.model, k)
-            sphere_dimension = pure_krull_dimension(sphere_model)
-            sphere_series = _sphere_series(sphere_model, cutoff)
-        else:
-            sphere_factor = SphereFactor(k, "symbolic")
-            status = "symbolic-sphere"
-
-    total = None
-    if status == "resolved":
-        total = em_part if sphere_series is None else series_product(em_part, sphere_series)
-
-    desc = ImmersionDescription(
-        manifold=M.name, m=m, k=k, cutoff=cutoff, status=status,
-        hypotheses=checks, connectivity=connectivity,
-        em_factors=em_factors, sphere_factor=sphere_factor, sphere_series=sphere_series,
-        sphere_dimension=sphere_dimension, em_part_series=em_part, series=total)
-    if status == "symbolic-sphere":
-        desc.growth = "symbolic"
-    else:
-        try:
-            desc.growth = str(growth_degree(desc))
-        except ValueError:
-            desc.growth = "undetermined"
+    em_degrees, rest = em_split(framed_bundle_model(M, k))
+    bettiM = M.betti(max(em_degrees + [k]))
+    desc.em_factors = sorted(
+        (f for n in em_degrees for f in em_mapping_space(bettiM, n)),
+        key=lambda f: (f.degree, -f.coefficient_dim))
+    desc.em_part_series = desc.series = em_product_series(desc.em_factors, cutoff)
+    if rest is not None and bettiM.dims[k]:
+        desc.sphere_factor = SphereFactor(k, "symbolic")
+        desc.status, desc.series, desc.growth = "symbolic-sphere", None, "symbolic"
+        return desc
+    desc.status = "resolved"
+    if rest is not None:
+        model = section_model(rest, label=f"Map({M.model.label},S{k},0)")
+        desc.sphere_factor = SphereFactor(k, "resolved-null")
+        desc.sphere_dimension = pure_krull_dimension(model)
+        desc.sphere_series = _sphere_series(model, cutoff)
+        desc.series = series_product(desc.em_part_series, desc.sphere_series)
+    try:
+        desc.growth = str(growth_degree(desc))
+    except ValueError:
+        desc.growth = "undetermined"
     return desc
 
 

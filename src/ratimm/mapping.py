@@ -1,14 +1,14 @@
-"""Rational models of mapping spaces out of a finite complex.
+"""Rational models of section spaces, such as Map(M, S^k), over a finite complex.
 
-Maps into odd spheres and Eilenberg-MacLane targets reduce to products
-of Eilenberg-MacLane spaces whose degrees read off the Betti numbers of
-the source.  Maps into even spheres need an actual model: the null
-component is modeled on generators (sphere generator) x (dual basis
-class), with the differential determined by requiring the evaluation
-pairing to be a chain map; the sign conventions are pinned operationally
-by the d^2 = 0 assertion at construction.  One cancellation step, a
-generator solved out of a linear term and substituted away, both takes
-the null-component quotient (an echelon of linear forms) and removes
+`em_split` splits the section space of a relative model E over a model
+A of M at its fibre into Eilenberg-MacLane factors, read off the Betti
+numbers of M, and the rest.  `section_model` models the null sections
+of the rest on generators (fibre generator) x (dual basis class), with
+the differential determined by requiring the evaluation pairing to be
+a chain map; the sign conventions are pinned operationally by the
+d^2 = 0 assertion at construction.  One cancellation step, a generator
+solved out of a linear term and substituted away, both takes the
+null-component quotient (an echelon of linear forms) and removes
 contractible pairs, so the model comes out minimal.
 """
 
@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cdga import (BettiTable, FiniteCdga, FreeCdga, TensorAlgebra,
-                   _unique_name, cohomology)
+from .cdga import (BettiTable, FiniteCdga, FreeCdga, RelativeModel,
+                   TensorAlgebra, _tensor_relative, _unique_name, cohomology)
 from .errors import InputError
 from .gca import Element, FreeAlgebra, Generator, add_into
 
 __all__ = [
-    "EMFactor", "SphereFactor", "em_mapping_space", "odd_sphere_mapping",
-    "sphere_model", "sphere_map_null_model", "dual_mapping_null_model",
+    "EMFactor", "SphereFactor", "em_mapping_space", "em_split",
+    "section_model", "sphere_model", "sphere_bundle", "sphere_map_null_model",
 ]
 
 
@@ -57,21 +57,8 @@ def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
     if bettiM.cutoff < n:
         raise ValueError(f"need Betti numbers of the source up to degree {n}, "
                          f"have cutoff {bettiM.cutoff}")
-    factors = []
-    for q in range(1, n + 1):
-        dim = bettiM.dims[n - q]
-        if dim:
-            factors.append(EMFactor(dim, q))
-    return factors
-
-
-def odd_sphere_mapping(bettiM: BettiTable, k: int) -> list[EMFactor]:
-    """Odd spheres are rationally Eilenberg-MacLane: same factor list."""
-    if k % 2 == 0:
-        raise InputError(f"odd_sphere_mapping needs odd k, got {k}")
-    if k < 3:
-        raise InputError("k must be >= 3 (simply connected target)")
-    return em_mapping_space(bettiM, k)
+    return [EMFactor(bettiM.dims[n - q], q) for q in range(1, n + 1)
+            if bettiM.dims[n - q]]
 
 
 def sphere_model(k: int) -> FreeCdga:
@@ -84,20 +71,48 @@ def sphere_model(k: int) -> FreeCdga:
                     {"y": "x^2"}, label=f"S{k}")
 
 
+def sphere_bundle(A, k: int) -> RelativeModel:
+    """The product bundle A (x) sphere_model(k) over A, of either kind."""
+    return _tensor_relative(A, sphere_model(k), f"{A.label}(x)S{k}")
+
+
 # ---------------------------------------------------------------------------
-# Dual-basis mapping-space models
+# Section spaces
 # ---------------------------------------------------------------------------
 
-def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") -> FreeCdga:
-    """Minimal model of the null component of Map(M, Y), A finite, Y free.
+def em_split(E: RelativeModel) -> tuple[list[int], RelativeModel | None]:
+    """Split the section space of E at its fibre.
 
-    Generators v_u = (target generator v) x (dual of basis element a_u)
-    in degree |v| - |a_u|.  The differential is solved from the
-    chain-map condition for the pairing
+    A fibre generator v that is closed and that no twist mentions splits
+    off Map(M, K(Q,|v|)) (`em_mapping_space`).  Returns their degrees,
+    in fibre order, and E on the other fibre generators (None if none).
+    """
+    gens = E.given
+    twists = [E.twist_of(g.name) for g in gens]
+    mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
+    keep = [i for i, dv in enumerate(twists) if dv.terms or i in mentioned]
+    degrees = [g.degree for i, g in enumerate(gens) if i not in keep]
+    if not keep:
+        return degrees, None
+    index = {i: n for n, i in enumerate(keep)}  # monotone: monomials stay sorted
+    alg = TensorAlgebra(E.base.algebra, FreeAlgebra([gens[i] for i in keep]))
+    twist = {gens[i].name: Element(alg, {(lk, tuple((index[j], e) for j, e in fm)): c
+                                         for (lk, fm), c in twists[i].terms.items()})
+             for i in keep}
+    return degrees, RelativeModel(E.base, alg.right.generators, twist, label=E.label)
+
+
+def section_model(E: RelativeModel, label: str = "") -> FreeCdga:
+    """Minimal model of the null-section component of E over a finite A.
+
+    Generators v_u = (fibre generator v, under its name as given to E)
+    x (dual of basis element a_u) in degree |v| - |a_u|.  The
+    differential is solved from the chain-map condition for the pairing
 
         v  |->  sum_u  a_u (x) v_u
 
-    into A (x) (new model), whose equations are expanded once.  The
+    into A (x) (new model): a term lk (x) fm of D(v) becomes
+    (lk (x) 1) * prod pairing, so the equations are expanded once.  The
     null-component choice divides by the differential ideal of the
     generators of degree <= 0 (Brown-Szczarba).  Those generators never
     enter the equations, and their differentials are linear forms L in
@@ -113,8 +128,11 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
     linear term: the result is minimal.  d^2 = 0 on it is asserted at
     construction.
     """
+    A = E.base
+    if not isinstance(A, FiniteCdga):
+        raise InputError("the source model must be finite-dimensional")
     basis = A.algebra.basis
-    targets = target.algebra.generators
+    targets = E.given
     slots: list[dict[int, int]] = [{} for _ in targets]  # [v][u] = index of v_u
     gens: list[Generator] = []
     taken: set[str] = set()
@@ -129,7 +147,7 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
             taken.add(name)
             slots[t][u] = len(gens)
             gens.append(Generator(name, deg))
-    label = label or f"Map(-,{target.label})"
+    label = label or f"Sect({E.label})"
     full = FreeAlgebra(gens, label=label)
     T = TensorAlgebra(A.algebra, full, label="pairing")
     pairing = [Element(T, {(u, ((g, 1),)): Fraction(1) for u, g in slot.items()})
@@ -140,11 +158,10 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
     eqs: dict[tuple[int, int], dict] = {}  # (v, w) -> {monomial: coefficient}
     for t, v in enumerate(targets):
         rhs = T.zero()
-        for mono, c in target.differential_of_generator(v.name).terms.items():
-            term = T.one()
-            for i, e in mono:
-                for _ in range(e):
-                    term = term * pairing[i]
+        for (lk, fm), c in E.twist_of(v.name).terms.items():
+            term = Element(T, {(lk, ()): Fraction(1)})
+            for i, e in fm:
+                term = term * pairing[i] ** e
             rhs = rhs + term * c
         terms = dict(rhs.terms)
         for u, g in slots[t].items():
@@ -197,8 +214,8 @@ def dual_mapping_null_model(A: FiniteCdga, target: FreeCdga, label: str = "") ->
 def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
     """Model of Map(M, S^k, constant) for k even and A a finite model of M.
 
-    Odd k is rejected: odd spheres are rationally Eilenberg-MacLane and
-    belong to em_mapping_space(betti, k).  A must be simply connected.
+    Odd k is rejected: odd spheres are rationally Eilenberg-MacLane, so
+    em_split takes off all of sphere_bundle(A, k).  A must be simply connected.
     """
     if k % 2:
         raise InputError(f"k must be even (odd spheres are Eilenberg-MacLane "
@@ -210,5 +227,4 @@ def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
     # a flagged model's constructor checked H^1 = 0
     if not A.simply_connected and cohomology(A, 1, representatives=False).dims[1]:
         raise InputError("the source model must be simply connected")
-    return dual_mapping_null_model(A, sphere_model(k),
-                                   label=f"Map({A.label},S{k},0)")
+    return section_model(sphere_bundle(A, k), label=f"Map({A.label},S{k},0)")

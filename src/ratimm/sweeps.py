@@ -20,11 +20,11 @@ from .bundles import (ManifoldModel, complex_projective_plane, framed_bundle_mod
                       sphere_product_manifold, stiefel_model,
                       unreduced_framed_model)
 from .cdga import (FiniteCdga, FreeCdga, check_d_squared, cohomology, d_columns,
-                   is_quasi_iso)
+                   is_quasi_iso, tensor)
 from .gca import Element, FreeAlgebra, Generator, basis_count_series, parse_element
 from .immersions import (growth_degree, immersion_components,
                          verify_growth_bounds)
-from .mapping import dual_mapping_null_model
+from .mapping import section_model
 from .series import PoincareSeries, em_series, series_product
 
 DEFAULT_SEED = 20250809
@@ -339,7 +339,7 @@ def suite_immersion(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     def dual_model_consistency():
         s3 = sphere_manifold(3)
         d = immersion_components(s3, 2, 12)
-        oracle = dual_mapping_null_model(s3.model, stiefel_model(3, 2))
+        oracle = section_model(tensor(s3.model, stiefel_model(3, 2)))
         table = cohomology(oracle, 12, representatives=False)
         assert list(d.series.coeffs) == table.dims, \
             f"{list(d.series.coeffs)} != {table.dims}"

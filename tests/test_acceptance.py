@@ -12,10 +12,10 @@ import time
 from ratimm.bundles import (complex_projective_plane, framed_bundle_model,
                             is_rationally_trivial, sphere_manifold,
                             stiefel_model, unreduced_framed_model)
-from ratimm.cdga import check_d_squared, cohomology, is_quasi_iso
+from ratimm.cdga import check_d_squared, cohomology, is_quasi_iso, tensor
 from ratimm.immersions import (growth_degree, immersion_components,
                                verify_growth_bounds)
-from ratimm.mapping import dual_mapping_null_model, sphere_map_null_model
+from ratimm.mapping import section_model, sphere_map_null_model
 from ratimm.series import em_series, series_product
 from ratimm.sweeps import DEFAULT_SEED, sweep_instances
 
@@ -92,8 +92,7 @@ def test_criterion_5_immersion_series():
     assert d.growth == "finite"
 
     d2 = immersion_components(sphere_manifold(3), 2, 12)
-    oracle = dual_mapping_null_model(sphere_manifold(3).model,
-                                     stiefel_model(3, 2))
+    oracle = section_model(tensor(sphere_manifold(3).model, stiefel_model(3, 2)))
     oracle_dims = cohomology(oracle, 12, representatives=False).dims
     assert list(d2.series.coeffs) == oracle_dims, \
         f"Imm(S3,R5): {list(d2.series.coeffs)} != oracle {oracle_dims}"

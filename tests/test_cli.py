@@ -82,6 +82,55 @@ def test_invalid_input_exits_2(capsys, cp2_file, s3_free_file, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k,message", [
+    ("1", "k must be >= 3 (simply connected target)"),
+    ("-1", "k must be >= 3 (simply connected target)"),
+    ("0", "k must be >= 2, got 0"),
+])
+def test_map_sphere_small_k_message(capsys, cp2_file, k, message):
+    assert run(capsys, "map-sphere", "--manifold", cp2_file, "--k", k) == \
+        (2, "", f"error: {message}\n")
+
+
+def test_free_source_gets_its_em_factors(capsys, s3_free_file):
+    # a free model has no dual basis, but the EM factors need none
+    code, out, _ = run(capsys, "map-sphere", "--manifold", s3_free_file,
+                       "--k", "3", "--max-degree", "8")
+    assert code == 0 and out == (
+        "Map(S^3, S^3) is an Eilenberg-MacLane product:\n"
+        "factor: K(Q,3)\n"
+        "series: [1, 0, 0, 1, 0, 0, 0, 0, 0] = 1*t^0 + 1*t^3\n")
+    code, out, _ = run(capsys, "immersion", "--manifold", s3_free_file,
+                       "--k", "3", "--max-degree", "16")
+    assert code == 0 and out == (
+        "immersions of S^3 in R^6 (k=3, N=16)\n"
+        "hypothesis simply-connected: passed  (H^0 = Q and H^1 = 0 verified)\n"
+        "hypothesis pontryagin-vanishing: passed  (p_i = 0 for all i >= 2)\n"
+        "connectivity: components-indexed\n"
+        "factor: K(Q,2)\nfactor: K(Q,4)\nfactor: K(Q,5)\nfactor: K(Q,7)\n"
+        "series: [1, 0, 1, 0, 2, 1, 2, 2, 3, 3, 3, 4, 5, 5, 5, 6, 7] = "
+        "(1*t^0 + 1*t^5 + 1*t^7 + 1*t^12) / (1-t^2)(1-t^4)\n"
+        "growth: polynomial(1)\n")
+    assert run(capsys, "immersion", "--manifold", s3_free_file, "--k", "4") == \
+        (2, "", "error: the source model must be finite-dimensional\n")
+
+
+def test_map_sphere_keeps_given_names(capsys, tmp_path):
+    # the source's basis name x clashes with the sphere generator x
+    path = tmp_path / "sx.manifold"
+    path.write_text("manifold: Sx\ndimension: 2\nkind: finite\nlabel: Sx\n"
+                    "basis: one 0\nbasis: x 2\nsimply-connected: true\n")
+    code, out, _ = run(capsys, "map-sphere", "--manifold", str(path), "--k", "4",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["generators"] == [
+        {"name": "x", "degree": 4, "differential": "0"},
+        {"name": "x_x", "degree": 2, "differential": "0"},
+        {"name": "y", "degree": 7, "differential": "x^2"},
+        {"name": "y_x", "degree": 5, "differential": "2*x*x_x"},
+    ]
+
+
 def test_unexpected_value_error_is_not_an_input_error(capsys, tmp_path,
                                                       monkeypatch):
     from ratimm import cli

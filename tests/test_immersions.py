@@ -10,13 +10,13 @@ from ratimm.bundles import (ManifoldModel, complex_projective_plane,
                             framed_bundle_model, sphere_manifold,
                             sphere_product_manifold, stiefel_model,
                             unreduced_framed_model)
-from ratimm.cdga import FiniteCdga, FreeCdga, cohomology
+from ratimm.cdga import FiniteCdga, FreeCdga, cohomology, tensor
 from ratimm.errors import InputError
 from ratimm.gca import Generator
 from ratimm.immersions import (Growth, connectivity_verdict, description_to_dict,
                                description_to_json, growth_degree,
                                immersion_components, verify_growth_bounds)
-from ratimm.mapping import dual_mapping_null_model, EMFactor
+from ratimm.mapping import EMFactor, em_split, section_model
 from ratimm.series import em_series, series_product
 
 
@@ -63,7 +63,7 @@ def test_imm_s3_r5():
     assert list(d.sphere_series.coeffs)[:5] == [1, 0, 1, 0, 0]
     # total = (1 + t^2)(1 + t^7)/(1 - t^4), cross-checked against the
     # one-shot mapping model of the whole Stiefel fiber
-    oracle = dual_mapping_null_model(sphere_manifold(3).model, stiefel_model(3, 2))
+    oracle = section_model(tensor(sphere_manifold(3).model, stiefel_model(3, 2)))
     assert list(d.series.coeffs) == cohomology(oracle, 12,
                                                representatives=False).dims
     assert d.growth == "polynomial(0)"
@@ -203,6 +203,34 @@ def test_imm_s2_r4_symbolic():
     assert d.growth == "symbolic"
 
 
+def test_em_factors_split_at_the_fibre():
+    # S^5 at k = 4: x3 and x4 split off, the pair (x2, e4) stays
+    M = sphere_manifold(5)
+    degrees, rest = em_split(framed_bundle_model(M, 4))
+    assert degrees == [11, 15] and rest.generator_names() == ["x2", "e4"]
+    # the pair's section model has a closed generator of degree 2 that no
+    # differential mentions; a split of the section model would take it
+    # for a K(Q,2) factor
+    model = section_model(rest)
+    gens = model.algebra.generators
+    mentioned = {i for g in gens
+                 for mono in model.differential_of_generator(g.name).terms
+                 for i, _ in mono}
+    assert [(g.name, g.degree) for i, g in enumerate(gens)
+            if i not in mentioned
+            and model.differential_of_generator(g.name).is_zero()] == [("x2_a5", 2)]
+    d = description_to_dict(immersion_components(M, 4, 16))
+    assert d["status"] == "resolved"
+    assert [(f["kind"], f["degree"]) for f in d["factors"]] == \
+        [("em", 6), ("em", 10), ("em", 11), ("em", 15), ("sphere", 4)]
+    assert d["em_series"] == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1]
+    d = description_to_dict(immersion_components(sphere_manifold(2), 2, 16))
+    assert d["status"] == "symbolic-sphere"
+    assert [(f["kind"], f["degree"]) for f in d["factors"]] == \
+        [("em", 1), ("em", 3), ("sphere", 2)]
+    assert d["em_series"] == [1, 1, 0, 1, 1] + [0] * 12
+
+
 def test_imm_cp2_hypothesis_failure():
     d = immersion_components(complex_projective_plane(), 2, 10)
     assert d.status == "hypothesis-failed"
@@ -263,7 +291,7 @@ def test_consistency_with_kunneth_certificate():
     verdict = is_rationally_trivial(M, 3, 14)
     assert verdict.status == "trivial"
     d = immersion_components(M, 3, 14)
-    oracle = dual_mapping_null_model(M.model, stiefel_model(3, 3))
+    oracle = section_model(tensor(M.model, stiefel_model(3, 3)))
     assert list(d.series.coeffs) == cohomology(oracle, 14,
                                                representatives=False).dims
 

@@ -1,13 +1,18 @@
-"""Mapping-space factor lists and null-component models."""
+"""Mapping-space factor lists, section models and null-component models."""
+
+from pathlib import Path
 
 import pytest
 
 from ratimm.bundles import (ManifoldModel, sphere_manifold, sphere_product_manifold,
                             stiefel_model)
-from ratimm.cdga import FiniteCdga, check_d_squared, cohomology
+from ratimm.cdga import (FiniteCdga, RelativeModel, check_d_squared, cohomology,
+                         tensor)
+from ratimm.gca import Generator
 from ratimm.immersions import immersion_components
-from ratimm.mapping import (dual_mapping_null_model, em_mapping_space,
-                            odd_sphere_mapping, sphere_map_null_model,
+from ratimm.io import load_manifold
+from ratimm.mapping import (em_mapping_space, em_split, section_model,
+                            sphere_bundle, sphere_map_null_model,
                             sphere_model, EMFactor)
 from ratimm.sweeps import nonformal_base
 
@@ -55,14 +60,19 @@ def test_insufficient_betti_coverage():
 
 
 def test_odd_sphere_mapping_examples():
-    s2 = sphere_manifold(2).betti(7)
-    assert odd_sphere_mapping(s2, 7) == [EMFactor(1, 5), EMFactor(1, 7)]
-    pt = cohomology(point_model(), 3, representatives=False)
-    assert odd_sphere_mapping(pt, 3) == [EMFactor(1, 3)]
-    s3 = sphere_manifold(3).betti(3)
-    assert odd_sphere_mapping(s3, 3) == [EMFactor(1, 3)]
-    with pytest.raises(ValueError):
-        odd_sphere_mapping(s2, 4)
+    # an odd sphere's one generator splits off whole: Map(M, S^k) is
+    # Map(M, K(Q,k)); an even sphere's pair stays for the section model
+    def factors(A, k):
+        degrees, rest = em_split(sphere_bundle(A, k))
+        assert degrees == [k] and rest is None
+        betti = cohomology(A, k, representatives=False)
+        return [f for n in degrees for f in em_mapping_space(betti, n)]
+
+    assert factors(sphere_manifold(2).model, 7) == [EMFactor(1, 5), EMFactor(1, 7)]
+    assert factors(point_model(), 3) == [EMFactor(1, 3)]
+    assert factors(sphere_manifold(3).model, 3) == [EMFactor(1, 3)]
+    degrees, rest = em_split(sphere_bundle(sphere_manifold(2).model, 4))
+    assert degrees == [] and rest.generator_names() == ["x", "y"]
 
 
 # -- null-component sphere models ----------------------------------------------
@@ -107,16 +117,16 @@ def test_null_model_with_nonformal_source():
 
 
 def test_null_model_expands_each_target_differential_once():
-    target = sphere_model(4)
+    E = sphere_bundle(nonformal_base(), 4)
     calls = []
-    expand = target.differential_of_generator
+    expand = E.twist_of
 
     def counted(name):
         calls.append(name)
         return expand(name)
 
-    target.differential_of_generator = counted
-    dual_mapping_null_model(nonformal_base(), target)  # cancels a pair
+    E.twist_of = counted
+    section_model(E)  # cancels a pair
     assert calls == ["x", "y"]
 
 
@@ -231,6 +241,85 @@ def test_only_unflagged_sources_are_walked_for_h1(monkeypatch):
 
 def test_dual_model_of_stiefel_matches_product():
     # Map(S^3, V_3(R^5), 0): one big elimination against the factor product
-    oracle = dual_mapping_null_model(sphere_manifold(3).model, stiefel_model(3, 2))
+    oracle = section_model(tensor(sphere_manifold(3).model, stiefel_model(3, 2)))
     table = cohomology(oracle, 12, representatives=False)
     assert table.dims == [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1]
+
+
+# -- section models ----------------------------------------------------------------
+
+def test_section_model_names_generators_as_given():
+    # the basis name x clashes with the sphere generator x, which the
+    # bundle renames x_2; the section generators keep the given names
+    A = FiniteCdga([("one", 0), ("x", 2)], {}, label="Sx", simply_connected=True)
+    assert sphere_bundle(A, 4).renamings == {"x": "x_2"}
+    model = sphere_map_null_model(A, 4)
+    assert [(g.name, g.degree) for g in model.algebra.generators] == \
+        [("x", 4), ("x_x", 2), ("y", 7), ("y_x", 5)]
+    assert str(model.differential_of_generator("y_x")) == "2*x*x_x"
+
+
+def _s2_bundle(twist):
+    base = sphere_manifold(2).model
+    return RelativeModel(base, [Generator("e2", 2), Generator("x3", 3)],
+                         twist=twist, label="E")
+
+
+def test_section_model_multiplies_in_the_base_part_of_a_twist():
+    # D(x3) = a2 e2: the term (a2 (x) 1) * pairing(e2) gives
+    # d(x3_a2) = e2, a contractible pair, so Lambda(x3) with d = 0
+    twisted = section_model(_s2_bundle({"x3": "a2*e2"}))
+    assert [(g.name, g.degree) for g in twisted.algebra.generators] == [("x3", 3)]
+    assert twisted.differential_of_generator("x3").is_zero()
+    untwisted = section_model(_s2_bundle({}))
+    assert [(g.name, g.degree) for g in untwisted.algebra.generators] == \
+        [("e2", 2), ("x3", 3), ("x3_a2", 1)]
+    assert all(untwisted.differential_of_generator(g.name).is_zero()
+               for g in untwisted.algebra.generators)
+
+
+def test_section_model_needs_a_finite_base():
+    free = sphere_model(3)
+    with pytest.raises(ValueError, match="finite-dimensional"):
+        section_model(sphere_bundle(free, 4))
+
+
+# The null models of the demo manifolds as the dual mapping model gave
+# them before it became `section_model`: (name, degree, d) per generator
+DEMO_NULL_MODELS = {
+    ("cp2", 2): [("x", 2, "0"), ("y", 3, "x^2"), ("y_a", 1, "0")],
+    ("cp2", 4): [("x", 4, "0"), ("x_a", 2, "0"), ("y", 7, "x^2"),
+                 ("y_a", 5, "2*x*x_a"), ("y_aa", 3, "x_a^2")],
+    ("cp2", 6): [("x", 6, "0"), ("x_a", 4, "0"), ("x_aa", 2, "0"),
+                 ("y", 11, "x^2"), ("y_a", 9, "2*x*x_a"),
+                 ("y_aa", 7, "2*x*x_aa + x_a^2")],
+    ("s2", 2): [("x", 2, "0"), ("y", 3, "x^2"), ("y_a2", 1, "0")],
+    ("s2", 4): [("x", 4, "0"), ("x_a2", 2, "0"), ("y", 7, "x^2"),
+                ("y_a2", 5, "2*x*x_a2")],
+    ("s2", 6): [("x", 6, "0"), ("x_a2", 4, "0"), ("y", 11, "x^2"),
+                ("y_a2", 9, "2*x*x_a2")],
+    ("s3", 2): [("x", 2, "0"), ("y", 3, "x^2")],
+    ("s3", 4): [("x", 4, "0"), ("x_a3", 1, "0"), ("y", 7, "x^2"),
+                ("y_a3", 4, "-2*x*x_a3")],
+    ("s3", 6): [("x", 6, "0"), ("x_a3", 3, "0"), ("y", 11, "x^2"),
+                ("y_a3", 8, "-2*x*x_a3")],
+    ("s4", 2): [("x", 2, "0"), ("y", 3, "x^2")],
+    ("s4", 4): [("x", 4, "0"), ("y", 7, "x^2"), ("y_a4", 3, "0")],
+    ("s4", 6): [("x", 6, "0"), ("x_a4", 2, "0"), ("y", 11, "x^2"),
+                ("y_a4", 7, "2*x*x_a4")],
+    ("s5", 2): [("x", 2, "0"), ("y", 3, "x^2")],
+    ("s5", 4): [("x", 4, "0"), ("y", 7, "x^2"), ("y_a5", 2, "0")],
+    ("s5", 6): [("x", 6, "0"), ("x_a5", 1, "0"), ("y", 11, "x^2"),
+                ("y_a5", 6, "-2*x*x_a5")],
+}
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+DEMO_NULL_MODELS.update({("cp2_flat", k): DEMO_NULL_MODELS["cp2", k]
+                         for k in (2, 4, 6)})
+
+
+@pytest.mark.parametrize("name,k", sorted(DEMO_NULL_MODELS))
+def test_section_model_of_a_product_is_the_null_model(name, k):
+    M = load_manifold(DATA / f"{name}.manifold")
+    model = section_model(tensor(M.model, sphere_model(k)))
+    assert [(g.name, g.degree, str(model.differential_of_generator(g.name)))
+            for g in model.algebra.generators] == DEMO_NULL_MODELS[name, k]
