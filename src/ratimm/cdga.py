@@ -15,7 +15,8 @@ of `tensor`) are renamed where their names clash, by the one rule of
 element written over the generators as given already has the keys of the
 result: a relative model takes its twist in that form and is built once,
 and `tensor` shifts the second factor's monomials by index.  A finite
-`tensor` takes its products, Koszul sign included, from `TensorAlgebra`.
+`tensor` takes its products, Koszul sign included, from `TensorAlgebra`,
+and is not checked again: its factors were.
 
 All three derive from `Cdga` and answer the same questions, so the code
 that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
@@ -36,21 +37,25 @@ asks which kind it holds:
   relative model adds its base's generators, embedded, first);
 * `key_word(key)` -- (base key or None, [(generator name, exponent)]),
   the key as a word in those generators;
-* `d_symbol` -- "d", or "D" for the twisted differential.
+* `d_symbol` -- "d", or "D" for the twisted differential;
+* `_layout(n)`, `_columns(...)` -- a degree's keys and index, and its
+  columns, for a walk (defaults in `Cdga`; see Assembly below).
 
 Cohomology is computed degreewise by exact sparse elimination, in one
 open-ended walk that each caller reads as far as it needs: `_cochains`
 enumerates each degree's keys once and assembles the columns asked for,
-and `_walk` eliminates them rank only and cleared: since d^2 = 0, the
+and `_walk` eliminates them once and cleared: since d^2 = 0, the
 columns of d_n at the pivots of im d_{n-1} depend on the others and are
 skipped.  It yields b_n, `_cochains`' degree (keys, index, rows,
-columns), the kept columns and the echelon of im d_{n-1}.  `cohomology`
-reads it to the cutoff and takes representatives from the kernel of
-the kept columns, one tagged pass where b_n > 0: cocycles off the
-pivots of im d_{n-1}, none a coboundary.  `is_quasi_iso` reads the
-target's walk and tests f(representatives) against its echelons; an
-immersion's sphere series reads b_0..b_N and, for its closed form,
-reads on.  Two independent engines check the ranks on every column: a
+columns), the kept columns, their kernel and the echelon of im d_{n-1}.
+The pass is rank only, or, when the caller asks for kernels, tagged:
+the same pivots, with the kernel vectors of the kept columns from the
+same pass, and image rows that carry tag coordinates.  `cohomology`
+reads it to the cutoff and, asked for representatives, takes them from
+that kernel: cocycles off the pivots of im d_{n-1}, none a coboundary,
+b_n of them.  `is_quasi_iso` reads the target's walk and tests
+f(representatives) against its echelons; an immersion's sphere series
+reads b_0..b_N and, for its closed form, reads on.  Two independent engines check the ranks on every column: a
 modular rank certified by exactly verified kernel vectors, which reads
 the walk, builds the cleared columns beside the kept ones and takes the
 rows of im d_{n-1} as untrusted kernel witnesses for them, each checked
@@ -60,8 +65,12 @@ the tests and of `ratimm verify`.  They share columns with the walk,
 and the certificate its image rows as data, never elimination.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
-order (a tensor algebra asks its base first and skips empty base degrees;
-a finite algebra indexes its basis by degree once).  Call a generator
+order (a free algebra reads suffix tables it builds bottom-up; a finite
+algebra indexes its basis by degree once; a tensor algebra lays a degree
+out as blocks, below).  A walk reads each degree's keys and index from
+the model's `_layout` and its columns from `_columns`: by default the
+keys' `_diff_terms` mapped through a {key: row} dict (`d_columns`), and
+by blocks for a relative model (below).  Call a generator
 closed when it is even with d = 0 (an even free or fiber generator with
 no differential or twist).  A key's monomial splits as P*R, P its closed
 factors; P is even and closed, so d(P*R) = P*d(R).  `_diff_terms`
@@ -74,13 +83,23 @@ sign.  A relative model splits once more:
     D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm).
 
 Every base key of a walk meets the same fiber monomials rm and the
-other way round, so its memo also keeps D(1 (x) rm), P merged in, under
-rm, and under (None, lk) a row for each base key lk: d_B(lk), its sign
-and the products lk*bk as exact coefficients, each product asked of the
-base once.  `d_columns` builds a degree's sparse columns straight from
-these dicts, with no `Element`; `_cochains` hands it one memo that lives
-as long as its walk.  Integral input keeps int coefficients, which
-`linalg.primitive` takes without Fraction arithmetic.
+other way round, so its memo keeps under (None, lk) a row for each base
+key lk: d_B(lk), its sign, the products lk*bk as exact coefficients,
+each asked of the base once, and |lk|; `_diff_terms` keeps D(1 (x) rm),
+P merged in, under rm.  A walk reads the rule in rows: a degree n of
+`TensorAlgebra` is laid out as blocks, one per base key lk in
+base-degree order (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
+pos(rm) the position of rm among the fiber monomials of its degree.
+The walk's memo keeps, per fiber degree, D(1 (x) rm) of each rm, P
+merged in, as ((bk, position), coefficient), and `_column` assembles the
+column of (lk, rm) as an int-keyed dict: d_B(lk) (x) rm at
+start_{n+1}[k] + pos(rm) for each term k, then start_{n+1}[lk*bk] + q
+for each product term.  No pair index is built, and no pair is hashed
+per key.  A fiber degree is dropped once the walk has passed it by more
+than the base's top degree.  Columns are plain dicts, with no
+`Element`; `_cochains` hands them one memo that lives as long as its
+walk.  Integral input keeps int coefficients, which `linalg.primitive`
+takes without Fraction arithmetic.
 
 A morphism applies the same split, f(lk (x) word) = (lk (x) 1) * f(word)
 (`CdgaMorphism._apply_terms`): f(word) is built once per word, from
@@ -103,7 +122,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, product
 
 from . import linalg
 from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
@@ -231,13 +250,15 @@ class _Products(dict):
                             for k, c in self.algebra.mul_key_pairs(self.lk, bk)]
         return pairs
 
-    def add_times(self, out: dict, terms, scale):
+    def add_times(self, out: dict, terms, scale, starts=None):
         """Add scale * (lk (x) 1) * (bk (x) fm) = scale * lk*bk (x) fm, with
-        no sign, into `out` for each ((bk, fm), c) of `terms`."""
+        no sign, into `out` for each ((bk, fm), c) of `terms`.  With the
+        `starts` of a `_BlockIndex`, fm is a fiber position and the term
+        goes to the row starts[lk*bk] + fm."""
         for (bk, fm), c in terms:
             c = scale * c
             for prod, bc in self[bk]:
-                k = (prod, fm)
+                k = (prod, fm) if starts is None else starts[prod] + fm
                 v = out.get(k, 0) + c * bc
                 if v:
                     out[k] = v
@@ -261,6 +282,19 @@ class Cdga:
 
     def d2_items(self):
         return self.generator_items()
+
+    def _layout(self, n):
+        """(keys, index) of degree n: its keys in `sort_key` order and
+        {key: position}; a relative model lays them out as blocks."""
+        keys = self.algebra.keys_of_degree(n)
+        return keys, {k: i for i, k in enumerate(keys)}
+
+    def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
+        """d of each of `keys` (degree n, `index` from `_layout`) at a
+        position not in `skip`, in key order, as `d_columns`: rows
+        numbered by `index_next`, degree n+1's index."""
+        return d_columns(self, [key for j, key in enumerate(keys) if j not in skip],
+                         index_next, memo)
 
     def _validate(self):
         """d(g) has degree |g| + 1 and d^2(g) = 0 on each generator."""
@@ -353,10 +387,11 @@ class FiniteAlgebra:
     filled in with the Koszul sign.  A product value is an expression
     linear in basis names, or a {name: coefficient} dict; a complaint
     about one value (a ParseError or DegreeError) names its pair in the
-    exception's `product` attribute.
+    exception's `product` attribute.  check=False skips the associativity
+    check, for a table built from checked ones (`tensor`).
     """
 
-    def __init__(self, basis, products=None, label: str = ""):
+    def __init__(self, basis, products=None, label: str = "", check: bool = True):
         self.basis = tuple((str(n), int(d)) for n, d in basis)
         self.label = label
         names = [n for n, _ in self.basis]
@@ -370,12 +405,14 @@ class FiniteAlgebra:
         if any(d < 0 for _, d in self.basis):
             raise ValueError("negative-degree basis elements are not allowed")
         self.unit = units[0]
+        self.top_degree = max(d for _, d in self.basis)
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for i, (_, d) in enumerate(self.basis):
             self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
         self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._load_products(products or {})
-        self._validate()
+        if check:
+            self._validate()
 
     # -- construction ----------------------------------------------------
 
@@ -512,10 +549,14 @@ class FiniteAlgebra:
 
 
 class FiniteCdga(Cdga):
-    """Finite-dimensional CDGA: a FiniteAlgebra plus a differential."""
+    """Finite-dimensional CDGA: a FiniteAlgebra plus a differential.
+
+    check=False skips `_validate`, for a product of checked factors
+    (`tensor`), as `FreeCdga(check=False)` does.
+    """
 
     def __init__(self, basis, products=None, differential=None, label: str = "",
-                 simply_connected: bool = False):
+                 simply_connected: bool = False, check: bool = True):
         if isinstance(basis, FiniteAlgebra):
             self.algebra = basis
         else:
@@ -526,7 +567,8 @@ class FiniteCdga(Cdga):
         for key, value in (differential or {}).items():
             i = self.algebra.basis_index(key) if not isinstance(key, int) else key
             self._diff[i] = _as_element(value, self.algebra)
-        self._validate()
+        if check:
+            self._validate()
 
     def _validate(self):
         alg = self.algebra
@@ -577,6 +619,22 @@ class FiniteCdga(Cdga):
 # Tensor algebra of a base algebra with a free fiber algebra
 # ---------------------------------------------------------------------------
 
+class _BlockIndex:
+    """The rows of one degree n of a `TensorAlgebra`, laid out as blocks:
+    (lk, rm) is row starts[lk] + pos(rm), pos(rm) the position of rm
+    among the fiber monomials of degree n - |lk|.  A key of another
+    degree raises KeyError."""
+
+    __slots__ = ("degree", "starts", "_fiber")
+
+    def __init__(self, degree, starts, fiber):
+        self.degree, self.starts, self._fiber = degree, starts, fiber
+
+    def __getitem__(self, key):
+        lk, rm = key
+        return self.starts[lk] + self._fiber[lk][rm]
+
+
 class TensorAlgebra:
     """Product algebra base (x) fiber; keys are (base_key, fiber_key)."""
 
@@ -584,6 +642,9 @@ class TensorAlgebra:
         self.left = left
         self.right = right
         self.label = label
+        self._base: list[tuple[int, tuple]] = []  # (i, base keys), i ascending
+        self._base_seen = -1
+        self._fiber: dict[int, tuple] = {}  # see fiber_degree
 
     def one_key(self):
         return (self.left.one_key(), self.right.one_key())
@@ -593,16 +654,45 @@ class TensorAlgebra:
         return self.left.key_degree(lk) + self.right.key_degree(rm)
 
     def keys_of_degree(self, n: int):
-        out = []
-        for i in range(n + 1):
-            # the base first: a finite base has keys in few degrees
-            lkeys = self.left.keys_of_degree(i)
+        return self.layout(n)[0]
+
+    def layout(self, n: int):
+        """Degree n as (keys, `_BlockIndex`): a block per base key lk, in
+        base-degree order, of the fiber monomials of degree n - |lk|, none
+        for an lk with no such monomial.  That is `sort_key` order: base
+        degree ascending, then each factor's own order."""
+        keys: list = []
+        starts, fiber = {}, {}
+        for i, lkeys in self._base_degrees(n):
+            rkeys, positions = self.fiber_degree(n - i)
+            if not rkeys:
+                continue
+            offset, width = len(keys), len(rkeys)
+            for j, lk in enumerate(lkeys):
+                starts[lk] = offset + j * width
+                fiber[lk] = positions
+            keys.extend(product(lkeys, rkeys))
+        return tuple(keys), _BlockIndex(n, starts, fiber)
+
+    def _base_degrees(self, n: int):
+        """(i, base keys of degree i) for each base degree i <= n that
+        holds keys; each degree is asked of the base once."""
+        top = self.left.top_degree
+        while self._base_seen < n and (top is None or self._base_seen < top):
+            self._base_seen += 1
+            lkeys = self.left.keys_of_degree(self._base_seen)
             if lkeys:
-                rkeys = self.right.keys_of_degree(n - i)
-                out.extend((lk, rm) for lk in lkeys for rm in rkeys)
-        # already in sort_key order: base degree ascending, then each
-        # factor's own order
-        return tuple(out)
+                self._base.append((self._base_seen, lkeys))
+        return [block for block in self._base if block[0] <= n]
+
+    def fiber_degree(self, d: int):
+        """(the fiber monomials of degree d, {rm: position of rm among
+        them}), built once per degree."""
+        fiber = self._fiber.get(d)
+        if fiber is None:
+            rkeys = self.right.keys_of_degree(d)
+            fiber = self._fiber[d] = (rkeys, {rm: p for p, rm in enumerate(rkeys)})
+        return fiber
 
     def mul_key_pairs(self, key1, key2):
         l1, r1 = key1
@@ -702,6 +792,7 @@ class RelativeModel(Cdga):
         self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, _exact(c))
                             for (bk, m), c in elt.terms.items()]
                         for i, elt in self._twist.items() if elt.terms}
+        self._twist_base_keys = {bk for terms in self._dtwist.values() for bk, *_ in terms}
         self._closed = frozenset(i for i, g in enumerate(self.fiber.generators)
                                  if not g.is_odd and i not in self._dtwist)
         self._validate()
@@ -740,17 +831,22 @@ class RelativeModel(Cdga):
 
     # -- differential --------------------------------------------------------
 
-    def _diff_terms(self, key, memo) -> dict:
-        lk, rm = key
-        # d_B(lk) (x) rm, then (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm): every
-        # base key of a walk meets the same rm, and every rm the same lk
+    def _base_row(self, lk, memo):
+        """(d_B(lk), (-1)^{|lk|}, the products lk*bk, |lk|), kept in `memo`
+        under (None, lk): every rm of a walk meets the same lk."""
         row = memo.get((None, lk))
         if row is None:
             base_alg = self.base.algebra
+            degree = base_alg.key_degree(lk)
             row = memo[None, lk] = (
                 [(k, _exact(c)) for k, c in self.base._diff_terms(lk, {}).items()],
-                -1 if base_alg.key_degree(lk) % 2 else 1, _Products(base_alg, lk))
-        dlk, sign, products = row
+                -1 if degree % 2 else 1, _Products(base_alg, lk), degree)
+        return row
+
+    def _diff_terms(self, key, memo) -> dict:
+        # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm)
+        lk, rm = key
+        dlk, sign, products, _ = self._base_row(lk, memo)
         terms = memo.get(rm)
         if terms is None:
             closed = self._closed
@@ -760,6 +856,67 @@ class RelativeModel(Cdga):
                                     for (bk, fm), c in terms]
         out = {(k, rm): c for k, c in dlk}
         products.add_times(out, terms, sign)
+        return out
+
+    def _layout(self, n):
+        return self.algebra.layout(n)
+
+    def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
+        """`_diff_terms` in rows of degree n+1's blocks, block by block:
+        (k, rm) is row starts[k] + pos(rm).  The walk's memo keeps a
+        record of each fiber degree under None (`_fiber_degree`)."""
+        fibers = memo.get(None)
+        if fibers is None:
+            fibers = memo[None] = {}
+        starts = index_next.starts
+        column = self._column
+        out = []
+        for lk, start in index.starts.items():
+            row = self._base_row(lk, memo)
+            d = index.degree - row[3]
+            fiber = fibers.get(d)
+            if fiber is None:
+                fiber = self._fiber_degree(d, fibers)
+            for p in range(len(fiber[0])):
+                if start + p not in skip:
+                    out.append(column(keys[start + p], p, row, fiber, starts, memo))
+        return out
+
+    def _fiber_degree(self, d, fibers):
+        """The walk's record of fiber degree d, kept in `fibers`: its
+        monomials rm, D(1 (x) rm) of each by position (None until
+        `_column` asks), and {bk: the positions of fiber degree
+        d + 1 - |bk|} for the base keys bk of the twist.  Degrees below
+        d - (the base's top degree) are dropped: the walk has passed
+        them, and no later key meets them."""
+        top = self.base.algebra.top_degree
+        if top is not None:
+            for old in [e for e in fibers if e < d - top]:
+                del fibers[old]
+        fiber_degree, base_degree = self.algebra.fiber_degree, self.base.algebra.key_degree
+        rkeys = fiber_degree(d)[0]
+        targets = {bk: fiber_degree(d + 1 - base_degree(bk))[1]
+                   for bk in self._twist_base_keys}
+        fiber = fibers[d] = (rkeys, [None] * len(rkeys), targets)
+        return fiber
+
+    def _column(self, key, p, row, fiber, starts, memo) -> dict:
+        """D(key), key = (lk, rm) with rm at position p of its `fiber`
+        record and `row` lk's `_base_row`, as a column {row: coefficient}
+        of the next degree's `starts`: d_B(lk) (x) rm, then lk*bk at
+        starts[lk*bk] + q for each ((bk, q), c) of D(1 (x) rm), q the
+        position of the fiber monomial, which the record keeps."""
+        _, entries, targets = fiber
+        terms = entries[p]
+        if terms is None:
+            rm, closed = key[1], self._closed
+            terms = entries[p] = [
+                ((bk, targets[bk][_times_closed(rm, closed, fm)]), c)
+                for (bk, fm), c in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)]
+        dlk, sign, products, _ = row
+        out = {starts[k] + p: c for k, c in dlk} if dlk else {}
+        if terms:
+            products.add_times(out, terms, sign, starts)
         return out
 
     def diff_key(self, key) -> Element:
@@ -847,44 +1004,49 @@ def d_columns(cdga, keys, index, memo=None) -> list[dict]:
 def _cochains(cdga):
     """Walk degrees n = 0, 1, ... once each, open-ended: the caller reads
     as far as it needs.  Degree n is (keys, index, rows, columns): its
-    keys, their positions, the number of degree-(n+1) keys, and
-    `columns(skip)`, the `d_columns` of the keys at positions not in
-    `skip` (a set or dict), in key order.  One memo serves the whole
-    walk and is dropped with it."""
-    alg = cdga.algebra
+    keys and index from the model's `_layout`, the number of
+    degree-(n+1) keys, and `columns(skip)`, the model's `_columns`: d of
+    each key at a position not in `skip` (a set or dict), in key order.
+    One memo serves the whole walk and is dropped with it."""
     memo: dict = {}
-    keys = alg.keys_of_degree(0)
-    index = {k: i for i, k in enumerate(keys)}
+    keys, index = cdga._layout(0)
     for n in count(1):
-        keys_next = alg.keys_of_degree(n)
-        index_next = {k: i for i, k in enumerate(keys_next)}
+        keys_next, index_next = cdga._layout(n)
 
-        def columns(skip=(), keys=keys, index_next=index_next):
-            return d_columns(cdga, [key for j, key in enumerate(keys) if j not in skip],
-                             index_next, memo)
+        def columns(skip=(), keys=keys, index=index, index_next=index_next):
+            return cdga._columns(keys, index, skip, index_next, memo)
 
         yield keys, index, len(keys_next), columns
         keys, index = keys_next, index_next
 
 
-def _walk(cdga):
+def _walk(cdga, kernels: bool = False):
     """The Betti walk, open-ended like `_cochains`: degree n is (b_n,
-    keys, index, rows, columns, kept, image_prev), `_cochains`' degree n
-    between b_n and the walk's own two.
+    keys, index, rows, columns, kept, kernel, image_prev), `_cochains`'
+    degree n between b_n and the walk's own three.
 
     `image_prev`, the echelon of im d_{n-1}, clears the columns of d_n
     at its pivots: its rows lie in ker d_n, as d^2 = 0, and in reduced
     echelon form each gives the column at its pivot as a combination of
     columns at non-pivots (a span's pivot set does not depend on the
-    rows giving it).  The `kept` columns, eliminated rank only, give
-    the echelon of im d_n.
+    rows giving it).  The `kept` columns, eliminated once, give the
+    echelon of im d_n: rank only, with `kernel` None, or with kernels,
+    each column tagged by its position in `kept` (`linalg.kernel_vectors`),
+    `kernel` then listing the kernel vectors of the kept columns, b_n of
+    them.  Tags change no pivot, so b_n and every pivot set are those of
+    the rank-only pass, but the rows of a tagged echelon carry tag
+    coordinates.
     """
     image_prev = linalg.SparseEchelon()
     for keys, index, rows, columns in _cochains(cdga):
         kept = columns(image_prev.pivot_cols)
-        image = linalg.SparseEchelon(kept)
+        if kernels:
+            image = linalg.SparseEchelon()
+            kernel = list(linalg.kernel_vectors(image, kept))
+        else:
+            image, kernel = linalg.SparseEchelon(kept), None
         yield (len(keys) - image.rank - image_prev.rank, keys, index, rows, columns,
-               kept, image_prev)
+               kept, kernel, image_prev)
         image_prev = image
 
 
@@ -896,16 +1058,17 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                engine: str = "sparse") -> BettiTable:
     """Degreewise cohomology ranks, by exact elimination.
 
-    Each degree's keys are enumerated, and each column assembled, once.
-    engine="sparse" is the production path, the first cutoff+1 degrees
-    of `_walk`: one fraction-free sparse elimination of each degree's
-    differential, rank only and cleared.  With representatives, a
-    degree with b_n > 0 also gets one tagged elimination of the kept
-    columns, in key order; each of their first b_n kernel vectors is a
-    representative.  A nonzero coboundary has its lowest coordinate at
-    a pivot of im d_{n-1}, and a cocycle reduces modulo im d_{n-1} to
-    one off them: the cocycles off the pivots, of dimension b_n,
-    complement the coboundaries.
+    Each degree's keys are enumerated, and each column assembled and
+    eliminated, once.  engine="sparse" is the production path, the first
+    cutoff+1 degrees of `_walk`: one fraction-free sparse elimination of
+    each degree's differential, cleared, rank only.  With
+    representatives it asks the walk for kernels: the same one
+    elimination is tagged, the kept columns in key order, so its image
+    rows carry tag coordinates, and the b_n kernel vectors of the kept
+    columns are the representatives.  A nonzero coboundary has its
+    lowest coordinate at a pivot of im d_{n-1}, and a cocycle reduces
+    modulo im d_{n-1} to one off them: the cocycles off the pivots, of
+    dimension b_n, complement the coboundaries.
 
     The checking engines return no representatives.
     engine="certified" reads the same walk: it assembles the columns
@@ -937,8 +1100,8 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     representatives = representatives and engine == "sparse"
     alg = cdga.algebra
     reps: list[list[Element]] = []
-    walk = islice(_walk(cdga), degrees)
-    for n, (b_n, keys, _, rows, columns, kept, image_prev) in enumerate(walk):
+    walk = islice(_walk(cdga, kernels=representatives), degrees)
+    for n, (b_n, keys, _, rows, columns, kept, kernel, image_prev) in enumerate(walk):
         dims.append(b_n)
         skip = image_prev.pivot_cols
         if engine == "certified":
@@ -953,15 +1116,13 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                 raise AssertionError(f"sparse and certified ranks disagree in "
                                      f"degree {n}; please report")
         elif representatives:
-            kept_keys = [key for j, key in enumerate(keys) if j not in skip]
-            kernel = linalg.kernel_vectors(linalg.SparseEchelon(), kept) if b_n else ()
-            chosen = [Element(alg, {kept_keys[j]: Fraction(c) for j, c in ker.items()})
-                      for ker in islice(kernel, b_n)]
-            if len(chosen) != b_n:
+            if len(kernel) != b_n:
                 raise AssertionError(
                     f"rank bookkeeping mismatch in degree {n}: "
-                    f"{len(chosen)} representatives for b_{n}={b_n}")
-            reps.append(chosen)
+                    f"{len(kernel)} representatives for b_{n}={b_n}")
+            kept_keys = [key for j, key in enumerate(keys) if j not in skip] if b_n else ()
+            reps.append([Element(alg, {kept_keys[j]: Fraction(c) for j, c in ker.items()})
+                         for ker in kernel])
     return BettiTable(cutoff, dims, reps if representatives else None)
 
 
@@ -1066,7 +1227,10 @@ def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
     products = {(basis[t1][0], basis[t2][0]):
                 {pos[k]: c for k, c in pair_alg.mul_key_pairs(p1, p2)}
                 for t1, p1 in enumerate(pairs) for t2, p2 in enumerate(pairs)}
-    alg = FiniteAlgebra(basis, products, label=label)
+    # the factors were checked: associativity, the Leibniz rule and
+    # d^2 = 0 hold on their product, H^0 = Q, and H^1 = 0 if both are
+    # simply connected (Kunneth)
+    alg = FiniteAlgebra(basis, products, label=label, check=False)
     # d(i (x) j) = d_A(i) (x) j + (-1)^{|i|} i (x) d_B(j); the two sums
     # share no pair
     differential = {}
@@ -1076,9 +1240,9 @@ def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
         terms.update((pos[(i, bj)], sign * c) for bj, c in b.diff_key(j).terms.items())
         if terms:
             differential[t] = Element(alg, terms)
-    # by Kunneth H^0 = Q and H^1 = 0 when both factors are simply connected
     result = FiniteCdga(alg, differential=differential, label=label,
-                        simply_connected=a.simply_connected and b.simply_connected)
+                        simply_connected=a.simply_connected and b.simply_connected,
+                        check=False)
     result.renamings = {}
     return result
 

@@ -67,7 +67,11 @@ class FreeAlgebra:
         self.label = label
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._odd = tuple(g.is_odd for g in gens)
-        self._tails: dict[tuple[int, int], tuple[Monomial, ...]] = {}  # see _tails_of
+        # the highest degree of a monomial, None when an even generator
+        # makes it unbounded
+        self.top_degree = sum(g.degree for g in gens) if all(self._odd) else None
+        # _tails[pos][rem]: the monomials of degree rem in generators[pos:]
+        self._tails: list[list[tuple[Monomial, ...]]] = [[] for _ in range(len(gens) + 1)]
 
     # -- introspection -------------------------------------------------
 
@@ -150,33 +154,36 @@ class FreeAlgebra:
         return (-1 if swaps % 2 else 1), mono
 
     def basis_of_degree(self, n: int) -> tuple[Monomial, ...]:
-        """All monomials of total degree n, in graded-lex order."""
+        """All monomials of total degree n, in graded-lex order.
+
+        Read from suffix tables built bottom-up, from the last generator
+        to the first, and extended to degree n on the first request:
+        the monomials of degree rem in generators[pos:] are those with
+        each exponent e of generator pos, largest first, times the ones
+        of degree rem - e*|g| in generators[pos+1:].  That is `sort_key`
+        order: no sort.
+        """
         if n < 0:
             return ()
-        return self._tails_of(0, n)
-
-    def _tails_of(self, pos: int, rem: int) -> tuple[Monomial, ...]:
-        """Monomials of degree `rem` in generators[pos:], memoized.  Exponents
-        run from largest to smallest, which is `sort_key` order: no sort."""
-        if rem == 0:
-            return (UNIT_MONOMIAL,)
-        if pos == len(self.generators):
-            return ()
-        cached = self._tails.get((pos, rem))
-        if cached is not None:
-            return cached
-        g = self.generators[pos]
-        top = rem // g.degree
-        if g.is_odd:
-            top = min(top, 1)
-        out: list[Monomial] = []
-        for e in range(top, 0, -1):
-            head = ((pos, e),)
-            out.extend(head + tail for tail in self._tails_of(pos + 1, rem - e * g.degree))
-        out.extend(self._tails_of(pos + 1, rem))
-        result = tuple(out)
-        self._tails[(pos, rem)] = result
-        return result
+        tails = self._tails
+        have = len(tails[0])
+        if n >= have:
+            last = tails[-1]  # no generator left: the unit, in degree 0
+            if not last:
+                last.append((UNIT_MONOMIAL,))
+            last.extend([()] * (n + 1 - len(last)))
+            for pos in range(len(self.generators) - 1, -1, -1):
+                deg, odd = self.generators[pos].degree, self._odd[pos]
+                below, table = tails[pos + 1], tails[pos]
+                for rem in range(have, n + 1):
+                    out: list[Monomial] = []
+                    for e in range(min(rem // deg, 1) if odd else rem // deg, 0, -1):
+                        rest = below[rem - e * deg]
+                        if rest:
+                            head = ((pos, e),)
+                            out += [head + tail for tail in rest]
+                    table.append(tuple(out) + below[rem] if out else below[rem])
+        return tails[0][n]
 
     # -- element constructors ------------------------------------------
 

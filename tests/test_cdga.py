@@ -252,6 +252,60 @@ def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
         assert {i for i, _, _ in products} == {id(model.base.algebra)}
 
 
+def _layout_models():
+    from ratimm.bundles import borel_assoc_model, stiefel_model, unreduced_framed_model
+    from ratimm.mapping import sphere_bundle
+    from ratimm.sweeps import sweep_instances
+    models = [stiefel_model(7, 4), sphere_bundle(nonformal_base(), 5)]
+    vg, unit = FreeCdga([Generator("p1", 4)], {}, label="VG"), unit_cdga()
+    # a relative model over a free base, with no base key above degree 0
+    models.append(borel_assoc_model(unit, CdgaMorphism(vg, unit, {"p1": "0"}),
+                                    VK=[Generator("b1", 4)], sVH=[Generator("x1", 3)],
+                                    Bmu_images={"x1": "p1"}, Bnu_images={"x1": "b1"}))
+    for seed in (0, 1):
+        for M, k in sweep_instances(random.Random(seed)):
+            phi = unreduced_framed_model(M, k)[1]
+            models += [phi.source, phi.target]
+    return models
+
+
+def test_walk_columns_match_the_key_path():
+    # a relative model's walk lays each degree out as blocks and assembles
+    # its columns in their rows; every column must be d of its key in the
+    # rows of the next degree's keys, entries in the same order
+    from ratimm.cdga import _cochains
+    checked = 0
+    for cdga in _layout_models():
+        alg = cdga.algebra
+        for n, (keys, index, rows, columns) in enumerate(islice(_cochains(cdga), 31)):
+            assert keys == alg.keys_of_degree(n)
+            assert [index[k] for k in keys] == list(range(len(keys)))
+            row_of = {k: i for i, k in enumerate(alg.keys_of_degree(n + 1))}
+            assert rows == len(row_of)
+            for key, col in zip(keys, columns(), strict=True):
+                want = {row_of[k]: c for k, c in cdga._diff_terms(key, {}).items()}
+                assert list(col.items()) == list(want.items()), (cdga, key)
+                checked += 1
+    assert checked > 40000
+
+
+def test_block_index_rejects_a_key_of_another_degree():
+    # one position dict per fiber degree: a base key of degree n - 1 or
+    # n + 1 with any fiber monomial, or a base key of degree n with a
+    # fiber monomial of the wrong degree, is not a key of degree n
+    from ratimm.bundles import unreduced_framed_model
+    from ratimm.sweeps import sweep_instances
+    M, k = sweep_instances(random.Random(0))[0]
+    alg = unreduced_framed_model(M, k)[0].algebra
+    for n in range(1, 16):
+        _, index = alg.layout(n)
+        others = alg.keys_of_degree(n - 1) + alg.keys_of_degree(n + 1)
+        assert others
+        for key in others:
+            with pytest.raises(KeyError):
+                index[key]
+
+
 def test_tensor_keys_are_enumerated_in_sort_order():
     from ratimm.bundles import unreduced_framed_model
     from ratimm.sweeps import sweep_instances
@@ -509,6 +563,37 @@ def test_kunneth_finite_pairs(cp2):
     assert tp == _convolve(ta, tb, 8)
     # H^0 = Q and H^1 = 0 pass to the product when both factors have them
     assert tensor(cp2, cp2).simply_connected and not prod.simply_connected
+
+
+def test_finite_tensor_does_not_recheck_its_factors(cp2, monkeypatch):
+    # the product of checked factors is associative, satisfies the
+    # Leibniz rule and d^2 = 0, and has H^0 = Q (and H^1 = 0 when both
+    # factors are simply connected): `tensor` builds it unchecked
+    nf = nonformal_base()
+    checked = []
+    for cls in (FiniteAlgebra, FiniteCdga):
+        validate = cls._validate
+
+        def counted(self, validate=validate):
+            checked.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(cls, "_validate", counted)
+    for a, b in ((cp2, nf), (nf, nf)):
+        prod = tensor(a, b)
+        assert checked == []
+        assert (cohomology(prod, 12, representatives=False).dims
+                == _convolve(cohomology(a, 12, representatives=False).dims,
+                             cohomology(b, 12, representatives=False).dims, 12))
+    # a factor is still checked when it is built
+    with pytest.raises(ValueError, match="not associative"):
+        # (a*a)*b = c*b = w, but a*(a*b) = 0
+        FiniteCdga([("one", 0), ("a", 2), ("b", 2), ("c", 4), ("w", 6)],
+                   {("a", "a"): "c", ("c", "b"): "w"})
+    with pytest.raises(ValueError, match="Leibniz"):
+        FiniteCdga([("one", 0), ("a", 2), ("aa", 4), ("w", 5)],
+                   {("a", "a"): "aa"}, {"aa": "w"})
+    assert len(checked) == 3
 
 
 def test_kunneth_finite_pairs_with_differential():
@@ -846,10 +931,13 @@ def test_representatives_match_the_every_degree_kernel_reference():
 
 
 def _count_diff_terms(monkeypatch, *quiet):
-    """Count the outermost `_diff_terms` calls (the assembly routine that
-    walks and `diff_key` share) per (model, key), leaving out calls made
-    inside the functions in `quiet` (a relative model's call to its
-    base's `_diff_terms` is part of its own)."""
+    """Count the outermost calls of the per-key assembly routines per
+    (model, key): `_diff_terms`, which `diff_key` and the walks of free
+    and finite models use, and a relative model's `_column`, which its
+    walks use.  Calls made inside a counted call or inside the functions
+    in `quiet` are left out, and so are those inside a relative model's
+    `_base_row`: its call to its base's `_diff_terms` is part of its own
+    assembly."""
     counts = Counter()
     depth = [0]
 
@@ -866,7 +954,8 @@ def _count_diff_terms(monkeypatch, *quiet):
 
     for cls in (FreeCdga, FiniteCdga, RelativeModel):
         monkeypatch.setattr(cls, "_diff_terms", wrap(cls._diff_terms, True))
-    for owner, name in quiet:
+    monkeypatch.setattr(RelativeModel, "_column", wrap(RelativeModel._column, True))
+    for owner, name in ((RelativeModel, "_base_row"), *quiet):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name), False))
     return counts
 

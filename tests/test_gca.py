@@ -113,6 +113,49 @@ def test_basis_enumeration_is_sorted_complete_and_distinct(seed):
         assert len(set(keys)) == len(keys) == counts[n]
 
 
+def _brute_force_basis(gens, n):
+    """Every exponent vector of total degree n, odd exponents at most 1,
+    as monomials, by plain depth-first search over the generators."""
+    out = []
+
+    def visit(i, rem, mono):
+        if i == len(gens):
+            if rem == 0:
+                out.append(mono)
+            return
+        deg = gens[i].degree
+        top = min(rem // deg, 1) if gens[i].is_odd else rem // deg
+        for e in range(top + 1):
+            visit(i + 1, rem - e * deg, mono + ((i, e),) if e else mono)
+
+    visit(0, n, ())
+    return out
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+@pytest.mark.parametrize("seed", range(8))
+def test_bottom_up_basis_matches_brute_force(seed, order):
+    # the suffix tables grow with the largest degree asked so far, in
+    # whatever order the degrees are asked
+    rng = random.Random(seed)
+    degrees = [rng.choice([1, 2, 2, 3, 3, 4, 5, 6]) for _ in range(rng.randint(1, 6))]
+    degrees[0] = 2 if seed % 2 else 3  # both an even and an odd generator
+    gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
+    alg = FreeAlgebra(gens)
+    upto = 30
+    asked = list(range(upto + 1))
+    if order == "descending":
+        asked.reverse()
+    elif order == "random":
+        rng.shuffle(asked)
+    for n in asked:
+        want = sorted(_brute_force_basis(gens, n), key=alg.sort_key)
+        assert list(alg.basis_of_degree(n)) == want, (degrees, n)
+    assert ([len(alg.basis_of_degree(n)) for n in range(upto + 1)]
+            == basis_count_series(gens, upto))
+    assert alg.basis_of_degree(-1) == ()
+
+
 # -- randomized algebra laws -------------------------------------------------
 
 def element_strategy(alg, max_degree=7):
