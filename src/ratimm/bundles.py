@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
                    RelativeModel, TensorAlgebra, cohomology)
-from .errors import ContextError, DegreeError, InputError
+from .errors import ContextError, DegreeError, InputError, ParseError
 from .gca import Element, FreeAlgebra, Generator, parse_element
 from .series import PoincareSeries
 
@@ -69,7 +69,8 @@ class ManifoldModel:
 
     `pontryagin` maps index i to the cocycle representing p_i of the
     tangent bundle; only indices with 4i <= dimension are accepted, and
-    every cocycle must be closed and homogeneous of degree 4i.
+    every cocycle must be closed and homogeneous of degree 4i; a
+    complaint about one names its index in the `pontryagin` attribute.
     """
 
     def __init__(self, dimension: int, model, pontryagin=None, name: str = ""):
@@ -83,20 +84,22 @@ class ManifoldModel:
         self.pontryagin: dict[int, Element] = {}
         for i, value in dict(pontryagin or {}).items():
             i = int(i)
-            if i < 1:
-                raise ValueError(f"Pontryagin index must be >= 1, got {i}")
-            if 4 * i > dimension:
-                raise ValueError(
-                    f"p_{i} lives in degree {4 * i} > dimension {dimension}; "
-                    "indices with 4i > m are rejected")
-            elt = value if isinstance(value, Element) else \
-                parse_element(str(value), model.algebra)
-            if not elt.is_zero():
-                if elt.degree() != 4 * i:
+            try:
+                if i < 1:
+                    raise ValueError(f"Pontryagin index must be >= 1, got {i}")
+                if 4 * i > dimension:
+                    raise ValueError(f"p_{i} lives in degree {4 * i} > dimension "
+                                     f"{dimension}; indices with 4i > m are rejected")
+                elt = value if isinstance(value, Element) else \
+                    parse_element(str(value), model.algebra)
+                if not elt.is_zero() and elt.degree() != 4 * i:
                     raise DegreeError(
                         f"p_{i} cocycle has degree {elt.degree()}, expected {4 * i}")
-                if not model.diff(elt).is_zero():
+                if not elt.is_zero() and not model.diff(elt).is_zero():
                     raise ValueError(f"p_{i} cocycle is not closed: d = {model.diff(elt)}")
+            except (ValueError, ParseError, DegreeError, ContextError) as exc:
+                exc.pontryagin = i
+                raise
             self.pontryagin[i] = elt
         # H^0 = Q already: a finite model's constructor checks it, and a
         # free model has only the unit in degree 0, with d(1) = 0

@@ -85,8 +85,9 @@ sign.  A relative model splits once more:
 Every base key of a walk meets the same fiber monomials rm and the
 other way round, so its memo keeps under (None, lk) a row for each base
 key lk: d_B(lk), its sign, the products lk*bk as exact coefficients,
-each asked of the base once, and |lk|; `_diff_terms` keeps D(1 (x) rm),
-P merged in, under rm.  A walk reads the rule in rows: a degree n of
+each asked of the base once, and |lk|.  `_fiber_terms` writes
+D(1 (x) rm), P merged in: `_diff_terms`, its memo kept for one `diff`
+call, reads it by key, and a walk in rows.  A degree n of
 `TensorAlgebra` is laid out as blocks, one per base key lk in
 base-degree order (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
 pos(rm) the position of rm among the fiber monomials of its degree.
@@ -385,10 +386,11 @@ class FiniteAlgebra:
     Keys are basis indices; the single degree-0 element is the unit.
     Products may be given for either orientation of a pair, the other is
     filled in with the Koszul sign.  A product value is an expression
-    linear in basis names, or a {name: coefficient} dict; a complaint
-    about one value (a ParseError or DegreeError) names its pair in the
-    exception's `product` attribute.  check=False skips the associativity
-    check, for a table built from checked ones (`tensor`).
+    linear in basis names, or a {name: coefficient} dict, and one with
+    the unit gives the other factor; a complaint about one value names
+    its pair in the exception's `product` attribute.  check=False skips
+    the associativity check, for a table built from checked ones
+    (`tensor`).
     """
 
     def __init__(self, basis, products=None, label: str = "", check: bool = True):
@@ -432,7 +434,12 @@ class FiniteAlgebra:
                         raise DegreeError(
                             f"product {uname}*{vname} has a degree-{self.basis[w][1]} "
                             f"term; expected degree {deg}")
-            except (ParseError, DegreeError) as exc:
+                if self.unit in (u, v):
+                    other = u if v == self.unit else v
+                    if {w: c for w, c in vec.items() if c} != {other: 1}:
+                        raise ValueError(f"product {uname}*{vname} breaks the unit "
+                                         f"law; expected {self.basis[other][0]}")
+            except (ParseError, DegreeError, ValueError) as exc:
                 exc.product = (uname, vname)
                 raise
             given[(u, v)] = vec
@@ -542,10 +549,7 @@ class FiniteAlgebra:
         return Element(self, {self.basis_index(name): Fraction(1)})
 
     def name_power(self, name: str, exp: int) -> Element:
-        result = self.gen(name)
-        for _ in range(exp - 1):
-            result = result * self.gen(name)
-        return result
+        return self.gen(name) ** exp
 
 
 class FiniteCdga(Cdga):
@@ -843,19 +847,18 @@ class RelativeModel(Cdga):
                 -1 if degree % 2 else 1, _Products(base_alg, lk), degree)
         return row
 
+    def _fiber_terms(self, rm, memo):
+        """D(1 (x) rm), its closed factors merged in, as ((bk, fm), c) items."""
+        closed = self._closed
+        return [((bk, _times_closed(rm, closed, fm)), c) for (bk, fm), c
+                in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)]
+
     def _diff_terms(self, key, memo) -> dict:
         # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm)
         lk, rm = key
         dlk, sign, products, _ = self._base_row(lk, memo)
-        terms = memo.get(rm)
-        if terms is None:
-            closed = self._closed
-            terms = _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)
-            if rm not in memo:  # rm is not R: merge its closed factors in
-                terms = memo[rm] = [((bk, _times_closed(rm, closed, fm)), c)
-                                    for (bk, fm), c in terms]
         out = {(k, rm): c for k, c in dlk}
-        products.add_times(out, terms, sign)
+        products.add_times(out, self._fiber_terms(rm, memo), sign)
         return out
 
     def _layout(self, n):
@@ -909,10 +912,8 @@ class RelativeModel(Cdga):
         _, entries, targets = fiber
         terms = entries[p]
         if terms is None:
-            rm, closed = key[1], self._closed
-            terms = entries[p] = [
-                ((bk, targets[bk][_times_closed(rm, closed, fm)]), c)
-                for (bk, fm), c in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)]
+            terms = entries[p] = [((bk, targets[bk][fm]), c)
+                                  for (bk, fm), c in self._fiber_terms(key[1], memo)]
         dlk, sign, products, _ = row
         out = {starts[k] + p: c for k, c in dlk} if dlk else {}
         if terms:

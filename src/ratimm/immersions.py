@@ -4,9 +4,9 @@ An immersion space of a simply-connected m-manifold into R^{m+k} is
 the section space of the framed bundle (Smale-Hirsch).  Under the
 Pontryagin-vanishing hypothesis `em_split` factors a component into
 Eilenberg-MacLane spaces and, for k even, the sections of the pair
-(x_s, e_k), a mapping-space factor into S^k.  This module checks the
-hypotheses, assembles the factor list, multiplies the Poincaré series,
-and classifies coefficient growth.
+(x_s, e_k), a mapping-space factor into S^k, read off the one framed
+bundle model.  This module checks the hypotheses, assembles the factor
+list, multiplies the Poincaré series, and classifies coefficient growth.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
 
     Checks the Pontryagin-vanishing hypothesis first (failure is reported
     in the returned record, not raised).  `em_split` of the framed bundle
-    model gives the Eilenberg-MacLane factors, computed from the Betti
-    numbers of M, and for k even the rest, the (x_s, e_k) pair: its
-    section model is the mapping-space factor into S^k, resolved at the
+    model E gives the EM factors, computed from the Betti numbers of M,
+    and for k even the kept pair (x_s, e_k): its section model, read off
+    E, is the mapping-space factor into S^k, resolved at the
     constant-map component when H^k(M;Q) = 0 (in particular whenever
     k >= m+1) and reported symbolically otherwise.
     """
@@ -129,19 +129,20 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         "pontryagin-vanishing", "passed",
         f"p_i = 0 for all i >= {threshold}"))
 
-    em_degrees, rest = em_split(framed_bundle_model(M, k))
+    E = framed_bundle_model(M, k)
+    em_degrees, kept = em_split(E)
     bettiM = M.betti(max(em_degrees + [k]))
     desc.em_factors = sorted(
         (f for n in em_degrees for f in em_mapping_space(bettiM, n)),
         key=lambda f: (f.degree, -f.coefficient_dim))
     desc.em_part_series = desc.series = em_product_series(desc.em_factors, cutoff)
-    if rest is not None and bettiM.dims[k]:
+    if kept and bettiM.dims[k]:
         desc.sphere_factor = SphereFactor(k, "symbolic")
         desc.status, desc.series, desc.growth = "symbolic-sphere", None, "symbolic"
         return desc
     desc.status = "resolved"
-    if rest is not None:
-        model = section_model(rest, label=f"Map({M.model.label},S{k},0)")
+    if kept:
+        model = section_model(E, kept, label=f"Map({M.model.label},S{k},0)")
         desc.sphere_factor = SphereFactor(k, "resolved-null")
         desc.sphere_dimension = pure_krull_dimension(model)
         desc.sphere_series = _sphere_series(model, cutoff)

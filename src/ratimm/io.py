@@ -145,7 +145,9 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
         try:
             algebra = FiniteAlgebra(basis, {k: e for k, (_, e) in products.items()},
                                     label=label)
-        except (ParseError, DegreeError) as exc:  # about one product value
+        except (ParseError, *_INPUT_ERRORS) as exc:
+            if not hasattr(exc, "product"):  # not about one product value
+                raise
             lineno, expr = products[exc.product]
             raise ParseError(f"{exc} (in expression {expr!r})", line=lineno) from None
     else:
@@ -159,7 +161,10 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
                              line=lineno)
         if name in diff:
             raise ParseError(f"d: {name} given more than once", line=lineno)
-        diff[name] = _parse_expr(expr, algebra, lineno)
+        try:
+            diff[name] = parse_element(expr, algebra)
+        except ParseError as exc:
+            raise ParseError(f"{exc} (in expression {expr!r})", line=lineno) from None
     if kind == "free":
         return FreeCdga(algebra, diff, label=label)
     sc = _single(fields, "simply-connected", default="false")
@@ -167,13 +172,6 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
         raise ParseError("simply-connected must be 'true' or 'false'", line=0)
     return FiniteCdga(algebra, differential=diff, label=label,
                       simply_connected=(sc == "true"))
-
-
-def _parse_expr(expr: str, algebra, lineno: int):
-    try:
-        return parse_element(expr, algebra)
-    except ParseError as exc:
-        raise ParseError(f"{exc} (in expression {expr!r})", line=lineno) from None
 
 
 def parse_cdga(text: str) -> FreeCdga | FiniteCdga:
@@ -231,7 +229,6 @@ def parse_manifold(text: str) -> ManifoldModel:
         raise ParseError(f"dimension must be an integer, got {dim_str!r}",
                          line=lineno) from None
     pont = {}
-    pont_lines = {}
     for lineno, value in fields.get("pontryagin", []):
         idx, expr = _parse_assignment(value, lineno, "i")
         try:
@@ -241,21 +238,18 @@ def parse_manifold(text: str) -> ManifoldModel:
                              line=lineno) from None
         if idx in pont:
             raise ParseError(f"p_{idx} given more than once", line=lineno)
-        pont[idx] = expr
-        pont_lines[idx] = lineno
+        pont[idx] = (lineno, expr)
     cdga_fields = {k: v for k, v in fields.items() if k in _CDGA_KEYS}
     model = _build_cdga(cdga_fields)
     try:
-        return ManifoldModel(dimension, model, pont, name=name)
-    except ParseError:  # from the first bad expression, which has a line
-        for idx, expr in pont.items():
-            _parse_expr(expr, model.algebra, pont_lines[idx])
-        raise
-    except _INPUT_ERRORS as exc:
-        # a message about p_i starts with "p_<i> "
-        msg = str(exc)
-        lines = {f"p_{idx}": lineno for idx, lineno in pont_lines.items()}
-        raise ParseError(msg, line=lines.get(msg.split(" ")[0], 0)) from None
+        return ManifoldModel(dimension, model, {i: e for i, (_, e) in pont.items()},
+                             name=name)
+    except (ParseError, *_INPUT_ERRORS) as exc:
+        if not hasattr(exc, "pontryagin"):  # not about one entry
+            raise ParseError(str(exc), line=0) from None
+        lineno, expr = pont[exc.pontryagin]
+        where = f" (in expression {expr!r})" if isinstance(exc, ParseError) else ""
+        raise ParseError(f"{exc}{where}", line=lineno) from None
 
 
 def serialize_manifold(M: ManifoldModel) -> str:

@@ -2,14 +2,15 @@
 
 `em_split` splits the section space of a relative model E over a model
 A of M at its fibre into Eilenberg-MacLane factors, read off the Betti
-numbers of M, and the rest.  `section_model` models the null sections
-of the rest on generators (fibre generator) x (dual basis class), with
-the differential determined by requiring the evaluation pairing to be
-a chain map; the sign conventions are pinned operationally by the
-d^2 = 0 assertion at construction.  One cancellation step, a generator
-solved out of a linear term and substituted away, both takes the
-null-component quotient (an echelon of linear forms) and removes
-contractible pairs, so the model comes out minimal.
+numbers of M, and the fibre generators it keeps.  `section_model` reads
+E in place and models the null sections of those on generators (fibre
+generator) x (dual basis class), with the differential determined by
+requiring the evaluation pairing to be a chain map; the sign
+conventions are pinned operationally by the d^2 = 0 assertion at
+construction.  One cancellation step, a generator solved out of a
+linear term and substituted away, both takes the null-component
+quotient (an echelon of linear forms) and removes contractible pairs,
+so the model comes out minimal.
 """
 
 from __future__ import annotations
@@ -80,34 +81,26 @@ def sphere_bundle(A, k: int) -> RelativeModel:
 # Section spaces
 # ---------------------------------------------------------------------------
 
-def em_split(E: RelativeModel) -> tuple[list[int], RelativeModel | None]:
+def em_split(E: RelativeModel) -> tuple[list[int], list[Generator]]:
     """Split the section space of E at its fibre.
 
     A fibre generator v that is closed and that no twist mentions splits
-    off Map(M, K(Q,|v|)) (`em_mapping_space`).  Returns their degrees,
-    in fibre order, and E on the other fibre generators (None if none).
+    off Map(M, K(Q,|v|)) (`em_mapping_space`).  Returns their degrees and
+    the other fibre generators as given to E, both in fibre order.
     """
-    gens = E.given
-    twists = [E.twist_of(g.name) for g in gens]
+    twists = [E.twist_of(g.name) for g in E.given]
     mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
-    keep = [i for i, dv in enumerate(twists) if dv.terms or i in mentioned]
-    degrees = [g.degree for i, g in enumerate(gens) if i not in keep]
-    if not keep:
-        return degrees, None
-    index = {i: n for n, i in enumerate(keep)}  # monotone: monomials stay sorted
-    alg = TensorAlgebra(E.base.algebra, FreeAlgebra([gens[i] for i in keep]))
-    twist = {gens[i].name: Element(alg, {(lk, tuple((index[j], e) for j, e in fm)): c
-                                         for (lk, fm), c in twists[i].terms.items()})
-             for i in keep}
-    return degrees, RelativeModel(E.base, alg.right.generators, twist, label=E.label)
+    kept = [g for i, g in enumerate(E.given) if twists[i].terms or i in mentioned]
+    return [g.degree for g in E.given if g not in kept], kept
 
 
-def section_model(E: RelativeModel, label: str = "") -> FreeCdga:
+def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdga:
     """Minimal model of the null-section component of E over a finite A.
 
-    Generators v_u = (fibre generator v, under its name as given to E)
-    x (dual of basis element a_u) in degree |v| - |a_u|.  The
-    differential is solved from the chain-map condition for the pairing
+    Generators v_u = (v in `generators`: fibre generators as given to E,
+    all by default, whose twists mention no others) x (dual of basis
+    element a_u) in degree |v| - |a_u|.  The differential is solved from
+    the chain-map condition for the pairing
 
         v  |->  sum_u  a_u (x) v_u
 
@@ -132,11 +125,12 @@ def section_model(E: RelativeModel, label: str = "") -> FreeCdga:
     if not isinstance(A, FiniteCdga):
         raise InputError("the source model must be finite-dimensional")
     basis = A.algebra.basis
-    targets = E.given
-    slots: list[dict[int, int]] = [{} for _ in targets]  # [v][u] = index of v_u
+    fibre = E.given
+    slots: dict[int, dict[int, int]] = {}  # [t][u] = index of v_u, v = fibre[t]
     gens: list[Generator] = []
     taken: set[str] = set()
-    for t, v in enumerate(targets):
+    for v in fibre if generators is None else generators:
+        slot = slots[fibre.index(v)] = {}  # by E's fibre index, as its twist terms
         for u, (uname, udeg) in enumerate(basis):
             deg = v.degree - udeg
             if deg < 1:
@@ -145,33 +139,36 @@ def section_model(E: RelativeModel, label: str = "") -> FreeCdga:
             if name in taken:
                 name = _unique_name(name, taken)
             taken.add(name)
-            slots[t][u] = len(gens)
+            slot[u] = len(gens)
             gens.append(Generator(name, deg))
     label = label or f"Sect({E.label})"
     full = FreeAlgebra(gens, label=label)
     T = TensorAlgebra(A.algebra, full, label="pairing")
-    pairing = [Element(T, {(u, ((g, 1),)): Fraction(1) for u, g in slot.items()})
-               for slot in slots]
+    pairing = {t: Element(T, {(u, ((g, 1),)): Fraction(1) for u, g in slot.items()})
+               for t, slot in slots.items()}
 
     # D(sum a_u (x) v_u) = sum d_A(a_u) (x) v_u
     #                      + (-1)^{|a_u|} a_u (x) delta(v_u)
     eqs: dict[tuple[int, int], dict] = {}  # (v, w) -> {monomial: coefficient}
-    for t, v in enumerate(targets):
+    for t, slot in slots.items():
         rhs = T.zero()
-        for (lk, fm), c in E.twist_of(v.name).terms.items():
+        for (lk, fm), c in E.twist_of(fibre[t].name).terms.items():
             term = Element(T, {(lk, ()): Fraction(1)})
             for i, e in fm:
+                if i not in slots:
+                    raise InputError(f"the twist of {fibre[t].name} mentions "
+                                     f"{fibre[i].name}, which is not sectioned")
                 term = term * pairing[i] ** e
             rhs = rhs + term * c
         terms = dict(rhs.terms)
-        for u, g in slots[t].items():
+        for u, g in slot.items():
             add_into(terms, (((w, ((g, 1),)), c)
                              for w, c in A.diff_key(u).terms.items()), -1)
         for (w, mono), c in terms.items():
             eqs.setdefault((t, w), {})[mono] = -c if basis[w][1] % 2 else c
 
     # the differentials of the generators, and the dropped slots' L's
-    diffs = {g: eqs.get((t, u), {}) for t, slot in enumerate(slots)
+    diffs = {g: eqs.get((t, u), {}) for t, slot in slots.items()
              for u, g in slot.items()}
     dropped = [e for (t, w), e in sorted(eqs.items()) if w not in slots[t]]
 

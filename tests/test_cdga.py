@@ -696,6 +696,30 @@ def test_power_in_finite_context_uses_the_product_table(cp2):
     assert parse_element("a^2", cp2.algebra) == cp2.algebra.gen("aa")
 
 
+def test_finite_power_is_the_repeated_product(cp2):
+    alg = cp2.algebra
+    a = alg.gen("a")
+    for exp, want in ((1, a), (2, a * a), (3, a * a * a)):
+        power = alg.name_power("a", exp)
+        assert power == want
+        assert [type(c) for c in power.terms.values()] == \
+            [type(c) for c in want.terms.values()]
+    assert alg.name_power("a", 2) == alg.gen("aa")
+
+
+@pytest.mark.parametrize("products", [{("one", "a"): "2*a"}, {("a", "one"): "0"},
+                                      {("one", "a"): {"a": 1, "b": 1}}])
+def test_unit_product_must_give_the_other_factor(products):
+    basis = [("one", 0), ("a", 2), ("b", 2)]
+    with pytest.raises(ValueError, match="breaks the unit law") as err:
+        FiniteCdga(basis, products)
+    assert err.value.product == next(iter(products))
+    # the unit law itself is accepted, from either side
+    for pair in (("one", "a"), ("a", "one")):
+        assert FiniteCdga(basis, {pair: "a"}).algebra.mul_key_pairs(0, 1) == \
+            [(1, Fraction(1))]
+
+
 def test_basis_name_need_not_be_an_identifier_unless_written():
     cdga = FiniteCdga([("one", 0), ("a-b", 2), ("c", 4)], {("a-b", "a-b"): "0"})
     assert cohomology(cdga, 4, representatives=False).dims == [1, 0, 1, 0, 1]

@@ -92,6 +92,15 @@ def test_map_sphere_small_k_message(capsys, cp2_file, k, message):
         (2, "", f"error: {message}\n")
 
 
+def test_unit_law_violation_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.cdga"
+    path.write_text("kind: finite\nbasis: one 0\nbasis: a 2\n"
+                    "product: one * a = 5*a\n")
+    assert run(capsys, "cohomology", str(path)) == \
+        (2, "", "error: line 4: product one*a breaks the unit law; "
+                "expected a (in expression '5*a')\n")
+
+
 def test_free_source_gets_its_em_factors(capsys, s3_free_file):
     # a free model has no dual basis, but the EM factors need none
     code, out, _ = run(capsys, "map-sphere", "--manifold", s3_free_file,

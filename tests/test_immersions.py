@@ -10,7 +10,7 @@ from ratimm.bundles import (ManifoldModel, complex_projective_plane,
                             framed_bundle_model, sphere_manifold,
                             sphere_product_manifold, stiefel_model,
                             unreduced_framed_model)
-from ratimm.cdga import FiniteCdga, FreeCdga, cohomology, tensor
+from ratimm.cdga import FiniteCdga, FreeCdga, RelativeModel, cohomology, tensor
 from ratimm.errors import InputError
 from ratimm.gca import Generator
 from ratimm.immersions import (Growth, connectivity_verdict, description_to_dict,
@@ -203,15 +203,40 @@ def test_imm_s2_r4_symbolic():
     assert d.growth == "symbolic"
 
 
+@pytest.mark.parametrize("M,k,status", [
+    (sphere_manifold(5), 4, "resolved"), (sphere_manifold(2), 4, "resolved"),
+    (sphere_manifold(3), 5, "resolved"), (sphere_manifold(2), 2, "symbolic-sphere"),
+], ids=["S5-4", "S2-4", "S3-5", "S2-2"])
+def test_one_relative_model_per_call(monkeypatch, M, k, status):
+    # the framed bundle model is built and validated once; the section
+    # model reads the generators that em_split keeps off it in place
+    built, validated = [], []
+    init, validate = RelativeModel.__init__, RelativeModel._validate
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_validate(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(RelativeModel, "__init__", counted_init)
+    monkeypatch.setattr(RelativeModel, "_validate", counted_validate)
+    assert immersion_components(M, k, 12).status == status
+    assert len(built) == 1 and validated == built
+
+
 def test_em_factors_split_at_the_fibre():
     # S^5 at k = 4: x3 and x4 split off, the pair (x2, e4) stays
     M = sphere_manifold(5)
-    degrees, rest = em_split(framed_bundle_model(M, 4))
-    assert degrees == [11, 15] and rest.generator_names() == ["x2", "e4"]
+    E = framed_bundle_model(M, 4)
+    degrees, kept = em_split(E)
+    assert degrees == [11, 15] and [g.name for g in kept] == ["x2", "e4"]
     # the pair's section model has a closed generator of degree 2 that no
     # differential mentions; a split of the section model would take it
     # for a K(Q,2) factor
-    model = section_model(rest)
+    model = section_model(E, kept)
     gens = model.algebra.generators
     mentioned = {i for g in gens
                  for mono in model.differential_of_generator(g.name).terms

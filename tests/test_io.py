@@ -161,6 +161,32 @@ def test_bad_pontryagin_expression_carries_its_line():
                               "(in expression 'q')")
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("0 = aa", "Pontryagin index must be >= 1, got 0"),
+    ("1 = a*a + a", "inhomogeneous element (degrees [2, 4]): a + aa"),
+])
+def test_every_pontryagin_entry_error_carries_its_line(entry, message):
+    text = ("manifold: X\ndimension: 4\nkind: finite\nbasis: one 0\n"
+            "basis: a 2\nbasis: aa 4\nproduct: a * a = aa\n"
+            f"pontryagin: {entry}\n")
+    with pytest.raises(ParseError) as err:
+        parse_manifold(text)
+    assert err.value.line == 8
+    assert str(err.value) == f"line 8: {message}"
+
+
+def test_unit_product_error_carries_its_line():
+    text = ("kind: finite\nbasis: one 0\nbasis: a 2\nbasis: aa 4\n"
+            "product: a * a = aa\nproduct: one * a = 5*a\n")
+    with pytest.raises(ParseError) as err:
+        parse_cdga(text)
+    assert err.value.line == 6
+    assert str(err.value) == ("line 6: product one*a breaks the unit law; "
+                              "expected a (in expression '5*a')")
+    assert parse_cdga(text.replace("5*a", "a")).algebra.mul_key_pairs(0, 1) == \
+        [(1, 1)]
+
+
 def test_pontryagin_index_out_of_range():
     text = ("manifold: X\ndimension: 2\nkind: finite\nbasis: one 0\n"
             "basis: a 2\npontryagin: 1 = 0\n")

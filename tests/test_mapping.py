@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from ratimm.bundles import (ManifoldModel, sphere_manifold, sphere_product_manifold,
-                            stiefel_model)
-from ratimm.cdga import (FiniteCdga, RelativeModel, check_d_squared, cohomology,
-                         tensor)
-from ratimm.gca import Generator
+from ratimm.bundles import (ManifoldModel, check_pontryagin_hypothesis,
+                            framed_bundle_model, sphere_manifold,
+                            sphere_product_manifold, stiefel_model)
+from ratimm.cdga import (FiniteCdga, RelativeModel, TensorAlgebra, check_d_squared,
+                         cohomology, tensor)
+from ratimm.errors import InputError
+from ratimm.gca import Element, FreeAlgebra, Generator
 from ratimm.immersions import immersion_components
 from ratimm.io import load_manifold
 from ratimm.mapping import (em_mapping_space, em_split, section_model,
@@ -63,16 +65,16 @@ def test_odd_sphere_mapping_examples():
     # an odd sphere's one generator splits off whole: Map(M, S^k) is
     # Map(M, K(Q,k)); an even sphere's pair stays for the section model
     def factors(A, k):
-        degrees, rest = em_split(sphere_bundle(A, k))
-        assert degrees == [k] and rest is None
+        degrees, kept = em_split(sphere_bundle(A, k))
+        assert degrees == [k] and kept == []
         betti = cohomology(A, k, representatives=False)
         return [f for n in degrees for f in em_mapping_space(betti, n)]
 
     assert factors(sphere_manifold(2).model, 7) == [EMFactor(1, 5), EMFactor(1, 7)]
     assert factors(point_model(), 3) == [EMFactor(1, 3)]
     assert factors(sphere_manifold(3).model, 3) == [EMFactor(1, 3)]
-    degrees, rest = em_split(sphere_bundle(sphere_manifold(2).model, 4))
-    assert degrees == [] and rest.generator_names() == ["x", "y"]
+    degrees, kept = em_split(sphere_bundle(sphere_manifold(2).model, 4))
+    assert degrees == [] and [g.name for g in kept] == ["x", "y"]
 
 
 # -- null-component sphere models ----------------------------------------------
@@ -317,9 +319,60 @@ DEMO_NULL_MODELS.update({("cp2_flat", k): DEMO_NULL_MODELS["cp2", k]
                          for k in (2, 4, 6)})
 
 
+def _described(model):
+    return [(g.name, g.degree, str(model.differential_of_generator(g.name)))
+            for g in model.algebra.generators]
+
+
 @pytest.mark.parametrize("name,k", sorted(DEMO_NULL_MODELS))
 def test_section_model_of_a_product_is_the_null_model(name, k):
     M = load_manifold(DATA / f"{name}.manifold")
     model = section_model(tensor(M.model, sphere_model(k)))
-    assert [(g.name, g.degree, str(model.differential_of_generator(g.name)))
-            for g in model.algebra.generators] == DEMO_NULL_MODELS[name, k]
+    assert _described(model) == DEMO_NULL_MODELS[name, k]
+
+
+def _rebuilt_rest(E):
+    """E on the fibre generators that `em_split` keeps, rebuilt as a
+    relative model of its own with its twist re-indexed (None if none
+    is kept): the route to their section model that reads no part of E
+    in place."""
+    gens = E.given
+    twists = [E.twist_of(g.name) for g in gens]
+    mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
+    keep = [i for i, dv in enumerate(twists) if dv.terms or i in mentioned]
+    if not keep:
+        return None
+    index = {i: n for n, i in enumerate(keep)}
+    alg = TensorAlgebra(E.base.algebra, FreeAlgebra([gens[i] for i in keep]))
+    twist = {gens[i].name: Element(alg, {(lk, tuple((index[j], e) for j, e in fm)): c
+                                         for (lk, fm), c in twists[i].terms.items()})
+             for i in keep}
+    return RelativeModel(E.base, alg.right.generators, twist, label=E.label)
+
+
+# CP^2 at k = 2 fails the Pontryagin hypothesis: p_1 != 0 enters the
+# twist, and its framed model has no null section to model
+@pytest.mark.parametrize("name,k", [
+    (name, k) for name in sorted(p.stem for p in DATA.glob("*.manifold"))
+    for k in range(2, 9) if (name, k) != ("cp2", 2)] + [("S5", 4)])
+def test_section_model_of_the_kept_generators_matches_the_rebuilt_rest(name, k):
+    M = sphere_manifold(5) if name == "S5" else load_manifold(DATA / f"{name}.manifold")
+    assert not check_pontryagin_hypothesis(M, k)[1]
+    E = framed_bundle_model(M, k)
+    degrees, kept = em_split(E)
+    rest = _rebuilt_rest(E)
+    if rest is None:
+        assert kept == [] and len(degrees) == len(E.given)
+        return
+    assert kept == list(rest.given) and len(degrees) + len(kept) == len(E.given)
+    assert _described(section_model(E, kept, label="L")) == \
+        _described(section_model(rest, label="L"))
+
+
+def test_section_model_needs_every_generator_a_twist_mentions():
+    E = sphere_bundle(sphere_manifold(2).model, 4)
+    y = E.given[1]
+    with pytest.raises(InputError, match="twist of y mentions x, which is not sectioned"):
+        section_model(E, [y])
+    x_only = section_model(E, E.given[:1])
+    assert [g.name for g in x_only.algebra.generators] == ["x", "x_a2"]
