@@ -100,7 +100,8 @@ per key.  A fiber degree is dropped once the walk has passed it by more
 than the base's top degree.  Columns are plain dicts, with no
 `Element`; `_cochains` hands them one memo that lives as long as its
 walk.  Integral input keeps int coefficients, which `linalg.primitive`
-takes without Fraction arithmetic.
+takes with one gcd: a coprime column that meets no pivot is stored as
+the row itself, so a column is never changed once it is assembled.
 
 A morphism applies the same split, f(lk (x) word) = (lk (x) 1) * f(word)
 (`CdgaMorphism._apply_terms`): f(word) is built once per word, from

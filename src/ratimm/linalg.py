@@ -16,11 +16,18 @@ Three independent elimination routines live here on purpose:
   tests, `ratimm verify` and `cohomology(engine="dense")`, and the
   fallback for a degree the certificate cannot settle.
 
-Sparse reduction visits only the pivot columns a vector touches, fill-in
-included, smallest first (a heap).  Every vector enters as coprime
-integers (`primitive`) and every row is a plain dict of integers: a
-tagged vector carries its tag as one more coordinate, so a kernel
+A vector added to `SparseEchelon` pays only for the pivots it meets.
+It is scaled to coprime integers (`primitive`: one gcd for a vector of
+ints, which comes back as given when it is coprime with no zero entry)
+and reduced only when a coordinate of it is a pivot; the reduction
+visits the pivot columns it touches, fill-in included, smallest first
+(a heap).  After clearing most columns meet none, and are stored as
+given.  Every row is a plain dict of integers: a tagged vector carries
+its tag as one more coordinate, put in before the scaling, so a kernel
 builds no Fraction and runs the elimination a rank computation runs.
+A stored row may be the caller's own dict: the echelon never changes a
+row or an input in place, and a caller must not change a vector once
+it has added it.
 
 Vectors are dicts mapping coordinate index -> Fraction (or int).  All
 results are exact and deterministic.
@@ -41,21 +48,34 @@ def primitive(vec: dict):
 
     Returns (ivec, denom, g): ivec = vec * denom / g, with denom the lcm of
     the denominators and g the gcd of the scaled entries (1 for zero).
+    A vector of ints takes one C-level gcd, and comes back as the same
+    dict when it is empty or its gcd is 1 and no entry is zero; only a
+    vector with a Fraction entry pays for the denominator scan.  So
+    ivec may be `vec` itself: neither may be changed in place.
     """
+    values = vec.values()
+    for c in values:  # the first entry's type picks the path
+        if type(c) is int:
+            try:
+                g = gcd(*values)
+            except TypeError:  # a Fraction entry after the first
+                break
+            if g == 1 and all(values):
+                return vec, 1, 1
+            return {j: v // g for j, v in vec.items() if v}, 1, g or 1
+        break
+    else:  # empty
+        return vec, 1, 1
     denom = 1
-    for c in vec.values():
+    for c in values:
         d = c.denominator
         if d != 1:
             denom = denom * d // gcd(denom, d)
     ivec = {j: c.numerator * (denom // c.denominator) for j, c in vec.items() if c}
-    g = 0
-    for v in ivec.values():
-        g = gcd(g, v)
+    g = gcd(*ivec.values())
     if g > 1:
-        ivec = {j: v // g for j, v in ivec.items()}
-    else:
-        g = 1
-    return ivec, denom, g
+        return {j: v // g for j, v in ivec.items()}, denom, g
+    return ivec, denom, 1
 
 
 class SparseEchelon:
@@ -140,11 +160,15 @@ class SparseEchelon:
         With a tag, a dependent vector (pivot None) is not inserted and
         the relation maps tags to the integer coefficients of a
         combination of tagged inputs, this one included, that is zero.
-        Otherwise the relation is None.
+        Otherwise the relation is None.  The vector, its tag coordinate
+        included, is scaled by `primitive` and reduced only if it meets
+        a pivot, so a row may be `vec` itself: do not change it after.
         """
         if tag is not None:
             vec = {**vec, _TAG + tag: 1}
-        ivec = self._reduce(primitive(vec)[0])
+        ivec = primitive(vec)[0]
+        if not self.pivot_cols.keys().isdisjoint(ivec.keys()):
+            ivec = self._reduce(ivec)
         pivot = min(ivec) if ivec else _TAG
         if pivot >= _TAG:
             return None, ({j - _TAG: v for j, v in ivec.items()}

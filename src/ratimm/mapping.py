@@ -111,8 +111,10 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
     enter the equations, and their differentials are linear forms L in
     the degree-1 generators (every product has degree >= 2); d^2 = 0
     puts d(L) in the ideal already, so the quotient only sets each L to
-    zero.  Then a live w whose differential has a linear term spans a
-    contractible pair, whose quotient is a quasi-isomorphism
+    zero.  An L with a constant term (the twist pairs to a nonzero
+    number) has no zero: E has no null section, and InputError names
+    the generator.  Then a live w whose differential has a linear term
+    spans a contractible pair, whose quotient is a quasi-isomorphism
     (Félix-Halperin-Thomas, Thm 14.9).  Both are one step: solve a
     generator u out of a linear term c*u of an equation e, put
     u := u - e/c into the equations that contain u, and drop u with its
@@ -166,6 +168,12 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
                              for w, c in A.diff_key(u).terms.items()), -1)
         for (w, mono), c in terms.items():
             eqs.setdefault((t, w), {})[mono] = -c if basis[w][1] % 2 else c
+
+    # a constant (degree 0) is only ever in an L
+    for (t, w), e in sorted(eqs.items()):
+        if () in e:
+            raise InputError(f"the equation of {fibre[t].name} at {basis[w][0]} has "
+                             f"the constant term {e[()]}: {E.label} has no null section")
 
     # the differentials of the generators, and the dropped slots' L's
     diffs = {g: eqs.get((t, u), {}) for t, slot in slots.items()

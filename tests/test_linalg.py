@@ -1,8 +1,9 @@
 """Exact elimination: sparse fraction-free path against the dense oracle."""
 
+import copy
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ratimm import linalg
 
@@ -151,6 +152,123 @@ def test_untagged_rows_equal_tagged_rows():
             assert {i: v for i, v in combo.items() if v} == real
         for vec in _random_vectors(rng, 5, width):
             assert untagged.reduce(vec) == tagged.reduce(vec)
+
+
+def test_tags_enter_before_scaling():
+    # the tag coordinate is scaled with the column, so the relation's
+    # coefficients are those of the inputs as given
+    assert linalg.sparse_rank_kernel([{0: 2}, {0: 3}]) == (1, [{0: -3, 1: 2}])
+    assert linalg.sparse_rank_kernel([{0: Fraction(1, 2)}, {0: 1}]) == (1, [{0: -2, 1: 1}])
+
+
+def test_tagged_relations_vanish_on_the_inputs():
+    rng = random.Random(4242)
+    relations = 0
+    for _ in range(60):
+        width = rng.randint(1, 6)
+        vecs = _random_vectors(rng, rng.randint(2, 12), width)
+        ech = linalg.SparseEchelon()
+        for j, vec in enumerate(vecs):
+            pivot, rel = ech.add(vec, tag=j)
+            if pivot is not None:
+                continue
+            relations += 1
+            assert rel and rel[j] and max(rel) == j and all(rel.values())
+            total = {}
+            for t, c in rel.items():
+                for i, v in vecs[t].items():
+                    total[i] = total.get(i, 0) + c * Fraction(v)
+            assert not any(total.values())
+    assert relations > 100
+
+
+def _fraction_scaled(vec: dict) -> dict:
+    """vec scaled to coprime integers by Fraction arithmetic, zeros dropped."""
+    vec = {j: Fraction(c) for j, c in vec.items() if c}
+    denom = lcm(*(c.denominator for c in vec.values()))
+    g = gcd(*(int(c * denom) for c in vec.values())) or 1
+    return {j: int(c * denom / g) for j, c in vec.items()}
+
+
+def _oracle_add(ech, vec, tag=None):
+    """`SparseEchelon.add` with the Fraction scaling, reducing every column."""
+    if tag is not None:
+        vec = {**vec, linalg._TAG + tag: 1}
+    ivec = ech._reduce(_fraction_scaled(vec))
+    pivot = min(ivec) if ivec else linalg._TAG
+    if pivot >= linalg._TAG:
+        return None, ({j - linalg._TAG: v for j, v in ivec.items()}
+                      if tag is not None else None)
+    ech.pivot_cols[pivot] = len(ech.rows)
+    ech.rows.append(ivec)
+    return pivot, None
+
+
+def _echelon_cases(rng, count):
+    for _ in range(count):
+        width = rng.randint(2, 7)
+        vecs = _random_vectors(rng, rng.randint(3, 14), width)
+        # integer columns that are coprime with no zero entry, stored as given
+        vecs += [{i: rng.choice([-3, -1, 1, 2, 5]) for i in rng.sample(range(width), 2)}
+                 | {width: 1} for _ in range(3)]
+        rng.shuffle(vecs)
+        yield vecs, rng.random() < 0.5
+
+
+def test_stored_rows_and_inputs_are_never_changed(monkeypatch):
+    reduced = []
+    real_reduce = linalg.SparseEchelon._reduce
+    monkeypatch.setattr(linalg.SparseEchelon, "_reduce",
+                        lambda self, vec: (reduced.append(1), real_reduce(self, vec))[1])
+    rng = random.Random(1618)
+    met = 0
+    for vecs, tagged in _echelon_cases(rng, 80):
+        given = copy.deepcopy(vecs)
+        ech, oracle = linalg.SparseEchelon(), linalg.SparseEchelon()
+        for j, vec in enumerate(vecs):
+            tag = j if tagged else None
+            before = len(reduced)
+            added = ech.add(vec, tag)
+            met += len(reduced) > before
+            assert added == _oracle_add(oracle, copy.deepcopy(vec), tag)
+            for probe in _random_vectors(rng, 2, 8):
+                kept = copy.deepcopy(probe)
+                ech.reduce(probe)
+                assert probe == kept
+        assert vecs == given
+        assert [list(row.items()) for row in ech.rows] == \
+            [list(row.items()) for row in oracle.rows]
+        assert ech.pivot_cols == oracle.pivot_cols
+    # many columns reduced against earlier rows
+    assert met > 300
+
+
+def test_a_column_pays_only_for_the_pivots_it_meets(monkeypatch):
+    calls = []
+    real_reduce = linalg.SparseEchelon._reduce
+    monkeypatch.setattr(linalg.SparseEchelon, "_reduce",
+                        lambda self, vec: (calls.append(vec), real_reduce(self, vec))[1])
+    ech = linalg.SparseEchelon()
+    col = {0: 2, 3: -3}
+    assert ech.add(col) == (0, None) and not calls
+    assert ech.rows[-1] is col
+    # no pivot met, but scaled: a new row, still not reduced
+    assert ech.add({1: 4, 2: 0, 5: 6}) == (1, None) and not calls
+    assert ech.rows[-1] == {1: 2, 5: 3}
+    assert ech.add({2: Fraction(1, 2), 4: 1}) == (2, None) and not calls
+    assert ech.rows[-1] == {2: 1, 4: 2}
+    # meets pivot 0
+    assert ech.add({0: 1, 4: 1}) == (3, None) and len(calls) == 1
+    assert ech.rows[-1] == {3: 3, 4: 2}
+    # a tagged column meets its pivot through its row coordinates only
+    tagged = linalg.SparseEchelon()
+    first, second = {0: 1, 2: 1}, {1: 1, 2: 1}
+    tagged.add(first, tag=0)
+    tagged.add(second, tag=1)
+    assert len(calls) == 1
+    assert tagged.add({0: 1, 1: 1, 2: 2}, tag=2) == (None, {0: -1, 1: -1, 2: 1})
+    assert len(calls) == 2
+    assert first == {0: 1, 2: 1} and second == {1: 1, 2: 1}
 
 
 def test_elimination_builds_no_fraction(monkeypatch):

@@ -376,3 +376,10 @@ def test_section_model_needs_every_generator_a_twist_mentions():
         section_model(E, [y])
     x_only = section_model(E, E.given[:1])
     assert [g.name for g in x_only.algebra.generators] == ["x", "x_a2"]
+
+
+def test_section_model_without_a_null_section_is_an_input_error():
+    # on CP^2 at k = 2, D(x1) = e2^2 + 3*aa: x1 against aa asks 3 = 0
+    E = framed_bundle_model(load_manifold(DATA / "cp2.manifold"), 2)
+    with pytest.raises(InputError, match="equation of x1 at aa has the constant term 3"):
+        section_model(E)
