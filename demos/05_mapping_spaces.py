@@ -17,9 +17,8 @@ s2 = sphere_manifold(2)
 
 # Maps into Eilenberg-MacLane spaces / odd spheres: pure bookkeeping.
 print("Map(S2, K(Q,3)):", [str(f) for f in em_mapping_space(s2.betti(3), 3)])
-degrees, kept = em_split(sphere_bundle(s2.model, 7))  # [7], []
-print("Map(S2, S7):    ",
-      [str(f) for n in degrees for f in em_mapping_space(s2.betti(7), n)])
+factors, kept = em_split(sphere_bundle(s2.model, 7))  # kept == []
+print("Map(S2, S7):    ", [str(f) for f in factors])
 print()
 
 # The even-sphere null component needs a model: the section model of

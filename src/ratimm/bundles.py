@@ -173,19 +173,24 @@ def _fiber_generators(m: int, k: int, first: int) -> list[Generator]:
     return gens
 
 
+def check_codimension(k: int) -> None:
+    """The codimension rule of every Stiefel fiber and framed model: k >= 2."""
+    if k < 2:
+        raise InputError(f"codimension must be >= 2, got k={k} "
+                         "(the fiber is not simply connected otherwise)")
+
+
 def stiefel_model(m: int, k: int) -> FreeCdga:
     """Minimal model of the Stiefel manifold V_m(R^{m+k}).
 
     The fiber table from the threshold t on: x_t..x_T of degree 4i-1
     (T = (m+k-1)//2), the top generator ebar_{m+k-1} when m+k is even, and for k even the
     Euler generator e_k with dx_s = e_k^2 (s = k/2 = t).  Requires
-    k >= 2 so the fiber is simply connected.
+    k >= 2 (`check_codimension`).
     """
     if m < 1:
         raise InputError(f"frame count must be >= 1, got m={m}")
-    if k < 2:
-        raise InputError(f"codimension must be >= 2, got k={k} "
-                         "(the fiber is not simply connected otherwise)")
+    check_codimension(k)
     t = pontryagin_vanishing_threshold(k)
     diff = {f"x{t}": f"e{k}^2"} if k % 2 == 0 else {}
     return FreeCdga(_fiber_generators(m, k, t), diff, label=f"V_{m}(R^{m + k})")
@@ -241,8 +246,7 @@ def borel_assoc_model(baseA, phi: CdgaMorphism, VK, sVH, Bmu_images, Bnu_images,
 def _framed(M: ManifoldModel, k: int, first: int, label: str) -> RelativeModel:
     """The relative model on the fiber table from `first` on, with
     D(x_i) = p_i - b_i + e_k^2: b_i for i < t, e_k^2 for 2i = k."""
-    if k < 2:
-        raise InputError(f"codimension must be >= 2, got k={k}")
+    check_codimension(k)
     m = M.dimension
     t = pontryagin_vanishing_threshold(k)
     gens = _fiber_generators(m, k, first)

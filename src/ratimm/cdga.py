@@ -1123,7 +1123,7 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                     f"rank bookkeeping mismatch in degree {n}: "
                     f"{len(kernel)} representatives for b_{n}={b_n}")
             kept_keys = [key for j, key in enumerate(keys) if j not in skip] if b_n else ()
-            reps.append([Element(alg, {kept_keys[j]: Fraction(c) for j, c in ker.items()})
+            reps.append([Element(alg, {kept_keys[j]: c for j, c in ker.items()})
                          for ker in kernel])
     return BettiTable(cutoff, dims, reps if representatives else None)
 

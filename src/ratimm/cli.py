@@ -27,11 +27,10 @@ import sys
 
 from .bundles import framed_bundle_model, stiefel_model
 from .cdga import cohomology
-from .errors import InputError, RatimmError
+from .errors import RatimmError
 from .immersions import description_to_dict, immersion_components
 from .io import load_manifold, load_cdga
-from .mapping import (em_mapping_space, em_split, sphere_bundle,
-                      sphere_map_null_model)
+from .mapping import em_split, section_model, sphere_bundle
 from .series import em_product_series
 from .sweeps import DEFAULT_SEED, run_suites
 
@@ -139,34 +138,25 @@ def cmd_immersion(args) -> int:
 
 def cmd_map_sphere(args) -> int:
     M = load_manifold(args.manifold)
-    if args.k % 2:
-        if args.k < 3:
-            raise InputError("k must be >= 3 (simply connected target)")
-        degrees, _ = em_split(sphere_bundle(M.model, args.k))  # the whole fibre
-        betti = M.betti(args.k)
-        factors = [f for n in degrees for f in em_mapping_space(betti, n)]
+    E = sphere_bundle(M.model, args.k)
+    factors, kept = em_split(E)
+    payload = {"command": "map-sphere", "manifold": M.name, "k": args.k,
+               "max_degree": args.max_degree}
+    if kept:
+        model = section_model(E, kept, label=f"Map({M.model.label},S{args.k},0)")
+        table = cohomology(model, args.max_degree, representatives=False)
+        payload.update(component="null", generators=_generator_dicts(model),
+                       betti=list(table.dims))
+        lines = [f"model: {model.label} (null component)", *_generator_lines(model),
+                 *_betti_lines(table.dims)]
+    else:
         series = em_product_series(factors, args.max_degree)
-        payload = {
-            "command": "map-sphere", "manifold": M.name, "k": args.k,
-            "max_degree": args.max_degree, "component": "any",
-            "factors": [{"kind": "em", "degree": f.degree,
-                         "multiplicity": f.coefficient_dim} for f in factors],
-            "betti": series.extend(args.max_degree),
-        }
+        payload.update(component="any",
+                       factors=[{"kind": "em", "degree": f.degree,
+                                 "multiplicity": f.coefficient_dim} for f in factors],
+                       betti=series.extend(args.max_degree))
         lines = [f"Map({M.name}, S^{args.k}) is an Eilenberg-MacLane product:",
                  *(f"factor: {f}" for f in factors), f"series: {series}"]
-        _report(args, payload, lines)
-        return EXIT_OK
-    model = sphere_map_null_model(M.model, args.k)
-    table = cohomology(model, args.max_degree, representatives=False)
-    payload = {
-        "command": "map-sphere", "manifold": M.name, "k": args.k,
-        "max_degree": args.max_degree, "component": "null",
-        "generators": _generator_dicts(model),
-        "betti": list(table.dims),
-    }
-    lines = [f"model: {model.label} (null component)", *_generator_lines(model),
-             *_betti_lines(table.dims)]
     _report(args, payload, lines)
     return EXIT_OK
 

@@ -5,8 +5,8 @@ the section space of the framed bundle (Smale-Hirsch).  Under the
 Pontryagin-vanishing hypothesis `em_split` factors a component into
 Eilenberg-MacLane spaces and, for k even, the sections of the pair
 (x_s, e_k), a mapping-space factor into S^k, read off the one framed
-bundle model.  This module checks the hypotheses, assembles the factor
-list, multiplies the Poincaré series, and classifies coefficient growth.
+bundle model.  This module checks the hypotheses, reports the factors,
+multiplies the Poincaré series, and classifies coefficient growth.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .bundles import (ManifoldModel, check_pontryagin_hypothesis,
-                      framed_bundle_model)
+from .bundles import (ManifoldModel, check_codimension,
+                      check_pontryagin_hypothesis, framed_bundle_model)
 from .cdga import FreeCdga, _walk
-from .errors import InputError
 from .groebner import pure_krull_dimension
-from .mapping import (EMFactor, SphereFactor, em_mapping_space, em_split,
-                      section_model)
+from .mapping import EMFactor, SphereFactor, em_split, section_model
 from .series import (PoincareSeries, em_product_series,
                      reconstruct_rational_series, series_product)
 
@@ -70,8 +68,7 @@ class ImmersionDescription:
 
 def connectivity_verdict(m: int, k: int) -> str:
     """"connected" when the fiber connectivity exceeds dim M (k >= m+1)."""
-    if k < 2:
-        raise InputError(f"codimension must be >= 2, got {k}")
+    check_codimension(k)
     return "connected" if k >= m + 1 else "components-indexed"
 
 
@@ -130,13 +127,10 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         f"p_i = 0 for all i >= {threshold}"))
 
     E = framed_bundle_model(M, k)
-    em_degrees, kept = em_split(E)
-    bettiM = M.betti(max(em_degrees + [k]))
-    desc.em_factors = sorted(
-        (f for n in em_degrees for f in em_mapping_space(bettiM, n)),
-        key=lambda f: (f.degree, -f.coefficient_dim))
+    desc.em_factors, kept = em_split(E)
     desc.em_part_series = desc.series = em_product_series(desc.em_factors, cutoff)
-    if kept and bettiM.dims[k]:
+    # a second, short walk of M only where its model is nonzero in degree k
+    if kept and M.model.algebra.keys_of_degree(k) and M.betti(k).dims[k]:
         desc.sphere_factor = SphereFactor(k, "symbolic")
         desc.status, desc.series, desc.growth = "symbolic-sphere", None, "symbolic"
         return desc

@@ -2,15 +2,15 @@
 
 `em_split` splits the section space of a relative model E over a model
 A of M at its fibre into Eilenberg-MacLane factors, read off the Betti
-numbers of M, and the fibre generators it keeps.  `section_model` reads
-E in place and models the null sections of those on generators (fibre
-generator) x (dual basis class), with the differential determined by
-requiring the evaluation pairing to be a chain map; the sign
-conventions are pinned operationally by the d^2 = 0 assertion at
-construction.  One cancellation step, a generator solved out of a
-linear term and substituted away, both takes the null-component
-quotient (an echelon of linear forms) and removes contractible pairs,
-so the model comes out minimal.
+numbers of M, and the fibre generators it keeps.  `section_model`, the
+one place that needs A finite, reads E in place and models the null
+sections of those on generators (fibre generator) x (dual basis class),
+with the differential determined by requiring the evaluation pairing
+to be a chain map (signs pinned by the d^2 = 0 assertion).  One
+cancellation step, a generator solved out of a linear term and
+substituted away, both takes the null-component quotient and removes
+contractible pairs, so the model comes out minimal.  Map(M, S^k) takes
+the same route from `sphere_bundle`, which alone states the k allowed.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
 
 def sphere_model(k: int) -> FreeCdga:
     """Minimal model of S^k: one odd generator, or (x_k, y_{2k-1}; dy=x^2)."""
-    if k < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {k}")
     if k % 2:
         return FreeCdga([Generator("x", k)], {}, label=f"S{k}")
     return FreeCdga([Generator("x", k), Generator("y", 2 * k - 1)],
@@ -73,7 +71,11 @@ def sphere_model(k: int) -> FreeCdga:
 
 
 def sphere_bundle(A, k: int) -> RelativeModel:
-    """The product bundle A (x) sphere_model(k) over A, of either kind."""
+    """The product bundle A (x) sphere_model(k) over A, of either kind,
+    for a simply connected target: k >= 3 odd or k >= 2 even."""
+    if k < 2 + k % 2:
+        raise InputError("k must be >= 3 (simply connected target)" if k % 2
+                         else f"k must be >= 2, got {k}")
     return _tensor_relative(A, sphere_model(k), f"{A.label}(x)S{k}")
 
 
@@ -81,17 +83,25 @@ def sphere_bundle(A, k: int) -> RelativeModel:
 # Section spaces
 # ---------------------------------------------------------------------------
 
-def em_split(E: RelativeModel) -> tuple[list[int], list[Generator]]:
+def em_split(E) -> tuple[list[EMFactor], list[Generator]]:
     """Split the section space of E at its fibre.
 
     A fibre generator v that is closed and that no twist mentions splits
-    off Map(M, K(Q,|v|)) (`em_mapping_space`).  Returns their degrees and
-    the other fibre generators as given to E, both in fibre order.
+    off Map(M, K(Q,|v|)), whose factors `em_mapping_space` reads off one
+    Betti walk of the base, which may be free.  Returns those factors by
+    degree, the larger multiplicity first, and the other fibre generators
+    as given to E, in fibre order.
     """
     twists = [E.twist_of(g.name) for g in E.given]
     mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
     kept = [g for i, g in enumerate(E.given) if twists[i].terms or i in mentioned]
-    return [g.degree for g in E.given if g not in kept], kept
+    split = [g.degree for g in E.given if g not in kept]
+    if not split:
+        return [], kept
+    betti = cohomology(E.base, max(split), representatives=False)
+    factors = sorted((f for n in split for f in em_mapping_space(betti, n)),
+                     key=lambda f: (f.degree, -f.coefficient_dim))
+    return factors, kept
 
 
 def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdga:
@@ -217,19 +227,19 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
 
 
 def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
-    """Model of Map(M, S^k, constant) for k even and A a finite model of M.
+    """Model of Map(M, S^k, constant) for k even and A a finite model of M:
+    the section model of what `em_split` keeps of sphere_bundle(A, k).
 
     Odd k is rejected: odd spheres are rationally Eilenberg-MacLane, so
     em_split takes off all of sphere_bundle(A, k).  A must be simply connected.
     """
-    if k % 2:
+    E = sphere_bundle(A, k)
+    _, kept = em_split(E)
+    if not kept:
         raise InputError(f"k must be even (odd spheres are Eilenberg-MacLane "
-                         f"rationally; use em_mapping_space with n={k})")
-    if k < 2:
-        raise InputError(f"k must be >= 2, got {k}")
-    if not isinstance(A, FiniteCdga):
-        raise InputError("the source model must be finite-dimensional")
-    # a flagged model's constructor checked H^1 = 0
+                         f"rationally; em_split gives Map(M, S^{k}) as factors)")
+    model = section_model(E, kept, label=f"Map({A.label},S{k},0)")
+    # A is finite here; a flagged model's constructor checked H^1 = 0
     if not A.simply_connected and cohomology(A, 1, representatives=False).dims[1]:
         raise InputError("the source model must be simply connected")
-    return section_model(sphere_bundle(A, k), label=f"Map({A.label},S{k},0)")
+    return model

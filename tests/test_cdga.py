@@ -1190,7 +1190,7 @@ def test_protocol_consumers_name_no_cdga_kind():
     import inspect
     import textwrap
 
-    from ratimm import cli
+    from ratimm import cli, immersions, mapping
 
     kinds = {"FreeCdga", "FiniteCdga", "RelativeModel"}
 
@@ -1201,7 +1201,8 @@ def test_protocol_consumers_name_no_cdga_kind():
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
     for fn in (check_d_squared, CdgaMorphism.apply, CdgaMorphism.identity,
-               cli._generator_lines, cli._generator_dicts):
+               cli._generator_lines, cli._generator_dicts, cli.cmd_map_sphere,
+               mapping.em_split, immersions.immersion_components):
         assert not named(parse(fn)) & kinds, fn.__qualname__
     # validate keeps its finite-source multiplicativity check; only the
     # loop over the source's generators must be kind-free

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, determinism, JSON round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ratimm.bundles import complex_projective_plane, sphere_manifold
+from ratimm.cdga import cohomology
 from ratimm.cli import main
-from ratimm.io import serialize_manifold
+from ratimm.io import load_manifold, serialize_manifold
+from ratimm.mapping import em_mapping_space, sphere_map_null_model
+from ratimm.series import em_product_series
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.fixture
@@ -124,6 +130,35 @@ def test_free_source_gets_its_em_factors(capsys, s3_free_file):
         (2, "", "error: the source model must be finite-dimensional\n")
 
 
+@pytest.mark.parametrize("name,k", [
+    (path.stem, k) for path in sorted(DATA.glob("*.manifold")) for k in range(2, 10)])
+def test_map_sphere_json_matches_the_library(capsys, name, k):
+    # even k: the null model and its Betti numbers; odd k: the EM factors
+    # of Map(M, K(Q,k)) and their series
+    N = 12
+    path = DATA / f"{name}.manifold"
+    code, out, _ = run(capsys, "map-sphere", "--manifold", str(path), "--k", str(k),
+                       "--max-degree", str(N), "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    M = load_manifold(path)
+    if k % 2 == 0:
+        model = sphere_map_null_model(M.model, k)
+        assert got["component"] == "null"
+        assert got["generators"] == [
+            {"name": g.name, "degree": g.degree,
+             "differential": str(model.differential_of_generator(g.name))}
+            for g in model.algebra.generators]
+        assert got["betti"] == cohomology(model, N, representatives=False).dims
+    else:
+        factors = em_mapping_space(M.betti(k), k)
+        assert got["component"] == "any"
+        assert got["factors"] == [{"kind": "em", "degree": f.degree,
+                                   "multiplicity": f.coefficient_dim}
+                                  for f in factors]
+        assert got["betti"] == em_product_series(factors, N).extend(N)
+
+
 def test_map_sphere_keeps_given_names(capsys, tmp_path):
     # the source's basis name x clashes with the sphere generator x
     path = tmp_path / "sx.manifold"
@@ -159,7 +194,7 @@ def test_internal_fault_while_loading_is_not_an_input_error(capsys, tmp_path,
                                                             s2_file, monkeypatch):
     # loading converts only what constructors raise on bad input into a
     # ParseError (exit 2); an internal fault propagates
-    from ratimm import bundles, cdga
+    from ratimm import cdga, mapping
     path = tmp_path / "s2.cdga"
     path.write_text("kind: free\nlabel: S2\ngenerator: e2 2\n"
                     "generator: x3 3\nd: x3 = e2^2\n")
@@ -172,7 +207,7 @@ def test_internal_fault_while_loading_is_not_an_input_error(capsys, tmp_path,
         with pytest.raises(AssertionError, match="internal fault"):
             main(["cohomology", str(path), "--max-degree", "6"])
     with monkeypatch.context() as patch:
-        patch.setattr(bundles, "cohomology", broken)
+        patch.setattr(mapping, "cohomology", broken)  # em_split's Betti walk
         with pytest.raises(AssertionError, match="internal fault"):
             main(["immersion", "--manifold", s2_file, "--k", "3"])
 

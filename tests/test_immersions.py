@@ -32,14 +32,20 @@ def test_connectivity_examples():
 
 @pytest.mark.parametrize("k", [1, 0, -3])
 def test_small_codimension_is_an_input_error(k):
-    # the four entry points that take a codimension reject k < 2 alike
+    # the five entry points that take a codimension reject k < 2 with
+    # one message
     M = sphere_manifold(2)
+    messages = set()
     for call in (lambda: connectivity_verdict(2, k),
+                 lambda: stiefel_model(2, k),
                  lambda: unreduced_framed_model(M, k),
                  lambda: framed_bundle_model(M, k),
                  lambda: immersion_components(M, k, 10)):
-        with pytest.raises(InputError, match="codimension must be >= 2"):
+        with pytest.raises(InputError, match="codimension must be >= 2") as caught:
             call()
+        messages.add(str(caught.value))
+    assert messages == {f"codimension must be >= 2, got k={k} "
+                        "(the fiber is not simply connected otherwise)"}
 
 
 # -- desk-scale descriptions ------------------------------------------------------
@@ -231,8 +237,9 @@ def test_em_factors_split_at_the_fibre():
     # S^5 at k = 4: x3 and x4 split off, the pair (x2, e4) stays
     M = sphere_manifold(5)
     E = framed_bundle_model(M, 4)
-    degrees, kept = em_split(E)
-    assert degrees == [11, 15] and [g.name for g in kept] == ["x2", "e4"]
+    factors, kept = em_split(E)
+    assert factors == [EMFactor(1, 6), EMFactor(1, 10), EMFactor(1, 11), EMFactor(1, 15)]
+    assert [g.name for g in kept] == ["x2", "e4"]
     # the pair's section model has a closed generator of degree 2 that no
     # differential mentions; a split of the section model would take it
     # for a K(Q,2) factor
