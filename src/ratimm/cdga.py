@@ -23,10 +23,11 @@ that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
 asks which kind it holds:
 
 * `algebra`, `label` -- the underlying key algebra and a display name;
-* `_diff_terms(key, memo)` -- d of one basis key as a plain
-  {key: coefficient} dict; `memo` is a dict that the caller keeps for
-  one walk or one `diff` call, and the kind fills (see below);
-* `diff_key(key)` -- the same as an `Element`;
+* `_diff_terms(key, memo)` -- D*d of one basis key as a plain
+  {key: coefficient} dict, D = `_scale` (see Assembly); `memo` is a
+  dict that the caller keeps for one walk or one `diff` call, and the
+  kind fills (see below);
+* `diff_key(key)` -- d of one key as an `Element`;
 * `diff(element)` -- d extended linearly, one memo for all its keys
   (shared, in `Cdga`);
 * `generator_items()` -- (name, degree, element, d-image) for each
@@ -99,9 +100,16 @@ for each product term.  No pair index is built, and no pair is hashed
 per key.  A fiber degree is dropped once the walk has passed it by more
 than the base's top degree.  Columns are plain dicts, with no
 `Element`; `_cochains` hands them one memo that lives as long as its
-walk.  Integral input keeps int coefficients, which `linalg.primitive`
-takes with one gcd: a coprime column that meets no pivot is stored as
-the row itself, so a column is never changed once it is assembled.
+walk.  A free or finite model's `_diff_terms` give D*d, D (`_scale`)
+the lcm of the coefficient denominators of d on its generators or
+basis, found once by the constructor (1 for integral input), so their
+walks assemble int columns: every column scaled by one D > 0 keeps its
+pivots, ranks and primitive kernel vectors, so no output changes, and
+`diff`, `diff_key` and a relative model's base rows divide D out.  A
+relative model walks d itself, in ints for integral input.  An int
+column `linalg.primitive` takes with one gcd: a coprime column that
+meets no pivot is stored as the row itself, so a column is never
+changed once it is assembled.
 
 A morphism applies the same split, f(lk (x) word) = (lk (x) 1) * f(word)
 (`CdgaMorphism._apply_terms`): f(word) is built once per word, from
@@ -125,6 +133,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, product
+from math import lcm
 
 from . import linalg
 from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
@@ -150,6 +159,20 @@ def _as_element(value, context) -> Element:
 def _exact(c):
     """An integral coefficient as an int; any other one unchanged."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _denominator_lcm(elements) -> int:
+    """D, the lcm of the coefficient denominators of `elements` (1 for
+    none): D times each of them is integral."""
+    return lcm(*(c.denominator for elt in elements for c in elt.terms.values()))
+
+
+def _unscaled(terms: dict, scale: int) -> dict:
+    """d from the D*d terms a walk reads (D = `scale`): each coefficient
+    over D, an int where that is integral."""
+    if scale == 1:
+        return terms
+    return {k: _exact(Fraction(c, scale)) for k, c in terms.items()}
 
 
 def _leibniz(fiber: FreeAlgebra, mono, dgen) -> dict:
@@ -240,16 +263,16 @@ def _rest_leibniz(fiber: FreeAlgebra, mono, dgen, closed, memo):
 
 
 class _Products(dict):
-    """{bk: lk*bk as [(key, exact coefficient)]} for one key lk of `algebra`;
-    each product is asked of `algebra` on its first lookup only."""
+    """{bk: lk*bk as [(key, coefficient)]} for one key lk of `algebra`, as
+    its `mul_key_pairs` gives it (ints for integral products); each
+    product is asked of `algebra` on its first lookup only."""
 
     def __init__(self, algebra, lk):
         super().__init__()
         self.algebra, self.lk = algebra, lk
 
     def __missing__(self, bk):
-        pairs = self[bk] = [(k, _exact(c))
-                            for k, c in self.algebra.mul_key_pairs(self.lk, bk)]
+        pairs = self[bk] = self.algebra.mul_key_pairs(self.lk, bk)
         return pairs
 
     def add_times(self, out: dict, terms, scale, starts=None):
@@ -272,6 +295,8 @@ class Cdga:
     """What every CDGA kind provides; see the module docstring."""
 
     d_symbol = "d"
+    # D: `_diff_terms` gives D*d, which a walk eliminates (see Assembly)
+    _scale = 1
 
     def diff(self, element: Element) -> Element:
         if element.algebra is not self.algebra:
@@ -279,7 +304,7 @@ class Cdga:
         out: dict = {}
         memo: dict = {}
         for key, c in element.terms.items():
-            add_into(out, self._diff_terms(key, memo).items(), Fraction(c))
+            add_into(out, self._diff_terms(key, memo).items(), Fraction(c, self._scale))
         return Element(self.algebra, out)
 
     def d2_items(self):
@@ -330,7 +355,9 @@ class FreeCdga(Cdga):
             i = self.algebra.generator_index(name)
             elt = _as_element(value, self.algebra)
             self._diff[i] = elt
-        self._dgen = {i: [(None, False, m, _exact(c)) for m, c in elt.terms.items()]
+        scale = self._scale = _denominator_lcm(self._diff.values())
+        self._dgen = {i: [(None, False, m, _exact(c * scale))
+                          for m, c in elt.terms.items()]
                       for i, elt in self._diff.items() if elt.terms}
         self._closed = frozenset(i for i, g in enumerate(self.algebra.generators)
                                  if not g.is_odd and i not in self._dgen)
@@ -354,7 +381,7 @@ class FreeCdga(Cdga):
         return {_times_closed(mono, closed, m): c for (_, m), c in terms}
 
     def diff_key(self, mono) -> Element:
-        return Element(self.algebra, self._diff_terms(mono, {}))
+        return Element(self.algebra, _unscaled(self._diff_terms(mono, {}), self._scale))
 
     def generator_items(self):
         for i, g in enumerate(self.algebra.generators):
@@ -412,7 +439,8 @@ class FiniteAlgebra:
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for i, (_, d) in enumerate(self.basis):
             self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
-        self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # each product's coefficients, an int where integral
+        self._table: dict[tuple[int, int], dict] = {}
         self._load_products(products or {})
         if check:
             self._validate()
@@ -469,7 +497,7 @@ class FiniteAlgebra:
                     if u == v and du % 2 and any(vec.values()):
                         raise ValueError(
                             f"odd element {self.basis[u][0]} has a nonzero square")
-                self._table[(u, v)] = {w: Fraction(c) for w, c in vec.items() if c}
+                self._table[(u, v)] = {w: _exact(c) for w, c in vec.items() if c}
 
     def _value_vector(self, value, names: FreeAlgebra) -> dict[int, Fraction]:
         if isinstance(value, str):
@@ -572,6 +600,9 @@ class FiniteCdga(Cdga):
         for key, value in (differential or {}).items():
             i = self.algebra.basis_index(key) if not isinstance(key, int) else key
             self._diff[i] = _as_element(value, self.algebra)
+        scale = self._scale = _denominator_lcm(self._diff.values())
+        self._dterms = {i: {k: _exact(c * scale) for k, c in elt.terms.items()}
+                        for i, elt in self._diff.items() if elt.terms}
         if check:
             self._validate()
 
@@ -600,11 +631,10 @@ class FiniteCdga(Cdga):
             raise ValueError("H^0 must be one-dimensional (connected input)")
 
     def _diff_terms(self, i: int, memo) -> dict:
-        elt = self._diff.get(i)
-        return {} if elt is None else elt.terms
+        return self._dterms.get(i, {})
 
     def diff_key(self, i: int) -> Element:
-        return Element(self.algebra, self._diff_terms(i, {}))
+        return Element(self.algebra, _unscaled(self._diff_terms(i, {}), self._scale))
 
     def generator_items(self):
         for i, (name, deg) in enumerate(self.algebra.basis):
@@ -843,9 +873,10 @@ class RelativeModel(Cdga):
         if row is None:
             base_alg = self.base.algebra
             degree = base_alg.key_degree(lk)
-            row = memo[None, lk] = (
-                [(k, _exact(c)) for k, c in self.base._diff_terms(lk, {}).items()],
-                -1 if degree % 2 else 1, _Products(base_alg, lk), degree)
+            # d_B itself: a free or finite base's `_diff_terms` give D_B*d_B
+            dlk = _unscaled(self.base._diff_terms(lk, {}), self.base._scale)
+            row = memo[None, lk] = (list(dlk.items()), -1 if degree % 2 else 1,
+                                    _Products(base_alg, lk), degree)
         return row
 
     def _fiber_terms(self, rm, memo):
@@ -1390,7 +1421,8 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     checked to be injective on cohomology representatives.  The source
     is walked by `cohomology` with representatives; the target's `_walk`
     is read to the cutoff, rank only and cleared.  f of each degree-n
-    representative is added to the echelon of the target's d_{n-1},
+    representative, its integral coefficients as ints (the images come
+    with Fraction ones), is added to the echelon of the target's d_{n-1},
     after b_n is read; one that adds no pivot shows a class sent into
     the span of the image and the classes before it, whatever rows span
     it.  f is not validated again: its constructor checked it.
@@ -1402,7 +1434,8 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     for n, (dt, _, index, *_, image_prev) in enumerate(walk):
         injective = True
         for rep in source.representatives[n]:
-            vec = {index[k]: c for k, c in f._apply_terms(rep.terms, memo).items()}
+            vec = {index[k]: _exact(c)
+                   for k, c in f._apply_terms(rep.terms, memo).items()}
             pivot, _ = image_prev.add(vec)
             if pivot is None:
                 injective = False

@@ -105,7 +105,7 @@ class FreeAlgebra:
         if res is None:
             return []
         sign, mono = res
-        return [(mono, Fraction(sign))]
+        return [(mono, sign)]
 
     def keys_of_degree(self, n: int) -> tuple[Monomial, ...]:
         return self.basis_of_degree(n)

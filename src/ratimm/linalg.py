@@ -30,7 +30,10 @@ row or an input in place, and a caller must not change a vector once
 it has added it.
 
 Vectors are dicts mapping coordinate index -> Fraction (or int).  All
-results are exact and deterministic.
+results are exact and deterministic.  The walks of free and finite
+models hand in D*d, D the lcm of d's denominators, as ints: one D > 0
+on every column leaves each pivot, rank and primitive kernel vector as
+d gives it, so no output changes.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 
@@ -91,7 +92,8 @@ def reference_leibniz(total, free_alg, mono, diff_of_gen, embed_mono):
 
 def reference_diff_key(cdga, key):
     if isinstance(cdga, FiniteCdga):
-        return cdga.diff_key(key)
+        # d as the model was given it: `diff_key` reads the walk's D*d
+        return cdga._diff.get(key, cdga.algebra.zero())
     if isinstance(cdga, FreeCdga):
         alg = cdga.algebra
         return reference_leibniz(
@@ -115,16 +117,37 @@ def reference_diff_key(cdga, key):
     return result
 
 
+_BENCH_GENERATORS = (("e2", 2), ("x3", 3), ("e4", 4), ("y5", 5), ("x7", 7),
+                     ("e6", 6), ("x11", 11))
+_BENCH_DIFFERENTIALS = (("x3", "e2^2"), ("y5", "e2*e4"), ("x7", "e4^2"), ("x11", "e6^2"))
+# the shape with fixed non-integral coefficients (D = 6)
+_FRACTIONAL = {"x3": "3/2", "y5": "-2/3", "x7": "1/3", "x11": "-2"}
+
+
+def _bench_coefficients(seed):
+    """The coefficients of d in the CLI benchmark model's shape, drawn from
+    Random(seed) as the benchmark draws them (seed 0 is its model)."""
+    rng = random.Random(seed)
+    return {name: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+            for name, _ in _BENCH_DIFFERENTIALS}
+
+
+def _bench_shape(coefficients):
+    """The shape of the 7-generator CLI benchmark model, read as `ratimm
+    cohomology` reads it: d(name) = coefficients[name] * its monomial."""
+    from ratimm.io import parse_cdga
+    lines = ["kind: free"] + [f"generator: {n} {d}" for n, d in _BENCH_GENERATORS]
+    lines += [f"d: {name} = {coefficients[name]}*{mono}"
+              for name, mono in _BENCH_DIFFERENTIALS]
+    return parse_cdga("\n".join(lines) + "\n")
+
+
 def _oracle_models():
     from ratimm.bundles import (sphere_product_manifold, stiefel_model,
                                 unreduced_framed_model)
     from ratimm.mapping import sphere_map_null_model
     from ratimm.sweeps import sweep_instances
-    # the shape of the 7-generator CLI benchmark model, non-integral d
-    gens = [Generator(n, d) for n, d in (("e2", 2), ("x3", 3), ("e4", 4), ("y5", 5),
-                                         ("x7", 7), ("e6", 6), ("x11", 11))]
-    fractional = FreeCdga(gens, {"x3": "3/2*e2^2", "y5": "-2/3*e2*e4",
-                                 "x7": "1/3*e4^2", "x11": "-2*e6^2"})
+    fractional = _bench_shape(_FRACTIONAL)
     # twists with odd base keys times fiber monomials, odd fiber prefixes,
     # and a free base with its own differential
     s3 = FiniteCdga([("one", 0), ("a", 3)], {}, label="S3f")
@@ -135,6 +158,18 @@ def _oracle_models():
     free_base = RelativeModel(s2, [Generator("u2", 2), Generator("t5", 5),
                                    Generator("w6", 6)],
                               {"t5": "e2*u2^2", "w6": "x3*u2^2 - e2*t5"})
+    # relative models over bases with non-integral d: a walk eliminates
+    # D*d of a free or finite model, but a relative model reads d_B itself
+    half = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "1/2*e2^2"})
+    half_free_base = RelativeModel(half, [Generator("u2", 2), Generator("t5", 5),
+                                          Generator("w6", 6)],
+                                   {"t5": "e2*u2^2", "w6": "x3*u2^2 - 1/2*e2*t5"})
+    half_finite = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
+                             {("a", "a"): "a2", ("a", "y"): "w"}, {"y": "1/2*a2"},
+                             simply_connected=True)
+    half_finite_base = RelativeModel(half_finite, [Generator("u2", 2), Generator("t5", 5),
+                                                   Generator("r3", 3)],
+                                     {"t5": "a*u2^2", "r3": "a2 - 2*u2^2"})
     # a closed (a2) and a non-closed (z4) even generator in one free CDGA
     mixed = FreeCdga([Generator("a2", 2), Generator("y3", 3), Generator("z4", 4)],
                      {"z4": "a2*y3"})
@@ -143,20 +178,29 @@ def _oracle_models():
                         {"w2": "y3", "u4": "w2*y3"})
     models = [(sphere_map_null_model(sphere_product_manifold(2, 4).model, 8), 20),
               (stiefel_model(7, 4), 20), (fractional, 24),
-              (odd_base, 20), (free_base, 20), (mixed, 24), (unclosed, 24)]
+              (odd_base, 20), (free_base, 20), (half_free_base, 20), (half_finite, 12),
+              (half_finite_base, 20), (mixed, 24), (unclosed, 24)]
     for M, k in sweep_instances(random.Random(0)):
         big, phi = unreduced_framed_model(M, k)
         models += [(big, 20), (phi.target, 20)]
     return models
 
 
+def _walk_scale(cdga):
+    """D, by which a walk multiplies d: for a free or finite model the lcm
+    of the denominators of d as given on its generators or basis, for a
+    relative model 1."""
+    if isinstance(cdga, RelativeModel):
+        return 1
+    return lcm(*(c.denominator for elt in cdga._diff.values() for c in elt.terms.values()))
+
+
 def _integral(cdga):
-    if isinstance(cdga, FreeCdga):
-        images = [cdga.differential_of_generator(g.name) for g in cdga.generators]
-    else:
-        images = [cdga.twist_of(g.name) for g in cdga.fiber.generators]
-        images += [cdga.base.diff_key(k) for n in range(20)
-                   for k in cdga.base.algebra.keys_of_degree(n)]
+    if isinstance(cdga, (FreeCdga, FiniteCdga)):
+        return _walk_scale(cdga) == 1
+    images = [cdga.twist_of(g.name) for g in cdga.fiber.generators]
+    images += [cdga.base.diff_key(k) for n in range(20)
+               for k in cdga.base.algebra.keys_of_degree(n)]
     return all(c.denominator == 1 for elt in images for c in elt.terms.values())
 
 
@@ -177,9 +221,11 @@ def test_diff_key_matches_reference_leibniz():
 def test_walk_columns_match_reference_leibniz():
     # one walk per model, so later degrees read d(R) from the walk's memo
     from ratimm.cdga import _cochains
+    # a free or finite model's walk reads D*d, all ints, D from d as given
     checked = 0
     for cdga, upto in _oracle_models():
-        integral = _integral(cdga)
+        scale = _walk_scale(cdga)
+        integral = not isinstance(cdga, RelativeModel) or _integral(cdga)
         alg = cdga.algebra
         walk = islice(_cochains(cdga), upto + 1)
         for n, (keys, _, rows, columns) in enumerate(walk):
@@ -187,7 +233,8 @@ def test_walk_columns_match_reference_leibniz():
             assert rows == len(rows_index)
             for key, col in zip(keys, columns(), strict=True):
                 want = reference_diff_key(cdga, key)
-                assert col == {rows_index[k]: c for k, c in want.terms.items()}, (cdga, key)
+                assert col == {rows_index[k]: scale * c for k, c in want.terms.items()}, \
+                    (cdga, key)
                 if integral:
                     assert all(type(c) is int for c in col.values())
                 checked += 1
@@ -444,6 +491,53 @@ def test_cleared_ranks_match_the_dense_oracle(monkeypatch):
                 rank_prev = rank
                 checked += rank > 0
     assert checked > 1000
+
+
+def test_a_walk_of_another_differential_disagrees_with_the_dense_oracle(monkeypatch):
+    # the walk eliminates D*d, one D for every generator, and the dense
+    # engine reads the model's columns without the walk.  A walk that
+    # scaled one generator's differential by another constant would
+    # eliminate another differential.  On the CLI benchmark model any
+    # nonzero constant gives an isomorphic model (rescale the generator)
+    # with the same ranks, so the mutant scales d(x11) by 0, as a D that
+    # truncated a coefficient to 0 would
+    from ratimm import cdga as cdga_module
+    model = _bench_shape(_bench_coefficients(0))
+    given = {g.name: model.differential_of_generator(g.name) for g in model.generators}
+    mutant = FreeCdga(model.algebra, {**given, "x11": given["x11"] * 0})
+    walk = cdga_module._walk
+
+    def mutated(cdga, kernels=False):
+        return walk(mutant if cdga is model else cdga, kernels)
+
+    dense = cohomology(model, 30, engine="dense")
+    assert cohomology(model, 30, representatives=False).dims == dense.dims
+    monkeypatch.setattr(cdga_module, "_walk", mutated)
+    assert cohomology(model, 30, representatives=False).dims != dense.dims
+
+
+def test_rational_models_keep_their_representatives_byte_for_byte():
+    # a free or finite model's walk eliminates D*d: every stored row is a
+    # positive multiple of the row d gives in its real part, tags kept,
+    # so the pivots, ranks and primitive kernel vectors are d's.  The
+    # digest is the one a walk of d itself gives
+    import hashlib
+    nf = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
+                    {("a", "a"): "3/2*a2", ("a", "y"): "w"}, {"y": "1/2*a2"},
+                    simply_connected=True)
+    models = [_bench_shape(_FRACTIONAL),
+              *(_bench_shape(_bench_coefficients(seed)) for seed in range(1, 5)),
+              tensor(nf, nf)]
+    digest = hashlib.sha256()
+    for cdga in models:
+        assert _walk_scale(cdga) > 1
+        for reps in cohomology(cdga, 24).representatives:
+            for rep in reps:
+                digest.update(str(rep).encode() + b"\n")
+        report = is_quasi_iso(CdgaMorphism.identity(cdga), 24)
+        digest.update(repr(report.per_degree).encode())
+    assert digest.hexdigest() == \
+        "260f9abb37b118dc44f3457da52ae810913923fb90577ed91be53ac6996b3550"
 
 
 def test_rank_only_representative_and_dense_paths_agree():
