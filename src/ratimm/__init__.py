@@ -6,8 +6,9 @@ framed-bundle models that describe immersion spaces Imm(M, R^{m+k})
 through the Smale-Hirsch correspondence, plus Betti-series assembly and
 polynomial-growth classification of their components.
 
-All arithmetic is exact: every coefficient is an int or a
-fractions.Fraction, and no floating point is used anywhere.
+All arithmetic is exact: an integral coefficient is an int wherever it
+is made, only a true fraction is a fractions.Fraction, and no floating
+point is used anywhere.
 """
 
 from .gca import Element, FreeAlgebra, Generator, parse_element

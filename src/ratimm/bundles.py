@@ -302,7 +302,7 @@ def unreduced_framed_model(M: ManifoldModel, k: int):
     for i in range(1, t):
         p = M.pontryagin_class(i)
         images[f"x{i}"] = zero
-        images[f"b{i}"] = zero if p is None else reduced.embed_base(p)
+        images[f"b{i}"] = zero if p is None else reduced.algebra.embed_left(p)
     return big, CdgaMorphism(big, reduced, images, label="reduction")
 
 

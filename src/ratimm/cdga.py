@@ -56,14 +56,15 @@ reads it to the cutoff and, asked for representatives, takes them from
 that kernel: cocycles off the pivots of im d_{n-1}, none a coboundary,
 b_n of them.  `is_quasi_iso` reads the target's walk and tests
 f(representatives) against its echelons; an immersion's sphere series
-reads b_0..b_N and, for its closed form, reads on.  Two independent engines check the ranks on every column: a
-modular rank certified by exactly verified kernel vectors, which reads
-the walk, builds the cleared columns beside the kept ones and takes the
-rows of im d_{n-1} as untrusted kernel witnesses for them, each checked
-exactly (what `ratimm cohomology` checks against), and the dense
-eliminator, which reads `_cochains` and clears nothing, the oracle of
-the tests and of `ratimm verify`.  They share columns with the walk,
-and the certificate its image rows as data, never elimination.
+reads b_0..b_N and, for its closed form, reads on.  Two independent
+engines check the ranks on every column: a modular rank certified by
+exactly verified kernel vectors, which reads the walk, builds the
+cleared columns beside the kept ones and takes the rows of im d_{n-1}
+as untrusted kernel witnesses for them, each checked exactly (what
+`ratimm cohomology` checks against), and the dense eliminator, which
+reads `_cochains` and clears nothing, the oracle of the tests and of
+`ratimm verify`.  They share columns with the walk, and the
+certificate its image rows as data, never elimination.
 
 Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
 order (a free algebra reads suffix tables it builds bottom-up; a finite
@@ -137,7 +138,7 @@ from math import lcm
 
 from . import linalg
 from .errors import ChainMapError, ContextError, DegreeError, InputError, ParseError
-from .gca import _NAME_RE, Element, FreeAlgebra, Generator, add_into, parse_element
+from .gca import _NAME_RE, Element, FreeAlgebra, Generator, _exact, add_into, parse_element
 
 __all__ = [
     "Cdga", "FreeCdga", "FiniteAlgebra", "FiniteCdga", "RelativeModel",
@@ -154,11 +155,6 @@ def _as_element(value, context) -> Element:
     if isinstance(value, str):
         return parse_element(value, context)
     raise TypeError(f"cannot interpret {value!r} as an element")
-
-
-def _exact(c):
-    """An integral coefficient as an int; any other one unchanged."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _denominator_lcm(elements) -> int:
@@ -304,8 +300,8 @@ class Cdga:
         out: dict = {}
         memo: dict = {}
         for key, c in element.terms.items():
-            add_into(out, self._diff_terms(key, memo).items(), Fraction(c, self._scale))
-        return Element(self.algebra, out)
+            add_into(out, self._diff_terms(key, memo).items(), c)
+        return Element(self.algebra, _unscaled(out, self._scale))
 
     def d2_items(self):
         return self.generator_items()
@@ -477,11 +473,11 @@ class FiniteAlgebra:
             for v in range(n):
                 du, dv = self.basis[u][1], self.basis[v][1]
                 if u == self.unit:
-                    vec = {v: Fraction(1)}
+                    vec = {v: 1}
                 elif v == self.unit:
-                    vec = {u: Fraction(1)}
+                    vec = {u: 1}
                 else:
-                    sign = Fraction(-1 if (du % 2 and dv % 2) else 1)
+                    sign = -1 if (du % 2 and dv % 2) else 1
                     if (u, v) in given:
                         vec = given[(u, v)]
                         if (v, u) in given:
@@ -497,7 +493,7 @@ class FiniteAlgebra:
                     if u == v and du % 2 and any(vec.values()):
                         raise ValueError(
                             f"odd element {self.basis[u][0]} has a nonzero square")
-                self._table[(u, v)] = {w: _exact(c) for w, c in vec.items() if c}
+                self._table[(u, v)] = {w: c for w, c in vec.items() if c}
 
     def _value_vector(self, value, names: FreeAlgebra) -> dict[int, Fraction]:
         if isinstance(value, str):
@@ -511,7 +507,7 @@ class FiniteAlgebra:
                 vec[self._index[names.generators[mono[0][0]].name]] = c
             return vec
         if isinstance(value, dict):
-            return {self.basis_index(k) if not isinstance(k, int) else k: Fraction(c)
+            return {self.basis_index(k) if not isinstance(k, int) else k: _exact(Fraction(c))
                     for k, c in value.items()}
         raise TypeError(f"cannot interpret product value {value!r}")
 
@@ -572,10 +568,10 @@ class FiniteAlgebra:
         return Element(self, {})
 
     def one(self) -> Element:
-        return Element(self, {self.unit: Fraction(1)})
+        return Element(self, {self.unit: 1})
 
     def gen(self, name: str) -> Element:
-        return Element(self, {self.basis_index(name): Fraction(1)})
+        return Element(self, {self.basis_index(name): 1})
 
     def name_power(self, name: str, exp: int) -> Element:
         return self.gen(name) ** exp
@@ -614,8 +610,8 @@ class FiniteCdga(Cdga):
         # Leibniz on basis pairs
         for u in range(len(alg.basis)):
             for v in range(len(alg.basis)):
-                eu = Element(alg, {u: Fraction(1)})
-                ev = Element(alg, {v: Fraction(1)})
+                eu = Element(alg, {u: 1})
+                ev = Element(alg, {v: 1})
                 lhs = self.diff(eu * ev)
                 sign = -1 if alg.basis[u][1] % 2 else 1
                 rhs = self.diff(eu) * ev + (eu * self.diff(ev)) * sign
@@ -638,7 +634,7 @@ class FiniteCdga(Cdga):
 
     def generator_items(self):
         for i, (name, deg) in enumerate(self.algebra.basis):
-            yield name, deg, Element(self.algebra, {i: Fraction(1)}), self.diff_key(i)
+            yield name, deg, Element(self.algebra, {i: 1}), self.diff_key(i)
 
     def generator_names(self):
         return [name for name, _ in self.algebra.basis]
@@ -759,7 +755,7 @@ class TensorAlgebra:
         return Element(self, {})
 
     def one(self) -> Element:
-        return Element(self, {self.one_key(): Fraction(1)})
+        return Element(self, {self.one_key(): 1})
 
     # -- name resolution (fiber names first; renaming keeps them disjoint) --
 
@@ -824,7 +820,7 @@ class RelativeModel(Cdga):
             i = self.fiber.generator_index(name)
             self._twist[i] = self._as_twist(value, given)
         base_degree = base.algebra.key_degree
-        self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, _exact(c))
+        self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, c)
                             for (bk, m), c in elt.terms.items()]
                         for i, elt in self._twist.items() if elt.terms}
         self._twist_base_keys = {bk for terms in self._dtwist.values() for bk, *_ in terms}
@@ -837,7 +833,7 @@ class RelativeModel(Cdga):
             return _as_element(value, self.algebra)
         alg = value.algebra
         if alg is self.base.algebra:
-            return self.embed_base(value)
+            return self.algebra.embed_left(value)
         # over the fiber generators as given: the keys are already ours
         if isinstance(alg, FreeAlgebra) and alg.generators == given:
             unit = self.base.algebra.one_key()
@@ -847,17 +843,9 @@ class RelativeModel(Cdga):
             return Element(self.algebra, value.terms)
         raise ContextError("twist element built over a foreign algebra")
 
-    # -- embeddings --------------------------------------------------------
-
-    def embed_base(self, element: Element) -> Element:
-        return self.algebra.embed_left(element)
-
-    def embed_fiber(self, element: Element) -> Element:
-        return self.algebra.embed_right(element)
-
     def fiber_gen(self, name: str) -> Element:
         name = self.renamings.get(name, name)
-        return self.embed_fiber(self.fiber.gen(name))
+        return self.algebra.embed_right(self.fiber.gen(name))
 
     def twist_of(self, name: str) -> Element:
         name = self.renamings.get(name, name)
@@ -957,7 +945,7 @@ class RelativeModel(Cdga):
 
     def generator_items(self):
         for i, g in enumerate(self.fiber.generators):
-            yield (g.name, g.degree, self.embed_fiber(self.fiber.gen(g.name)),
+            yield (g.name, g.degree, self.algebra.embed_right(self.fiber.gen(g.name)),
                    self._twist.get(i, self.algebra.zero()))
 
     def generator_names(self):
@@ -965,7 +953,7 @@ class RelativeModel(Cdga):
 
     def d2_items(self):
         for name, deg, elt, dv in self.base.d2_items():
-            yield name, deg, self.embed_base(elt), self.embed_base(dv)
+            yield name, deg, self.algebra.embed_left(elt), self.algebra.embed_left(dv)
         yield from self.generator_items()
 
     def key_word(self, key):
@@ -1385,8 +1373,8 @@ class CdgaMorphism:
                 raise ValueError("finite-source morphism must send 1 to 1")
             for u in range(len(alg.basis)):
                 for v in range(len(alg.basis)):
-                    eu = Element(alg, {u: Fraction(1)})
-                    ev = Element(alg, {v: Fraction(1)})
+                    eu = Element(alg, {u: 1})
+                    ev = Element(alg, {v: 1})
                     if self.apply(eu * ev) != self.apply(eu) * self.apply(ev):
                         raise ValueError(
                             f"finite-source morphism not multiplicative at "
@@ -1421,8 +1409,7 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     checked to be injective on cohomology representatives.  The source
     is walked by `cohomology` with representatives; the target's `_walk`
     is read to the cutoff, rank only and cleared.  f of each degree-n
-    representative, its integral coefficients as ints (the images come
-    with Fraction ones), is added to the echelon of the target's d_{n-1},
+    representative is added to the echelon of the target's d_{n-1},
     after b_n is read; one that adds no pivot shows a class sent into
     the span of the image and the classes before it, whatever rows span
     it.  f is not validated again: its constructor checked it.
@@ -1434,8 +1421,7 @@ def is_quasi_iso(f: CdgaMorphism, cutoff: int) -> QuasiIsoReport:
     for n, (dt, _, index, *_, image_prev) in enumerate(walk):
         injective = True
         for rep in source.representatives[n]:
-            vec = {index[k]: _exact(c)
-                   for k, c in f._apply_terms(rep.terms, memo).items()}
+            vec = {index[k]: c for k, c in f._apply_terms(rep.terms, memo).items()}
             pivot, _ = image_prev.add(vec)
             if pivot is None:
                 injective = False

@@ -3,8 +3,10 @@
 Values are `Element` instances: finitely supported rational linear
 combinations of monomials in graded generators.  Odd-degree generators
 anticommute and square to zero, even-degree generators commute.  Every
-coefficient is exact, an `int` or a `fractions.Fraction`, never a float;
-differentials assembled from integral data keep `int` coefficients.
+coefficient is exact, never a float, by one rule: an integral coefficient
+is an `int` where it is made (parsed, built by `one` or `gen`, or made
+by a division, through `_exact`), only a true fraction is a `Fraction`,
+and arithmetic keeps the types it is given, so no layer converts back.
 
 Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
 generator index; the empty tuple is the unit monomial.  Generator order is
@@ -191,18 +193,24 @@ class FreeAlgebra:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {UNIT_MONOMIAL: Fraction(1)})
+        return Element(self, {UNIT_MONOMIAL: 1})
 
     def gen(self, name: str) -> "Element":
         i = self.generator_index(name)
-        return Element(self, {((i, 1),): Fraction(1)})
+        return Element(self, {((i, 1),): 1})
 
     def name_power(self, name: str, exp: int) -> "Element":
         g = self.generator(name)
         if g.is_odd and exp > 1:
             raise ValueError(f"odd generator {name} raised to power {exp}")
         i = self.generator_index(name)
-        return Element(self, {((i, exp),): Fraction(1)})
+        return Element(self, {((i, exp),): 1})
+
+
+def _exact(c):
+    """An integral coefficient as an int; any other one unchanged: the
+    rule for a coefficient that a division makes."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def add_into(out: dict, items, scale=1) -> dict:
@@ -268,8 +276,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Element(self.algebra, {k: c * v for k, v in self.terms.items()})
+            return Element(self.algebra, {k: other * v for k, v in self.terms.items()})
         if not isinstance(other, Element):
             return NotImplemented
         self._check_context(other)
@@ -335,6 +342,7 @@ class Element:
 #            term    = [sign] [rational "*"] factor ("*" factor)*
 #            factor  = name ["^" positive-int]
 #            rational as "p/q" or an integer; whitespace insignificant.
+# An integer, or a "p/q" that q divides, parses to an int.
 # As a convenience a bare rational is accepted as a term, so "0" and
 # constant expressions parse.  This is the one grammar of model input:
 # differentials, Pontryagin classes, twists and product-table values,
@@ -386,12 +394,12 @@ def parse_element(text: str, context) -> Element:
         pos += 1
         return tok
 
-    def parse_rational(tok) -> Fraction:
+    def parse_rational(tok) -> int | Fraction:
         try:
             if "/" in tok[1]:
                 p, q = tok[1].split("/")
-                return Fraction(int(p), int(q))
-            return Fraction(int(tok[1]))
+                return _exact(Fraction(int(p), int(q)))
+            return int(tok[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed rational {tok[1]!r}: {exc}",
                              position=tok[2]) from None
@@ -424,7 +432,7 @@ def parse_element(text: str, context) -> Element:
         while peek()[:2] in (("op", "+"), ("op", "-")):
             if advance()[1] == "-":
                 sign = -sign
-        coeff = Fraction(1)
+        coeff = 1
         have_factor = False
         acc = context.one()
         if peek()[0] == "number":

@@ -4,11 +4,12 @@ Three independent elimination routines live here on purpose:
 
 * a sparse, fraction-free (integer cross-multiplication) echelon
   accumulator (`SparseEchelon`) used by all production code paths;
-* a modular certificate (`certified_rank`) on the columns scaled to
-  integers: r_p, the rank mod a 61-bit prime of the columns that lead
-  no kernel witness, is at most the rank over Q; the witnesses and the
-  mod-p relations lifted to Q, each verified exactly and each with an
-  index of its own, give nullity >= n - r_p.  `ratimm cohomology`
+* a modular certificate (`certified_rank`) on integer columns (int
+  columns as given, any other input over one common denominator): r_p,
+  the rank mod a 61-bit prime of the columns that lead no kernel
+  witness, is at most the rank over Q; the witnesses and the mod-p
+  relations lifted to Q, each verified exactly and each with an index
+  of its own, give nullity >= n - r_p.  `ratimm cohomology`
   checks every sparse rank against it, on every column, with the rows
   of im d_{n-1} as witnesses for the cleared ones; a wrong witness
   makes it decline, never changes the rank it returns;
@@ -29,7 +30,8 @@ A stored row may be the caller's own dict: the echelon never changes a
 row or an input in place, and a caller must not change a vector once
 it has added it.
 
-Vectors are dicts mapping coordinate index -> Fraction (or int).  All
+Vectors are dicts mapping coordinate index -> int or Fraction, an
+integral entry an int wherever the algebra layer makes it.  All
 results are exact and deterministic.  The walks of free and finite
 models hand in D*d, D the lcm of d's denominators, as ints: one D > 0
 on every column leaves each pivot, rank and primitive kernel vector as
@@ -46,15 +48,15 @@ from math import gcd, isqrt, lcm
 _TAG = 1 << 60
 
 
-def primitive(vec: dict):
-    """Scale a rational vector to coprime integers, building no Fraction.
+def primitive(vec: dict) -> dict[int, int]:
+    """Scale a rational vector to coprime integers, building no Fraction:
+    vec times the lcm of its denominators over the gcd of the scaled
+    entries, with no zero entry.
 
-    Returns (ivec, denom, g): ivec = vec * denom / g, with denom the lcm of
-    the denominators and g the gcd of the scaled entries (1 for zero).
     A vector of ints takes one C-level gcd, and comes back as the same
     dict when it is empty or its gcd is 1 and no entry is zero; only a
-    vector with a Fraction entry pays for the denominator scan.  So
-    ivec may be `vec` itself: neither may be changed in place.
+    vector with a Fraction entry pays for the denominator scan.  So the
+    result may be `vec` itself: neither may be changed in place.
     """
     values = vec.values()
     for c in values:  # the first entry's type picks the path
@@ -64,11 +66,11 @@ def primitive(vec: dict):
             except TypeError:  # a Fraction entry after the first
                 break
             if g == 1 and all(values):
-                return vec, 1, 1
-            return {j: v // g for j, v in vec.items() if v}, 1, g or 1
+                return vec
+            return {j: v // g for j, v in vec.items() if v}
         break
     else:  # empty
-        return vec, 1, 1
+        return vec
     denom = 1
     for c in values:
         d = c.denominator
@@ -77,8 +79,8 @@ def primitive(vec: dict):
     ivec = {j: c.numerator * (denom // c.denominator) for j, c in vec.items() if c}
     g = gcd(*ivec.values())
     if g > 1:
-        return {j: v // g for j, v in ivec.items()}, denom, g
-    return ivec, denom, 1
+        return {j: v // g for j, v in ivec.items()}
+    return ivec
 
 
 class SparseEchelon:
@@ -152,7 +154,7 @@ class SparseEchelon:
     def reduce(self, vec: dict) -> dict[int, int]:
         """Residue of a vector modulo the row space (integer-normalized),
         on row coordinates only."""
-        res = self._reduce(primitive(vec)[0])
+        res = self._reduce(primitive(vec))
         real = {j: v for j, v in res.items() if j < _TAG}
         # tags dropped can leave a common factor on the rest
         return real if len(real) == len(res) else self._normalize(real)
@@ -169,7 +171,7 @@ class SparseEchelon:
         """
         if tag is not None:
             vec = {**vec, _TAG + tag: 1}
-        ivec = primitive(vec)[0]
+        ivec = primitive(vec)
         if not self.pivot_cols.keys().isdisjoint(ivec.keys()):
             ivec = self._reduce(ivec)
         pivot = min(ivec) if ivec else _TAG
@@ -188,7 +190,7 @@ def kernel_vectors(ech: SparseEchelon, columns):
     for j, col in enumerate(columns):
         pivot, rel = ech.add(col, tag=j)
         if pivot is None:
-            yield primitive(rel)[0]
+            yield primitive(rel)
 
 
 def sparse_rank_kernel(columns: list[dict]):
@@ -232,8 +234,9 @@ def certified_rank(columns: list[dict], witnesses=()) -> int | None:
     """Rank of the matrix whose columns are the given sparse vectors,
     certified exactly, or None when the certificate cannot be made.
 
-    Each column is scaled once to integers over its own common
-    denominator, which changes no rank and no relation's support.
+    Columns whose entries are all ints are read as given.  Any other
+    input is scaled, every column by one common denominator, to
+    integers, which changes no rank and no relation.
     `witnesses` are untrusted integer vectors {column index: coefficient}
     claimed to lie in the kernel; each is checked exactly, sum_i w_i *
     column_i = 0, and their leading (smallest) indices must be distinct.
@@ -260,23 +263,17 @@ def certified_rank(columns: list[dict], witnesses=()) -> int | None:
     only make the certificate decline, never change the rank it returns.
     """
     n = len(columns)
-    dens, ints = [], []
-    for col in columns:
-        den = 1
-        for c in col.values():
-            d = c.denominator
-            if den % d:
-                den = lcm(den, d)
-        dens.append(den)
-        ints.append({i: c.numerator * (den // c.denominator) for i, c in col.items()})
-    # column_i = ints[i] * unit[i] / common
-    common = lcm(*dens)
-    unit = [common // den for den in dens]
+    ints = columns
+    # on type, not denominator: the mod-p pass takes ints, not Fraction(4, 2)
+    if any(type(c) is not int for col in columns for c in col.values()):
+        common = lcm(*(c.denominator for col in columns for c in col.values()))
+        ints = [{i: c.numerator * (common // c.denominator) for i, c in col.items()}
+                for col in columns]
     leads = set()
     for w in witnesses:
         lead = min(w, default=-1)
         if (lead < 0 or lead in leads or max(w) >= n or not all(w.values())
-                or not _vanishes(ints, {i: c * unit[i] for i, c in w.items()})):
+                or not _vanishes(ints, w)):
             return None
         leads.add(lead)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cdga import (BettiTable, FiniteCdga, FreeCdga, RelativeModel,
                    TensorAlgebra, _tensor_relative, _unique_name, cohomology)
 from .errors import InputError
-from .gca import Element, FreeAlgebra, Generator, add_into
+from .gca import Element, FreeAlgebra, Generator, _exact, add_into
 
 __all__ = [
     "EMFactor", "SphereFactor", "em_mapping_space", "em_split",
@@ -156,7 +156,7 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
     label = label or f"Sect({E.label})"
     full = FreeAlgebra(gens, label=label)
     T = TensorAlgebra(A.algebra, full, label="pairing")
-    pairing = {t: Element(T, {(u, ((g, 1),)): Fraction(1) for u, g in slot.items()})
+    pairing = {t: Element(T, {(u, ((g, 1),)): 1 for u, g in slot.items()})
                for t, slot in slots.items()}
 
     # D(sum a_u (x) v_u) = sum d_A(a_u) (x) v_u
@@ -165,7 +165,7 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
     for t, slot in slots.items():
         rhs = T.zero()
         for (lk, fm), c in E.twist_of(fibre[t].name).terms.items():
-            term = Element(T, {(lk, ()): Fraction(1)})
+            term = Element(T, {(lk, ()): 1})
             for i, e in fm:
                 if i not in slots:
                     raise InputError(f"the twist of {fibre[t].name} mentions "
@@ -204,7 +204,7 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
 
     def solve(eq: dict, mono):
         """Eliminate the generator of the linear term `mono` by eq = 0."""
-        q = Fraction(-1, eq.pop(mono))
+        q = _exact(Fraction(-1, eq.pop(mono)))
         eliminate(mono[0][0], {m: q * c for m, c in eq.items()})
 
     while dropped:

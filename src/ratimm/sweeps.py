@@ -101,7 +101,7 @@ def random_closed_classes(rng: random.Random, M: ManifoldModel):
         if not kernel:
             continue
         vec = rng.choice(kernel)
-        coeff = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+        coeff = rng.choice([-2, -1, 1, 2, 3])
         classes[i] = Element(alg, {keys[j]: coeff * c for j, c in vec.items()})
     return classes
 

@@ -1120,7 +1120,7 @@ def reference_apply(f, element):
     for key, c in element.terms.items():
         base_key, word = src.key_word(key)
         term = (tgt.one() if base_key is None
-                else Element(tgt, {(base_key, tgt.right.one_key()): Fraction(1)}))
+                else Element(tgt, {(base_key, tgt.right.one_key()): 1}))
         for name, e in word:
             img = f.images[name]
             for _ in range(e):

@@ -123,8 +123,14 @@ def _random_vectors(rng, count, width):
 def test_primitive_scales_to_coprime_integers():
     rng = random.Random(2718)
     for vec in _random_vectors(rng, 300, 8):
-        ivec, denom, g = linalg.primitive(vec)
-        assert ivec == {i: c * Fraction(denom, g) for i, c in vec.items() if c}
+        ivec = linalg.primitive(vec)
+        nonzero = {i: c for i, c in vec.items() if c}
+        # a positive rational multiple of vec, the factor read off ivec
+        factor = Fraction(ivec[min(ivec)], nonzero[min(ivec)]) if ivec else 1
+        assert factor > 0
+        assert ivec == {i: c * factor for i, c in nonzero.items()}
+        # integral, with gcd 1
+        assert all(type(v) is int for v in ivec.values())
         assert gcd(*ivec.values()) == (1 if ivec else 0)
 
 
@@ -394,6 +400,24 @@ def test_certified_rank_with_kernel_witnesses(monkeypatch):
         certified += rank is not None
     assert certified >= 55
     assert sum(len(rows) for _, _, rows, _ in cases) >= 100
+
+
+def test_certified_rank_on_mixed_coefficient_types():
+    # ints, integral Fractions such as Fraction(4, 2) (the mod-p pass
+    # takes ints) and true fractions, within and across columns
+    rng = random.Random(4242)
+    entries = [3, -1, 2, Fraction(4, 2), Fraction(-6, 3), Fraction(1, 2), Fraction(-5, 3)]
+    for _ in range(60):
+        nrows = rng.randint(1, 6)
+        cols = [{i: rng.choice(entries)
+                 for i in rng.sample(range(nrows), rng.randint(0, nrows))}
+                for _j in range(rng.randint(1, 9))]
+        dense = linalg.dense_rank(linalg.dense_from_columns(cols, nrows))
+        assert linalg.certified_rank(cols) == dense
+    # witnesses are checked on the columns as given: c1 = 2*c0
+    cols = [{0: Fraction(4, 2), 1: 1}, {0: 4, 1: 2}, {0: Fraction(1, 2)}]
+    assert linalg.certified_rank(cols, [{0: 2, 1: -1}]) == 2
+    assert linalg.certified_rank(cols, [{0: 1, 1: -1}]) is None
 
 
 def test_certified_rank_declines_bad_witnesses():
