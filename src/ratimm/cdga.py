@@ -15,8 +15,8 @@ of `tensor`) are renamed where their names clash, by the one rule of
 element written over the generators as given already has the keys of the
 result: a relative model takes its twist in that form and is built once,
 and `tensor` shifts the second factor's monomials by index.  A finite
-`tensor` takes its products, Koszul sign included, from `TensorAlgebra`,
-and is not checked again: its factors were.
+`tensor` stores the products of `TensorAlgebra`, Koszul sign included,
+once per unordered pair, and is not checked again: its factors were.
 
 All three derive from `Cdga` and answer the same questions, so the code
 that consumes them (d^2 checks, morphisms, cohomology, the CLI) never
@@ -338,27 +338,22 @@ class Cdga:
 class FreeCdga(Cdga):
     """Free graded-commutative algebra with a differential on generators."""
 
-    def __init__(self, generators, differential=None, label: str = "", check: bool = True):
+    def __init__(self, generators, differential=None, label: str = ""):
         if isinstance(generators, FreeAlgebra):
             self.algebra = generators
         else:
             self.algebra = FreeAlgebra(generators, label=label)
         self.label = label or self.algebra.label
-        diff = differential or {}
         self._diff: dict[int, Element] = {}
-        for key, value in diff.items():
-            name = key.name if isinstance(key, Generator) else key
-            i = self.algebra.generator_index(name)
-            elt = _as_element(value, self.algebra)
-            self._diff[i] = elt
+        for name, value in (differential or {}).items():
+            self._diff[self.algebra.generator_index(name)] = _as_element(value, self.algebra)
         scale = self._scale = _denominator_lcm(self._diff.values())
         self._dgen = {i: [(None, False, m, _exact(c * scale))
                           for m, c in elt.terms.items()]
                       for i, elt in self._diff.items() if elt.terms}
         self._closed = frozenset(i for i, g in enumerate(self.algebra.generators)
                                  if not g.is_odd and i not in self._dgen)
-        if check:
-            self._validate()
+        self._validate()
 
     @property
     def generators(self):
@@ -407,14 +402,14 @@ def unit_cdga(label: str = "unit") -> FreeCdga:
 class FiniteAlgebra:
     """Graded algebra on a finite basis with structure-constant products.
 
-    Keys are basis indices; the single degree-0 element is the unit.
-    Products may be given for either orientation of a pair, the other is
-    filled in with the Koszul sign.  A product value is an expression
-    linear in basis names, or a {name: coefficient} dict, and one with
-    the unit gives the other factor; a complaint about one value names
-    its pair in the exception's `product` attribute.  check=False skips
-    the associativity check, for a table built from checked ones
-    (`tensor`).
+    Keys are basis indices; the single degree-0 element is the unit.  A
+    product value is an expression linear in basis names, given for
+    either orientation of a pair or both, and one with the unit gives
+    the other factor; a complaint about one value names its pair in the
+    exception's `product` attribute.  Each nonzero product u*v of
+    non-unit u <= v is stored once; `mul_key_pairs` derives the mirror,
+    with the Koszul sign, and the unit rows.  check=False skips the
+    associativity check, for a table built from checked ones (`tensor`).
     """
 
     def __init__(self, basis, products=None, label: str = "", check: bool = True):
@@ -435,15 +430,15 @@ class FiniteAlgebra:
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for i, (_, d) in enumerate(self.basis):
             self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
-        # each product's coefficients, an int where integral
-        self._table: dict[tuple[int, int], dict] = {}
-        self._load_products(products or {})
+        # {(u, v): u*v as ((key, coefficient), ...)} for non-unit u <= v
+        # with u*v != 0, each coefficient an int where integral
+        self._table = self._load_products(products or {})
         if check:
             self._validate()
 
     # -- construction ----------------------------------------------------
 
-    def _load_products(self, products):
+    def _load_products(self, products) -> dict[tuple[int, int], tuple]:
         # the basis names an expression can write, all as degree-2
         # generators: a product or power of names stays a monomial (an odd
         # square would vanish), which `_value_vector` rejects as nonlinear
@@ -454,46 +449,37 @@ class FiniteAlgebra:
             deg = self.basis[u][1] + self.basis[v][1]
             try:
                 vec = self._value_vector(value, names)
-                for w, c in vec.items():
-                    if c and self.basis[w][1] != deg:
+                for w in vec:
+                    if self.basis[w][1] != deg:
                         raise DegreeError(
                             f"product {uname}*{vname} has a degree-{self.basis[w][1]} "
                             f"term; expected degree {deg}")
                 if self.unit in (u, v):
                     other = u if v == self.unit else v
-                    if {w: c for w, c in vec.items() if c} != {other: 1}:
+                    if vec != {other: 1}:
                         raise ValueError(f"product {uname}*{vname} breaks the unit "
                                          f"law; expected {self.basis[other][0]}")
             except (ParseError, DegreeError, ValueError) as exc:
                 exc.product = (uname, vname)
                 raise
-            given[(u, v)] = vec
-        n = len(self.basis)
-        for u in range(n):
-            for v in range(n):
-                du, dv = self.basis[u][1], self.basis[v][1]
-                if u == self.unit:
-                    vec = {v: 1}
-                elif v == self.unit:
-                    vec = {u: 1}
-                else:
-                    sign = -1 if (du % 2 and dv % 2) else 1
-                    if (u, v) in given:
-                        vec = given[(u, v)]
-                        if (v, u) in given:
-                            mirror = {w: sign * c for w, c in given[(v, u)].items()}
-                            if mirror != vec:
-                                raise ValueError(
-                                    f"products for ({self.basis[u][0]},{self.basis[v][0]}) "
-                                    "violate graded commutativity")
-                    elif (v, u) in given:
-                        vec = {w: sign * c for w, c in given[(v, u)].items()}
-                    else:
-                        vec = {}
-                    if u == v and du % 2 and any(vec.values()):
-                        raise ValueError(
-                            f"odd element {self.basis[u][0]} has a nonzero square")
-                self._table[(u, v)] = {w: c for w, c in vec.items() if c}
+            if self.unit not in (u, v):
+                given[(u, v)] = vec
+        # fold each pair into its u <= v entry, given orientation first, and
+        # name the least pair whose mirror disagrees (an odd square's is itself)
+        store: dict[tuple[int, int], dict] = {}
+        conflicts = []
+        for (u, v), vec in sorted(given.items(), key=lambda item: item[0][0] > item[0][1]):
+            sign = -1 if self.basis[u][1] % 2 and self.basis[v][1] % 2 else 1
+            mirror = {w: sign * c for w, c in vec.items()}
+            if u > v:
+                u, v, vec = v, u, mirror
+            if store.setdefault((u, v), vec) != vec or (u == v and mirror != vec):
+                conflicts.append((u, v))
+        if conflicts:
+            u, v = min(conflicts)
+            raise ValueError(f"products for ({self.basis[u][0]},{self.basis[v][0]}) "
+                             "violate graded commutativity")
+        return {pair: tuple(vec.items()) for pair, vec in store.items() if vec}
 
     def _value_vector(self, value, names: FreeAlgebra) -> dict[int, Fraction]:
         if isinstance(value, str):
@@ -506,9 +492,6 @@ class FiniteAlgebra:
                                      "basis name; a product value is linear")
                 vec[self._index[names.generators[mono[0][0]].name]] = c
             return vec
-        if isinstance(value, dict):
-            return {self.basis_index(k) if not isinstance(k, int) else k: _exact(Fraction(c))
-                    for k, c in value.items()}
         raise TypeError(f"cannot interpret product value {value!r}")
 
     def _validate(self):
@@ -517,18 +500,18 @@ class FiniteAlgebra:
         for u in range(n):
             for v in range(n):
                 for w in range(n):
-                    left = self._mul_vec(self._table[(u, v)], lambda k: (k, w))
-                    right = self._mul_vec(self._table[(v, w)], lambda k: (u, k))
+                    left = self._mul_vec(self.mul_key_pairs(u, v), lambda k: (k, w))
+                    right = self._mul_vec(self.mul_key_pairs(v, w), lambda k: (u, k))
                     if left != right:
                         raise ValueError(
                             f"product table is not associative at "
                             f"({self.basis[u][0]},{self.basis[v][0]},{self.basis[w][0]})")
 
-    def _mul_vec(self, vec: dict, pair) -> dict[int, Fraction]:
-        """sum_k vec[k] * (product of the basis pair `pair(k)`)."""
+    def _mul_vec(self, pairs, pair) -> dict[int, Fraction]:
+        """sum of c * (product of the basis pair `pair(k)`) over `pairs`."""
         out: dict[int, Fraction] = {}
-        for k, c in vec.items():
-            add_into(out, self._table[pair(k)].items(), c)
+        for k, c in pairs:
+            add_into(out, self.mul_key_pairs(*pair(k)), c)
         return out
 
     # -- introspection ---------------------------------------------------
@@ -554,7 +537,12 @@ class FiniteAlgebra:
         return self._by_degree.get(n, ())
 
     def mul_key_pairs(self, i: int, j: int):
-        return list(self._table[(i, j)].items())
+        if self.unit in (i, j):
+            return [(j if i == self.unit else i, 1)]
+        if i <= j:
+            return list(self._table.get((i, j), ()))
+        sign = -1 if self.basis[i][1] % 2 and self.basis[j][1] % 2 else 1
+        return [(w, sign * c) for w, c in self._table.get((j, i), ())]
 
     def format_key(self, i: int) -> str:
         return self.basis[i][0] if i != self.unit else "1"
@@ -578,15 +566,17 @@ class FiniteAlgebra:
 
 
 class FiniteCdga(Cdga):
-    """Finite-dimensional CDGA: a FiniteAlgebra plus a differential.
-
-    check=False skips `_validate`, for a product of checked factors
-    (`tensor`), as `FreeCdga(check=False)` does.
+    """Finite-dimensional CDGA: a FiniteAlgebra plus a differential keyed
+    by basis name.  A FiniteAlgebra given as `basis` brings its products,
+    so `products` must be None.  check=False skips `_validate`, for a
+    product of checked factors (`tensor`).
     """
 
     def __init__(self, basis, products=None, differential=None, label: str = "",
                  simply_connected: bool = False, check: bool = True):
         if isinstance(basis, FiniteAlgebra):
+            if products is not None:
+                raise TypeError("products belong to the FiniteAlgebra given as basis")
             self.algebra = basis
         else:
             self.algebra = FiniteAlgebra(basis, products, label=label)
@@ -594,8 +584,7 @@ class FiniteCdga(Cdga):
         self.simply_connected = simply_connected
         self._diff: dict[int, Element] = {}
         for key, value in (differential or {}).items():
-            i = self.algebra.basis_index(key) if not isinstance(key, int) else key
-            self._diff[i] = _as_element(value, self.algebra)
+            self._diff[self.algebra.basis_index(key)] = _as_element(value, self.algebra)
         scale = self._scale = _denominator_lcm(self._diff.values())
         self._dterms = {i: {k: _exact(c * scale) for k, c in elt.terms.items()}
                         for i, elt in self._diff.items() if elt.terms}
@@ -814,8 +803,7 @@ class RelativeModel(Cdga):
         self.algebra = TensorAlgebra(base.algebra, self.fiber, label=label)
         self.label = label
         self._twist: dict[int, Element] = {}
-        for key, value in (twist or {}).items():
-            name = key.name if isinstance(key, Generator) else key
+        for name, value in (twist or {}).items():
             name = self.renamings.get(name, name)
             i = self.fiber.generator_index(name)
             self._twist[i] = self._as_twist(value, given)
@@ -1105,8 +1093,8 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
     `_cochains`, clears nothing, and takes every rank from the dense
     eliminator alone.  The certificate and the dense eliminator share
     columns with the walk, never elimination.  Clearing needs d^2 = 0,
-    which every constructor checks: a model built with check=False and
-    d^2 != 0 has no defined table.
+    which every constructor checks, except that a finite `tensor` takes
+    it from its checked factors.
     """
     if engine not in ("sparse", "certified", "dense"):
         raise ValueError(f"unknown cohomology engine {engine!r}")
@@ -1244,14 +1232,17 @@ def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
         taken.add(name)
         basis.append((name, abasis[i][1] + bbasis[j][1]))
 
-    pair_alg = TensorAlgebra(a.algebra, b.algebra)
-    products = {(basis[t1][0], basis[t2][0]):
-                {pos[k]: c for k, c in pair_alg.mul_key_pairs(p1, p2)}
-                for t1, p1 in enumerate(pairs) for t2, p2 in enumerate(pairs)}
-    # the factors were checked: associativity, the Leibniz rule and
-    # d^2 = 0 hold on their product, H^0 = Q, and H^1 = 0 if both are
-    # simply connected (Kunneth)
-    alg = FiniteAlgebra(basis, products, label=label, check=False)
+    # the factors were checked: associativity, graded commutativity, the
+    # Leibniz rule and d^2 = 0 hold on their product, H^0 = Q, and H^1 = 0
+    # if both are simply connected (Kunneth); the store takes t1 <= t2
+    alg = FiniteAlgebra(basis, label=label, check=False)
+    mul = TensorAlgebra(a.algebra, b.algebra).mul_key_pairs
+    nonunit = [t for t in range(len(pairs)) if t != alg.unit]
+    for s, t1 in enumerate(nonunit):
+        for t2 in nonunit[s:]:
+            prod = mul(pairs[t1], pairs[t2])
+            if prod:  # a product of true fractions may be integral
+                alg._table[(t1, t2)] = tuple((pos[k], _exact(c)) for k, c in prod)
     # d(i (x) j) = d_A(i) (x) j + (-1)^{|i|} i (x) d_B(j); the two sums
     # share no pair
     differential = {}
@@ -1260,7 +1251,7 @@ def _tensor_finite(a: FiniteCdga, b: FiniteCdga, label: str) -> FiniteCdga:
         terms = {pos[(ai, j)]: c for ai, c in a.diff_key(i).terms.items()}
         terms.update((pos[(i, bj)], sign * c) for bj, c in b.diff_key(j).terms.items())
         if terms:
-            differential[t] = Element(alg, terms)
+            differential[basis[t][0]] = Element(alg, terms)
     result = FiniteCdga(alg, differential=differential, label=label,
                         simply_connected=a.simply_connected and b.simply_connected,
                         check=False)
@@ -1285,8 +1276,7 @@ class CdgaMorphism:
         self.target = target
         self.label = label
         self.images: dict[str, Element] = {}
-        for key, value in images.items():
-            name = key.name if isinstance(key, Generator) else key
+        for name, value in images.items():
             if isinstance(source, RelativeModel):
                 name = source.renamings.get(name, name)
             self.images[name] = _as_element(value, target.algebra)

@@ -21,7 +21,7 @@ from .bundles import (ManifoldModel, complex_projective_plane, framed_bundle_mod
                       unreduced_framed_model)
 from .cdga import (FiniteCdga, FreeCdga, check_d_squared, cohomology, d_columns,
                    is_quasi_iso, tensor)
-from .gca import Element, FreeAlgebra, Generator, basis_count_series, parse_element
+from .gca import Element, FreeAlgebra, Generator, _exact, basis_count_series, parse_element
 from .immersions import (growth_degree, immersion_components,
                          verify_growth_bounds)
 from .mapping import section_model
@@ -133,7 +133,7 @@ def _random_element(rng: random.Random, algebra: FreeAlgebra, degree: int) -> El
     for key in keys:
         if rng.random() < 0.6:
             c = rng.choice([-2, -1, 1, 2, 3])
-            terms[key] = Fraction(c, rng.choice([1, 1, 2]))
+            terms[key] = _exact(Fraction(c, rng.choice([1, 1, 2])))
     return Element(algebra, terms)
 
 
