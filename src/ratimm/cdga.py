@@ -6,8 +6,8 @@ Three algebra kinds share one element type and one cohomology routine:
   derivation given on generators (Sullivan-style model).
 * `FiniteCdga` -- a finite-dimensional algebra presented by a basis, a
   structure-constant product table and a differential matrix.
-* `RelativeModel` -- an inclusion of a base CDGA into base (x) fiber with
-  a twisted differential on the fiber generators.
+* `RelativeModel` -- an inclusion of a free or finite base CDGA into
+  base (x) fiber with a twisted differential on the fiber generators.
 
 Generators set beside others (a relative model's fiber, the second factor
 of `tensor`) are renamed where their names clash, by the one rule of
@@ -33,7 +33,9 @@ asks which kind it holds:
 * `generator_items()` -- (name, degree, element, d-image) for each
   generator a morphism is given on: the free generators, the fiber
   generators, or the finite basis;
-* `generator_names()` -- their names alone, with no element built;
+* `generator_names()` -- their names alone, with no element built (free
+  and finite kinds only: the names that a relative model's fiber or a
+  `tensor` factor is renamed beside);
 * `d2_items()` -- the same for every generator whose d^2 is checked (a
   relative model adds its base's generators, embedded, first);
 * `key_word(key)` -- (base key or None, [(generator name, exponent)]),
@@ -91,7 +93,8 @@ each asked of the base once, and |lk|.  `_fiber_terms` writes
 D(1 (x) rm), P merged in: `_diff_terms`, its memo kept for one `diff`
 call, reads it by key, and a walk in rows.  A degree n of
 `TensorAlgebra` is laid out as blocks, one per base key lk in
-base-degree order (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
+base-degree order, each base degree read from the base's own
+`keys_of_degree` (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
 pos(rm) the position of rm among the fiber monomials of its degree.
 The walk's memo keeps, per fiber degree, D(1 (x) rm) of each rm, P
 merged in, as ((bk, position), coefficient), and `_column` assembles the
@@ -562,6 +565,13 @@ class FiniteAlgebra:
         return Element(self, {self.basis_index(name): 1})
 
     def name_power(self, name: str, exp: int) -> Element:
+        # a power above the top degree vanishes, so at most top/|name|
+        # multiplications are made, whatever the exponent
+        i = self.basis_index(name)
+        if i == self.unit:
+            return self.one()
+        if exp * self.basis[i][1] > self.top_degree:
+            return self.zero()
         return self.gen(name) ** exp
 
 
@@ -656,14 +666,14 @@ class _BlockIndex:
 
 
 class TensorAlgebra:
-    """Product algebra base (x) fiber; keys are (base_key, fiber_key)."""
+    """Product algebra base (x) fiber; keys are (base_key, fiber_key).
+    The base (free or finite) indexes its own keys by degree, so only the
+    fiber's are kept here, per degree (`fiber_degree`)."""
 
     def __init__(self, left, right, label: str = ""):
         self.left = left
         self.right = right
         self.label = label
-        self._base: list[tuple[int, tuple]] = []  # (i, base keys), i ascending
-        self._base_seen = -1
         self._fiber: dict[int, tuple] = {}  # see fiber_degree
 
     def one_key(self):
@@ -680,12 +690,16 @@ class TensorAlgebra:
         """Degree n as (keys, `_BlockIndex`): a block per base key lk, in
         base-degree order, of the fiber monomials of degree n - |lk|, none
         for an lk with no such monomial.  That is `sort_key` order: base
-        degree ascending, then each factor's own order."""
+        degree ascending, then each factor's own order.  Each base degree
+        i <= n, up to the base's top degree, is read from the base's own
+        `keys_of_degree`."""
+        top = self.left.top_degree
         keys: list = []
         starts, fiber = {}, {}
-        for i, lkeys in self._base_degrees(n):
+        for i in range(n + 1 if top is None else min(n, top) + 1):
+            lkeys = self.left.keys_of_degree(i)
             rkeys, positions = self.fiber_degree(n - i)
-            if not rkeys:
+            if not lkeys or not rkeys:
                 continue
             offset, width = len(keys), len(rkeys)
             for j, lk in enumerate(lkeys):
@@ -693,17 +707,6 @@ class TensorAlgebra:
                 fiber[lk] = positions
             keys.extend(product(lkeys, rkeys))
         return tuple(keys), _BlockIndex(n, starts, fiber)
-
-    def _base_degrees(self, n: int):
-        """(i, base keys of degree i) for each base degree i <= n that
-        holds keys; each degree is asked of the base once."""
-        top = self.left.top_degree
-        while self._base_seen < n and (top is None or self._base_seen < top):
-            self._base_seen += 1
-            lkeys = self.left.keys_of_degree(self._base_seen)
-            if lkeys:
-                self._base.append((self._base_seen, lkeys))
-        return [block for block in self._base if block[0] <= n]
 
     def fiber_degree(self, d: int):
         """(the fiber monomials of degree d, {rm: position of rm among
@@ -769,7 +772,8 @@ class TensorAlgebra:
 class RelativeModel(Cdga):
     """Inclusion of a base CDGA into base (x) fiber with twisted differential.
 
-    The fiber is a free algebra; the differential restricted to the base
+    The base is a free or finite CDGA (InputError otherwise); the fiber
+    is a free algebra; the differential restricted to the base
     is the base differential, and on each fiber generator it is a given
     element of the tensor algebra (zero when omitted).  Fiber names must
     be distinct; a fiber generator whose name the base takes is renamed
@@ -793,6 +797,9 @@ class RelativeModel(Cdga):
     d_symbol = "D"
 
     def __init__(self, base, fiber_generators, twist=None, label: str = ""):
+        if not isinstance(base, (FreeCdga, FiniteCdga)):
+            raise InputError("the base of a relative model must be a free or finite "
+                             f"CDGA, not {type(base).__name__}")
         self.base = base
         self.given = given = tuple(fiber_generators)
         names = [g.name for g in given]
@@ -935,9 +942,6 @@ class RelativeModel(Cdga):
         for i, g in enumerate(self.fiber.generators):
             yield (g.name, g.degree, self.algebra.embed_right(self.fiber.gen(g.name)),
                    self._twist.get(i, self.algebra.zero()))
-
-    def generator_names(self):
-        return [g.name for g in self.fiber.generators]
 
     def d2_items(self):
         for name, deg, elt, dv in self.base.d2_items():

@@ -4,9 +4,13 @@ Values are `Element` instances: finitely supported rational linear
 combinations of monomials in graded generators.  Odd-degree generators
 anticommute and square to zero, even-degree generators commute.  Every
 coefficient is exact, never a float, by one rule: an integral coefficient
-is an `int` where it is made (parsed, built by `one` or `gen`, or made
-by a division, through `_exact`), only a true fraction is a `Fraction`,
-and arithmetic keeps the types it is given, so no layer converts back.
+is an `int` where it is made (every coefficient of a parsed element,
+products through a table included, one built by `one` or `gen`, or one
+made by a division, through `_exact`), only a true fraction is a
+`Fraction`.  Arithmetic keeps the types it is given, so no layer converts
+back, and a product of true fractions that is integral stays a
+`Fraction`: `add_into` does not normalize, because the hot loops that
+keep their own copy of its rule (see `cdga`) would then disagree with it.
 
 Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
 generator index; the empty tuple is the unit monomial.  Generator order is
@@ -459,7 +463,8 @@ def parse_element(text: str, context) -> Element:
     tok = peek()
     if tok[0] != "end":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", position=tok[2])
-    return result
+    # a product of true fractions in a table may be integral
+    return Element(context, {k: _exact(c) for k, c in result.terms.items()})
 
 
 def basis_count_series(generators, upto: int) -> list[int]:

@@ -14,7 +14,8 @@ from ratimm.cdga import (CdgaMorphism, FiniteAlgebra, FiniteCdga, FreeCdga,
                          RelativeModel, TensorAlgebra, check_d_squared,
                          cohomology, is_quasi_iso, tensor, unit_cdga)
 from ratimm.errors import ChainMapError, ContextError, DegreeError, InputError
-from ratimm.gca import Element, FreeAlgebra, Generator, parse_element
+from ratimm.gca import (Element, FreeAlgebra, Generator, basis_count_series,
+                        parse_element)
 from ratimm.sweeps import nonformal_base
 
 
@@ -142,6 +143,22 @@ def _bench_shape(coefficients):
     return parse_cdga("\n".join(lines) + "\n")
 
 
+def _free_base_models():
+    """Relative models over a free base with an even generator, so with no
+    top degree: the first with integral d, the second with non-integral d
+    (a walk eliminates D*d of a free or finite model, but a relative
+    model reads d_B itself)."""
+    s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"})
+    free_base = RelativeModel(s2, [Generator("u2", 2), Generator("t5", 5),
+                                   Generator("w6", 6)],
+                              {"t5": "e2*u2^2", "w6": "x3*u2^2 - e2*t5"})
+    half = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "1/2*e2^2"})
+    half_free_base = RelativeModel(half, [Generator("u2", 2), Generator("t5", 5),
+                                          Generator("w6", 6)],
+                                   {"t5": "e2*u2^2", "w6": "x3*u2^2 - 1/2*e2*t5"})
+    return free_base, half_free_base
+
+
 def _oracle_models():
     from ratimm.bundles import (sphere_product_manifold, stiefel_model,
                                 unreduced_framed_model)
@@ -154,16 +171,7 @@ def _oracle_models():
     odd_base = RelativeModel(s3, [Generator("x3", 3), Generator("y2", 2),
                                   Generator("z4", 4)],
                              {"x3": "y2^2", "z4": "a*y2"})
-    s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"})
-    free_base = RelativeModel(s2, [Generator("u2", 2), Generator("t5", 5),
-                                   Generator("w6", 6)],
-                              {"t5": "e2*u2^2", "w6": "x3*u2^2 - e2*t5"})
-    # relative models over bases with non-integral d: a walk eliminates
-    # D*d of a free or finite model, but a relative model reads d_B itself
-    half = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "1/2*e2^2"})
-    half_free_base = RelativeModel(half, [Generator("u2", 2), Generator("t5", 5),
-                                          Generator("w6", 6)],
-                                   {"t5": "e2*u2^2", "w6": "x3*u2^2 - 1/2*e2*t5"})
+    free_base, half_free_base = _free_base_models()
     half_finite = FiniteCdga([("one", 0), ("a", 2), ("y", 3), ("a2", 4), ("w", 5)],
                              {("a", "a"): "a2", ("a", "y"): "w"}, {"y": "1/2*a2"},
                              simply_connected=True)
@@ -353,16 +361,34 @@ def test_block_index_rejects_a_key_of_another_degree():
                 index[key]
 
 
+def _base_counts(alg, upto):
+    """The number of base keys in each degree <= upto, counted apart from
+    `keys_of_degree`: by generating function for a free base, from the
+    basis list for a finite one."""
+    if isinstance(alg, FiniteAlgebra):
+        counts = Counter(d for _, d in alg.basis)
+        return [counts[n] for n in range(upto + 1)]
+    return basis_count_series(alg.generators, upto)
+
+
 def test_tensor_keys_are_enumerated_in_sort_order():
+    # in order, no key twice, and every key: sum_i |B_i| * c_{n-i}, with c
+    # counted from the fiber generators alone
     from ratimm.bundles import unreduced_framed_model
     from ratimm.sweeps import sweep_instances
+    upto = 24
+    algebras = [m.algebra for m in _free_base_models()]
     for M, k in sweep_instances(random.Random(0)):
         big, phi = unreduced_framed_model(M, k)
-        for alg in (big.algebra, phi.target.algebra):
-            for n in range(25):
-                keys = alg.keys_of_degree(n)
-                assert list(keys) == sorted(keys, key=alg.sort_key)
-                assert len(set(keys)) == len(keys)
+        algebras += [big.algebra, phi.target.algebra]
+    for alg in algebras:
+        base = _base_counts(alg.left, upto)
+        fiber = basis_count_series(alg.right.generators, upto)
+        for n in range(upto + 1):
+            keys = alg.keys_of_degree(n)
+            assert list(keys) == sorted(keys, key=alg.sort_key)
+            assert len(set(keys)) == len(keys)
+            assert len(keys) == sum(base[i] * fiber[n - i] for i in range(n + 1)), (alg, n)
 
 
 # -- d^2 checks --------------------------------------------------------------
@@ -1245,6 +1271,15 @@ def test_fiber_renaming_avoids_later_fiber_names():
     # duplicate fiber names are rejected: `renamings` could not address both
     with pytest.raises(InputError, match="duplicate"):
         RelativeModel(base, [Generator("y", 3), Generator("y", 3)], {})
+
+
+def test_relative_model_over_a_relative_model_is_an_input_error():
+    # the base must be free or finite: a relative model's key algebra has
+    # no top degree and the model no generator names to rename beside
+    s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"})
+    inner = RelativeModel(s2, [Generator("u2", 2), Generator("t5", 5)], {"t5": "e2*u2^2"})
+    with pytest.raises(InputError, match="free or finite CDGA, not RelativeModel"):
+        RelativeModel(inner, [Generator("v3", 3)], {"v3": "u2^2"})
 
 
 def test_twist_over_the_fiber_generators_as_given():

@@ -243,6 +243,19 @@ def test_parse_signs_and_whitespace():
     assert parse_element("a*u", alg) == alg.gen("a") * alg.gen("u")
 
 
+def test_parsed_integral_coefficient_is_an_int():
+    # a * a = 1/2 * b, so 2*a^2 is b: parsed, its coefficient is an int,
+    # while the product of the same elements keeps its Fraction
+    from ratimm.cdga import FiniteAlgebra
+    alg = FiniteAlgebra([("one", 0), ("a", 2), ("b", 4)], {("a", "a"): "1/2*b"})
+    b = alg.basis_index("b")
+    for text in ("2*a^2", "4*a*a - b", "2*a*a"):
+        terms = parse_element(text, alg).terms
+        assert terms == {b: 1} and type(terms[b]) is int, text
+    assert [type(c) for c in (parse_element("a", alg) ** 2 * 2).terms.values()] == [Fraction]
+    assert parse_element("a^2", alg).terms == {b: Fraction(1, 2)}
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_parse_format_round_trip(data):

@@ -1,5 +1,7 @@
 """Document formats: round-trips and positioned errors."""
 
+import time
+
 import pytest
 
 from ratimm.bundles import complex_projective_plane, sphere_manifold
@@ -50,6 +52,23 @@ def test_manifold_round_trip():
     assert serialize_manifold(again) == text
     assert again.dimension == 4 and again.name == "CP^2"
     assert str(again.pontryagin[1]) == "3*aa"
+
+
+def test_huge_exponent_in_a_finite_model_is_cut_at_the_top_degree():
+    # a power above the top degree vanishes and the unit's power is the
+    # unit, so an exponent of 10^9 costs no more than a small one
+    model = ("manifold: N\ndimension: 4\npontryagin: 1 = {p}\nkind: finite\n"
+             "label: N\nbasis: one 0\nbasis: a 2\nbasis: y 3\nbasis: aa 4\n"
+             "product: a * a = aa\nd: y = {d}\n")
+    huge = "1000000000"
+    start = time.perf_counter()
+    big = parse_manifold(model.format(p=f"3*one^{huge}*aa + a^{huge}",
+                                      d=f"one^{huge}*aa - y^1*a^{huge}"))
+    assert time.perf_counter() - start < 1
+    small = parse_manifold(model.format(p="3*one^2*aa + a^3", d="one^3*aa"))
+    assert serialize_manifold(big) == serialize_manifold(small)
+    assert str(big.pontryagin[1]) == "3*aa"
+    assert str(big.model.diff_key(big.model.algebra.basis_index("y"))) == "aa"
 
 
 def test_manifold_round_trip_no_classes():
