@@ -73,47 +73,55 @@ order (a free algebra reads suffix tables it builds bottom-up; a finite
 algebra indexes its basis by degree once; a tensor algebra lays a degree
 out as blocks, below).  A walk reads each degree's keys and index from
 the model's `_layout` and its columns from `_columns`: by default the
-keys' `_diff_terms` mapped through a {key: row} dict (`d_columns`), and
-by blocks for a relative model (below).  Call a generator
-closed when it is even with d = 0 (an even free or fiber generator with
-no differential or twist).  A key's monomial splits as P*R, P its closed
-factors; P is even and closed, so d(P*R) = P*d(R).  `_diff_terms`
-expands the Leibniz rule (`_leibniz`) on R only, from the terms of d on
-generators that each model caches once, keeps d(R) in the memo under R
-(a free CDGA with no closed generator keeps none: each of its R is a
-whole key), and merges P into each term, a plain exponent merge with no
-sign.  A relative model splits once more:
+keys' `_diff_terms` mapped through a {key: row} dict (`d_columns`), for
+a finite model.  Call a generator closed when it is even with d = 0 (an
+even free or fiber generator with no differential or twist).  A key's
+monomial splits as P*R, P its closed factors; P is even and closed, so
+d(P*R) = P*d(R).  `_diff_terms`, the key path of `diff` and
+`diff_key`, expands the Leibniz rule (`_leibniz`) on R only, from the
+terms of d on generators that each model caches once, keeps d(R) in the
+memo under R, and merges P into each term (`_times_closed`), a plain
+exponent merge with no sign.  A walk does the same on monomial codes
+(`gca`: one int per monomial, listed beside each degree's monomials by
+`codes_of_degree`, the product of P and m the sum of their codes): a
+key's code is p + r, r = code & `_rest_mask` the code of R, d(R) is kept
+in the walk's memo under r as (base key, code, coefficient) items
+(`_rest_codes`), and P*m is p + m.  A free CDGA's `_layout` indexes its
+rows by code (`_CodeIndex`, which looks a monomial key up by its code),
+and its `_columns` writes the column of a key as {row[p + m]: c} over
+d(R) (a free CDGA with no closed generator keeps no memo: each of its R
+is a whole key).  A relative model splits once more:
 
     D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm).
 
-Every base key of a walk meets the same fiber monomials rm and the
-other way round, so its memo keeps under (None, lk) a row for each base
-key lk: d_B(lk), its sign, the products lk*bk as exact coefficients,
-each asked of the base once, and |lk|.  `_fiber_terms` writes
-D(1 (x) rm), P merged in: `_diff_terms`, its memo kept for one `diff`
-call, reads it by key, and a walk in rows.  A degree n of
+Every base key of a walk meets the same fiber monomials rm and the other
+way round, so its memo keeps under (None, lk) a row for each base key
+lk: d_B(lk), its sign, the products lk*bk as exact coefficients, each
+asked of the base once, and |lk|.  `_diff_terms` writes D(1 (x) rm), P
+merged in, its memo kept for one `diff` call.  A degree n of
 `TensorAlgebra` is laid out as blocks, one per base key lk in
 base-degree order, each base degree read from the base's own
 `keys_of_degree` (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
-pos(rm) the position of rm among the fiber monomials of its degree.
-The walk's memo keeps, per fiber degree, D(1 (x) rm) of each rm, P
-merged in, as ((bk, position), coefficient), and `_column` assembles the
-column of (lk, rm) as an int-keyed dict: d_B(lk) (x) rm at
-start_{n+1}[k] + pos(rm) for each term k, then start_{n+1}[lk*bk] + q
-for each product term.  No pair index is built, and no pair is hashed
-per key.  A fiber degree is dropped once the walk has passed it by more
-than the base's top degree.  Columns are plain dicts, with no
-`Element`; `_cochains` hands them one memo that lives as long as its
-walk.  A free or finite model's `_diff_terms` give D*d, D (`_scale`)
-the lcm of the coefficient denominators of d on its generators or
-basis, found once by the constructor (1 for integral input), so their
-walks assemble int columns: every column scaled by one D > 0 keeps its
-pivots, ranks and primitive kernel vectors, so no output changes, and
-`diff`, `diff_key` and a relative model's base rows divide D out.  A
-relative model walks d itself, in ints for integral input.  An int
-column `linalg.primitive` takes with one gcd: a coprime column that
-meets no pivot is stored as the row itself, so a column is never
-changed once it is assembled.
+pos(rm) the position of rm among the fiber monomials of its degree,
+found by the code of rm (`fiber_degree`).  The walk's memo keeps, per
+fiber degree, D(1 (x) rm) of each rm as ((bk, position), coefficient), P
+merged in by code (`_fiber_entry`), and `_column` assembles the column
+of (lk, rm) as an int-keyed dict: d_B(lk) (x) rm at start_{n+1}[k] +
+pos(rm) for each term k, then start_{n+1}[lk*bk] + q for each product
+term.  No pair index is built, and no pair or fiber monomial is hashed per
+key.  A fiber degree is dropped once the walk has passed it by more than
+the base's top degree.  Columns are plain dicts, with no `Element`;
+`_cochains` hands them one memo that lives as long as its walk.  A free
+or finite model's `_diff_terms` and columns give D*d, D (`_scale`) the
+lcm of the coefficient denominators of d on its generators or basis,
+found once by the constructor (1 for integral input), so their walks
+assemble int columns: every column scaled by one D > 0 keeps its pivots,
+ranks and primitive kernel vectors, so no output changes, and `diff`,
+`diff_key` and a relative model's base rows divide D out.  A relative
+model walks d itself, in ints for integral input.  An int column
+`linalg.primitive` takes with one gcd: a coprime column that meets no
+pivot is stored as the row itself, so a column is never changed once it
+is assembled.
 
 A morphism applies the same split, f(lk (x) word) = (lk (x) 1) * f(word)
 (`CdgaMorphism._apply_terms`): f(word) is built once per word, from
@@ -241,6 +249,15 @@ def _times_closed(mono, closed, m):
     return tuple(out)
 
 
+def _rest_codes(fiber: FreeAlgebra, mono, dgen, closed) -> list:
+    """The terms of d(R) for `mono` = P*R, as (base key, code of the
+    monomial, coefficient), in `_leibniz` order: the walks' form of
+    `_rest_leibniz`, which merge P in by adding its code."""
+    code = fiber.code
+    rest = tuple([f for f in mono if f[0] not in closed])
+    return [(bk, code(m), c) for (bk, m), c in _leibniz(fiber, rest, dgen).items()]
+
+
 def _rest_leibniz(fiber: FreeAlgebra, mono, dgen, closed, memo):
     """The terms of d(R), as `_leibniz` items, for `mono` = P*R.
 
@@ -356,6 +373,8 @@ class FreeCdga(Cdga):
                       for i, elt in self._diff.items() if elt.terms}
         self._closed = frozenset(i for i, g in enumerate(self.algebra.generators)
                                  if not g.is_odd and i not in self._dgen)
+        self._rest_mask = self.algebra.code_mask(
+            i for i in range(len(self.algebra.generators)) if i not in self._closed)
         self._validate()
 
     @property
@@ -376,6 +395,31 @@ class FreeCdga(Cdga):
 
     def diff_key(self, mono) -> Element:
         return Element(self.algebra, _unscaled(self._diff_terms(mono, {}), self._scale))
+
+    def _layout(self, n):
+        alg = self.algebra
+        return alg.keys_of_degree(n), _CodeIndex(alg, alg.codes_of_degree(n))
+
+    def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
+        """`_diff_terms` on codes: a key's code splits as p + r, r = code &
+        `_rest_mask` that of R, and d(P*R) = P*d(R) is row p + m of
+        `index_next` for each term m of d(R), kept in `memo` under r."""
+        alg, dgen, closed, mask = self.algebra, self._dgen, self._closed, self._rest_mask
+        out = []
+        for j, code in enumerate(index):
+            if j in skip:
+                continue
+            r = code & mask
+            # with no closed generator every R is a whole key, met once in
+            # a walk: nothing to memoize
+            terms = memo.get(r) if closed else None
+            if terms is None:
+                terms = _rest_codes(alg, keys[j], dgen, closed)
+                if closed:
+                    memo[r] = terms
+            p = code - r
+            out.append({index_next[p + m]: c for _, m, c in terms})
+        return out
 
     def generator_items(self):
         for i, g in enumerate(self.algebra.generators):
@@ -649,20 +693,37 @@ class FiniteCdga(Cdga):
 # Tensor algebra of a base algebra with a free fiber algebra
 # ---------------------------------------------------------------------------
 
+class _CodeIndex(dict):
+    """{code: position} of one degree's monomials of a free algebra, in
+    key order.  A monomial is looked up by its code, so one of another
+    degree raises KeyError."""
+
+    __slots__ = ("_code",)
+
+    def __init__(self, algebra, codes):
+        super().__init__(zip(codes, range(len(codes))))
+        self._code = algebra.code
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            return self[self._code(key)]
+        raise KeyError(key)
+
+
 class _BlockIndex:
     """The rows of one degree n of a `TensorAlgebra`, laid out as blocks:
     (lk, rm) is row starts[lk] + pos(rm), pos(rm) the position of rm
-    among the fiber monomials of degree n - |lk|.  A key of another
-    degree raises KeyError."""
+    among the fiber monomials of degree n - |lk|, found by its code.  A
+    key of another degree raises KeyError."""
 
-    __slots__ = ("degree", "starts", "_fiber")
+    __slots__ = ("degree", "starts", "_fiber", "_code")
 
-    def __init__(self, degree, starts, fiber):
-        self.degree, self.starts, self._fiber = degree, starts, fiber
+    def __init__(self, degree, starts, fiber, code):
+        self.degree, self.starts, self._fiber, self._code = degree, starts, fiber, code
 
     def __getitem__(self, key):
         lk, rm = key
-        return self.starts[lk] + self._fiber[lk][rm]
+        return self.starts[lk] + self._fiber[lk][self._code(rm)]
 
 
 class TensorAlgebra:
@@ -698,7 +759,7 @@ class TensorAlgebra:
         starts, fiber = {}, {}
         for i in range(n + 1 if top is None else min(n, top) + 1):
             lkeys = self.left.keys_of_degree(i)
-            rkeys, positions = self.fiber_degree(n - i)
+            rkeys, _, positions = self.fiber_degree(n - i)
             if not lkeys or not rkeys:
                 continue
             offset, width = len(keys), len(rkeys)
@@ -706,15 +767,16 @@ class TensorAlgebra:
                 starts[lk] = offset + j * width
                 fiber[lk] = positions
             keys.extend(product(lkeys, rkeys))
-        return tuple(keys), _BlockIndex(n, starts, fiber)
+        return tuple(keys), _BlockIndex(n, starts, fiber, self.right.code)
 
     def fiber_degree(self, d: int):
-        """(the fiber monomials of degree d, {rm: position of rm among
-        them}), built once per degree."""
+        """(the fiber monomials of degree d, their codes, {code: position
+        among them}), built once per degree."""
         fiber = self._fiber.get(d)
         if fiber is None:
             rkeys = self.right.keys_of_degree(d)
-            fiber = self._fiber[d] = (rkeys, {rm: p for p, rm in enumerate(rkeys)})
+            codes = self.right.codes_of_degree(d)
+            fiber = self._fiber[d] = (rkeys, codes, dict(zip(codes, range(len(codes)))))
         return fiber
 
     def mul_key_pairs(self, key1, key2):
@@ -821,6 +883,8 @@ class RelativeModel(Cdga):
         self._twist_base_keys = {bk for terms in self._dtwist.values() for bk, *_ in terms}
         self._closed = frozenset(i for i, g in enumerate(self.fiber.generators)
                                  if not g.is_odd and i not in self._dtwist)
+        self._rest_mask = self.fiber.code_mask(
+            i for i in range(len(self.fiber.generators)) if i not in self._closed)
         self._validate()
 
     def _as_twist(self, value, given) -> Element:
@@ -862,18 +926,16 @@ class RelativeModel(Cdga):
                                     _Products(base_alg, lk), degree)
         return row
 
-    def _fiber_terms(self, rm, memo):
-        """D(1 (x) rm), its closed factors merged in, as ((bk, fm), c) items."""
-        closed = self._closed
-        return [((bk, _times_closed(rm, closed, fm)), c) for (bk, fm), c
-                in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)]
-
     def _diff_terms(self, key, memo) -> dict:
-        # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm)
+        # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm),
+        # D(1 (x) rm) with its closed factors merged in
         lk, rm = key
         dlk, sign, products, _ = self._base_row(lk, memo)
         out = {(k, rm): c for k, c in dlk}
-        products.add_times(out, self._fiber_terms(rm, memo), sign)
+        closed = self._closed
+        products.add_times(out, [((bk, _times_closed(rm, closed, fm)), c) for (bk, fm), c
+                                 in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)],
+                           sign)
         return out
 
     def _layout(self, n):
@@ -902,8 +964,8 @@ class RelativeModel(Cdga):
 
     def _fiber_degree(self, d, fibers):
         """The walk's record of fiber degree d, kept in `fibers`: its
-        monomials rm, D(1 (x) rm) of each by position (None until
-        `_column` asks), and {bk: the positions of fiber degree
+        monomials rm, their codes, D(1 (x) rm) of each by position (None
+        until `_column` asks), and {bk: {code: position} of fiber degree
         d + 1 - |bk|} for the base keys bk of the twist.  Degrees below
         d - (the base's top degree) are dropped: the walk has passed
         them, and no later key meets them."""
@@ -912,11 +974,23 @@ class RelativeModel(Cdga):
             for old in [e for e in fibers if e < d - top]:
                 del fibers[old]
         fiber_degree, base_degree = self.algebra.fiber_degree, self.base.algebra.key_degree
-        rkeys = fiber_degree(d)[0]
-        targets = {bk: fiber_degree(d + 1 - base_degree(bk))[1]
+        rkeys, codes, _ = fiber_degree(d)
+        targets = {bk: fiber_degree(d + 1 - base_degree(bk))[2]
                    for bk in self._twist_base_keys}
-        fiber = fibers[d] = (rkeys, [None] * len(rkeys), targets)
+        fiber = fibers[d] = (rkeys, codes, [None] * len(rkeys), targets)
         return fiber
+
+    def _fiber_entry(self, rm, code, targets, memo) -> list:
+        """D(1 (x) rm), rm = P*R with `code`, as ((bk, q), c) items, q
+        the position of the fiber monomial in `targets[bk]`: d(R) is kept
+        in `memo` under r, the code of R, and P merged in by adding its
+        code, p = code - r."""
+        r = code & self._rest_mask
+        terms = memo.get(r)
+        if terms is None:
+            terms = memo[r] = _rest_codes(self.fiber, rm, self._dtwist, self._closed)
+        p = code - r
+        return [((bk, targets[bk][p + m]), c) for bk, m, c in terms]
 
     def _column(self, key, p, row, fiber, starts, memo) -> dict:
         """D(key), key = (lk, rm) with rm at position p of its `fiber`
@@ -924,11 +998,10 @@ class RelativeModel(Cdga):
         of the next degree's `starts`: d_B(lk) (x) rm, then lk*bk at
         starts[lk*bk] + q for each ((bk, q), c) of D(1 (x) rm), q the
         position of the fiber monomial, which the record keeps."""
-        _, entries, targets = fiber
+        _, codes, entries, targets = fiber
         terms = entries[p]
         if terms is None:
-            terms = entries[p] = [((bk, targets[bk][fm]), c)
-                                  for (bk, fm), c in self._fiber_terms(key[1], memo)]
+            terms = entries[p] = self._fiber_entry(key[1], codes[p], targets, memo)
         dlk, sign, products, _ = row
         out = {starts[k] + p: c for k, c in dlk} if dlk else {}
         if terms:

@@ -15,7 +15,13 @@ keep their own copy of its rule (see `cdga`) would then disagree with it.
 Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
 generator index; the empty tuple is the unit monomial.  Generator order is
 declaration order and monomial order is graded-lexicographic, so every
-serialization is deterministic.
+serialization is deterministic.  A monomial also has an int code, its
+exponents as digits of `CODE_BITS` bits, sum e_i << (CODE_BITS*i): when
+no odd generator meets itself, the product of two monomials is the sum
+of their codes, up to the Koszul sign.  `codes_of_degree` lists a
+degree's codes beside its monomials, and an algebra refuses a degree at
+which an exponent could reach 2^CODE_BITS, so no two monomials share a
+code.
 
 Sparse sums of {key: coefficient} dicts are accumulated by one rule,
 `add_into`: a key whose coefficient cancels is popped, so no stored
@@ -31,10 +37,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContextError, DegreeError, ParseError
+from .errors import ContextError, DegreeError, InputError, ParseError
 
 Monomial = tuple  # ((gen_index, exponent), ...), index-ascending
 UNIT_MONOMIAL: Monomial = ()
+CODE_BITS = 16  # bits of one exponent in a monomial's code
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -76,8 +83,14 @@ class FreeAlgebra:
         # the highest degree of a monomial, None when an even generator
         # makes it unbounded
         self.top_degree = sum(g.degree for g in gens) if all(self._odd) else None
-        # _tails[pos][rem]: the monomials of degree rem in generators[pos:]
+        # _tails[pos][rem]: the monomials of degree rem in generators[pos:];
+        # _codes[pos][rem]: their codes, in the same order
         self._tails: list[list[tuple[Monomial, ...]]] = [[] for _ in range(len(gens) + 1)]
+        self._codes: list[list[tuple[int, ...]]] = [[] for _ in range(len(gens) + 1)]
+        # the lowest degree at which an even generator's exponent could
+        # reach 2^CODE_BITS (an odd one's is at most 1)
+        evens = [g.degree for g in gens if not g.is_odd]
+        self._code_limit = min(evens) << CODE_BITS if evens else None
 
     # -- introspection -------------------------------------------------
 
@@ -167,29 +180,71 @@ class FreeAlgebra:
         the monomials of degree rem in generators[pos:] are those with
         each exponent e of generator pos, largest first, times the ones
         of degree rem - e*|g| in generators[pos+1:].  That is `sort_key`
-        order: no sort.
+        order: no sort.  The same loop builds their codes, each the code
+        of its head plus that of its tail.  A degree at which codes could
+        collide raises InputError before anything is built.
         """
         if n < 0:
             return ()
-        tails = self._tails
+        tails, codes = self._tails, self._codes
         have = len(tails[0])
         if n >= have:
-            last = tails[-1]  # no generator left: the unit, in degree 0
-            if not last:
-                last.append((UNIT_MONOMIAL,))
-            last.extend([()] * (n + 1 - len(last)))
+            limit = self._code_limit
+            if limit is not None and n >= limit:
+                raise InputError(
+                    f"degree {n} is out of range in {self!r}: an exponent could "
+                    f"reach 2^{CODE_BITS} from degree {limit} on")
+            if not tails[-1]:  # no generator left: the unit, in degree 0
+                tails[-1].append((UNIT_MONOMIAL,))
+                codes[-1].append((0,))
+            for table in (tails[-1], codes[-1]):
+                table.extend([()] * (n + 1 - len(table)))
             for pos in range(len(self.generators) - 1, -1, -1):
                 deg, odd = self.generators[pos].degree, self._odd[pos]
                 below, table = tails[pos + 1], tails[pos]
+                below_codes, code_table = codes[pos + 1], codes[pos]
+                shift = CODE_BITS * pos
                 for rem in range(have, n + 1):
                     out: list[Monomial] = []
+                    out_codes: list[int] = []
                     for e in range(min(rem // deg, 1) if odd else rem // deg, 0, -1):
                         rest = below[rem - e * deg]
                         if rest:
-                            head = ((pos, e),)
+                            head, head_code = ((pos, e),), e << shift
                             out += [head + tail for tail in rest]
-                    table.append(tuple(out) + below[rem] if out else below[rem])
+                            out_codes += [head_code + tail for tail in below_codes[rem - e * deg]]
+                    if out:
+                        table.append(tuple(out) + below[rem])
+                        code_table.append(tuple(out_codes) + below_codes[rem])
+                    else:
+                        table.append(below[rem])
+                        code_table.append(below_codes[rem])
         return tails[0][n]
+
+    def codes_of_degree(self, n: int) -> tuple[int, ...]:
+        """The codes of `basis_of_degree(n)`, in its order."""
+        if n < 0:
+            return ()
+        if n >= len(self._codes[0]):
+            self.basis_of_degree(n)
+        return self._codes[0][n]
+
+    def code(self, mono: Monomial) -> int:
+        """The code of `mono`, sum e_i << (CODE_BITS*i); InputError for an
+        exponent of 2^CODE_BITS or more, whose code another monomial has."""
+        code = 0
+        for i, e in mono:
+            if e >> CODE_BITS:
+                raise InputError(f"exponent {e} of {self.generators[i].name} is out "
+                                 f"of range for a monomial code (< 2^{CODE_BITS})")
+            code += e << (CODE_BITS * i)
+        return code
+
+    def code_mask(self, indices) -> int:
+        """The bits of the codes of the generators at `indices`: code & mask
+        is the code of a monomial's factor in those generators."""
+        digit = (1 << CODE_BITS) - 1
+        return sum(digit << (CODE_BITS * i) for i in indices)
 
     # -- element constructors ------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .cdga import (BettiTable, FiniteCdga, FreeCdga, RelativeModel,
                    TensorAlgebra, _tensor_relative, _unique_name, cohomology)
@@ -58,8 +59,9 @@ def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
     if bettiM.cutoff < n:
         raise ValueError(f"need Betti numbers of the source up to degree {n}, "
                          f"have cutoff {bettiM.cutoff}")
-    return [EMFactor(bettiM.dims[n - q], q) for q in range(1, n + 1)
-            if bettiM.dims[n - q]]
+    # q = n - j for each degree j < n where M has cohomology, q ascending
+    dims = bettiM.dims[:n]
+    return [EMFactor(dims[j], n - j) for j in reversed(list(compress(range(n), dims)))]
 
 
 def sphere_model(k: int) -> FreeCdga:
@@ -88,9 +90,11 @@ def em_split(E) -> tuple[list[EMFactor], list[Generator]]:
 
     A fibre generator v that is closed and that no twist mentions splits
     off Map(M, K(Q,|v|)), whose factors `em_mapping_space` reads off one
-    Betti walk of the base, which may be free.  Returns those factors by
-    degree, the larger multiplicity first, and the other fibre generators
-    as given to E, in fibre order.
+    Betti walk of the base, which may be free.  The walk stops at the
+    base's top degree, if it has one, and the table is padded with zeros
+    to the largest |v|.  Returns those factors by degree, the larger
+    multiplicity first, and the other fibre generators as given to E, in
+    fibre order.
     """
     twists = [E.twist_of(g.name) for g in E.given]
     mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
@@ -98,7 +102,10 @@ def em_split(E) -> tuple[list[EMFactor], list[Generator]]:
     split = [g.degree for g in E.given if g not in kept]
     if not split:
         return [], kept
-    betti = cohomology(E.base, max(split), representatives=False)
+    top, cutoff = E.base.algebra.top_degree, max(split)
+    walked = cutoff if top is None else min(cutoff, top)
+    dims = cohomology(E.base, walked, representatives=False).dims
+    betti = BettiTable(cutoff, dims + [0] * (cutoff - walked))
     factors = sorted((f for n in split for f in em_mapping_space(betti, n)),
                      key=lambda f: (f.degree, -f.coefficient_dim))
     return factors, kept

@@ -181,9 +181,7 @@ def _oracle_models():
     # a closed (a2) and a non-closed (z4) even generator in one free CDGA
     mixed = FreeCdga([Generator("a2", 2), Generator("y3", 3), Generator("z4", 4)],
                      {"z4": "a2*y3"})
-    # no closed generator at all: every even generator has a differential
-    unclosed = FreeCdga([Generator("w2", 2), Generator("y3", 3), Generator("u4", 4)],
-                        {"w2": "y3", "u4": "w2*y3"})
+    unclosed = _unclosed_model()
     models = [(sphere_map_null_model(sphere_product_manifold(2, 4).model, 8), 20),
               (stiefel_model(7, 4), 20), (fractional, 24),
               (odd_base, 20), (free_base, 20), (half_free_base, 20), (half_finite, 12),
@@ -272,20 +270,21 @@ def test_null_model_walk_expands_each_odd_word_once(monkeypatch):
 
 def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
     # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm):
-    # a walk merges the closed factors of rm into D(1 (x) rm) once per rm,
-    # and asks the base for each product lk*bk once
+    # a walk merges the closed factors of rm into D(1 (x) rm) once per rm
+    # (`_fiber_entry`, by adding codes), expands each rest R once, and asks
+    # the base for each product lk*bk once
     from ratimm import cdga
     from ratimm.bundles import unreduced_framed_model
     from ratimm.sweeps import sweep_instances
     models = [unreduced_framed_model(M, k)[0]
               for M, k in sweep_instances(random.Random(0))[:8]]
     merges, leibniz_calls, products = Counter(), Counter(), Counter()
-    times_closed, leibniz = cdga._times_closed, cdga._leibniz
+    fiber_entry, leibniz = RelativeModel._fiber_entry, cdga._leibniz
     mul_key_pairs = FiniteAlgebra.mul_key_pairs
 
-    def counted_merge(mono, closed, m):
-        merges[(mono, m)] += 1
-        return times_closed(mono, closed, m)
+    def counted_merge(self, rm, code, targets, memo):
+        merges[rm] += 1
+        return fiber_entry(self, rm, code, targets, memo)
 
     def counted_leibniz(fiber, mono, dgen):
         leibniz_calls[mono] += 1
@@ -295,7 +294,7 @@ def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
         products[(id(self), i, j)] += 1
         return mul_key_pairs(self, i, j)
 
-    monkeypatch.setattr(cdga, "_times_closed", counted_merge)
+    monkeypatch.setattr(RelativeModel, "_fiber_entry", counted_merge)
     monkeypatch.setattr(cdga, "_leibniz", counted_leibniz)
     monkeypatch.setattr(FiniteAlgebra, "mul_key_pairs", counted_products)
     for model in models:
@@ -321,13 +320,36 @@ def _layout_models():
         for M, k in sweep_instances(random.Random(seed)):
             phi = unreduced_framed_model(M, k)[1]
             models += [phi.source, phi.target]
-    return models
+    return models + _free_models()
+
+
+def _free_models():
+    """Free CDGAs, whose walks assemble columns from monomial codes: the
+    CLI benchmark model, the golden S2xS2 input, a model with rational d
+    (D = 6), one with no closed generator, and a null mapping model."""
+    from pathlib import Path
+
+    from ratimm.bundles import sphere_product_manifold
+    from ratimm.io import load_cdga
+    from ratimm.mapping import sphere_map_null_model
+    golden = Path(__file__).resolve().parent / "golden" / "inputs" / "free_s2xs2.cdga"
+    return [_bench_shape(_bench_coefficients(0)), load_cdga(str(golden)),
+            _bench_shape(_FRACTIONAL), _unclosed_model(),
+            sphere_map_null_model(sphere_product_manifold(2, 4).model, 8)]
+
+
+def _unclosed_model():
+    """A free CDGA with no closed generator: every even generator has a
+    differential."""
+    return FreeCdga([Generator("w2", 2), Generator("y3", 3), Generator("u4", 4)],
+                    {"w2": "y3", "u4": "w2*y3"})
 
 
 def test_walk_columns_match_the_key_path():
-    # a relative model's walk lays each degree out as blocks and assembles
-    # its columns in their rows; every column must be d of its key in the
-    # rows of the next degree's keys, entries in the same order
+    # a free model's walk assembles its columns from monomial codes, a
+    # relative model's lays each degree out as blocks and assembles its
+    # columns in their rows; every column must be `_diff_terms` of its key
+    # in the rows of the next degree's keys, entries in the same order
     from ratimm.cdga import _cochains
     checked = 0
     for cdga in _layout_models():
@@ -341,6 +363,12 @@ def test_walk_columns_match_the_key_path():
                 want = {row_of[k]: c for k, c in cdga._diff_terms(key, {}).items()}
                 assert list(col.items()) == list(want.items()), (cdga, key)
                 checked += 1
+            if isinstance(cdga, FreeCdga):
+                # a monomial is looked up by its code: one of another
+                # degree is not a key of degree n
+                for key in alg.keys_of_degree(n - 1) + tuple(row_of):
+                    with pytest.raises(KeyError):
+                        index[key]
     assert checked > 40000
 
 
@@ -1078,12 +1106,13 @@ def test_representatives_match_the_every_degree_kernel_reference():
 
 def _count_diff_terms(monkeypatch, *quiet):
     """Count the outermost calls of the per-key assembly routines per
-    (model, key): `_diff_terms`, which `diff_key` and the walks of free
-    and finite models use, and a relative model's `_column`, which its
-    walks use.  Calls made inside a counted call or inside the functions
-    in `quiet` are left out, and so are those inside a relative model's
-    `_base_row`: its call to its base's `_diff_terms` is part of its own
-    assembly."""
+    (model, key): `_diff_terms`, which `diff_key` and the walks of finite
+    models use, a relative model's `_column`, which its walks use, and,
+    per key whose column it returns, a free model's `_columns`, which
+    assembles its walks' columns from monomial codes.  Calls made inside
+    a counted call or inside the functions in `quiet` are left out, and
+    so are those inside a relative model's `_base_row`: its call to its
+    base's `_diff_terms` is part of its own assembly."""
     counts = Counter()
     depth = [0]
 
@@ -1098,8 +1127,24 @@ def _count_diff_terms(monkeypatch, *quiet):
                 depth[0] -= 1
         return wrapper
 
+    free_columns = FreeCdga._columns
+
+    def columns(self, keys, index, skip, *args):
+        outermost = not depth[0]
+        depth[0] += 1
+        try:
+            out = free_columns(self, keys, index, skip, *args)
+        finally:
+            depth[0] -= 1
+        asked = [key for j, key in enumerate(keys) if j not in skip]
+        assert len(out) == len(asked)
+        if outermost:
+            counts.update((id(self), key) for key in asked)
+        return out
+
     for cls in (FreeCdga, FiniteCdga, RelativeModel):
         monkeypatch.setattr(cls, "_diff_terms", wrap(cls._diff_terms, True))
+    monkeypatch.setattr(FreeCdga, "_columns", columns)
     monkeypatch.setattr(RelativeModel, "_column", wrap(RelativeModel._column, True))
     for owner, name in ((RelativeModel, "_base_row"), *quiet):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name), False))

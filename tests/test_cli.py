@@ -308,14 +308,24 @@ def test_cohomology_assembles_each_key_once(capsys, monkeypatch):
     from ratimm.io import load_cdga
 
     path = str(Path(__file__).resolve().parent / "golden" / "inputs" / "free_s2xs2.cdga")
+    # a walk assembles its columns in `_columns`, from monomial codes;
+    # `_diff_terms` is the per-key path of `diff` and `diff_key`
     counts = Counter()
     loading = [False]
-    diff_terms = FreeCdga._diff_terms
+    diff_terms, columns = FreeCdga._diff_terms, FreeCdga._columns
 
     def counted(self, key, memo):
         if not loading[0]:
             counts[key] += 1
         return diff_terms(self, key, memo)
+
+    def counted_columns(self, keys, index, skip, *args):
+        out = columns(self, keys, index, skip, *args)
+        asked = [key for j, key in enumerate(keys) if j not in skip]
+        assert len(out) == len(asked)
+        if not loading[0]:
+            counts.update(asked)
+        return out
 
     def quiet_load(*args):
         loading[0] = True
@@ -325,6 +335,7 @@ def test_cohomology_assembles_each_key_once(capsys, monkeypatch):
             loading[0] = False
 
     monkeypatch.setattr(FreeCdga, "_diff_terms", counted)
+    monkeypatch.setattr(FreeCdga, "_columns", counted_columns)
     monkeypatch.setattr(cli, "load_cdga", quiet_load)
     code, out, _ = run(capsys, "cohomology", path, "--max-degree", "20")
     assert code == 0 and out.startswith("model: S2xS2")

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratimm.errors import ContextError, DegreeError, ParseError
-from ratimm.gca import (Element, FreeAlgebra, Generator, add_into,
+from ratimm.errors import ContextError, DegreeError, InputError, ParseError
+from ratimm.gca import (CODE_BITS, Element, FreeAlgebra, Generator, add_into,
                         basis_count_series, parse_element)
 
 
@@ -154,6 +154,51 @@ def test_bottom_up_basis_matches_brute_force(seed, order):
     assert ([len(alg.basis_of_degree(n)) for n in range(upto + 1)]
             == basis_count_series(gens, upto))
     assert alg.basis_of_degree(-1) == ()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_monomial_codes_add_under_products(seed):
+    # a degree's codes come with its monomials, in their order, from the
+    # same suffix tables, asked first or second; distinct monomials have
+    # distinct codes, and a product with no odd square adds codes
+    rng = random.Random(seed)
+    degrees = [rng.choice([1, 2, 2, 3, 4, 5, 6]) for _ in range(rng.randint(1, 6))]
+    gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
+    alg = FreeAlgebra(gens)
+    upto = 24
+    asked = list(range(upto, -1, -1)) if seed % 2 else list(range(upto + 1))
+    for n in asked:
+        codes = alg.codes_of_degree(n)
+        keys = alg.basis_of_degree(n)
+        assert codes == tuple(alg.code(m) for m in keys)
+        assert len(set(codes)) == len(codes)
+    monomials = [m for n in range(13) for m in alg.basis_of_degree(n)]
+    for _ in range(200):
+        m1, m2 = rng.choice(monomials), rng.choice(monomials)
+        product = alg.mul_monomials(m1, m2)
+        if product is not None:
+            assert alg.code(product[1]) == alg.code(m1) + alg.code(m2)
+    assert alg.codes_of_degree(-1) == ()
+
+
+def test_code_digits_are_guarded():
+    # an exponent of 2^CODE_BITS would carry into the next generator's
+    # digit: encoding one raises, and so does a degree at which an even
+    # generator's exponent could reach it, before anything is enumerated
+    alg = FreeAlgebra([Generator("x", 3), Generator("e", 4), Generator("f", 6)])
+    top = (1 << CODE_BITS) - 1
+    assert alg.code(((1, top),)) == top << CODE_BITS
+    with pytest.raises(InputError, match="out of range"):
+        alg.code(((1, top + 1),))
+    limit = 4 << CODE_BITS
+    for ask in (alg.codes_of_degree, alg.basis_of_degree):
+        for n in (limit, 10 ** 15):
+            with pytest.raises(InputError, match=f"from degree {limit} on"):
+                ask(n)
+    assert alg._tails[0] == [] and alg._codes[0] == []
+    # odd generators alone have exponents at most 1: no limit
+    odd = FreeAlgebra([Generator("x", 3), Generator("y", 5)])
+    assert odd.codes_of_degree(8) == (1 + (1 << CODE_BITS),)
 
 
 # -- randomized algebra laws -------------------------------------------------

@@ -383,3 +383,42 @@ def test_section_model_without_a_null_section_is_an_input_error():
     E = framed_bundle_model(load_manifold(DATA / "cp2.manifold"), 2)
     with pytest.raises(InputError, match="equation of x1 at aa has the constant term 3"):
         section_model(E)
+
+
+def _full_walk_factors(E, kept):
+    """em_split's factors as a walk of the base to the largest split
+    degree gives them, q = 1..n for each split degree n."""
+    split = [g.degree for g in E.given if g not in kept]
+    if not split:
+        return []
+    betti = cohomology(E.base, max(split), representatives=False)
+    factors = [EMFactor(betti.dims[n - q], q) for n in split for q in range(1, n + 1)
+               if betti.dims[n - q]]
+    return sorted(factors, key=lambda f: (f.degree, -f.coefficient_dim))
+
+
+def test_em_split_walks_the_base_to_its_top_degree_only(monkeypatch):
+    # H(M) vanishes above M's top degree: the walk stops there, and the
+    # factors are those of a walk to the largest split degree
+    from ratimm import mapping
+    walked = []
+    walk = mapping.cohomology
+
+    def recorded(cdga, cutoff, **kwargs):
+        walked.append((cdga, cutoff))
+        return walk(cdga, cutoff, **kwargs)
+
+    checked = 0
+    for path in sorted(DATA.glob("*.manifold")):
+        M = load_manifold(path)
+        top = M.model.algebra.top_degree
+        for k in range(2, 41):
+            for E in (sphere_bundle(M.model, k), framed_bundle_model(M, k)):
+                monkeypatch.setattr(mapping, "cohomology", recorded)
+                walked.clear()
+                factors, kept = em_split(E)
+                monkeypatch.undo()
+                assert all(cdga is E.base and cutoff <= top for cdga, cutoff in walked)
+                assert factors == _full_walk_factors(E, kept), (path.stem, k)
+                checked += bool(factors)
+    assert checked > 300
