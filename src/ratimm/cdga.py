@@ -77,20 +77,20 @@ keys' `_diff_terms` mapped through a {key: row} dict (`d_columns`), for
 a finite model.  Call a generator closed when it is even with d = 0 (an
 even free or fiber generator with no differential or twist).  A key's
 monomial splits as P*R, P its closed factors; P is even and closed, so
-d(P*R) = P*d(R).  `_diff_terms`, the key path of `diff` and
-`diff_key`, expands the Leibniz rule (`_leibniz`) on R only, from the
-terms of d on generators that each model caches once, keeps d(R) in the
-memo under R, and merges P into each term (`_times_closed`), a plain
-exponent merge with no sign.  A walk does the same on monomial codes
-(`gca`: one int per monomial, listed beside each degree's monomials by
-`codes_of_degree`, the product of P and m the sum of their codes): a
-key's code is p + r, r = code & `_rest_mask` the code of R, d(R) is kept
-in the walk's memo under r as (base key, code, coefficient) items
-(`_rest_codes`), and P*m is p + m.  A free CDGA's `_layout` indexes its
-rows by code (`_CodeIndex`, which looks a monomial key up by its code),
+d(P*R) = P*d(R).  Each model caches d on its generators once (`_dgen`,
+over its free algebra `fiber`, a free CDGA's own) and reads monomial
+codes (`gca`: one int per monomial, listed beside each degree's
+monomials by `codes_of_degree`, the product of P and m the sum of their
+codes): a key's code is p + r, r = code & `_rest_mask` the code of R,
+d(R) is the Leibniz rule (`_leibniz`) on R only, kept in the memo under
+r as (base key, code, coefficient) items (`_rest_terms`), and P*m is
+p + m, with no sign.  `_diff_terms`, the key path of `diff` and
+`diff_key`, reads p + m back as a monomial, and refuses a key whose d
+lies at a degree where p + m could carry, as a walk refuses that
+degree.  A free CDGA's `_layout` indexes its rows by code (`_CodeIndex`),
 and its `_columns` writes the column of a key as {row[p + m]: c} over
-d(R) (a free CDGA with no closed generator keeps no memo: each of its R
-is a whole key).  A relative model splits once more:
+d(R), the memo read inline (with no closed generator it keeps none:
+each R is a whole key).  A relative model splits once more:
 
     D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm).
 
@@ -223,59 +223,34 @@ def _leibniz(fiber: FreeAlgebra, mono, dgen) -> dict:
     return out
 
 
-def _times_closed(mono, closed, m):
-    """m times the factors of `mono` whose generators are in `closed`.
-
-    Closed generators are even, so this is a plain exponent merge with no
-    Koszul sign, done in one walk of the two index-sorted monomials; it
-    sends distinct m to distinct products.
-    """
-    out = []
-    j, n = 0, len(m)
-    for f in mono:
-        i = f[0]
-        if i not in closed:
-            continue
-        while j < n and m[j][0] < i:
-            out.append(m[j])
-            j += 1
-        if j < n and m[j][0] == i:
-            out.append((i, f[1] + m[j][1]))
-            j += 1
-        else:
-            out.append(f)
-    if j < n:
-        out.extend(m[j:])
-    return tuple(out)
+def _closed_split(fiber: FreeAlgebra, dgen):
+    """(`_closed`, `_rest_mask`): the closed generators of `fiber`, even
+    with no terms in `dgen`, and the code bits of the others."""
+    closed = frozenset(i for i, g in enumerate(fiber.generators)
+                       if not g.is_odd and i not in dgen)
+    return closed, fiber.code_mask(i for i in range(len(fiber.generators)) if i not in closed)
 
 
-def _rest_codes(fiber: FreeAlgebra, mono, dgen, closed) -> list:
-    """The terms of d(R) for `mono` = P*R, as (base key, code of the
-    monomial, coefficient), in `_leibniz` order: the walks' form of
-    `_rest_leibniz`, which merge P in by adding its code."""
-    code = fiber.code
-    rest = tuple([f for f in mono if f[0] not in closed])
-    return [(bk, code(m), c) for (bk, m), c in _leibniz(fiber, rest, dgen).items()]
-
-
-def _rest_leibniz(fiber: FreeAlgebra, mono, dgen, closed, memo):
-    """The terms of d(R), as `_leibniz` items, for `mono` = P*R.
-
-    P is the part of `mono` in the `closed` generators (even, with d = 0),
-    R the rest, so d(mono) = P*d(R): merging P into each term's monomial
-    (`_times_closed`) gives `_leibniz(fiber, mono, dgen)`, insertion order
-    included.  d(R) is looked up in `memo`, keyed by R, and stored there
-    on a miss; `memo` None keeps nothing.
-    """
+def _rest_codes(model, mono) -> list:
+    """d(R) for the monomial `mono` = P*R of `model.fiber`, P its factors in
+    `model._closed`, as (base key, code of the monomial, coefficient) in
+    `_leibniz` order: d(P*R) = P*d(R), and P*m has code p + m."""
+    code, closed = model.fiber.code, model._closed
     # from a list, not a generator: tuple(generator) resizes its result,
     # and freeing such tuples fills CPython's tuple free lists (peak RSS)
     rest = tuple([f for f in mono if f[0] not in closed])
-    terms = None if memo is None else memo.get(rest)
+    return [(bk, code(m), c) for (bk, m), c in _leibniz(model.fiber, rest, model._dgen).items()]
+
+
+def _rest_terms(model, mono, code, memo):
+    """(p, d(R)) for the monomial `mono` = P*R of `model.fiber` with
+    `code`: p the code of P, and d(R) the `_rest_codes` of `mono`, kept
+    in `memo` under r = code & `_rest_mask`, the code of R."""
+    r = code & model._rest_mask
+    terms = memo.get(r)
     if terms is None:
-        terms = list(_leibniz(fiber, rest, dgen).items())
-        if memo is not None:
-            memo[rest] = terms
-    return terms
+        terms = memo[r] = _rest_codes(model, mono)
+    return code - r, terms
 
 
 class _Products(dict):
@@ -368,13 +343,13 @@ class FreeCdga(Cdga):
         for name, value in (differential or {}).items():
             self._diff[self.algebra.generator_index(name)] = _as_element(value, self.algebra)
         scale = self._scale = _denominator_lcm(self._diff.values())
+        # the Leibniz data, named as a relative model names its own: a free
+        # CDGA is its own fiber over the unit
+        self.fiber = self.algebra
         self._dgen = {i: [(None, False, m, _exact(c * scale))
                           for m, c in elt.terms.items()]
                       for i, elt in self._diff.items() if elt.terms}
-        self._closed = frozenset(i for i, g in enumerate(self.algebra.generators)
-                                 if not g.is_odd and i not in self._dgen)
-        self._rest_mask = self.algebra.code_mask(
-            i for i in range(len(self.algebra.generators)) if i not in self._closed)
+        self._closed, self._rest_mask = _closed_split(self.fiber, self._dgen)
         self._validate()
 
     @property
@@ -386,12 +361,11 @@ class FreeCdga(Cdga):
         return self._diff.get(i, self.algebra.zero())
 
     def _diff_terms(self, mono, memo) -> dict:
-        closed = self._closed
-        # with no closed generator every R is a whole key, met once in a
-        # walk: nothing to memoize
-        terms = _rest_leibniz(self.algebra, mono, self._dgen, closed,
-                              memo if closed else None)
-        return {_times_closed(mono, closed, m): c for (_, m), c in terms}
+        alg = self.algebra
+        # d(mono) lies one degree up, where p + m must not carry
+        alg.check_degree(alg.key_degree(mono) + 1)
+        p, terms = _rest_terms(self, mono, alg.code(mono), memo)
+        return {alg.monomial(p + m): c for _, m, c in terms}
 
     def diff_key(self, mono) -> Element:
         return Element(self.algebra, _unscaled(self._diff_terms(mono, {}), self._scale))
@@ -401,10 +375,9 @@ class FreeCdga(Cdga):
         return alg.keys_of_degree(n), _CodeIndex(alg, alg.codes_of_degree(n))
 
     def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
-        """`_diff_terms` on codes: a key's code splits as p + r, r = code &
-        `_rest_mask` that of R, and d(P*R) = P*d(R) is row p + m of
+        """`_rest_terms`, inline: d(P*R) = P*d(R) is row p + m of
         `index_next` for each term m of d(R), kept in `memo` under r."""
-        alg, dgen, closed, mask = self.algebra, self._dgen, self._closed, self._rest_mask
+        closed, mask = self._closed, self._rest_mask
         out = []
         for j, code in enumerate(index):
             if j in skip:
@@ -414,7 +387,7 @@ class FreeCdga(Cdga):
             # a walk: nothing to memoize
             terms = memo.get(r) if closed else None
             if terms is None:
-                terms = _rest_codes(alg, keys[j], dgen, closed)
+                terms = _rest_codes(self, keys[j])
                 if closed:
                     memo[r] = terms
             p = code - r
@@ -877,14 +850,11 @@ class RelativeModel(Cdga):
             i = self.fiber.generator_index(name)
             self._twist[i] = self._as_twist(value, given)
         base_degree = base.algebra.key_degree
-        self._dtwist = {i: [(bk, base_degree(bk) % 2 == 1, m, c)
-                            for (bk, m), c in elt.terms.items()]
-                        for i, elt in self._twist.items() if elt.terms}
-        self._twist_base_keys = {bk for terms in self._dtwist.values() for bk, *_ in terms}
-        self._closed = frozenset(i for i, g in enumerate(self.fiber.generators)
-                                 if not g.is_odd and i not in self._dtwist)
-        self._rest_mask = self.fiber.code_mask(
-            i for i in range(len(self.fiber.generators)) if i not in self._closed)
+        self._dgen = {i: [(bk, base_degree(bk) % 2 == 1, m, c)
+                          for (bk, m), c in elt.terms.items()]
+                      for i, elt in self._twist.items() if elt.terms}
+        self._twist_base_keys = {bk for terms in self._dgen.values() for bk, *_ in terms}
+        self._closed, self._rest_mask = _closed_split(self.fiber, self._dgen)
         self._validate()
 
     def _as_twist(self, value, given) -> Element:
@@ -932,10 +902,11 @@ class RelativeModel(Cdga):
         lk, rm = key
         dlk, sign, products, _ = self._base_row(lk, memo)
         out = {(k, rm): c for k, c in dlk}
-        closed = self._closed
-        products.add_times(out, [((bk, _times_closed(rm, closed, fm)), c) for (bk, fm), c
-                                 in _rest_leibniz(self.fiber, rm, self._dtwist, closed, memo)],
-                           sign)
+        fiber = self.fiber
+        # D(1 (x) rm) lies one fiber degree up, where p + m must not carry
+        fiber.check_degree(fiber.key_degree(rm) + 1)
+        p, terms = _rest_terms(self, rm, fiber.code(rm), memo)
+        products.add_times(out, [((bk, fiber.monomial(p + m)), c) for bk, m, c in terms], sign)
         return out
 
     def _layout(self, n):
@@ -982,14 +953,9 @@ class RelativeModel(Cdga):
 
     def _fiber_entry(self, rm, code, targets, memo) -> list:
         """D(1 (x) rm), rm = P*R with `code`, as ((bk, q), c) items, q
-        the position of the fiber monomial in `targets[bk]`: d(R) is kept
-        in `memo` under r, the code of R, and P merged in by adding its
-        code, p = code - r."""
-        r = code & self._rest_mask
-        terms = memo.get(r)
-        if terms is None:
-            terms = memo[r] = _rest_codes(self.fiber, rm, self._dtwist, self._closed)
-        p = code - r
+        the position of the fiber monomial P*m, code p + m, in
+        `targets[bk]` (`_rest_terms`)."""
+        p, terms = _rest_terms(self, rm, code, memo)
         return [((bk, targets[bk][p + m]), c) for bk, m, c in terms]
 
     def _column(self, key, p, row, fiber, starts, memo) -> dict:

@@ -189,11 +189,7 @@ class FreeAlgebra:
         tails, codes = self._tails, self._codes
         have = len(tails[0])
         if n >= have:
-            limit = self._code_limit
-            if limit is not None and n >= limit:
-                raise InputError(
-                    f"degree {n} is out of range in {self!r}: an exponent could "
-                    f"reach 2^{CODE_BITS} from degree {limit} on")
+            self.check_degree(n)
             if not tails[-1]:  # no generator left: the unit, in degree 0
                 tails[-1].append((UNIT_MONOMIAL,))
                 codes[-1].append((0,))
@@ -229,6 +225,15 @@ class FreeAlgebra:
             self.basis_of_degree(n)
         return self._codes[0][n]
 
+    def check_degree(self, n: int):
+        """InputError from the degree on at which an exponent could reach
+        2^CODE_BITS, so that two monomials could share a code."""
+        limit = self._code_limit
+        if limit is not None and n >= limit:
+            raise InputError(
+                f"degree {n} is out of range in {self!r}: an exponent could "
+                f"reach 2^{CODE_BITS} from degree {limit} on")
+
     def code(self, mono: Monomial) -> int:
         """The code of `mono`, sum e_i << (CODE_BITS*i); InputError for an
         exponent of 2^CODE_BITS or more, whose code another monomial has."""
@@ -239,6 +244,16 @@ class FreeAlgebra:
                                  f"of range for a monomial code (< 2^{CODE_BITS})")
             code += e << (CODE_BITS * i)
         return code
+
+    def monomial(self, code: int) -> Monomial:
+        """The monomial whose code is `code`: the inverse of `code`."""
+        digit, out, i = (1 << CODE_BITS) - 1, [], 0
+        while code:
+            if code & digit:
+                out.append((i, code & digit))
+            code >>= CODE_BITS
+            i += 1
+        return tuple(out)
 
     def code_mask(self, indices) -> int:
         """The bits of the codes of the generators at `indices`: code & mask

@@ -346,10 +346,12 @@ def _unclosed_model():
 
 
 def test_walk_columns_match_the_key_path():
-    # a free model's walk assembles its columns from monomial codes, a
-    # relative model's lays each degree out as blocks and assembles its
-    # columns in their rows; every column must be `_diff_terms` of its key
-    # in the rows of the next degree's keys, entries in the same order
+    # a walk and `_diff_terms` read one memo of d(R) by monomial code; the
+    # walk writes P*m as a row of its layout (a free model's code index, a
+    # relative model's blocks), `_diff_terms` as a monomial.  Every column
+    # must be `_diff_terms` of its key in the rows of the next degree's
+    # keys, entries in the same order (`reference_diff_key` checks both
+    # apart from this code)
     from ratimm.cdga import _cochains
     checked = 0
     for cdga in _layout_models():
@@ -370,6 +372,70 @@ def test_walk_columns_match_the_key_path():
                     with pytest.raises(KeyError):
                         index[key]
     assert checked > 40000
+
+
+# sha256 of `test_key_path_bytes_are_unchanged`'s lines, taken while the
+# key path merged P into d(R) by monomial tuple
+KEY_PATH_SHA256 = "4d73c42df9f9435cc6944e3b50b11d2a1fa1df6cccea8af5adcacbe0c089c685"
+
+
+def test_key_path_bytes_are_unchanged():
+    # `_diff_terms` (entry order included) and `diff_key` of every key to
+    # degree 20, and `diff` of each generator's d-image
+    import hashlib
+    digest = hashlib.sha256()
+    models = [cdga for cdga, _ in _oracle_models()] + _layout_models()
+    for cdga in models:
+        for n in range(21):
+            for key in cdga.algebra.keys_of_degree(n):
+                digest.update(repr(list(cdga._diff_terms(key, {}).items())).encode() + b"\n")
+                digest.update(str(cdga.diff_key(key)).encode() + b"\n")
+        for _, _, _, dg in cdga.d2_items():
+            digest.update(str(cdga.diff(dg)).encode() + b"\n")
+    assert len(models) == 318
+    assert digest.hexdigest() == KEY_PATH_SHA256
+
+
+def test_monomial_inverts_code():
+    algebras = [cdga.algebra for cdga in _free_models()] + [unit_cdga().algebra]
+    algebras += [cdga.fiber for cdga in _layout_models() if isinstance(cdga, RelativeModel)]
+    checked = 0
+    for alg in algebras:
+        for n in range(31):
+            for mono, code in zip(alg.basis_of_degree(n), alg.codes_of_degree(n), strict=True):
+                assert alg.code(mono) == code
+                assert alg.monomial(alg.code(mono)) == mono
+                assert alg.code(alg.monomial(code)) == code
+                checked += 1
+    unit = unit_cdga().algebra
+    assert unit.code(()) == 0 and unit.monomial(0) == ()
+    assert checked > 20000
+
+
+def test_key_path_refuses_the_degrees_where_codes_carry():
+    # P*m is the code p + m, which could carry an exponent into the next
+    # generator's digit from the degree L on where an exponent could reach
+    # 2^CODE_BITS: d of a key is refused there, as a walk refuses degree L
+    from ratimm.gca import CODE_BITS
+    limit = 2 << CODE_BITS
+    gens = [Generator("a", 2), Generator("y", 3)]
+    free = FreeCdga(gens, {"y": "a^2"})
+    relative = RelativeModel(FiniteCdga([("one", 0)]), gens, {"y": "a^2"})
+    for cdga, key in ((free, lambda m: m), (relative, lambda m: (0, m))):
+        largest = key(((0, limit // 2 - 3), (1, 1)))
+        assert cdga.algebra.key_degree(largest) + 1 == limit - 2
+        assert str(cdga.diff_key(largest)) == f"a^{limit // 2 - 1}"
+        assert str(cdga.diff(Element(cdga.algebra, {largest: 1}))) == f"a^{limit // 2 - 1}"
+        first = key(((0, limit // 2 - 2), (1, 1)))
+        for ask in (cdga.diff_key, lambda k: cdga.diff(Element(cdga.algebra, {k: 1}))):
+            with pytest.raises(InputError, match=f"from degree {limit} on"):
+                ask(first)
+    # a generator's d at degree L - 2 is checked (d^2 = 0) one degree up;
+    # at degree L - 1 that check is refused, so the model is
+    FreeCdga([Generator("a", 2), Generator("w", limit - 3)], {"w": f"a^{limit // 2 - 1}"})
+    with pytest.raises(InputError, match=f"from degree {limit} on"):
+        FreeCdga([Generator("a", 2), Generator("x", 3), Generator("w", limit - 2)],
+                 {"w": f"a^{limit // 2 - 2}*x"})
 
 
 def test_block_index_rejects_a_key_of_another_degree():

@@ -308,8 +308,9 @@ def test_cohomology_assembles_each_key_once(capsys, monkeypatch):
     from ratimm.io import load_cdga
 
     path = str(Path(__file__).resolve().parent / "golden" / "inputs" / "free_s2xs2.cdga")
-    # a walk assembles its columns in `_columns`, from monomial codes;
-    # `_diff_terms` is the per-key path of `diff` and `diff_key`
+    # a walk assembles its columns in `_columns`, and `diff` and `diff_key`
+    # one key at a time in `_diff_terms`, both from d(R) by monomial code:
+    # the count covers both entries
     counts = Counter()
     loading = [False]
     diff_terms, columns = FreeCdga._diff_terms, FreeCdga._columns

@@ -196,6 +196,10 @@ def test_code_digits_are_guarded():
             with pytest.raises(InputError, match=f"from degree {limit} on"):
                 ask(n)
     assert alg._tails[0] == [] and alg._codes[0] == []
+    # the one check, which a key path asks of the degree of d's result
+    alg.check_degree(limit - 1)
+    with pytest.raises(InputError, match=f"from degree {limit} on"):
+        alg.check_degree(limit)
     # odd generators alone have exponents at most 1: no limit
     odd = FreeAlgebra([Generator("x", 3), Generator("y", 5)])
     assert odd.codes_of_degree(8) == (1 + (1 << CODE_BITS),)
