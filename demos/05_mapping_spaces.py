@@ -17,7 +17,7 @@ s2 = sphere_manifold(2)
 
 # Maps into Eilenberg-MacLane spaces / odd spheres: pure bookkeeping.
 print("Map(S2, K(Q,3)):", [str(f) for f in em_mapping_space(s2.betti(3), 3)])
-factors, kept = em_split(sphere_bundle(s2.model, 7))  # kept == []
+factors, kept, _ = em_split(sphere_bundle(s2.model, 7))  # kept == []
 print("Map(S2, S7):    ", [str(f) for f in factors])
 print()
 

@@ -16,9 +16,9 @@ from .cdga import (BettiTable, CdgaMorphism, FiniteAlgebra, FiniteCdga,
                    FreeCdga, RelativeModel, TensorAlgebra, check_d_squared,
                    cohomology, is_quasi_iso, tensor, unit_cdga)
 from .bundles import (ManifoldModel, TrivialityVerdict, bso_model,
-                      borel_assoc_model, complex_projective_plane,
-                      framed_bundle_model, is_rationally_trivial,
-                      sphere_manifold, sphere_product_manifold, stiefel_model,
+                      complex_projective_plane, framed_bundle_model,
+                      is_rationally_trivial, sphere_manifold,
+                      sphere_product_manifold, stiefel_model,
                       unreduced_framed_model)
 from .mapping import (EMFactor, SphereFactor, em_mapping_space, em_split,
                       section_model, sphere_bundle, sphere_map_null_model,

@@ -31,10 +31,10 @@ from .gca import Element, FreeAlgebra, Generator, parse_element
 from .series import PoincareSeries
 
 __all__ = [
-    "ManifoldModel", "bso_model", "borel_assoc_model",
-    "stiefel_model", "framed_bundle_model", "unreduced_framed_model",
-    "is_rationally_trivial", "TrivialityVerdict", "KunnethCertificate",
-    "sphere_manifold", "complex_projective_plane", "sphere_product_manifold",
+    "ManifoldModel", "bso_model", "stiefel_model", "framed_bundle_model",
+    "unreduced_framed_model", "is_rationally_trivial", "TrivialityVerdict",
+    "KunnethCertificate", "sphere_manifold", "complex_projective_plane",
+    "sphere_product_manifold",
 ]
 
 
@@ -194,49 +194,6 @@ def stiefel_model(m: int, k: int) -> FreeCdga:
     t = pontryagin_vanishing_threshold(k)
     diff = {f"x{t}": f"e{k}^2"} if k % 2 == 0 else {}
     return FreeCdga(_fiber_generators(m, k, t), diff, label=f"V_{m}(R^{m + k})")
-
-
-# ---------------------------------------------------------------------------
-# Borel associated-bundle model
-# ---------------------------------------------------------------------------
-
-def borel_assoc_model(baseA, phi: CdgaMorphism, VK, sVH, Bmu_images, Bnu_images,
-                      label: str = "") -> RelativeModel:
-    """Relative model of an associated homogeneous-space bundle.
-
-    `phi` is the model of the classifying map, from a polynomial algebra
-    with zero differential into the base.  Fiber generators are V_K
-    (closed) together with the suspended sV_H; each sv in sV_H gets
-
-        D(sv) = phi(Bmu(sv)) - Bnu(sv)
-
-    with Bmu(sv) over phi's source and Bnu(sv) over Lambda(V_K).
-    """
-    vk, svh = tuple(VK), tuple(sVH)
-    vk_algebra = FreeAlgebra(vk, label="VK")
-    # V_K comes first in the fiber, so a Lambda(V_K) monomial keeps its
-    # indices there
-    alg = TensorAlgebra(baseA.algebra, FreeAlgebra(vk + svh))
-    twist = {}
-    for g in svh:
-        mu_val = Bmu_images.get(g.name, 0)
-        nu_val = Bnu_images.get(g.name, 0)
-        mu_elt = mu_val if isinstance(mu_val, Element) else \
-            parse_element(str(mu_val), phi.source.algebra)
-        nu_elt = nu_val if isinstance(nu_val, Element) else \
-            parse_element(str(nu_val), vk_algebra)
-        if not (isinstance(nu_elt.algebra, FreeAlgebra)
-                and nu_elt.algebra.generators == vk):
-            raise ContextError(f"Bnu({g.name}) is not over the V_K generators")
-        for name, elt in ((f"Bmu({g.name})", mu_elt), (f"Bnu({g.name})", nu_elt)):
-            if not elt.is_zero() and elt.degree() != g.degree + 1:
-                raise DegreeError(
-                    f"{name} has degree {elt.degree()}, expected {g.degree + 1}")
-        image = (alg.embed_left(phi.apply(mu_elt))
-                 - alg.embed_right(Element(alg.right, nu_elt.terms)))
-        if not image.is_zero():
-            twist[g.name] = image
-    return RelativeModel(baseA, vk + svh, twist=twist, label=label)
 
 
 # ---------------------------------------------------------------------------

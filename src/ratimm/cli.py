@@ -139,7 +139,7 @@ def cmd_immersion(args) -> int:
 def cmd_map_sphere(args) -> int:
     M = load_manifold(args.manifold)
     E = sphere_bundle(M.model, args.k)
-    factors, kept = em_split(E)
+    factors, kept, _ = em_split(E)
     payload = {"command": "map-sphere", "manifold": M.name, "k": args.k,
                "max_degree": args.max_degree}
     if kept:

@@ -5,8 +5,10 @@ the section space of the framed bundle (Smale-Hirsch).  Under the
 Pontryagin-vanishing hypothesis `em_split` factors a component into
 Eilenberg-MacLane spaces and, for k even, the sections of the pair
 (x_s, e_k), a mapping-space factor into S^k, read off the one framed
-bundle model.  This module checks the hypotheses, reports the factors,
-multiplies the Poincaré series, and classifies coefficient growth.
+bundle model; M is walked once, by `em_split`, whose Betti table also
+tells whether H^k(M) vanishes.  This module checks the hypotheses,
+reports the factors, multiplies the Poincaré series, and classifies
+coefficient growth.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     and for k even the kept pair (x_s, e_k): its section model, read off
     E, is the mapping-space factor into S^k, resolved at the
     constant-map component when H^k(M;Q) = 0 (in particular whenever
-    k >= m+1) and reported symbolically otherwise.
+    k >= m+1) and reported symbolically otherwise.  H^k(M;Q) is read
+    from the Betti table `em_split` walked, so M is walked once.
     """
     m = M.dimension
     desc = ImmersionDescription(
@@ -127,10 +130,12 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
         f"p_i = 0 for all i >= {threshold}"))
 
     E = framed_bundle_model(M, k)
-    desc.em_factors, kept = em_split(E)
+    desc.em_factors, kept, betti = em_split(E)
     desc.em_part_series = desc.series = em_product_series(desc.em_factors, cutoff)
-    # a second, short walk of M only where its model is nonzero in degree k
-    if kept and M.model.algebra.keys_of_degree(k) and M.betti(k).dims[k]:
+    # E keeps generators only for k even, and then it splits one of degree
+    # above k (ebar_{m+k-1} for m even, x_{s+1} of degree 2k+3 for m odd),
+    # so the table reaches degree k
+    if kept and betti.dims[k]:
         desc.sphere_factor = SphereFactor(k, "symbolic")
         desc.status, desc.series, desc.growth = "symbolic-sphere", None, "symbolic"
         return desc

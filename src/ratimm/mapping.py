@@ -2,7 +2,8 @@
 
 `em_split` splits the section space of a relative model E over a model
 A of M at its fibre into Eilenberg-MacLane factors, read off the Betti
-numbers of M, and the fibre generators it keeps.  `section_model`, the
+numbers of M, and the fibre generators it keeps; it hands out the Betti
+table it walked, so a caller reads H(M) there.  `section_model`, the
 one place that needs A finite, reads E in place and models the null
 sections of those on generators (fibre generator) x (dual basis class),
 with the differential determined by requiring the evaluation pairing
@@ -85,7 +86,7 @@ def sphere_bundle(A, k: int) -> RelativeModel:
 # Section spaces
 # ---------------------------------------------------------------------------
 
-def em_split(E) -> tuple[list[EMFactor], list[Generator]]:
+def em_split(E) -> tuple[list[EMFactor], list[Generator], BettiTable | None]:
     """Split the section space of E at its fibre.
 
     A fibre generator v that is closed and that no twist mentions splits
@@ -93,30 +94,32 @@ def em_split(E) -> tuple[list[EMFactor], list[Generator]]:
     Betti walk of the base, which may be free.  The walk stops at the
     base's top degree, if it has one, and the table is padded with zeros
     to the largest |v|.  Returns those factors by degree, the larger
-    multiplicity first, and the other fibre generators as given to E, in
-    fibre order.
+    multiplicity first, the other fibre generators as given to E, in
+    fibre order, and the Betti table of the base, or None when nothing
+    splits (and nothing is walked).
     """
     twists = [E.twist_of(g.name) for g in E.given]
     mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
     kept = [g for i, g in enumerate(E.given) if twists[i].terms or i in mentioned]
     split = [g.degree for g in E.given if g not in kept]
     if not split:
-        return [], kept
+        return [], kept, None
     top, cutoff = E.base.algebra.top_degree, max(split)
     walked = cutoff if top is None else min(cutoff, top)
     dims = cohomology(E.base, walked, representatives=False).dims
     betti = BettiTable(cutoff, dims + [0] * (cutoff - walked))
     factors = sorted((f for n in split for f in em_mapping_space(betti, n)),
                      key=lambda f: (f.degree, -f.coefficient_dim))
-    return factors, kept
+    return factors, kept, betti
 
 
 def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdga:
     """Minimal model of the null-section component of E over a finite A.
 
     Generators v_u = (v in `generators`: fibre generators as given to E,
-    all by default, whose twists mention no others) x (dual of basis
-    element a_u) in degree |v| - |a_u|.  The differential is solved from
+    each once, all by default, whose twists mention no others) x (dual
+    of basis element a_u) in degree |v| - |a_u|; any other v is an
+    InputError that names it.  The differential is solved from
     the chain-map condition for the pairing
 
         v  |->  sum_u  a_u (x) v_u
@@ -149,7 +152,13 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
     gens: list[Generator] = []
     taken: set[str] = set()
     for v in fibre if generators is None else generators:
-        slot = slots[fibre.index(v)] = {}  # by E's fibre index, as its twist terms
+        if v not in fibre:
+            raise InputError(f"{v.name} of degree {v.degree} is not a fibre "
+                             f"generator of {E.label}")
+        t = fibre.index(v)  # E's fibre index, as its twist terms use
+        if t in slots:
+            raise InputError(f"the fibre generator {v.name} is given twice")
+        slot = slots[t] = {}
         for u, (uname, udeg) in enumerate(basis):
             deg = v.degree - udeg
             if deg < 1:
@@ -238,10 +247,13 @@ def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
     the section model of what `em_split` keeps of sphere_bundle(A, k).
 
     Odd k is rejected: odd spheres are rationally Eilenberg-MacLane, so
-    em_split takes off all of sphere_bundle(A, k).  A must be simply connected.
+    em_split takes off all of sphere_bundle(A, k).  A must be simply
+    connected, and this entry walks H^1 of A itself: a bare CDGA has not
+    passed `ManifoldModel`'s check, and for k even em_split splits
+    nothing off, so it walks no Betti table to read H^1 from.
     """
     E = sphere_bundle(A, k)
-    _, kept = em_split(E)
+    _, kept, _ = em_split(E)
     if not kept:
         raise InputError(f"k must be even (odd spheres are Eilenberg-MacLane "
                          f"rationally; em_split gives Map(M, S^{k}) as factors)")

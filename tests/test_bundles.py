@@ -2,8 +2,7 @@
 
 import pytest
 
-from ratimm.bundles import (ManifoldModel, borel_assoc_model, bso_model,
-                            check_pontryagin_hypothesis,
+from ratimm.bundles import (ManifoldModel, bso_model, check_pontryagin_hypothesis,
                             complex_projective_plane, framed_bundle_model,
                             is_rationally_trivial, sphere_manifold,
                             sphere_product_manifold, stiefel_model,
@@ -11,8 +10,8 @@ from ratimm.bundles import (ManifoldModel, borel_assoc_model, bso_model,
 from ratimm.cdga import (CdgaMorphism, FiniteCdga, FreeCdga, RelativeModel,
                          check_d_squared, cohomology, is_quasi_iso, tensor,
                          unit_cdga)
-from ratimm.errors import ContextError, DegreeError
-from ratimm.gca import FreeAlgebra, Generator, parse_element
+from ratimm.errors import DegreeError
+from ratimm.gca import Generator
 
 
 # -- BSO models --------------------------------------------------------------
@@ -272,16 +271,12 @@ def test_one_fiber_table_builds_every_framed_model():
                 assert str(big.twist_of(name)) == str(framed.twist_of(name))
 
 
-# -- Borel associated-bundle model ----------------------------------------------
+# -- the Borel construction as a relative model ----------------------------------
+# D(sv) = phi(Bmu(sv)) - Bnu(sv), written as the twist of a RelativeModel
 
 def test_borel_zero_images_gives_tensor():
     base = FiniteCdga([("one", 0), ("a", 2)], {}, label="S2f")
-    vg = FreeCdga([Generator("p1", 4)], {}, label="VG")
-    phi = CdgaMorphism(vg, base, {"p1": "0"})
-    model = borel_assoc_model(base, phi,
-                              VK=[Generator("b1", 4)],
-                              sVH=[Generator("x1", 3)],
-                              Bmu_images={}, Bnu_images={})
+    model = RelativeModel(base, [Generator("b1", 4), Generator("x1", 3)], {})
     assert model.twist_of("x1").is_zero()
     dims = cohomology(model, 8, representatives=False).dims
     s2 = cohomology(base, 8, representatives=False).dims
@@ -294,56 +289,27 @@ def test_borel_zero_images_gives_tensor():
 def test_borel_pairing_example():
     # Dx1 = phi(p1) - b1 with phi(p1) = p1(xi) = 3*aa on CP2
     cp2 = complex_projective_plane().model
-    vg = FreeCdga([Generator("p1", 4)], {}, label="VG")
-    phi = CdgaMorphism(vg, cp2, {"p1": "3*aa"})
-    model = borel_assoc_model(cp2, phi,
-                              VK=[Generator("b1", 4)],
-                              sVH=[Generator("x1", 3)],
-                              Bmu_images={"x1": "p1"},
-                              Bnu_images={"x1": "b1"})
+    model = RelativeModel(cp2, [Generator("b1", 4), Generator("x1", 3)],
+                          {"x1": "3*aa - b1"})
     assert str(model.twist_of("x1")) == "-b1 + 3*aa"
     assert check_d_squared(model, 20) == []
 
 
 def test_borel_unit_base_gives_fiber_model():
-    base = unit_cdga()
-    vg = FreeCdga([Generator("p1", 4)], {}, label="VG")
-    phi = CdgaMorphism(vg, base, {"p1": "0"})
-    model = borel_assoc_model(base, phi,
-                              VK=[Generator("b1", 4)],
-                              sVH=[Generator("x1", 3)],
-                              Bmu_images={"x1": "p1"},
-                              Bnu_images={"x1": "b1"})
+    model = RelativeModel(unit_cdga(), [Generator("b1", 4), Generator("x1", 3)],
+                          {"x1": "-b1"})
     # contractible pair: H = Q
     dims = cohomology(model, 10, representatives=False).dims
     assert dims == [1] + [0] * 10
 
 
-def test_borel_degree_mismatch_rejected():
-    base = unit_cdga()
-    vg = FreeCdga([Generator("p1", 4)], {}, label="VG")
-    phi = CdgaMorphism(vg, base, {"p1": "0"})
-    with pytest.raises(DegreeError):
-        borel_assoc_model(base, phi, VK=[Generator("b1", 6)],
-                          sVH=[Generator("x1", 3)],
-                          Bmu_images={"x1": "p1"}, Bnu_images={"x1": "b1"})
-
-
 def test_unreduced_k_odd_matches_borel_construction():
-    # the untruncated framed model for k odd is the associated-bundle model
-    # with Bmu(x_i) = p_i, Bnu(x_i) = b_i
-    M = complex_projective_plane()  # m=4: l=2; take k=3: s=1
+    # the untruncated framed model for k odd is the Borel construction
+    # with Bmu(x_i) = p_i, Bnu(x_i) = b_i: on CP2 (p1 = 3a^2) at k = 3
+    M = complex_projective_plane()
     big, _ = unreduced_framed_model(M, 3)
-    vg = bso_model(4)  # p1, e4
-    phi = CdgaMorphism(vg, M.model, {"p1": "3*aa", "e4": "0"})
-    model = borel_assoc_model(
-        M.model, phi,
-        VK=[Generator("b1", 4)],
-        sVH=[Generator("x1", 3), Generator("x2", 7), Generator("x3", 11)],
-        Bmu_images={"x1": "p1", "x2": "0", "x3": "0"},
-        Bnu_images={"x1": "b1", "x2": "0", "x3": "0"})
-    for name in ("x1", "x2", "x3", "b1"):
-        assert str(model.twist_of(name)) == str(big.twist_of(name))
+    assert [str(big.twist_of(name)) for name in ("x1", "x2", "x3", "b1")] == [
+        "-b1 + 3*aa", "0", "0", "0"]
 
 
 # -- rational triviality ---------------------------------------------------------
@@ -393,13 +359,7 @@ def test_fiber_names_renamed_on_base_clash():
     assert [(g.name, str(big.twist_of(g.name))) for g in big.fiber.generators] == [
         ("x1_2", "e2_2^2 + 3*x1"), ("x2", "0"), ("ebar5", "0"), ("e2_2", "0")]
     assert is_quasi_iso(phi, 12).ok
-    # sV_H names that a renamed V_K generator must also avoid
-    model = _clashing_borel(base)
-    assert model.renamings == {"x1": "x1_3", "e2": "e2_3"}
-    assert [g.name for g in model.fiber.generators] == ["x1_3", "e2_3", "x1_2", "e2_2"]
-    assert [str(model.twist_of(n)) for n in ("x1", "e2", "x1_2", "e2_2")] == [
-        "0", "0", "-x1_3 + x1", "-e2_3^2 + x1"]
-    assert check_d_squared(model, 20) == []
+    # later fiber names that a renamed fiber generator must also avoid
     free = FreeCdga([Generator("e2", 2), Generator("x1", 3), Generator("x1_2", 5)],
                     {"x1": "e2^2", "x1_2": "e2^3"}, label="F")
     for rel in (tensor(base, free), tensor(free, base)):
@@ -407,31 +367,6 @@ def test_fiber_names_renamed_on_base_clash():
         assert [g.name for g in rel.fiber.generators] == ["e2_2", "x1_3", "x1_2"]
         assert [str(rel.twist_of(n)) for n in ("e2", "x1", "x1_2")] == [
             "0", "e2_2^2", "e2_2^3"]
-
-
-def _clashing_borel(base, **images):
-    """A Borel model over `base` (basis e2, x1) whose fiber names clash."""
-    vg = FreeCdga([Generator("p1", 4)], {}, label="VG")
-    phi = CdgaMorphism(vg, base, {"p1": "x1"})
-    return borel_assoc_model(
-        base, phi, VK=[Generator("x1", 4), Generator("e2", 2)],
-        sVH=[Generator("x1_2", 3), Generator("e2_2", 3)],
-        Bmu_images={"x1_2": "p1", "e2_2": "p1"},
-        Bnu_images={"x1_2": "x1", "e2_2": "e2^2", **images})
-
-
-def test_borel_bnu_element_over_the_vk_generators_only():
-    base = _clash_base()
-    vk = FreeAlgebra([Generator("x1", 4), Generator("e2", 2)])
-    as_given = _clashing_borel(base, e2_2=vk.name_power("e2", 2))
-    assert str(as_given.twist_of("e2_2")) == "-e2_3^2 + x1"
-    # an element over other generators is rejected, even where its
-    # indices would fit the fiber
-    for foreign in (FreeAlgebra([Generator("y", 4), Generator("e2", 2)]),
-                    FreeAlgebra([Generator("x1", 4), Generator("e2", 2),
-                                 Generator("z", 2)])):
-        with pytest.raises(ContextError):
-            _clashing_borel(base, e2_2=foreign.name_power("e2", 2))
 
 
 def test_each_constructor_builds_its_model_once(monkeypatch):
@@ -450,9 +385,6 @@ def test_each_constructor_builds_its_model_once(monkeypatch):
     # its own model, then the reduction's target from framed_bundle_model
     unreduced_framed_model(cp2, 2)
     assert builds == ["UnreducedFramed_4(CP^2, k=2)", "Framed_4(CP^2, k=2)"]
-    builds.clear()
-    _clashing_borel(_clash_base())
-    assert builds == [""]
     builds.clear()
     s2 = FreeCdga([Generator("e2", 2), Generator("x3", 3)], {"x3": "e2^2"})
     tensor(cp2.model, s2, label="T")

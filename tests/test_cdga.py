@@ -307,15 +307,13 @@ def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
 
 
 def _layout_models():
-    from ratimm.bundles import borel_assoc_model, stiefel_model, unreduced_framed_model
+    from ratimm.bundles import stiefel_model, unreduced_framed_model
     from ratimm.mapping import sphere_bundle
     from ratimm.sweeps import sweep_instances
     models = [stiefel_model(7, 4), sphere_bundle(nonformal_base(), 5)]
-    vg, unit = FreeCdga([Generator("p1", 4)], {}, label="VG"), unit_cdga()
     # a relative model over a free base, with no base key above degree 0
-    models.append(borel_assoc_model(unit, CdgaMorphism(vg, unit, {"p1": "0"}),
-                                    VK=[Generator("b1", 4)], sVH=[Generator("x1", 3)],
-                                    Bmu_images={"x1": "p1"}, Bnu_images={"x1": "b1"}))
+    models.append(RelativeModel(unit_cdga(), [Generator("b1", 4), Generator("x1", 3)],
+                                {"x1": "-b1"}))
     for seed in (0, 1):
         for M, k in sweep_instances(random.Random(seed)):
             phi = unreduced_framed_model(M, k)[1]

@@ -74,7 +74,7 @@ def test_integral_coefficients_are_ints(M, k):
     found["apply"] = [c for rep in reps if rep.algebra is big.algebra
                       for c in phi._apply_terms(rep.terms, memo).values()]
     found["diff"] = _diff_terms(M.model) + _diff_terms(big) + _diff_terms(E)
-    _, kept = em_split(E)
+    _, kept, _ = em_split(E)
     # where `immersion_components` resolves the sphere factor
     if (kept and isinstance(M.model, FiniteCdga) and not check_pontryagin_hypothesis(M, k)[1]
             and not M.betti(k).dims[k]):

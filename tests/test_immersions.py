@@ -233,11 +233,35 @@ def test_one_relative_model_per_call(monkeypatch, M, k, status):
     assert len(built) == 1 and validated == built
 
 
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.manifold")))
+def test_one_walk_of_the_source_per_call(monkeypatch, name):
+    # H^k(M) comes from the Betti table em_split walked; a call that
+    # fails the hypotheses returns before walking
+    from ratimm import cdga
+    from ratimm.io import load_manifold
+    M = load_manifold(DATA / f"{name}.manifold")
+    walks = []
+    cochains = cdga._cochains
+
+    def counted(model):
+        walks.append(model)
+        return cochains(model)
+
+    monkeypatch.setattr(cdga, "_cochains", counted)
+    for k in range(2, 11):
+        walks.clear()
+        status = immersion_components(M, k).status
+        assert sum(w is M.model for w in walks) == (status != "hypothesis-failed"), k
+
+
 def test_em_factors_split_at_the_fibre():
     # S^5 at k = 4: x3 and x4 split off, the pair (x2, e4) stays
     M = sphere_manifold(5)
     E = framed_bundle_model(M, 4)
-    factors, kept = em_split(E)
+    factors, kept, _ = em_split(E)
     assert factors == [EMFactor(1, 6), EMFactor(1, 10), EMFactor(1, 11), EMFactor(1, 15)]
     assert [g.name for g in kept] == ["x2", "e4"]
     # the pair's section model has a closed generator of degree 2 that no

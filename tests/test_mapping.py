@@ -65,7 +65,7 @@ def test_odd_sphere_mapping_examples():
     # an odd sphere's one generator splits off whole: Map(M, S^k) is
     # Map(M, K(Q,k)); an even sphere's pair stays for the section model
     def factors(A, k):
-        split, kept = em_split(sphere_bundle(A, k))
+        split, kept, _ = em_split(sphere_bundle(A, k))
         assert kept == []
         assert split == em_mapping_space(cohomology(A, k, representatives=False), k)
         return split
@@ -73,8 +73,8 @@ def test_odd_sphere_mapping_examples():
     assert factors(sphere_manifold(2).model, 7) == [EMFactor(1, 5), EMFactor(1, 7)]
     assert factors(point_model(), 3) == [EMFactor(1, 3)]
     assert factors(sphere_manifold(3).model, 3) == [EMFactor(1, 3)]
-    split, kept = em_split(sphere_bundle(sphere_manifold(2).model, 4))
-    assert split == [] and [g.name for g in kept] == ["x", "y"]
+    split, kept, betti = em_split(sphere_bundle(sphere_manifold(2).model, 4))
+    assert split == [] and [g.name for g in kept] == ["x", "y"] and betti is None
 
 
 # -- null-component sphere models ----------------------------------------------
@@ -359,7 +359,7 @@ def test_section_model_of_the_kept_generators_matches_the_rebuilt_rest(name, k):
     M = sphere_manifold(5) if name == "S5" else load_manifold(DATA / f"{name}.manifold")
     assert not check_pontryagin_hypothesis(M, k)[1]
     E = framed_bundle_model(M, k)
-    _, kept = em_split(E)
+    _, kept, _ = em_split(E)
     rest = _rebuilt_rest(E)
     if rest is None:
         assert kept == []
@@ -376,6 +376,14 @@ def test_section_model_needs_every_generator_a_twist_mentions():
         section_model(E, [y])
     x_only = section_model(E, E.given[:1])
     assert [g.name for g in x_only.algebra.generators] == ["x", "x_a2"]
+    # a generator that is not E's, or one given twice, names itself
+    x = E.given[0]
+    with pytest.raises(InputError, match="z of degree 4 is not a fibre generator"):
+        section_model(E, [x, Generator("z", 4)])
+    with pytest.raises(InputError, match="x of degree 2 is not a fibre generator"):
+        section_model(E, [Generator("x", 2), y])
+    with pytest.raises(InputError, match="fibre generator x is given twice"):
+        section_model(E, [x, y, x])
 
 
 def test_section_model_without_a_null_section_is_an_input_error():
@@ -385,21 +393,24 @@ def test_section_model_without_a_null_section_is_an_input_error():
         section_model(E)
 
 
-def _full_walk_factors(E, kept):
-    """em_split's factors as a walk of the base to the largest split
-    degree gives them, q = 1..n for each split degree n."""
+def _full_walk(E, kept):
+    """A walk of E's base to the largest split degree (None if nothing
+    splits), and em_split's factors as that walk gives them, q = 1..n
+    for each split degree n."""
     split = [g.degree for g in E.given if g not in kept]
     if not split:
-        return []
+        return None, []
     betti = cohomology(E.base, max(split), representatives=False)
     factors = [EMFactor(betti.dims[n - q], q) for n in split for q in range(1, n + 1)
                if betti.dims[n - q]]
-    return sorted(factors, key=lambda f: (f.degree, -f.coefficient_dim))
+    return betti, sorted(factors, key=lambda f: (f.degree, -f.coefficient_dim))
 
 
 def test_em_split_walks_the_base_to_its_top_degree_only(monkeypatch):
     # H(M) vanishes above M's top degree: the walk stops there, and the
-    # factors are those of a walk to the largest split degree
+    # factors and the table are those of a walk to the largest split
+    # degree; a framed bundle that keeps generators splits one above k,
+    # so `immersion_components` reads H^k(M) from the table
     from ratimm import mapping
     walked = []
     walk = mapping.cohomology
@@ -413,12 +424,19 @@ def test_em_split_walks_the_base_to_its_top_degree_only(monkeypatch):
         M = load_manifold(path)
         top = M.model.algebra.top_degree
         for k in range(2, 41):
-            for E in (sphere_bundle(M.model, k), framed_bundle_model(M, k)):
+            for framed, E in ((False, sphere_bundle(M.model, k)),
+                              (True, framed_bundle_model(M, k))):
                 monkeypatch.setattr(mapping, "cohomology", recorded)
                 walked.clear()
-                factors, kept = em_split(E)
+                factors, kept, betti = em_split(E)
                 monkeypatch.undo()
                 assert all(cdga is E.base and cutoff <= top for cdga, cutoff in walked)
-                assert factors == _full_walk_factors(E, kept), (path.stem, k)
+                full, full_factors = _full_walk(E, kept)
+                assert factors == full_factors, (path.stem, k)
+                assert betti == full, (path.stem, k)
+                if betti is not None:
+                    assert not any(betti.dims[top + 1:])
+                if kept and framed:
+                    assert betti.cutoff >= k, (path.stem, k)
                 checked += bool(factors)
     assert checked > 300
