@@ -134,8 +134,9 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     desc.em_part_series = desc.series = em_product_series(desc.em_factors, cutoff)
     # E keeps generators only for k even, and then it splits one of degree
     # above k (ebar_{m+k-1} for m even, x_{s+1} of degree 2k+3 for m odd),
-    # so the table reaches degree k
-    if kept and betti.dims[k]:
+    # so the table is walked; it stops at M's top degree, above which
+    # H(M) is zero
+    if kept and k <= betti.cutoff and betti.dims[k]:
         desc.sphere_factor = SphereFactor(k, "symbolic")
         desc.status, desc.series, desc.growth = "symbolic-sphere", None, "symbolic"
         return desc
@@ -197,7 +198,7 @@ def verify_growth_bounds(series: PoincareSeries, growth: Growth,
     coeffs = series.extend(upto)
     if growth.kind == "finite":
         support = [j for j, c in enumerate(coeffs) if c]
-        return not support or max(support) <= len(series.form.numerator)
+        return not support or max(support) <= series.form.numerator[-1][0]
 
     d = growth.degree
 

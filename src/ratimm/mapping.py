@@ -3,7 +3,8 @@
 `em_split` splits the section space of a relative model E over a model
 A of M at its fibre into Eilenberg-MacLane factors, read off the Betti
 numbers of M, and the fibre generators it keeps; it hands out the Betti
-table it walked, so a caller reads H(M) there.  `section_model`, the
+table it walked, which stops at M's top degree (H(M) is zero above
+it), so a caller reads H(M) there.  `section_model`, the
 one place that needs A finite, reads E in place and models the null
 sections of those on generators (fibre generator) x (dual basis class),
 with the differential determined by requiring the evaluation pairing
@@ -49,8 +50,15 @@ class SphereFactor:
     status: str  # "resolved-null" | "symbolic"
 
 
+def _em_factors(dims: list[int], n: int) -> list[EMFactor]:
+    """K(Q, n - j)^{b_j} for each degree j < n with b_j = dims[j] != 0,
+    q = n - j ascending; a degree past the end of `dims` counts as zero."""
+    return [EMFactor(dims[j], n - j) for j in reversed(list(compress(range(n), dims)))]
+
+
 def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
-    """Factors K(H^{n-q}(M;Q), q) for 1 <= q <= n of Map(M, K(Q,n)).
+    """Factors K(H^{n-q}(M;Q), q) for 1 <= q <= n of Map(M, K(Q,n)),
+    read off a Betti table of M that reaches degree n.
 
     Zero-dimensional coefficient groups are omitted; the q = 0 datum (it
     would index components, not cohomology) is not part of the list.
@@ -60,9 +68,7 @@ def em_mapping_space(bettiM: BettiTable, n: int) -> list[EMFactor]:
     if bettiM.cutoff < n:
         raise ValueError(f"need Betti numbers of the source up to degree {n}, "
                          f"have cutoff {bettiM.cutoff}")
-    # q = n - j for each degree j < n where M has cohomology, q ascending
-    dims = bettiM.dims[:n]
-    return [EMFactor(dims[j], n - j) for j in reversed(list(compress(range(n), dims)))]
+    return _em_factors(bettiM.dims, n)
 
 
 def sphere_model(k: int) -> FreeCdga:
@@ -90,13 +96,13 @@ def em_split(E) -> tuple[list[EMFactor], list[Generator], BettiTable | None]:
     """Split the section space of E at its fibre.
 
     A fibre generator v that is closed and that no twist mentions splits
-    off Map(M, K(Q,|v|)), whose factors `em_mapping_space` reads off one
-    Betti walk of the base, which may be free.  The walk stops at the
-    base's top degree, if it has one, and the table is padded with zeros
-    to the largest |v|.  Returns those factors by degree, the larger
-    multiplicity first, the other fibre generators as given to E, in
-    fibre order, and the Betti table of the base, or None when nothing
-    splits (and nothing is walked).
+    off Map(M, K(Q,|v|)), whose factors, as `em_mapping_space` gives
+    them, are read off one Betti walk of the base, which may be free.
+    The walk goes to the largest |v|, or to the base's top degree if it
+    has one and that is lower: the Betti numbers above it are zero.
+    Returns those factors by degree, the larger multiplicity first, the
+    other fibre generators as given to E, in fibre order, and the Betti
+    table walked, or None when nothing splits (and nothing is walked).
     """
     twists = [E.twist_of(g.name) for g in E.given]
     mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
@@ -105,10 +111,9 @@ def em_split(E) -> tuple[list[EMFactor], list[Generator], BettiTable | None]:
     if not split:
         return [], kept, None
     top, cutoff = E.base.algebra.top_degree, max(split)
-    walked = cutoff if top is None else min(cutoff, top)
-    dims = cohomology(E.base, walked, representatives=False).dims
-    betti = BettiTable(cutoff, dims + [0] * (cutoff - walked))
-    factors = sorted((f for n in split for f in em_mapping_space(betti, n)),
+    betti = cohomology(E.base, cutoff if top is None else min(cutoff, top),
+                       representatives=False)
+    factors = sorted((f for n in split for f in _em_factors(betti.dims, n)),
                      key=lambda f: (f.degree, -f.coefficient_dim))
     return factors, kept, betti
 

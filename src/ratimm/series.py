@@ -3,92 +3,81 @@
 A series is a truncated integer coefficient vector; when its generating
 function is known to be P(t) / prod_i (1 - t^{d_i}) the closed form is
 carried along, which lets products, arbitrary-degree expansion and
-pole-order (growth) computations stay exact.
+pole-order (growth) computations stay exact.  P is kept as its nonzero
+terms, so a form costs what it has terms, not what its degree is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 __all__ = ["RationalForm", "PoincareSeries", "em_series", "series_product",
            "em_product_series", "reconstruct_rational_series"]
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _poly_mul(a, b) -> dict[int, int]:
+    """Product of two polynomials given as (exponent, coefficient) pairs."""
+    out: dict[int, int] = {}
+    for i, x in a:
+        for j, y in b:
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {e: c for e, c in out.items() if c}
 
 
-def _poly_div_geom(p, d):
-    """Exact quotient p(t) / (1 - t^d), or None if it does not divide."""
-    if not p:
-        return []
-    q = [0] * len(p)
-    for i in range(len(p)):
-        q[i] = p[i] + (q[i - d] if i >= d else 0)
-    # remainder check: (1 - t^d) * q must reproduce p
-    tail = q[len(p) - d:] if d <= len(p) else q
-    if any(tail):
-        return None
-    out = q[:max(0, len(p) - d)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _poly_div_geom(p: dict[int, int], d: int) -> dict[int, int] | None:
+    """Exact quotient p(t) / (1 - t^d), or None if it does not divide.
+
+    The quotient's coefficient at e is the running sum of p over the
+    exponents <= e in e's residue class mod d; it divides iff every
+    class sums to zero.
+    """
+    q: dict[int, int] = {}
+    run: dict[int, tuple[int, int]] = {}  # residue -> (last exponent, sum)
+    for e in sorted(p):
+        last, s = run.get(e % d, (e, 0))
+        if s:
+            q.update(dict.fromkeys(range(last, e, d), s))
+        run[e % d] = (e, s + p[e])
+    return None if any(s for _, s in run.values()) else q
 
 
 @dataclass(frozen=True)
 class RationalForm:
-    """P(t) / prod (1 - t^d)^mult with integer numerator coefficients."""
+    """P(t) / prod (1 - t^d)^mult with integer numerator coefficients.
 
-    numerator: tuple[int, ...]
+    `numerator` holds P's nonzero terms as (exponent, coefficient) pairs
+    in ascending exponent order; () is the zero polynomial.
+    """
+
+    numerator: tuple[tuple[int, int], ...]
     denominator: tuple[tuple[int, int], ...] = ()  # sorted ((degree, mult), ...)
 
-    @staticmethod
-    def polynomial(coeffs) -> "RationalForm":
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return RationalForm(tuple(c), ())
-
     def __mul__(self, other: "RationalForm") -> "RationalForm":
-        numer = tuple(_poly_mul(list(self.numerator), list(other.numerator)))
+        numer = _poly_mul(self.numerator, other.numerator)
         denom: dict[int, int] = {}
         for d, m in self.denominator + other.denominator:
             denom[d] = denom.get(d, 0) + m
-        return RationalForm(numer, tuple(sorted(denom.items()))).reduced()
+        return RationalForm(tuple(sorted(numer.items())),
+                            tuple(sorted(denom.items()))).reduced()
 
     def reduced(self) -> "RationalForm":
-        """Cancel denominator factors (1 - t^d) that divide the numerator."""
-        numer = list(self.numerator)
-        denom: list[list[int]] = [list(x) for x in self.denominator]
-        changed = True
-        while changed and numer:
-            changed = False
-            for pair in denom:
-                d, m = pair
-                while m > 0:
-                    q = _poly_div_geom(numer, d)
-                    if q is None:
-                        break
-                    numer = q
-                    m -= 1
-                    changed = True
-                pair[1] = m
-        denom = [p for p in denom if p[1] > 0]
-        return RationalForm(tuple(numer), tuple(tuple(p) for p in denom))
+        """Cancel denominator factors (1 - t^d) that divide the numerator;
+        the zero form keeps no denominator."""
+        numer, denom = dict(self.numerator), []
+        for d, m in self.denominator:
+            while m and numer and (q := _poly_div_geom(numer, d)) is not None:
+                numer, m = q, m - 1
+            if m and numer:
+                denom.append((d, m))
+        return RationalForm(tuple(sorted(numer.items())), tuple(denom))
 
     def coefficients(self, upto: int) -> list[int]:
         """Exact power-series coefficients c_0..c_upto."""
         out = [0] * (upto + 1)
-        for i, c in enumerate(self.numerator[:upto + 1]):
-            out[i] = c
+        for e, c in self.numerator:
+            if e <= upto:
+                out[e] = c
         for d, m in self.denominator:
             for _ in range(m):
                 for n in range(d, upto + 1):
@@ -96,17 +85,19 @@ class RationalForm:
         return out
 
     def pole_order_at_one(self) -> int:
-        """Order of the pole at t = 1 (0 for polynomials)."""
+        """Order of the pole at t = 1 (0 for polynomials).
+
+        Each Taylor coefficient of P at t = 1 that vanishes, from the
+        first on (the j-th is the sum of c * C(e, j)), cancels one pole.
+        """
         form = self.reduced()
-        order = sum(m for _, m in form.denominator)
-        numer = list(form.numerator)
-        while numer and sum(numer) == 0 and order > 0:
-            numer = _poly_div_geom(numer, 1)
-            order -= 1
-        return max(order, 0)
+        order, j = sum(m for _, m in form.denominator), 0
+        while j < order and not sum(c * comb(e, j) for e, c in form.numerator):
+            j += 1
+        return order - j
 
     def __str__(self):
-        num = " + ".join(f"{c}*t^{i}" for i, c in enumerate(self.numerator) if c) or "0"
+        num = " + ".join(f"{c}*t^{e}" for e, c in self.numerator) or "0"
         if not self.denominator:
             return num
         den = "".join(f"(1-t^{d})" + (f"^{m}" if m > 1 else "")
@@ -146,7 +137,7 @@ class PoincareSeries:
 
     @staticmethod
     def one(cutoff: int) -> "PoincareSeries":
-        return PoincareSeries.from_form(RationalForm.polynomial([1]), cutoff)
+        return PoincareSeries.from_form(RationalForm(((0, 1),)), cutoff)
 
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":
         cutoff = min(self.cutoff, other.cutoff)
@@ -195,14 +186,11 @@ def em_series(n: int, multiplicity: int, cutoff: int) -> PoincareSeries:
         raise ValueError(f"Eilenberg-MacLane degree must be >= 1, got {n}")
     if multiplicity < 1:
         raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-    if n % 2:
-        single = [0] * (n + 1)
-        single[0] = single[n] = 1
-        form = RationalForm.polynomial([1])
-        for _ in range(multiplicity):
-            form = form * RationalForm.polynomial(single)
+    if n % 2:  # (1 + t^n)^multiplicity, by the binomial theorem
+        form = RationalForm(tuple((n * i, comb(multiplicity, i))
+                                  for i in range(multiplicity + 1)))
     else:
-        form = RationalForm((1,), ((n, multiplicity),))
+        form = RationalForm(((0, 1),), ((n, multiplicity),))
     return PoincareSeries.from_form(form, cutoff)
 
 
@@ -236,17 +224,17 @@ def reconstruct_rational_series(coeffs, denominator_degrees,
         verify_from = len(coeffs) // 2
     if verify_from >= len(coeffs):
         return None
-    numer = coeffs
-    for d in degrees:
-        numer = _poly_mul(numer, [1] + [0] * (d - 1) + [-1])[:len(coeffs)]
-    while numer and numer[-1] == 0:
-        numer.pop()
-    if len(numer) > verify_from:
+    numer = list(coeffs)
+    for d in degrees:  # times (1 - t^d), in place, from the top down
+        for i in range(len(numer) - 1, d - 1, -1):
+            numer[i] -= numer[i - d]
+    if any(numer[verify_from:]):
         return None
     denom: dict[int, int] = {}
     for d in degrees:
         denom[d] = denom.get(d, 0) + 1
-    form = RationalForm(tuple(numer), tuple(sorted(denom.items()))).reduced()
+    form = RationalForm(tuple((e, c) for e, c in enumerate(numer) if c),
+                        tuple(sorted(denom.items()))).reduced()
     if form.coefficients(len(coeffs) - 1) != coeffs:
         return None
     return form

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, determinism, JSON round-trips."""
 
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,8 @@ from ratimm.io import load_manifold, serialize_manifold
 from ratimm.mapping import em_mapping_space, sphere_map_null_model
 from ratimm.series import em_product_series
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
 
 
 @pytest.fixture
@@ -389,3 +395,33 @@ def test_verify_core_suite(capsys):
     assert code == 0
     assert "non-canonical" in out
     assert "failures: 0" in out
+
+
+def _capped_cli(*argv):
+    """`python -m ratimm.cli *argv` in a subprocess whose address space is
+    capped at 1 GB, so a run that would need more fails there alone."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    cap = 1 << 30
+    return subprocess.run([sys.executable, "-m", "ratimm.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300, check=False,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["map-sphere", "immersion"])
+def test_a_large_k_costs_what_its_answer_costs(command, fmt):
+    # S^2 at odd k: each degree the answer prints is one of these functions
+    # of k, and the closed form has four terms whatever k is
+    def degrees(k):
+        return [k, k - 2, 2 * k - 2, (k + 1) // 2, k + 2, 2 * k - 1, 2 * k + 1, 4 * k]
+
+    small, large = 1_000_001, 1_000_000_001
+    runs = [_capped_cli(command, "--manifold", str(DATA / "s2.manifold"),
+                        "--k", str(k), "--format", fmt) for k in (small, large)]
+    assert [p.returncode for p in runs] == [0, 0], runs[-1].stderr[-2000:]
+    to_large = dict(zip(map(str, degrees(small)), map(str, degrees(large))))
+    expect = re.sub(r"\d+", lambda m: to_large.get(m.group(), m.group()), runs[0].stdout)
+    assert expect != runs[0].stdout
+    assert runs[1].stdout == expect
