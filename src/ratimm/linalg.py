@@ -9,7 +9,10 @@ Three independent elimination routines live here on purpose:
   the rank mod a 61-bit prime of the columns that lead no kernel
   witness, is at most the rank over Q; the witnesses and the mod-p
   relations lifted to Q, each verified exactly and each with an index
-  of its own, give nullity >= n - r_p.  `ratimm cohomology`
+  of its own, give nullity >= n - r_p.  It too pays per pivot met: a
+  column that meets no pivot is kept as given (so a stored row may be
+  the caller's column, never changed), and a row's lead is inverted
+  only when a later column meets it.  `ratimm cohomology`
   checks every sparse rank against it, on every column, with the rows
   of im d_{n-1} as witnesses for the cleared ones; a wrong witness
   makes it decline, never changes the rank it returns;
@@ -241,7 +244,15 @@ def certified_rank(columns: list[dict], witnesses=()) -> int | None:
     claimed to lie in the kernel; each is checked exactly, sum_i w_i *
     column_i = 0, and their leading (smallest) indices must be distinct.
     The columns that lead no witness are eliminated mod p = 2^61 - 1,
-    column by column.
+    column by column, paying only for the pivots each one meets.  A
+    column whose support holds no pivot and whose smallest entry is
+    nonzero mod p becomes a row as given, with relation {j: 1}: no
+    mod-p copy, no inverse, so a stored row may be the caller's own
+    column, which is never changed in place.  Any other column is
+    reduced mod p.  Rows are kept unnormalized; the inverse of a row's
+    lead is taken once, when a later column first meets it, and the
+    column loses f*row, f = coeff / lead, which leaves the residues a
+    monic row would.
     Each dependent column j leaves a mod-p relation with coefficient 1
     on j and support on j and the eliminated independent columns before
     it; every relation is lifted to Q by rational reconstruction and
@@ -271,17 +282,31 @@ def certified_rank(columns: list[dict], witnesses=()) -> int | None:
                 for col in columns]
     leads = set()
     for w in witnesses:
-        lead = min(w, default=-1)
-        if (lead < 0 or lead in leads or max(w) >= n or not all(w.values())
-                or not _vanishes(ints, w)):
+        # one pass: index range, nonzero coefficients and sum_i w_i * ints_i
+        lead, total = n, {}
+        for i, c in w.items():
+            if not c or not 0 <= i < n:
+                return None
+            if i < lead:
+                lead = i
+            for k, v in ints[i].items():
+                total[k] = total.get(k, 0) + c * v
+        if lead == n or lead in leads or any(total.values()):
             return None
         leads.add(lead)
 
+    # pivot -> (row, relation), both unnormalized, row[pivot] != 0 mod p
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    inverses: dict[int, int] = {}  # pivot -> 1 / row[pivot], once met
     relations: list[dict[int, int]] = []
     for j, col in enumerate(ints):
         if j in leads:
             continue
+        if col and pivots.keys().isdisjoint(col):
+            lead = min(col)
+            if col[lead] % PRIME:  # meets no pivot: a row as given
+                pivots[lead] = (col, {j: 1})
+                continue
         vec = {}
         for i, v in col.items():
             v %= PRIME
@@ -295,10 +320,15 @@ def certified_rank(columns: list[dict], witnesses=()) -> int | None:
             coeff = vec.get(i)
             if not coeff:
                 continue
-            # pivot rows are monic with no entries left of their pivot
+            # pivot rows have no entries left of their pivot; vec - f*row
+            # is zero at i
             row, rowrel = pivots[i]
+            inv = inverses.get(i)
+            if inv is None:
+                inv = inverses[i] = pow(row[i], -1, PRIME)
+            f = coeff * inv % PRIME
             for k, v in row.items():
-                s = (vec.get(k, 0) - coeff * v) % PRIME
+                s = (vec.get(k, 0) - f * v) % PRIME
                 if s:
                     if k not in vec and k in pivots:
                         heappush(heap, k)
@@ -306,16 +336,13 @@ def certified_rank(columns: list[dict], witnesses=()) -> int | None:
                 else:
                     vec.pop(k, None)
             for k, v in rowrel.items():
-                s = (rel.get(k, 0) - coeff * v) % PRIME
+                s = (rel.get(k, 0) - f * v) % PRIME
                 if s:
                     rel[k] = s
                 else:
                     rel.pop(k, None)
         if vec:
-            pivot = min(vec)
-            inv = pow(vec[pivot], -1, PRIME)
-            pivots[pivot] = ({k: v * inv % PRIME for k, v in vec.items()},
-                             {k: v * inv % PRIME for k, v in rel.items()})
+            pivots[min(vec)] = (vec, rel)
         else:
             relations.append(rel)
 

@@ -2,7 +2,9 @@
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from ratimm import linalg
@@ -445,39 +447,230 @@ def test_certified_rank_declines_bad_witnesses():
     assert linalg.certified_rank([{0: p, 1: 1}, {1: 1}], [{0: 1, 1: -1}]) is None
 
 
-def test_certified_engine_never_falls_back(monkeypatch):
-    # the walk's image rows are good witnesses: the certificate settles
-    # every degree of these models, and with or without them gives one rank
+def test_certified_engine_never_falls_back(monkeypatch, tmp_path, capsys):
+    # the walk's image rows are good witnesses: `ratimm cohomology`
+    # settles every degree of these models, the CLI benchmark model
+    # among them, without the dense fallback, and the certificate gives
+    # one rank with or without them
     from pathlib import Path
 
-    from ratimm.bundles import stiefel_model
-    from ratimm.cdga import cohomology
-    from ratimm.io import load_cdga, parse_cdga
+    from test_cdga import _free_models
 
-    def unused(rows):
+    from ratimm import cdga
+    from ratimm.bundles import stiefel_model
+    from ratimm.cli import main
+    from ratimm.io import serialize_cdga
+
+    def unused(cols, rows):
         raise AssertionError("the dense fallback must not run")
     inputs = Path(__file__).resolve().parent / "golden" / "inputs"
-    free7 = parse_cdga("kind: free\nlabel: free7\n"
-                       "generator: e2 2\ngenerator: x3 3\ngenerator: e4 4\n"
-                       "generator: y5 5\ngenerator: x7 7\ngenerator: e6 6\n"
-                       "generator: x11 11\n"
-                       "d: x3 = 2/3*e2^2\nd: y5 = -5/7*e2*e4\n"
-                       "d: x7 = 3*e4^2\nd: x11 = 1/4*e6^2\n")
-    cases = ((load_cdga(str(inputs / "free_s2xs2.cdga")), 30),
-             (load_cdga(str(inputs / "finite_nonformal.cdga")), 12),
-             (stiefel_model(3, 4), 30),
-             (free7, 50))
+    models = {
+        "stiefel_3_4": serialize_cdga(stiefel_model(3, 4)),
+        "free7": ("kind: free\nlabel: free7\n"
+                  "generator: e2 2\ngenerator: x3 3\ngenerator: e4 4\n"
+                  "generator: y5 5\ngenerator: x7 7\ngenerator: e6 6\n"
+                  "generator: x11 11\n"
+                  "d: x3 = 2/3*e2^2\nd: y5 = -5/7*e2*e4\n"
+                  "d: x7 = 3*e4^2\nd: x11 = 1/4*e6^2\n"),
+        "bench7": serialize_cdga(_free_models()[0]),
+    }
+    for name, text in models.items():
+        (tmp_path / f"{name}.cdga").write_text(text)
+    cases = ((inputs / "free_s2xs2.cdga", 30),
+             (inputs / "finite_nonformal.cdga", 12),
+             (tmp_path / "stiefel_3_4.cdga", 30),
+             (tmp_path / "free7.cdga", 50),
+             (tmp_path / "bench7.cdga", 50))
     certify = linalg.certified_rank
     calls = []
 
     def recorded(cols, witnesses=()):
         calls.append((cols, witnesses))
         return certify(cols, witnesses)
-    monkeypatch.setattr(linalg, "dense_rank", unused)
+    monkeypatch.setattr(cdga, "_dense_rank", unused)
     monkeypatch.setattr(linalg, "certified_rank", recorded)
-    for cdga, cutoff in cases:
-        assert len(cohomology(cdga, cutoff, engine="certified").dims) == cutoff + 1
+    for path, cutoff in cases:
+        assert main(["cohomology", str(path), "--max-degree", str(cutoff)]) == 0
+        assert capsys.readouterr().out.startswith("model:")
     assert len(calls) == sum(cutoff + 1 for _, cutoff in cases)
     assert sum(len(witnesses) for _, witnesses in calls) > 1000
     for cols, witnesses in calls:
         assert certify(cols, witnesses) == certify(cols) is not None
+
+
+# -- the reference: the certificate with monic rows, every column reduced
+# mod p and four scans per witness -------------------------------------------
+
+def _reference_certified_rank(columns, witnesses=(), met=None):
+    """`certified_rank` as it was before untouched columns were kept as
+    given; `met`, if given, collects the pivots that a later column meets
+    (the one added line)."""
+    PRIME, _vanishes = linalg.PRIME, linalg._vanishes
+    n = len(columns)
+    ints = columns
+    if any(type(c) is not int for col in columns for c in col.values()):
+        common = lcm(*(c.denominator for col in columns for c in col.values()))
+        ints = [{i: c.numerator * (common // c.denominator) for i, c in col.items()}
+                for col in columns]
+    leads = set()
+    for w in witnesses:
+        lead = min(w, default=-1)
+        if (lead < 0 or lead in leads or max(w) >= n or not all(w.values())
+                or not _vanishes(ints, w)):
+            return None
+        leads.add(lead)
+
+    pivots = {}
+    relations = []
+    for j, col in enumerate(ints):
+        if j in leads:
+            continue
+        vec = {}
+        for i, v in col.items():
+            v %= PRIME
+            if v:
+                vec[i] = v
+        rel = {j: 1}
+        heap = [i for i in vec if i in pivots]
+        heapify(heap)
+        while heap:
+            i = heappop(heap)
+            coeff = vec.get(i)
+            if not coeff:
+                continue
+            if met is not None:
+                met.add(i)
+            row, rowrel = pivots[i]
+            for k, v in row.items():
+                s = (vec.get(k, 0) - coeff * v) % PRIME
+                if s:
+                    if k not in vec and k in pivots:
+                        heappush(heap, k)
+                    vec[k] = s
+                else:
+                    vec.pop(k, None)
+            for k, v in rowrel.items():
+                s = (rel.get(k, 0) - coeff * v) % PRIME
+                if s:
+                    rel[k] = s
+                else:
+                    rel.pop(k, None)
+        if vec:
+            pivot = min(vec)
+            inv = pow(vec[pivot], -1, PRIME)
+            pivots[pivot] = ({k: v * inv % PRIME for k, v in vec.items()},
+                             {k: v * inv % PRIME for k, v in rel.items()})
+        else:
+            relations.append(rel)
+
+    for rel in relations:
+        lifted = {}
+        for i, a in rel.items():
+            pair = linalg._lift(a)
+            if pair is None:
+                return None
+            lifted[i] = pair
+        scale = lcm(*(s for _, s in lifted.values()))
+        if not _vanishes(ints, {i: r * (scale // s) for i, (r, s) in lifted.items()}):
+            return None
+    return len(pivots)
+
+
+def _corrupted(rng, rows, n):
+    """The kernel rows with one of them made wrong: a coefficient off by
+    one, an index out of range, a repeated lead or a zero coefficient."""
+    rows = [dict(w) for w in rows]
+    w = rows[rng.randrange(len(rows))]
+    i = rng.choice(list(w))
+    kind = rng.randrange(4)
+    if kind == 0:
+        w[i] += 1
+    elif kind == 1:
+        w[rng.choice([n, n + 3, -1])] = 1
+    elif kind == 2:
+        rows.append({k: 2 * c for k, c in w.items()})
+    else:
+        w[i] = 0
+    return rows
+
+
+def test_certified_rank_matches_the_reference():
+    # every result, a rank or None, is the monic-row reference's, on
+    # entries 0 mod p, >= p, negative, Fraction (denominator p too),
+    # empty columns and planted dependencies, with no witnesses, the
+    # kernel rows and one corrupted witness
+    p = linalg.PRIME
+    rng = random.Random(3141)
+    small = [1, -1, 2, -3, 5, 7]
+    special = [p, -2 * p, p + 1, 2 * p - 1, p * 5 + 1, 3 ** 45, -(3 ** 45)]
+    rational = [Fraction(1, 2), Fraction(-5, 3), Fraction(1, p), Fraction(p + 2, p)]
+    outcomes = Counter()
+    for case in range(400):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
+        # how often an entry is special: never, now and then, often
+        rate = (0, 0.05, 0.3)[case % 3]
+        entries = special + rational if case % 2 else special
+
+        def entry():
+            return rng.choice(entries) if rng.random() < rate else rng.choice(small)
+        cols = []
+        for _j in range(ncols):
+            roll = rng.random()
+            if roll < 0.1:
+                col = {}
+            elif cols and roll < 0.45:
+                col = {}
+                for src in rng.sample(range(len(cols)), min(len(cols), 2)):
+                    c = rng.choice([1, -2, 3, Fraction(1, 3)]) if case % 2 else entry()
+                    for i, v in cols[src].items():
+                        col[i] = col.get(i, 0) + c * v
+            else:
+                col = {i: entry()
+                       for i in rng.sample(range(nrows), rng.randint(1, min(nrows, 5)))}
+            cols.append({i: v for i, v in col.items() if v})
+        rows = linalg.SparseEchelon(linalg.sparse_rank_kernel(cols)[1]).rows
+        witness_sets = {"none": (), "kernel": rows}
+        if rows:
+            witness_sets["corrupted"] = _corrupted(rng, rows, ncols)
+        for kind, witnesses in witness_sets.items():
+            copies = copy.deepcopy((cols, witnesses))
+            got = linalg.certified_rank(cols, witnesses)
+            assert (cols, witnesses) == copies  # nothing changed in place
+            assert got == _reference_certified_rank(cols, witnesses), (cols, witnesses)
+            outcomes[kind, got is None] += 1
+    # each kind of witness set both certifies and declines
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 10
+
+
+def test_certificate_inverts_only_the_leads_it_meets(monkeypatch):
+    # a column that meets no pivot is kept as given, and a lead is
+    # inverted the first time a later column meets it: on the CLI
+    # benchmark model to degree 50 the inverses taken are at most the
+    # pivots met, far fewer than the columns eliminated
+    from test_cdga import _free_models
+
+    from ratimm.cdga import cohomology
+
+    certify = linalg.certified_rank
+    calls, inverses = [], []
+
+    def recorded(cols, witnesses=()):
+        calls.append((cols, witnesses))
+        return certify(cols, witnesses)
+
+    def counted(*args):
+        inverses.append(args)
+        return pow(*args)
+    monkeypatch.setattr(linalg, "certified_rank", recorded)
+    monkeypatch.setattr(linalg, "pow", counted, raising=False)
+    assert len(cohomology(_free_models()[0], 50, engine="certified").dims) == 51
+    monkeypatch.undo()
+    met = eliminated = 0
+    for cols, witnesses in calls:
+        pivots_met = set()
+        assert _reference_certified_rank(cols, witnesses, pivots_met) is not None
+        met += len(pivots_met)
+        eliminated += len(cols) - len(witnesses)
+    assert len(calls) == 51 and eliminated > 2000
+    assert len(inverses) <= met
+    assert 10 * met < eliminated
