@@ -105,11 +105,11 @@ base-degree order, each base degree read from the base's own
 pos(rm) the position of rm among the fiber monomials of its degree,
 found by the code of rm (`fiber_degree`).  The walk's memo keeps, per
 fiber degree, D(1 (x) rm) of each rm as ((bk, position), coefficient), P
-merged in by code (`_fiber_entry`), and `_column` assembles the column
-of (lk, rm) as an int-keyed dict: d_B(lk) (x) rm at start_{n+1}[k] +
-pos(rm) for each term k, then start_{n+1}[lk*bk] + q for each product
-term.  No pair index is built, and no pair or fiber monomial is hashed per
-key.  A fiber degree is dropped once the walk has passed it by more than
+merged in by code, and `_columns` builds it the first time a column
+asks and assembles the column of (lk, rm) as an int-keyed dict:
+d_B(lk) (x) rm at start_{n+1}[k] + pos(rm) for each term k, then
+start_{n+1}[lk*bk] + q for each product term.  No pair index is built,
+and no pair or fiber monomial is hashed per key.  A fiber degree is dropped once the walk has passed it by more than
 the base's top degree.  Columns are plain dicts, with no `Element`;
 `_cochains` hands them one memo that lives as long as its walk.  A free
 or finite model's `_diff_terms` and columns give D*d, D (`_scale`) the
@@ -914,29 +914,40 @@ class RelativeModel(Cdga):
 
     def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
         """`_diff_terms` in rows of degree n+1's blocks, block by block:
-        (k, rm) is row starts[k] + pos(rm).  The walk's memo keeps a
-        record of each fiber degree under None (`_fiber_degree`)."""
+        d_B(lk) (x) rm at starts[k] + pos(rm) for each term k, then lk*bk
+        at starts[lk*bk] + q for each ((bk, q), c) of D(1 (x) rm), which
+        the record of rm's fiber degree (`_fiber_degree`, kept in the memo
+        under None) keeps from the first column that asks for it."""
         fibers = memo.get(None)
         if fibers is None:
             fibers = memo[None] = {}
         starts = index_next.starts
-        column = self._column
         out = []
         for lk, start in index.starts.items():
-            row = self._base_row(lk, memo)
-            d = index.degree - row[3]
+            dlk, sign, products, degree = self._base_row(lk, memo)
+            d = index.degree - degree
             fiber = fibers.get(d)
             if fiber is None:
                 fiber = self._fiber_degree(d, fibers)
-            for p in range(len(fiber[0])):
-                if start + p not in skip:
-                    out.append(column(keys[start + p], p, row, fiber, starts, memo))
+            rkeys, codes, entries, targets = fiber
+            for p in range(len(rkeys)):
+                if start + p in skip:
+                    continue
+                terms = entries[p]
+                if terms is None:
+                    # rm = P*R: P*m is the fiber monomial of code q + m
+                    q, rest = _rest_terms(self, rkeys[p], codes[p], memo)
+                    terms = entries[p] = [((bk, targets[bk][q + m]), c) for bk, m, c in rest]
+                column = {starts[k] + p: c for k, c in dlk} if dlk else {}
+                if terms:
+                    products.add_times(column, terms, sign, starts)
+                out.append(column)
         return out
 
     def _fiber_degree(self, d, fibers):
         """The walk's record of fiber degree d, kept in `fibers`: its
         monomials rm, their codes, D(1 (x) rm) of each by position (None
-        until `_column` asks), and {bk: {code: position} of fiber degree
+        until `_columns` asks), and {bk: {code: position} of fiber degree
         d + 1 - |bk|} for the base keys bk of the twist.  Degrees below
         d - (the base's top degree) are dropped: the walk has passed
         them, and no later key meets them."""
@@ -950,29 +961,6 @@ class RelativeModel(Cdga):
                    for bk in self._twist_base_keys}
         fiber = fibers[d] = (rkeys, codes, [None] * len(rkeys), targets)
         return fiber
-
-    def _fiber_entry(self, rm, code, targets, memo) -> list:
-        """D(1 (x) rm), rm = P*R with `code`, as ((bk, q), c) items, q
-        the position of the fiber monomial P*m, code p + m, in
-        `targets[bk]` (`_rest_terms`)."""
-        p, terms = _rest_terms(self, rm, code, memo)
-        return [((bk, targets[bk][p + m]), c) for bk, m, c in terms]
-
-    def _column(self, key, p, row, fiber, starts, memo) -> dict:
-        """D(key), key = (lk, rm) with rm at position p of its `fiber`
-        record and `row` lk's `_base_row`, as a column {row: coefficient}
-        of the next degree's `starts`: d_B(lk) (x) rm, then lk*bk at
-        starts[lk*bk] + q for each ((bk, q), c) of D(1 (x) rm), q the
-        position of the fiber monomial, which the record keeps."""
-        _, codes, entries, targets = fiber
-        terms = entries[p]
-        if terms is None:
-            terms = entries[p] = self._fiber_entry(key[1], codes[p], targets, memo)
-        dlk, sign, products, _ = row
-        out = {starts[k] + p: c for k, c in dlk} if dlk else {}
-        if terms:
-            products.add_times(out, terms, sign, starts)
-        return out
 
     def diff_key(self, key) -> Element:
         return Element(self.algebra, self._diff_terms(key, {}))

@@ -169,7 +169,8 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
         return FreeCdga(algebra, diff, label=label)
     sc = _single(fields, "simply-connected", default="false")
     if sc not in ("true", "false"):
-        raise ParseError("simply-connected must be 'true' or 'false'", line=0)
+        raise ParseError("simply-connected must be 'true' or 'false'",
+                         line=fields["simply-connected"][0][0])
     return FiniteCdga(algebra, differential=diff, label=label,
                       simply_connected=(sc == "true"))
 

@@ -24,7 +24,7 @@ from itertools import compress
 from .cdga import (BettiTable, FiniteCdga, FreeCdga, RelativeModel,
                    TensorAlgebra, _tensor_relative, _unique_name, cohomology)
 from .errors import InputError
-from .gca import Element, FreeAlgebra, Generator, _exact, add_into
+from .gca import _NAME_RE, Element, FreeAlgebra, Generator, _exact, add_into
 
 __all__ = [
     "EMFactor", "SphereFactor", "em_mapping_space", "em_split",
@@ -169,6 +169,9 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
             if deg < 1:
                 continue
             name = v.name if u == A.algebra.unit else f"{v.name}_{uname}"
+            if not _NAME_RE.match(name):
+                raise InputError(f"the basis element {uname!r} of {A.label} gives the "
+                                 f"generator name {name!r}, which is not an identifier")
             if name in taken:
                 name = _unique_name(name, taken)
             taken.add(name)

@@ -270,21 +270,21 @@ def test_null_model_walk_expands_each_odd_word_once(monkeypatch):
 
 def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
     # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm):
-    # a walk merges the closed factors of rm into D(1 (x) rm) once per rm
-    # (`_fiber_entry`, by adding codes), expands each rest R once, and asks
-    # the base for each product lk*bk once
+    # a walk builds D(1 (x) rm), the closed factors of rm merged in by
+    # adding codes (`_rest_terms`), once per rm, expands each rest R once,
+    # and asks the base for each product lk*bk once
     from ratimm import cdga
     from ratimm.bundles import unreduced_framed_model
     from ratimm.sweeps import sweep_instances
     models = [unreduced_framed_model(M, k)[0]
               for M, k in sweep_instances(random.Random(0))[:8]]
     merges, leibniz_calls, products = Counter(), Counter(), Counter()
-    fiber_entry, leibniz = RelativeModel._fiber_entry, cdga._leibniz
+    rest_terms, leibniz = cdga._rest_terms, cdga._leibniz
     mul_key_pairs = FiniteAlgebra.mul_key_pairs
 
-    def counted_merge(self, rm, code, targets, memo):
-        merges[rm] += 1
-        return fiber_entry(self, rm, code, targets, memo)
+    def counted_merge(model, mono, code, memo):
+        merges[(id(model), mono)] += 1
+        return rest_terms(model, mono, code, memo)
 
     def counted_leibniz(fiber, mono, dgen):
         leibniz_calls[mono] += 1
@@ -294,13 +294,14 @@ def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
         products[(id(self), i, j)] += 1
         return mul_key_pairs(self, i, j)
 
-    monkeypatch.setattr(RelativeModel, "_fiber_entry", counted_merge)
+    monkeypatch.setattr(cdga, "_rest_terms", counted_merge)
     monkeypatch.setattr(cdga, "_leibniz", counted_leibniz)
     monkeypatch.setattr(FiniteAlgebra, "mul_key_pairs", counted_products)
     for model in models:
         for counts in (merges, leibniz_calls, products):
             counts.clear()
         cohomology(model, 24, representatives=False)
+        assert {i for i, _ in merges} == {id(model)}
         assert set(merges.values()) == {1} and set(leibniz_calls.values()) == {1}
         assert set(products.values()) == {1}
         assert {i for i, _, _ in products} == {id(model.base.algebra)}
@@ -1171,12 +1172,11 @@ def test_representatives_match_the_every_degree_kernel_reference():
 def _count_diff_terms(monkeypatch, *quiet):
     """Count the outermost calls of the per-key assembly routines per
     (model, key): `_diff_terms`, which `diff_key` and the walks of finite
-    models use, a relative model's `_column`, which its walks use, and,
-    per key whose column it returns, a free model's `_columns`, which
-    assembles its walks' columns from monomial codes.  Calls made inside
-    a counted call or inside the functions in `quiet` are left out, and
-    so are those inside a relative model's `_base_row`: its call to its
-    base's `_diff_terms` is part of its own assembly."""
+    models use, and, per key whose column it returns, the `_columns` of
+    a free or relative model, which assembles its walks' columns itself.
+    Calls made inside a counted call or inside the functions in `quiet`
+    are left out, and so are those inside a relative model's `_base_row`:
+    its call to its base's `_diff_terms` is part of its own assembly."""
     counts = Counter()
     depth = [0]
 
@@ -1191,25 +1191,25 @@ def _count_diff_terms(monkeypatch, *quiet):
                 depth[0] -= 1
         return wrapper
 
-    free_columns = FreeCdga._columns
-
-    def columns(self, keys, index, skip, *args):
-        outermost = not depth[0]
-        depth[0] += 1
-        try:
-            out = free_columns(self, keys, index, skip, *args)
-        finally:
-            depth[0] -= 1
-        asked = [key for j, key in enumerate(keys) if j not in skip]
-        assert len(out) == len(asked)
-        if outermost:
-            counts.update((id(self), key) for key in asked)
-        return out
+    def wrap_columns(fn):
+        def columns(self, keys, index, skip, *args):
+            outermost = not depth[0]
+            depth[0] += 1
+            try:
+                out = fn(self, keys, index, skip, *args)
+            finally:
+                depth[0] -= 1
+            asked = [key for j, key in enumerate(keys) if j not in skip]
+            assert len(out) == len(asked)
+            if outermost:
+                counts.update((id(self), key) for key in asked)
+            return out
+        return columns
 
     for cls in (FreeCdga, FiniteCdga, RelativeModel):
         monkeypatch.setattr(cls, "_diff_terms", wrap(cls._diff_terms, True))
-    monkeypatch.setattr(FreeCdga, "_columns", columns)
-    monkeypatch.setattr(RelativeModel, "_column", wrap(RelativeModel._column, True))
+    for cls in (FreeCdga, RelativeModel):
+        monkeypatch.setattr(cls, "_columns", wrap_columns(cls._columns))
     for owner, name in ((RelativeModel, "_base_row"), *quiet):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name), False))
     return counts

@@ -104,6 +104,18 @@ def test_map_sphere_small_k_message(capsys, cp2_file, k, message):
         (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command,name", [("map-sphere", "x_a-b"), ("immersion", "x2_a-b")])
+def test_a_basis_name_that_is_not_an_identifier_exits_2(capsys, tmp_path, command, name):
+    # a finite basis may take any name, but the section generator v_u
+    # is named after the basis element u
+    path = tmp_path / "dash.manifold"
+    path.write_text("manifold: D\ndimension: 2\nkind: finite\nlabel: D\n"
+                    "basis: one 0\nbasis: a-b 2\nsimply-connected: true\n")
+    assert run(capsys, command, "--manifold", str(path), "--k", "4") == \
+        (2, "", f"error: the basis element 'a-b' of D gives the generator name "
+                f"'{name}', which is not an identifier\n")
+
+
 def test_unit_law_violation_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.cdga"
     path.write_text("kind: finite\nbasis: one 0\nbasis: a 2\n"

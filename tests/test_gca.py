@@ -278,6 +278,21 @@ def test_parse_malformed_rational():
         parse_element("1/0*a", alg)
 
 
+@pytest.mark.parametrize("text, position, complaint", [
+    ("a + $", 4, "unexpected character '$'"),
+    ("2*3", 2, "expected generator name, found '3'"),
+    ("a^0", 2, "exponent must be >= 1"),
+    ("2 a", 2, "missing '*' between coefficient and generator"),
+    ("a a", 2, "unexpected trailing input 'a'"),
+], ids=["character", "name", "exponent", "star", "trailing"])
+def test_every_expression_complaint_names_its_position(text, position, complaint):
+    alg = FreeAlgebra([Generator("a", 2)])
+    with pytest.raises(ParseError) as err:
+        parse_element(text, alg)
+    assert err.value.position == position
+    assert str(err.value) == f"at offset {position}: {complaint}"
+
+
 def test_parse_zero_and_constants():
     alg = FreeAlgebra([Generator("a", 2)])
     assert parse_element("0", alg).is_zero()

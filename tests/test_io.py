@@ -124,6 +124,37 @@ def test_differential_line_errors_for_both_kinds(text, message):
     assert str(err.value) == message
 
 
+_FINITE = "kind: finite\nbasis: one 0\nbasis: a 2\nbasis: aa 4\n"
+_MANIFOLD = "manifold: X\ndimension: 4\n" + _FINITE + "product: a * a = aa\n"
+
+
+@pytest.mark.parametrize("text, line, complaint", [
+    ("kind: free\ngenerator e2 2\n", 2, "expected 'key: value'"),
+    ("kind: free\ngenerator: e2 two\n", 2, "degree must be an integer, got 'two'"),
+    ("kind: free\ngenerator: e2 2\nd: e2 0\n", 3, "expected '<name> = <expression>'"),
+    ("kind: free\nlabel: A\nlabel: B\n", 3, "field 'label' given more than once"),
+    (_FINITE + "generator: e2 2\n", 5, "field 'generator' is not valid for kind 'finite'"),
+    (_FINITE + "product: a = aa\n", 5, "product left side must be '<u> * <v>'"),
+    (_FINITE + "product: a * b = aa\n", 5, "unknown basis element 'b'"),
+    ("label: A\nkind: graded\n", 2, "kind must be 'free' or 'finite', got 'graded'"),
+    (_FINITE + "simply-connected: yes\n", 5, "simply-connected must be 'true' or 'false'"),
+    ("manifold: X\ndimension: four\n" + _FINITE, 2,
+     "dimension must be an integer, got 'four'"),
+    (_MANIFOLD + "pontryagin: one = aa\n", 8,
+     "Pontryagin index must be an integer, got 'one'"),
+    (_MANIFOLD + "pontryagin: 1 = aa\npontryagin: 1 = 2*aa\n", 9,
+     "p_1 given more than once"),
+], ids=["no-colon", "degree", "no-equals", "repeated-field", "finite-generator",
+        "product-left-side", "product-unknown", "kind", "simply-connected",
+        "dimension", "pontryagin-index", "pontryagin-repeated"])
+def test_every_document_complaint_names_its_line(text, line, complaint):
+    parse = parse_manifold if text.startswith("manifold:") else parse_cdga
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: {complaint}")
+
+
 def test_duplicate_product_rejected():
     # the same ordered pair twice; the mirrored pair is a consistency check
     text = ("kind: finite\nbasis: one 0\nbasis: a 2\nbasis: aa 4\n"

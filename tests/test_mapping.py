@@ -386,6 +386,15 @@ def test_section_model_needs_every_generator_a_twist_mentions():
         section_model(E, [x, y, x])
 
 
+def test_section_model_names_a_basis_element_that_gives_no_generator_name():
+    # FiniteAlgebra takes any basis name; the section generator x_u is
+    # named after u, so u must keep it an identifier
+    A = FiniteCdga([("one", 0), ("a-b", 2)], {}, label="D", simply_connected=True)
+    with pytest.raises(InputError, match="basis element 'a-b' of D gives the generator "
+                                         "name 'x_a-b', which is not an identifier"):
+        section_model(sphere_bundle(A, 4))
+
+
 def test_section_model_without_a_null_section_is_an_input_error():
     # on CP^2 at k = 2, D(x1) = e2^2 + 3*aa: x1 against aa asks 3 = 0
     E = framed_bundle_model(load_manifold(DATA / "cp2.manifold"), 2)
