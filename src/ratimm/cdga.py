@@ -68,23 +68,26 @@ reads `_cochains` and clears nothing, the oracle of the tests and of
 `ratimm verify`.  They share columns with the walk, and the
 certificate its image rows as data, never elimination.
 
-Assembly: `keys_of_degree` lists each degree's basis already in `sort_key`
-order (a free algebra reads suffix tables it builds bottom-up; a finite
-algebra indexes its basis by degree once; a tensor algebra lays a degree
-out as blocks, below).  A walk reads each degree's keys and index from
-the model's `_layout` and its columns from `_columns`: by default the
-keys' `_diff_terms` mapped through a {key: row} dict (`d_columns`), for
-a finite model.  Call a generator closed when it is even with d = 0 (an
-even free or fiber generator with no differential or twist).  A key's
-monomial splits as P*R, P its closed factors; P is even and closed, so
-d(P*R) = P*d(R).  Each model caches d on its generators once (`_dgen`,
-over its free algebra `fiber`, a free CDGA's own) and reads monomial
-codes (`gca`: one int per monomial, listed beside each degree's
-monomials by `codes_of_degree`, the product of P and m the sum of their
-codes): a key's code is p + r, r = code & `_rest_mask` the code of R,
-d(R) is the Leibniz rule (`_leibniz`) on R only, kept in the memo under
-r as (base key, code, coefficient) items (`_rest_terms`), and P*m is
-p + m, with no sign.  `_diff_terms`, the key path of `diff` and
+Assembly: `keys_of_degree` lists each degree's basis in `sort_key` order
+(a finite algebra indexes its basis by degree once; a free algebra
+decodes its codes; a tensor algebra lays a degree out as blocks,
+below).  A walk reads each degree's keys and index from the model's
+`_layout` and its columns from `_columns`: by default the keys'
+`_diff_terms` mapped through a {key: row} dict (`d_columns`), for a
+finite model.  Free and relative walks read monomial codes instead
+(`gca`: one int per monomial, a degree's codes descending, which is
+`sort_key` order, `codes_of_degree`, and the product of two monomials
+the sum of their codes); their keys (`_Keys`) decode a code only where
+a key is read, as `cohomology` reads those its representatives carry.
+Call a generator closed when it is even with d = 0 (an even free or
+fiber generator with no differential or twist).  A key's monomial
+splits as P*R, P its closed factors; P is even and closed, so d(P*R) =
+P*d(R).  Each model caches d on its generators once (`_dgen`, over its
+free algebra `fiber`, a free CDGA's own): a key's code is p + r, r =
+code & `_rest_mask` the code of R, d(R) is the Leibniz rule
+(`_leibniz`) on R, decoded from r, kept in the memo under r as (base
+key, code, coefficient) items (`_rest_terms`), and P*m is p + m, with
+no sign.  `_diff_terms`, the key path of `diff` and
 `diff_key`, reads p + m back as a monomial, and refuses a key whose d
 lies at a degree where p + m could carry, as a walk refuses that
 degree.  A free CDGA's `_layout` indexes its rows by code (`_CodeIndex`),
@@ -102,15 +105,16 @@ merged in, its memo kept for one `diff` call.  A degree n of
 `TensorAlgebra` is laid out as blocks, one per base key lk in
 base-degree order, each base degree read from the base's own
 `keys_of_degree` (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
-pos(rm) the position of rm among the fiber monomials of its degree,
-found by the code of rm (`fiber_degree`).  The walk's memo keeps, per
+pos(rm) the position of the code of rm among the fiber codes of its
+degree (`fiber_degree`).  The walk's memo keeps, per
 fiber degree, D(1 (x) rm) of each rm as ((bk, position), coefficient), P
 merged in by code, and `_columns` builds it the first time a column
 asks and assembles the column of (lk, rm) as an int-keyed dict:
 d_B(lk) (x) rm at start_{n+1}[k] + pos(rm) for each term k, then
 start_{n+1}[lk*bk] + q for each product term.  No pair index is built,
-and no pair or fiber monomial is hashed per key.  A fiber degree is dropped once the walk has passed it by more than
-the base's top degree.  Columns are plain dicts, with no `Element`;
+and no pair or fiber monomial is built or hashed per key.  A fiber
+degree is dropped once the walk has passed it by more than the base's
+top degree.  Columns are plain dicts, with no `Element`;
 `_cochains` hands them one memo that lives as long as its walk.  A free
 or finite model's `_diff_terms` and columns give D*d, D (`_scale`) the
 lcm of the coefficient denominators of d on its generators or basis,
@@ -144,7 +148,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, product
+from itertools import count, islice
 from math import lcm
 
 from . import linalg
@@ -231,25 +235,25 @@ def _closed_split(fiber: FreeAlgebra, dgen):
     return closed, fiber.code_mask(i for i in range(len(fiber.generators)) if i not in closed)
 
 
-def _rest_codes(model, mono) -> list:
-    """d(R) for the monomial `mono` = P*R of `model.fiber`, P its factors in
-    `model._closed`, as (base key, code of the monomial, coefficient) in
-    `_leibniz` order: d(P*R) = P*d(R), and P*m has code p + m."""
-    code, closed = model.fiber.code, model._closed
-    # from a list, not a generator: tuple(generator) resizes its result,
-    # and freeing such tuples fills CPython's tuple free lists (peak RSS)
-    rest = tuple([f for f in mono if f[0] not in closed])
-    return [(bk, code(m), c) for (bk, m), c in _leibniz(model.fiber, rest, model._dgen).items()]
+def _rest_codes(model, r) -> list:
+    """d(R) for the monomial R of `model.fiber` with code r, R free of the
+    factors in `model._closed`, as (base key, code of the monomial,
+    coefficient) in `_leibniz` order: R is the one monomial decoded."""
+    fiber = model.fiber
+    code = fiber.code
+    return [(bk, code(m), c)
+            for (bk, m), c in _leibniz(fiber, fiber.monomial(r), model._dgen).items()]
 
 
-def _rest_terms(model, mono, code, memo):
-    """(p, d(R)) for the monomial `mono` = P*R of `model.fiber` with
-    `code`: p the code of P, and d(R) the `_rest_codes` of `mono`, kept
-    in `memo` under r = code & `_rest_mask`, the code of R."""
+def _rest_terms(model, code, memo):
+    """(p, d(R)) for the monomial P*R of `model.fiber` with `code`, P its
+    factors in `model._closed`: p the code of P, and d(R) the
+    `_rest_codes` of r = code & `_rest_mask`, the code of R, kept in
+    `memo` under r.  d(P*R) = P*d(R), and P*m has code p + m."""
     r = code & model._rest_mask
     terms = memo.get(r)
     if terms is None:
-        terms = memo[r] = _rest_codes(model, mono)
+        terms = memo[r] = _rest_codes(model, r)
     return code - r, terms
 
 
@@ -364,7 +368,7 @@ class FreeCdga(Cdga):
         alg = self.algebra
         # d(mono) lies one degree up, where p + m must not carry
         alg.check_degree(alg.key_degree(mono) + 1)
-        p, terms = _rest_terms(self, mono, alg.code(mono), memo)
+        p, terms = _rest_terms(self, alg.code(mono), memo)
         return {alg.monomial(p + m): c for _, m, c in terms}
 
     def diff_key(self, mono) -> Element:
@@ -372,11 +376,13 @@ class FreeCdga(Cdga):
 
     def _layout(self, n):
         alg = self.algebra
-        return alg.keys_of_degree(n), _CodeIndex(alg, alg.codes_of_degree(n))
+        codes = alg.codes_of_degree(n)
+        return _Keys([(0, None, codes)], len(codes), alg.monomial), _CodeIndex(alg, codes)
 
     def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
-        """`_rest_terms`, inline: d(P*R) = P*d(R) is row p + m of
-        `index_next` for each term m of d(R), kept in `memo` under r."""
+        """`_rest_terms`, inline, over the codes of `index`: d(P*R) =
+        P*d(R) is row p + m of `index_next` for each term m of d(R), kept
+        in `memo` under r.  No key is decoded, only each R met first."""
         closed, mask = self._closed, self._rest_mask
         out = []
         for j, code in enumerate(index):
@@ -387,7 +393,7 @@ class FreeCdga(Cdga):
             # a walk: nothing to memoize
             terms = memo.get(r) if closed else None
             if terms is None:
-                terms = _rest_codes(self, keys[j])
+                terms = _rest_codes(self, r)
                 if closed:
                     memo[r] = terms
             p = code - r
@@ -666,6 +672,33 @@ class FiniteCdga(Cdga):
 # Tensor algebra of a base algebra with a free fiber algebra
 # ---------------------------------------------------------------------------
 
+class _Keys:
+    """One degree's keys as a walk lays them out, each decoded from its
+    code only where it is read (`cohomology`'s representatives): blocks
+    (offset, lkeys, codes) of the keys (lk, rm) from position offset on,
+    lk major, rm the fiber monomial of each code; a free model's one
+    block has lkeys None and keys rm.  Equal to a sequence of its keys."""
+
+    __slots__ = ("_blocks", "_length", "_decode")
+
+    def __init__(self, blocks, length, decode):
+        self._blocks, self._length, self._decode = blocks, length, decode
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, j):
+        if not 0 <= j < self._length:
+            raise IndexError(j)
+        offset, lkeys, codes = next(b for b in reversed(self._blocks) if b[0] <= j)
+        q, r = divmod(j - offset, len(codes))
+        rm = self._decode(codes[r])
+        return rm if lkeys is None else (lkeys[q], rm)
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+
 class _CodeIndex(dict):
     """{code: position} of one degree's monomials of a free algebra, in
     key order.  A monomial is looked up by its code, so one of another
@@ -702,7 +735,7 @@ class _BlockIndex:
 class TensorAlgebra:
     """Product algebra base (x) fiber; keys are (base_key, fiber_key).
     The base (free or finite) indexes its own keys by degree, so only the
-    fiber's are kept here, per degree (`fiber_degree`)."""
+    fiber's codes are indexed here, per degree (`fiber_degree`)."""
 
     def __init__(self, left, right, label: str = ""):
         self.left = left
@@ -717,39 +750,41 @@ class TensorAlgebra:
         lk, rm = key
         return self.left.key_degree(lk) + self.right.key_degree(rm)
 
-    def keys_of_degree(self, n: int):
-        return self.layout(n)[0]
+    def keys_of_degree(self, n: int) -> tuple:
+        return tuple(self.layout(n)[0])
 
     def layout(self, n: int):
-        """Degree n as (keys, `_BlockIndex`): a block per base key lk, in
-        base-degree order, of the fiber monomials of degree n - |lk|, none
-        for an lk with no such monomial.  That is `sort_key` order: base
-        degree ascending, then each factor's own order.  Each base degree
-        i <= n, up to the base's top degree, is read from the base's own
-        `keys_of_degree`."""
+        """Degree n as (`_Keys`, `_BlockIndex`): a block per base key
+        lk, in base-degree order, of the fiber monomials of degree n - |lk|,
+        none for an lk with no such monomial.  That is `sort_key` order:
+        base degree ascending, then each factor's own order.  Each base
+        degree i <= n, up to the base's top degree, is read from the base's
+        own `keys_of_degree`, and the fiber's by code: no fiber monomial
+        is decoded until a key is read."""
         top = self.left.top_degree
-        keys: list = []
+        blocks, length = [], 0
         starts, fiber = {}, {}
         for i in range(n + 1 if top is None else min(n, top) + 1):
             lkeys = self.left.keys_of_degree(i)
-            rkeys, _, positions = self.fiber_degree(n - i)
-            if not lkeys or not rkeys:
+            codes, positions = self.fiber_degree(n - i)
+            if not lkeys or not codes:
                 continue
-            offset, width = len(keys), len(rkeys)
+            width = len(codes)
             for j, lk in enumerate(lkeys):
-                starts[lk] = offset + j * width
+                starts[lk] = length + j * width
                 fiber[lk] = positions
-            keys.extend(product(lkeys, rkeys))
-        return tuple(keys), _BlockIndex(n, starts, fiber, self.right.code)
+            blocks.append((length, lkeys, codes))
+            length += len(lkeys) * width
+        return (_Keys(blocks, length, self.right.monomial),
+                _BlockIndex(n, starts, fiber, self.right.code))
 
     def fiber_degree(self, d: int):
-        """(the fiber monomials of degree d, their codes, {code: position
+        """(the codes of the fiber monomials of degree d, {code: position
         among them}), built once per degree."""
         fiber = self._fiber.get(d)
         if fiber is None:
-            rkeys = self.right.keys_of_degree(d)
             codes = self.right.codes_of_degree(d)
-            fiber = self._fiber[d] = (rkeys, codes, dict(zip(codes, range(len(codes)))))
+            fiber = self._fiber[d] = (codes, dict(zip(codes, range(len(codes)))))
         return fiber
 
     def mul_key_pairs(self, key1, key2):
@@ -905,7 +940,7 @@ class RelativeModel(Cdga):
         fiber = self.fiber
         # D(1 (x) rm) lies one fiber degree up, where p + m must not carry
         fiber.check_degree(fiber.key_degree(rm) + 1)
-        p, terms = _rest_terms(self, rm, fiber.code(rm), memo)
+        p, terms = _rest_terms(self, fiber.code(rm), memo)
         products.add_times(out, [((bk, fiber.monomial(p + m)), c) for bk, m, c in terms], sign)
         return out
 
@@ -929,14 +964,14 @@ class RelativeModel(Cdga):
             fiber = fibers.get(d)
             if fiber is None:
                 fiber = self._fiber_degree(d, fibers)
-            rkeys, codes, entries, targets = fiber
-            for p in range(len(rkeys)):
+            codes, entries, targets = fiber
+            for p in range(len(codes)):
                 if start + p in skip:
                     continue
                 terms = entries[p]
                 if terms is None:
                     # rm = P*R: P*m is the fiber monomial of code q + m
-                    q, rest = _rest_terms(self, rkeys[p], codes[p], memo)
+                    q, rest = _rest_terms(self, codes[p], memo)
                     terms = entries[p] = [((bk, targets[bk][q + m]), c) for bk, m, c in rest]
                 column = {starts[k] + p: c for k, c in dlk} if dlk else {}
                 if terms:
@@ -945,9 +980,9 @@ class RelativeModel(Cdga):
         return out
 
     def _fiber_degree(self, d, fibers):
-        """The walk's record of fiber degree d, kept in `fibers`: its
-        monomials rm, their codes, D(1 (x) rm) of each by position (None
-        until `_columns` asks), and {bk: {code: position} of fiber degree
+        """The walk's record of fiber degree d, kept in `fibers`: the codes
+        of its monomials rm, D(1 (x) rm) of each by position (None until
+        `_columns` asks), and {bk: {code: position} of fiber degree
         d + 1 - |bk|} for the base keys bk of the twist.  Degrees below
         d - (the base's top degree) are dropped: the walk has passed
         them, and no later key meets them."""
@@ -956,10 +991,10 @@ class RelativeModel(Cdga):
             for old in [e for e in fibers if e < d - top]:
                 del fibers[old]
         fiber_degree, base_degree = self.algebra.fiber_degree, self.base.algebra.key_degree
-        rkeys, codes, _ = fiber_degree(d)
-        targets = {bk: fiber_degree(d + 1 - base_degree(bk))[2]
+        codes, _ = fiber_degree(d)
+        targets = {bk: fiber_degree(d + 1 - base_degree(bk))[1]
                    for bk in self._twist_base_keys}
-        fiber = fibers[d] = (rkeys, codes, [None] * len(rkeys), targets)
+        fiber = fibers[d] = (codes, [None] * len(codes), targets)
         return fiber
 
     def diff_key(self, key) -> Element:
@@ -1160,8 +1195,10 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                 raise AssertionError(
                     f"rank bookkeeping mismatch in degree {n}: "
                     f"{len(kernel)} representatives for b_{n}={b_n}")
-            kept_keys = [key for j, key in enumerate(keys) if j not in skip] if b_n else ()
-            reps.append([Element(alg, {kept_keys[j]: c for j, c in ker.items()})
+            # decode only the keys the kernel vectors carry
+            kept_at = [j for j in range(len(keys)) if j not in skip] if b_n else ()
+            carried = {j: keys[kept_at[j]] for j in {j for ker in kernel for j in ker}}
+            reps.append([Element(alg, {carried[j]: c for j, c in ker.items()})
                          for ker in kernel])
     return BettiTable(cutoff, dims, reps if representatives else None)
 

@@ -16,12 +16,17 @@ Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
 generator index; the empty tuple is the unit monomial.  Generator order is
 declaration order and monomial order is graded-lexicographic, so every
 serialization is deterministic.  A monomial also has an int code, its
-exponents as digits of `CODE_BITS` bits, sum e_i << (CODE_BITS*i): when
-no odd generator meets itself, the product of two monomials is the sum
-of their codes, up to the Koszul sign.  `codes_of_degree` lists a
-degree's codes beside its monomials, and an algebra refuses a degree at
-which an exponent could reach 2^CODE_BITS, so no two monomials share a
-code.
+exponents as digits of `CODE_BITS` bits, generator 0 the most
+significant: sum e_i << (CODE_BITS*(r-1-i)) over r generators.  When no
+odd generator meets itself, the product of two monomials is the sum of
+their codes, up to the Koszul sign.  An algebra refuses a degree at
+which an exponent could reach 2^CODE_BITS, so no digit carries and no
+two monomials share a code; then one degree's codes compare as their
+exponent vectors compare lexicographically, and graded-lex order (each
+exponent vector, from generator 0 on, largest first) is descending
+numeric order.  A degree's basis is its codes (`codes_of_degree`);
+`basis_of_degree` decodes them into monomials for the callers that read
+monomials, and a walk decodes only the monomials it reads (see `cdga`).
 
 Sparse sums of {key: coefficient} dicts are accumulated by one rule,
 `add_into`: a key whose coefficient cancels is popped, so no stored
@@ -83,10 +88,16 @@ class FreeAlgebra:
         # the highest degree of a monomial, None when an even generator
         # makes it unbounded
         self.top_degree = sum(g.degree for g in gens) if all(self._odd) else None
-        # _tails[pos][rem]: the monomials of degree rem in generators[pos:];
-        # _codes[pos][rem]: their codes, in the same order
-        self._tails: list[list[tuple[Monomial, ...]]] = [[] for _ in range(len(gens) + 1)]
-        self._codes: list[list[tuple[int, ...]]] = [[] for _ in range(len(gens) + 1)]
+        # the bit offset of generator i's digit in a code
+        self._shifts = tuple(CODE_BITS * i for i in range(len(gens) - 1, -1, -1))
+        # (|g_i|, i, or i + 1 for an odd g_i, the code of g_i) for each i
+        self._steps = tuple((g.degree, i + g.is_odd, 1 << shift)
+                            for i, (g, shift) in enumerate(zip(gens, self._shifts)))
+        # _codes[n]: degree n's codes, descending; _starts[n][i]: the
+        # position of its first code with no generator before i
+        self._codes: list[tuple[int, ...]] = []
+        self._starts: list[tuple[int, ...]] = []
+        self._basis: dict[int, tuple[Monomial, ...]] = {}  # basis_of_degree's
         # the lowest degree at which an even generator's exponent could
         # reach 2^CODE_BITS (an odd one's is at most 1)
         evens = [g.degree for g in gens if not g.is_odd]
@@ -173,57 +184,49 @@ class FreeAlgebra:
         return (-1 if swaps % 2 else 1), mono
 
     def basis_of_degree(self, n: int) -> tuple[Monomial, ...]:
-        """All monomials of total degree n, in graded-lex order.
-
-        Read from suffix tables built bottom-up, from the last generator
-        to the first, and extended to degree n on the first request:
-        the monomials of degree rem in generators[pos:] are those with
-        each exponent e of generator pos, largest first, times the ones
-        of degree rem - e*|g| in generators[pos+1:].  That is `sort_key`
-        order: no sort.  The same loop builds their codes, each the code
-        of its head plus that of its tail.  A degree at which codes could
-        collide raises InputError before anything is built.
-        """
-        if n < 0:
-            return ()
-        tails, codes = self._tails, self._codes
-        have = len(tails[0])
-        if n >= have:
-            self.check_degree(n)
-            if not tails[-1]:  # no generator left: the unit, in degree 0
-                tails[-1].append((UNIT_MONOMIAL,))
-                codes[-1].append((0,))
-            for table in (tails[-1], codes[-1]):
-                table.extend([()] * (n + 1 - len(table)))
-            for pos in range(len(self.generators) - 1, -1, -1):
-                deg, odd = self.generators[pos].degree, self._odd[pos]
-                below, table = tails[pos + 1], tails[pos]
-                below_codes, code_table = codes[pos + 1], codes[pos]
-                shift = CODE_BITS * pos
-                for rem in range(have, n + 1):
-                    out: list[Monomial] = []
-                    out_codes: list[int] = []
-                    for e in range(min(rem // deg, 1) if odd else rem // deg, 0, -1):
-                        rest = below[rem - e * deg]
-                        if rest:
-                            head, head_code = ((pos, e),), e << shift
-                            out += [head + tail for tail in rest]
-                            out_codes += [head_code + tail for tail in below_codes[rem - e * deg]]
-                    if out:
-                        table.append(tuple(out) + below[rem])
-                        code_table.append(tuple(out_codes) + below_codes[rem])
-                    else:
-                        table.append(below[rem])
-                        code_table.append(below_codes[rem])
-        return tails[0][n]
+        """All monomials of total degree n, in graded-lex order: the
+        `codes_of_degree(n)`, decoded on the first request and kept."""
+        basis = self._basis.get(n)
+        if basis is None:
+            basis = self._basis[n] = tuple(map(self.monomial, self.codes_of_degree(n)))
+        return basis
 
     def codes_of_degree(self, n: int) -> tuple[int, ...]:
-        """The codes of `basis_of_degree(n)`, in its order."""
+        """The codes of the monomials of total degree n, descending, which
+        is graded-lex order; () below 0.
+
+        Built degree by degree up to n on the first request, each from
+        the degrees below it with no sort: a monomial m whose first
+        generator is g_i is g_i times a monomial of degree n - |g_i| whose
+        generators are all >= i (> i for an odd g_i), so its code is the
+        code of g_i plus that one's.  Those codes are the tail of their
+        degree's descending codes from `_starts`, and adding the code of
+        g_i keeps them descending.  The codes with first generator g_i lie
+        above those with a later first generator, so the blocks, for i
+        ascending, are the degree's codes in descending order.  A degree
+        at which codes could collide raises InputError before anything is
+        built.
+        """
+        codes = self._codes
+        if 0 <= n < len(codes):
+            return codes[n]
         if n < 0:
             return ()
-        if n >= len(self._codes[0]):
-            self.basis_of_degree(n)
-        return self._codes[0][n]
+        self.check_degree(n)
+        starts, steps = self._starts, self._steps
+        if not codes:  # the unit alone, with no generator
+            codes.append((0,))
+            starts.append((0,) * (len(steps) + 1))
+        for m in range(len(codes), n + 1):
+            out: list[int] = []
+            ends = [0]
+            for deg, first, unit in steps:
+                if deg <= m:
+                    out += [unit + c for c in codes[m - deg][starts[m - deg][first]:]]
+                ends.append(len(out))
+            codes.append(tuple(out))
+            starts.append(tuple(ends))
+        return codes[n]
 
     def check_degree(self, n: int):
         """InputError from the degree on at which an exponent could reach
@@ -235,31 +238,33 @@ class FreeAlgebra:
                 f"reach 2^{CODE_BITS} from degree {limit} on")
 
     def code(self, mono: Monomial) -> int:
-        """The code of `mono`, sum e_i << (CODE_BITS*i); InputError for an
-        exponent of 2^CODE_BITS or more, whose code another monomial has."""
-        code = 0
+        """The code of `mono`, sum e_i << (CODE_BITS*(r-1-i)) over r
+        generators; InputError for an exponent of 2^CODE_BITS or more,
+        whose code another monomial has."""
+        code, shifts = 0, self._shifts
         for i, e in mono:
             if e >> CODE_BITS:
                 raise InputError(f"exponent {e} of {self.generators[i].name} is out "
                                  f"of range for a monomial code (< 2^{CODE_BITS})")
-            code += e << (CODE_BITS * i)
+            code += e << shifts[i]
         return code
 
     def monomial(self, code: int) -> Monomial:
         """The monomial whose code is `code`: the inverse of `code`."""
-        digit, out, i = (1 << CODE_BITS) - 1, [], 0
+        digit, out, i = (1 << CODE_BITS) - 1, [], len(self.generators) - 1
         while code:
             if code & digit:
                 out.append((i, code & digit))
             code >>= CODE_BITS
-            i += 1
+            i -= 1
+        out.reverse()
         return tuple(out)
 
     def code_mask(self, indices) -> int:
         """The bits of the codes of the generators at `indices`: code & mask
         is the code of a monomial's factor in those generators."""
         digit = (1 << CODE_BITS) - 1
-        return sum(digit << (CODE_BITS * i) for i in indices)
+        return sum(digit << self._shifts[i] for i in indices)
 
     # -- element constructors ------------------------------------------
 

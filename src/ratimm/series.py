@@ -111,11 +111,16 @@ class PoincareSeries:
     The closed form may be given, or computed on first use by `fit`, a
     callable that returns it (or None when there is none); a product's
     form is the product of its factors' forms, computed on first use too.
+    Every coefficient is an int (TypeError otherwise: no float or
+    fraction is rounded).
     """
 
     def __init__(self, coeffs, cutoff: int | None = None,
                  form: RationalForm | None = None, fit=None):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"Poincaré series coefficient {c!r} is not an int")
         if cutoff is None:
             cutoff = len(coeffs) - 1
         if len(coeffs) < cutoff + 1:
@@ -142,10 +147,13 @@ class PoincareSeries:
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":
         cutoff = min(self.cutoff, other.cutoff)
         out = [0] * (cutoff + 1)
+        terms = [(j, y) for j, y in enumerate(other.coeffs[:cutoff + 1]) if y]
         for i, x in enumerate(self.coeffs[:cutoff + 1]):
             if not x:
                 continue
-            for j, y in enumerate(other.coeffs[:cutoff + 1 - i]):
+            for j, y in terms:
+                if i + j > cutoff:
+                    break
                 out[i + j] += x * y
         return PoincareSeries(out, cutoff, fit=lambda: (
             self.form * other.form if self.form and other.form else None))

@@ -271,8 +271,9 @@ def test_null_model_walk_expands_each_odd_word_once(monkeypatch):
 def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
     # D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm):
     # a walk builds D(1 (x) rm), the closed factors of rm merged in by
-    # adding codes (`_rest_terms`), once per rm, expands each rest R once,
-    # and asks the base for each product lk*bk once
+    # adding codes (`_rest_terms`), once per rm, read by its code,
+    # expands each rest R once, and asks the base for each product lk*bk
+    # once
     from ratimm import cdga
     from ratimm.bundles import unreduced_framed_model
     from ratimm.sweeps import sweep_instances
@@ -282,9 +283,9 @@ def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
     rest_terms, leibniz = cdga._rest_terms, cdga._leibniz
     mul_key_pairs = FiniteAlgebra.mul_key_pairs
 
-    def counted_merge(model, mono, code, memo):
-        merges[(id(model), mono)] += 1
-        return rest_terms(model, mono, code, memo)
+    def counted_merge(model, code, memo):
+        merges[(id(model), code)] += 1
+        return rest_terms(model, code, memo)
 
     def counted_leibniz(fiber, mono, dgen):
         leibniz_calls[mono] += 1
@@ -305,6 +306,48 @@ def test_relative_walk_expands_each_fiber_monomial_once(monkeypatch):
         assert set(merges.values()) == {1} and set(leibniz_calls.values()) == {1}
         assert set(products.values()) == {1}
         assert {i for i, _, _ in products} == {id(model.base.algebra)}
+
+
+def _decoding_models():
+    """The CLI benchmark model, the section model `immersion_components`
+    walks for S^2 x S^4 at k = 8, and an unreduced sweep model."""
+    from ratimm.bundles import (framed_bundle_model, sphere_product_manifold,
+                                unreduced_framed_model)
+    from ratimm.mapping import em_split, section_model
+    from ratimm.sweeps import sweep_instances
+    E = framed_bundle_model(sphere_product_manifold(2, 4), 8)
+    _, kept, _ = em_split(E)
+    M, k = sweep_instances(random.Random(0))[0]
+    return [_bench_shape(_bench_coefficients(0)), section_model(E, kept),
+            unreduced_framed_model(M, k)[0]]
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_walk_decodes_only_what_it_reads(monkeypatch, representatives):
+    # a walk reads codes: it decodes the rest R of a key, r = code &
+    # `_rest_mask`, on a memo miss, so at most once per rest code, and
+    # with representatives the keys their kernel vectors carry; no other
+    # monomial, so decoding every key of a layout fails this
+    cutoff = 30
+    decoded = Counter()
+    monomial = FreeAlgebra.monomial
+
+    def counted(self, code):
+        decoded[id(self)] += 1
+        return monomial(self, code)
+
+    for model in _decoding_models():
+        fiber = model.fiber
+        rests = {code & model._rest_mask
+                 for d in range(cutoff + 1) for code in fiber.codes_of_degree(d)}
+        decoded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FreeAlgebra, "monomial", counted)
+            table = cohomology(model, cutoff, representatives=representatives)
+        carried = sum(len({key for rep in reps for key in rep.terms})
+                      for reps in table.representatives) if representatives else 0
+        assert set(decoded) == {id(fiber)}, model
+        assert 0 < decoded[id(fiber)] <= len(rests) + carried, model
 
 
 def _layout_models():
@@ -565,16 +608,17 @@ def test_unknown_engine_is_rejected(s2_model):
 
 def test_walk_asks_for_the_degrees_to_cutoff_plus_one(s2_model, monkeypatch):
     # the walk is open-ended: cohomology to N reads degrees 0..N+1 only
-    # (d_N lands in degree N+1), each once, whatever the engine
+    # (d_N lands in degree N+1), each once, whatever the engine; a free
+    # model's walk asks for each degree's codes
     alg = s2_model.algebra
     asked = []
-    keys_of_degree = alg.keys_of_degree
+    codes_of_degree = alg.codes_of_degree
 
     def recorded(n):
         asked.append(n)
-        return keys_of_degree(n)
+        return codes_of_degree(n)
 
-    monkeypatch.setattr(alg, "keys_of_degree", recorded)
+    monkeypatch.setattr(alg, "codes_of_degree", recorded)
     for engine, reps in (("sparse", True), ("sparse", False), ("certified", False),
                          ("dense", False)):
         asked.clear()

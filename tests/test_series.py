@@ -1,6 +1,7 @@
 """Poincaré-series arithmetic, closed forms, rational reconstruction."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,26 @@ def test_product_commutative_random(data):
     m2 = data.draw(st.integers(1, 3))
     a, b = em_series(n1, m1, 14), em_series(n2, m2, 14)
     assert series_product(a, b) == series_product(b, a)
+
+
+def test_product_is_the_truncated_convolution():
+    # the product loops over the right factor's nonzero terms only
+    rng = random.Random(7)
+    for _ in range(300):
+        a = [rng.choice([0, 0, 0, 1, -2, 3]) for _ in range(rng.randint(1, 12))]
+        b = [rng.choice([0, 0, 0, 1, -1, 5]) for _ in range(rng.randint(1, 12))]
+        cutoff = min(len(a), len(b)) - 1
+        want = [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(cutoff + 1)]
+        got = PoincareSeries(a) * PoincareSeries(b)
+        assert got.cutoff == cutoff and list(got.coeffs) == want
+
+
+@pytest.mark.parametrize("coeffs", [[1, Fraction(3, 2), 2], [1, 2.9], [1, 2.0],
+                                    [Fraction(1)], ["1"], [None]])
+def test_inexact_coefficients_are_refused(coeffs):
+    # a coefficient that is not an int is refused, never rounded
+    with pytest.raises(TypeError, match="not an int"):
+        PoincareSeries(coeffs)
 
 
 def test_closed_form_extension():
