@@ -13,8 +13,8 @@ T = (m+k-1)//2 it lists, from an index `first` on,
     e_k           degree k,      when k is even,
 
 and the differential is D(x_i) = p_i - b_i + e_k^2, where the b_i term
-is present for i < t and the e_k^2 term for 2i = k; the other generators
-are closed.  `stiefel_model` (no base) and `framed_bundle_model` read
+is present for i < t, the e_k^2 term for 2i = k, and p_i unless it is
+exact; the other generators are closed.  `stiefel_model` (no base) and `framed_bundle_model` read
 the table from first = t, `unreduced_framed_model` from first = 1, and
 its reduction quasi-isomorphism sends x_i to 0 and b_i to p_i for i < t.
 The module also holds the rational-triviality test.
@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cdga import (BettiTable, CdgaMorphism, FiniteCdga, FreeCdga,
-                   RelativeModel, TensorAlgebra, cohomology)
+                   RelativeModel, TensorAlgebra, cohomology, d_columns)
 from .errors import ContextError, DegreeError, InputError, ParseError
 from .gca import Element, FreeAlgebra, Generator, parse_element
+from .linalg import SparseEchelon
 from .series import PoincareSeries
 
 __all__ = [
@@ -71,6 +72,8 @@ class ManifoldModel:
     tangent bundle; only indices with 4i <= dimension are accepted, and
     every cocycle must be closed and homogeneous of degree 4i; a
     complaint about one names its index in the `pontryagin` attribute.
+    The models and the hypothesis read p_i through `pontryagin_class`,
+    which takes an exact cocycle as zero.
     """
 
     def __init__(self, dimension: int, model, pontryagin=None, name: str = ""):
@@ -109,10 +112,17 @@ class ManifoldModel:
             raise ValueError("manifold model must be simply connected (H^1 = 0)")
 
     def pontryagin_class(self, i: int) -> Element | None:
+        """The cocycle given for p_i, or None when p_i is zero in H(M):
+        none given, or d of some y, by exact elimination of d on degree
+        4i - 1.  Dropping an exact p_i = dy from a twist is the change of
+        generators x_i -> x_i - y, so every reader may take it as zero."""
         elt = self.pontryagin.get(i)
         if elt is None or elt.is_zero():
             return None
-        return elt
+        alg = self.model.algebra
+        rows = {key: j for j, key in enumerate(alg.keys_of_degree(4 * i))}
+        image = SparseEchelon(d_columns(self.model, alg.keys_of_degree(4 * i - 1), rows))
+        return elt if image.reduce({rows[key]: c for key, c in elt.terms.items()}) else None
 
     def betti(self, cutoff: int) -> BettiTable:
         return cohomology(self.model, cutoff, representatives=False)

@@ -92,8 +92,7 @@ no sign.  `_diff_terms`, the key path of `diff` and
 lies at a degree where p + m could carry, as a walk refuses that
 degree.  A free CDGA's `_layout` indexes its rows by code (`_CodeIndex`),
 and its `_columns` writes the column of a key as {row[p + m]: c} over
-d(R), the memo read inline (with no closed generator it keeps none:
-each R is a whole key).  A relative model splits once more:
+d(R), the memo read inline.  A relative model splits once more:
 
     D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm).
 
@@ -383,19 +382,15 @@ class FreeCdga(Cdga):
         """`_rest_terms`, inline, over the codes of `index`: d(P*R) =
         P*d(R) is row p + m of `index_next` for each term m of d(R), kept
         in `memo` under r.  No key is decoded, only each R met first."""
-        closed, mask = self._closed, self._rest_mask
+        mask = self._rest_mask
         out = []
         for j, code in enumerate(index):
             if j in skip:
                 continue
             r = code & mask
-            # with no closed generator every R is a whole key, met once in
-            # a walk: nothing to memoize
-            terms = memo.get(r) if closed else None
+            terms = memo.get(r)
             if terms is None:
-                terms = _rest_codes(self, r)
-                if closed:
-                    memo[r] = terms
+                terms = memo[r] = _rest_codes(self, r)
             p = code - r
             out.append({index_next[p + m]: c for _, m, c in terms})
         return out

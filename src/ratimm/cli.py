@@ -30,7 +30,7 @@ from .cdga import cohomology
 from .errors import RatimmError
 from .immersions import description_to_dict, immersion_components
 from .io import load_manifold, load_cdga
-from .mapping import em_split, section_model, sphere_bundle
+from .mapping import em_split, sphere_bundle, sphere_map_null_model
 from .series import em_product_series
 from .sweeps import DEFAULT_SEED, run_suites
 
@@ -138,18 +138,17 @@ def cmd_immersion(args) -> int:
 
 def cmd_map_sphere(args) -> int:
     M = load_manifold(args.manifold)
-    E = sphere_bundle(M.model, args.k)
-    factors, kept, _ = em_split(E)
     payload = {"command": "map-sphere", "manifold": M.name, "k": args.k,
                "max_degree": args.max_degree}
-    if kept:
-        model = section_model(E, kept, label=f"Map({M.model.label},S{args.k},0)")
+    if args.k % 2 == 0:
+        model = sphere_map_null_model(M.model, args.k)
         table = cohomology(model, args.max_degree, representatives=False)
         payload.update(component="null", generators=_generator_dicts(model),
                        betti=list(table.dims))
         lines = [f"model: {model.label} (null component)", *_generator_lines(model),
                  *_betti_lines(table.dims)]
     else:
+        factors, _, _ = em_split(sphere_bundle(M.model, args.k))
         series = em_product_series(factors, args.max_degree)
         payload.update(component="any",
                        factors=[{"kind": "em", "degree": f.degree,

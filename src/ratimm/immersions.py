@@ -132,11 +132,7 @@ def immersion_components(M: ManifoldModel, k: int, cutoff: int = 20) -> Immersio
     E = framed_bundle_model(M, k)
     desc.em_factors, kept, betti = em_split(E)
     desc.em_part_series = desc.series = em_product_series(desc.em_factors, cutoff)
-    # E keeps generators only for k even, and then it splits one of degree
-    # above k (ebar_{m+k-1} for m even, x_{s+1} of degree 2k+3 for m odd),
-    # so the table is walked; it stops at M's top degree, above which
-    # H(M) is zero
-    if kept and k <= betti.cutoff and betti.dims[k]:
+    if kept and any(betti.dims[k:k + 1]):
         desc.sphere_factor = SphereFactor(k, "symbolic")
         desc.status, desc.series, desc.growth = "symbolic-sphere", None, "symbolic"
         return desc

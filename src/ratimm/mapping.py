@@ -3,16 +3,18 @@
 `em_split` splits the section space of a relative model E over a model
 A of M at its fibre into Eilenberg-MacLane factors, read off the Betti
 numbers of M, and the fibre generators it keeps; it hands out the Betti
-table it walked, which stops at M's top degree (H(M) is zero above
-it), so a caller reads H(M) there.  `section_model`, the
-one place that needs A finite, reads E in place and models the null
+table it walked, whatever splits, to M's top degree when it has one
+(H(M) is zero above it), so a caller reads H(M) there.
+`section_model`, the one place that needs A finite, reads E in place
+and models the null
 sections of those on generators (fibre generator) x (dual basis class),
 with the differential determined by requiring the evaluation pairing
 to be a chain map (signs pinned by the d^2 = 0 assertion).  One
 cancellation step, a generator solved out of a linear term and
 substituted away, both takes the null-component quotient and removes
 contractible pairs, so the model comes out minimal.  Map(M, S^k) takes
-the same route from `sphere_bundle`, which alone states the k allowed.
+the same route from `sphere_bundle`, which alone states the k allowed,
+in `sphere_map_null_model`, which reads H^1(M) off em_split's table.
 """
 
 from __future__ import annotations
@@ -92,27 +94,25 @@ def sphere_bundle(A, k: int) -> RelativeModel:
 # Section spaces
 # ---------------------------------------------------------------------------
 
-def em_split(E) -> tuple[list[EMFactor], list[Generator], BettiTable | None]:
+def em_split(E) -> tuple[list[EMFactor], list[Generator], BettiTable]:
     """Split the section space of E at its fibre.
 
     A fibre generator v that is closed and that no twist mentions splits
     off Map(M, K(Q,|v|)), whose factors, as `em_mapping_space` gives
     them, are read off one Betti walk of the base, which may be free.
-    The walk goes to the largest |v|, or to the base's top degree if it
-    has one and that is lower: the Betti numbers above it are zero.
-    Returns those factors by degree, the larger multiplicity first, the
-    other fibre generators as given to E, in fibre order, and the Betti
-    table walked, or None when nothing splits (and nothing is walked).
+    The walk goes to the base's top degree if it has one (H(M) is zero
+    above it), else to the largest degree of a fibre generator (0 for
+    none), whatever splits.  Returns those factors by degree, the larger
+    multiplicity first, the other fibre generators as given to E, in
+    fibre order, and the Betti table walked.
     """
     twists = [E.twist_of(g.name) for g in E.given]
     mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
     kept = [g for i, g in enumerate(E.given) if twists[i].terms or i in mentioned]
     split = [g.degree for g in E.given if g not in kept]
-    if not split:
-        return [], kept, None
-    top, cutoff = E.base.algebra.top_degree, max(split)
-    betti = cohomology(E.base, cutoff if top is None else min(cutoff, top),
-                       representatives=False)
+    top = E.base.algebra.top_degree
+    cutoff = max((g.degree for g in E.given), default=0) if top is None else top
+    betti = cohomology(E.base, cutoff, representatives=False)
     factors = sorted((f for n in split for f in _em_factors(betti.dims, n)),
                      key=lambda f: (f.degree, -f.coefficient_dim))
     return factors, kept, betti
@@ -256,17 +256,14 @@ def sphere_map_null_model(A: FiniteCdga, k: int) -> FreeCdga:
 
     Odd k is rejected: odd spheres are rationally Eilenberg-MacLane, so
     em_split takes off all of sphere_bundle(A, k).  A must be simply
-    connected, and this entry walks H^1 of A itself: a bare CDGA has not
-    passed `ManifoldModel`'s check, and for k even em_split splits
-    nothing off, so it walks no Betti table to read H^1 from.
+    connected: H^1 is read from em_split's table.
     """
     E = sphere_bundle(A, k)
-    _, kept, _ = em_split(E)
+    _, kept, betti = em_split(E)
     if not kept:
         raise InputError(f"k must be even (odd spheres are Eilenberg-MacLane "
                          f"rationally; em_split gives Map(M, S^{k}) as factors)")
     model = section_model(E, kept, label=f"Map({A.label},S{k},0)")
-    # A is finite here; a flagged model's constructor checked H^1 = 0
-    if not A.simply_connected and cohomology(A, 1, representatives=False).dims[1]:
+    if any(betti.dims[1:2]):
         raise InputError("the source model must be simply connected")
     return model

@@ -111,15 +111,15 @@ class PoincareSeries:
     The closed form may be given, or computed on first use by `fit`, a
     callable that returns it (or None when there is none); a product's
     form is the product of its factors' forms, computed on first use too.
-    Every coefficient is an int (TypeError otherwise: no float or
-    fraction is rounded).
+    Every coefficient is exactly an int (TypeError otherwise: no float or
+    fraction is rounded, and no bool is read as a number).
     """
 
     def __init__(self, coeffs, cutoff: int | None = None,
                  form: RationalForm | None = None, fit=None):
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"Poincaré series coefficient {c!r} is not an int")
         if cutoff is None:
             cutoff = len(coeffs) - 1

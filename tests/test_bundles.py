@@ -159,6 +159,27 @@ def test_manifold_rejects_non_closed_cocycle():
     assert M.pontryagin == {}
 
 
+def test_an_exact_pontryagin_cocycle_is_class_zero():
+    # p_1 = v = du is zero in H(M): the hypothesis passes, the twist of x1
+    # drops it (the change x1 -> x1 - u), and the reduction sends b1 to 0
+    A = FiniteCdga([("one", 0), ("u", 3), ("v", 4), ("x", 4)], {}, {"u": "v"},
+                   label="S4e", simply_connected=True)
+    M = ManifoldModel(4, A, {1: "v"})
+    assert M.pontryagin_class(1) is None
+    assert check_pontryagin_hypothesis(M, 2) == (1, [])
+    assert str(framed_bundle_model(M, 2).twist_of("x1")) == "e2^2"
+    big, phi = unreduced_framed_model(M, 3)
+    assert str(big.twist_of("x1")) == "-b1"
+    assert phi.apply(big.fiber_gen("b1")).is_zero()
+    assert is_quasi_iso(phi, 16).ok
+    # a cocycle with a nonzero class is kept as given, exact part and all
+    assert str(ManifoldModel(4, A, {1: "2*x + v"}).pontryagin_class(1)) == "v + 2*x"
+    # a free model: a2^2 = d(y3)
+    free = FreeCdga([Generator("a2", 2), Generator("y3", 3)], {"y3": "a2^2"})
+    assert ManifoldModel(4, free, {1: "a2^2"}).pontryagin_class(1) is None
+    assert check_pontryagin_hypothesis(ManifoldModel(4, free, {1: "a2^2"}), 2) == (1, [])
+
+
 # -- framed models -------------------------------------------------------------
 
 def test_framed_s2_k3_is_untwisted_product():

@@ -177,6 +177,69 @@ def test_map_sphere_json_matches_the_library(capsys, name, k):
         assert got["betti"] == em_product_series(factors, N).extend(N)
 
 
+# S^4 and S^8 with an acyclic pair (u, v), du = v, beside the top class x
+EXACT_PAIR = "manifold: S{m}e\ndimension: {m}\nkind: finite\nlabel: S{m}e\n" \
+    "basis: one 0\nbasis: u {u}\nbasis: v {m}\nbasis: x {m}\nd: u = v\n" \
+    "simply-connected: true\n"
+
+
+@pytest.mark.parametrize("m,k", [(4, 2), (8, 3)])
+def test_an_exact_pontryagin_cocycle_resolves_as_class_zero(capsys, tmp_path, m, k):
+    # p_{m/4} = v = du: immersion and framed-model print what they print
+    # for the file without it
+    text = EXACT_PAIR.format(m=m, u=m - 1)
+    given, flat = tmp_path / "given.manifold", tmp_path / "flat.manifold"
+    given.write_text(text + f"pontryagin: {m // 4} = v\n")
+    flat.write_text(text)
+    outputs = [[run(capsys, cmd, "--manifold", str(path), "--k", str(k), "--format", "json")
+                for cmd in ("immersion", "framed-model")] for path in (given, flat)]
+    assert outputs[0] == outputs[1]
+    (code, out, _), (framed_code, _, _) = outputs[0]
+    assert (code, framed_code) == (0, 0)
+    assert json.loads(out)["status"] == "resolved"
+
+
+def test_an_exact_pontryagin_cocycle_leaves_the_euler_twist_alone(capsys, tmp_path):
+    path = tmp_path / "s4e.manifold"
+    path.write_text(EXACT_PAIR.format(m=4, u=3) + "pontryagin: 1 = v\n")
+    code, out, _ = run(capsys, "framed-model", "--manifold", str(path), "--k", "2")
+    assert code == 0
+    assert "generator: x1  degree 3  D = e2^2\n" in out
+    # the answer of S^4 itself
+    got, s4 = (json.loads(run(capsys, "immersion", "--manifold", str(source), "--k", "2",
+                              "--max-degree", "12", "--format", "json")[1])
+               for source in (path, DATA / "s4.manifold"))
+    assert got["series"] == [1, 1, 1, 2, 1, 2, 2, 2, 3, 2, 3, 2, 2]
+    assert {**got, "manifold": "S^4"} == s4
+
+
+def test_map_sphere_walks_the_source_once(capsys, monkeypatch):
+    # em_split's table serves both parities: the factors at odd k, and
+    # H^1 for the null model at even k; loading the file walks it too
+    from ratimm import cdga, cli
+    walked, loaded = [], []
+    walk = cdga._walk
+
+    def recorded(model, *args, **kwargs):
+        walked.append(model)
+        return walk(model, *args, **kwargs)
+
+    def load(path):
+        M = load_manifold(path)
+        walked.clear()
+        loaded.append(M)
+        return M
+
+    monkeypatch.setattr(cdga, "_walk", recorded)
+    monkeypatch.setattr(cli, "load_manifold", load)
+    for path in sorted(DATA.glob("*.manifold")):
+        for k in range(2, 10):
+            code, _, _ = run(capsys, "map-sphere", "--manifold", str(path),
+                             "--k", str(k), "--max-degree", "6")
+            assert code == 0, (path.stem, k)
+            assert sum(model is loaded[-1].model for model in walked) == 1, (path.stem, k)
+
+
 def test_map_sphere_keeps_given_names(capsys, tmp_path):
     # the source's basis name x clashes with the sphere generator x
     path = tmp_path / "sx.manifold"

@@ -74,7 +74,7 @@ def test_odd_sphere_mapping_examples():
     assert factors(point_model(), 3) == [EMFactor(1, 3)]
     assert factors(sphere_manifold(3).model, 3) == [EMFactor(1, 3)]
     split, kept, betti = em_split(sphere_bundle(sphere_manifold(2).model, 4))
-    assert split == [] and [g.name for g in kept] == ["x", "y"] and betti is None
+    assert split == [] and [g.name for g in kept] == ["x", "y"] and betti.dims == [1, 0, 1]
 
 
 # -- null-component sphere models ----------------------------------------------
@@ -223,7 +223,8 @@ def test_non_simply_connected_source_rejected():
         sphere_map_null_model(circleish, 2)
 
 
-def test_only_unflagged_sources_are_walked_for_h1(monkeypatch):
+def test_every_source_is_walked_once_for_h1(monkeypatch):
+    # H^1 is read off em_split's table, flagged or not: one walk a call
     import ratimm.mapping as mapping
     walks = []
 
@@ -234,9 +235,13 @@ def test_only_unflagged_sources_are_walked_for_h1(monkeypatch):
     flagged = FiniteCdga([("one", 0), ("a", 2)], {}, label="flagged",
                          simply_connected=True)
     unflagged = FiniteCdga([("one", 0), ("a", 2)], {}, label="unflagged")
+    s1xs2 = FiniteCdga([("one", 0), ("t", 1), ("a", 2), ("ta", 3)],
+                       {("t", "a"): "ta"}, label="S1xS2")
     monkeypatch.setattr(mapping, "cohomology", counted)
     models = [sphere_map_null_model(A, 4) for A in (flagged, unflagged)]
-    assert walks == ["unflagged"]
+    with pytest.raises(InputError, match="simply connected"):
+        sphere_map_null_model(s1xs2, 4)
+    assert walks == ["flagged", "unflagged", "S1xS2"]
     assert str(models[0].differential_of_generator("y")) == \
         str(models[1].differential_of_generator("y"))
 
@@ -403,22 +408,21 @@ def test_section_model_without_a_null_section_is_an_input_error():
 
 
 def _full_walk(E, kept):
-    """A walk of E's base to the largest split degree (None if nothing
-    splits), and em_split's factors as that walk gives them, q = 1..n
-    for each split degree n."""
+    """A walk of E's base to its top degree or the largest split degree,
+    whichever is higher, and em_split's factors as that walk gives them,
+    q = 1..n for each split degree n."""
     split = [g.degree for g in E.given if g not in kept]
-    if not split:
-        return None, []
-    betti = cohomology(E.base, max(split), representatives=False)
+    betti = cohomology(E.base, max(split + [E.base.algebra.top_degree]),
+                       representatives=False)
     factors = [EMFactor(betti.dims[n - q], q) for n in split for q in range(1, n + 1)
                if betti.dims[n - q]]
     return betti, sorted(factors, key=lambda f: (f.degree, -f.coefficient_dim))
 
 
 def test_em_split_walks_the_base_to_its_top_degree_only(monkeypatch):
-    # H(M) vanishes above M's top degree: the walk stops there, its
-    # factors are those of a walk to the largest split degree, and its
-    # table is that walk's up to where it stopped, all zeros after
+    # H(M) vanishes above M's top degree: the one walk goes there, whatever
+    # splits, its factors are those of a walk to the largest split degree,
+    # and its table is that walk's up to where it stopped, all zeros after
     from ratimm import mapping
     walked = []
     walk = mapping.cohomology
@@ -438,13 +442,22 @@ def test_em_split_walks_the_base_to_its_top_degree_only(monkeypatch):
                 walked.clear()
                 factors, kept, betti = em_split(E)
                 monkeypatch.undo()
-                assert all(cdga is E.base and cutoff <= top for cdga, cutoff in walked)
+                assert walked == [(E.base, top)], (path.stem, k)
                 full, full_factors = _full_walk(E, kept)
                 assert factors == full_factors, (path.stem, k)
-                assert (betti is None) == (full is None), (path.stem, k)
-                if betti is not None:
-                    assert betti.cutoff == min(full.cutoff, top), (path.stem, k)
-                    assert betti.dims == full.dims[:betti.cutoff + 1], (path.stem, k)
-                    assert not any(full.dims[betti.cutoff + 1:]), (path.stem, k)
+                assert betti.cutoff == top, (path.stem, k)
+                assert betti.dims == full.dims[:top + 1], (path.stem, k)
+                assert not any(full.dims[top + 1:]), (path.stem, k)
                 checked += bool(factors)
     assert checked > 300
+
+
+def test_em_split_of_an_empty_fibre_is_the_table_of_the_base():
+    # nothing to split or keep: the table still comes, to the top degree
+    # of a finite base, and to degree 0 of a free base with no top degree
+    cp2 = load_manifold(DATA / "cp2.manifold").model
+    free = sphere_model(2)
+    for A, cutoff in ((cp2, 4), (free, 0), (sphere_model(3), 3)):
+        factors, kept, betti = em_split(RelativeModel(A, [], label="bare"))
+        assert factors == [] and kept == [], A.label
+        assert betti == cohomology(A, cutoff, representatives=False), A.label

@@ -68,7 +68,7 @@ def test_product_is_the_truncated_convolution():
 
 
 @pytest.mark.parametrize("coeffs", [[1, Fraction(3, 2), 2], [1, 2.9], [1, 2.0],
-                                    [Fraction(1)], ["1"], [None]])
+                                    [Fraction(1)], ["1"], [None], [True, 0, True]])
 def test_inexact_coefficients_are_refused(coeffs):
     # a coefficient that is not an int is refused, never rounded
     with pytest.raises(TypeError, match="not an int"):
