@@ -128,8 +128,8 @@ class ManifoldModel:
         return cohomology(self.model, cutoff, representatives=False)
 
     def __repr__(self):
-        ps = ", ".join(f"p{i}" for i, e in sorted(self.pontryagin.items())
-                       if not e.is_zero()) or "none"
+        ps = ", ".join(f"p{i}" for i in sorted(self.pontryagin)
+                       if self.pontryagin_class(i) is not None) or "none"
         return f"ManifoldModel({self.name!r}, dim {self.dimension}, classes: {ps})"
 
 

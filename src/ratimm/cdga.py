@@ -14,7 +14,8 @@ of `tensor`) are renamed where their names clash, by the one rule of
 `_renamed`.  Renaming changes a name, never an index or a degree, so an
 element written over the generators as given already has the keys of the
 result: a relative model takes its twist in that form and is built once,
-and `tensor` shifts the second factor's monomials by index.  A finite
+and `tensor` moves each generator of its second factor up by the number
+of the first's.  A finite
 `tensor` stores the products of `TensorAlgebra`, Koszul sign included,
 once per unordered pair, and is not checked again: its factors were.
 
@@ -69,29 +70,24 @@ reads `_cochains` and clears nothing, the oracle of the tests and of
 certificate its image rows as data, never elimination.
 
 Assembly: `keys_of_degree` lists each degree's basis in `sort_key` order
-(a finite algebra indexes its basis by degree once; a free algebra
-decodes its codes; a tensor algebra lays a degree out as blocks,
-below).  A walk reads each degree's keys and index from the model's
-`_layout` and its columns from `_columns`: by default the keys'
-`_diff_terms` mapped through a {key: row} dict (`d_columns`), for a
-finite model.  Free and relative walks read monomial codes instead
-(`gca`: one int per monomial, a degree's codes descending, which is
-`sort_key` order, `codes_of_degree`, and the product of two monomials
-the sum of their codes); their keys (`_Keys`) decode a code only where
-a key is read, as `cohomology` reads those its representatives carry.
-Call a generator closed when it is even with d = 0 (an even free or
-fiber generator with no differential or twist).  A key's monomial
-splits as P*R, P its closed factors; P is even and closed, so d(P*R) =
-P*d(R).  Each model caches d on its generators once (`_dgen`, over its
-free algebra `fiber`, a free CDGA's own): a key's code is p + r, r =
-code & `_rest_mask` the code of R, d(R) is the Leibniz rule
-(`_leibniz`) on R, decoded from r, kept in the memo under r as (base
-key, code, coefficient) items (`_rest_terms`), and P*m is p + m, with
-no sign.  `_diff_terms`, the key path of `diff` and
-`diff_key`, reads p + m back as a monomial, and refuses a key whose d
-lies at a degree where p + m could carry, as a walk refuses that
-degree.  A free CDGA's `_layout` indexes its rows by code (`_CodeIndex`),
-and its `_columns` writes the column of a key as {row[p + m]: c} over
+(a finite algebra indexes its basis by degree once; a free algebra's
+keys are its monomial codes, descending, `gca`; a tensor algebra lays a
+degree out as blocks, below).  A walk reads each degree's keys and
+index from the model's `_layout`, by default its keys and a {key: row}
+dict, and its columns from `_columns`: by default the keys'
+`_diff_terms` mapped through the next degree's index (`d_columns`), for
+a finite model.  Call a generator closed when it is even with d = 0 (an
+even free or fiber generator with no differential or twist).  A key's
+monomial splits as P*R, P its closed factors; P is even and closed, so
+d(P*R) = P*d(R).  Each model caches d on its generators once (`_dgen`,
+over its free algebra `fiber`, a free CDGA's own): a key's code is p +
+r, r = code & `_rest_mask` the code of R, d(R) is the Leibniz rule
+(`_leibniz`) on r, kept in the memo under r as (base key, code,
+coefficient) items (`_rest_terms`), and P*m is p + m, with no sign
+(the product of monomials is the sum of their codes).  `_diff_terms`,
+the key path of `diff` and `diff_key`, refuses a key whose d lies at a
+degree where p + m could carry, as a walk refuses that degree.  A free
+CDGA's `_columns` writes the column of a key as {row[p + m]: c} over
 d(R), the memo read inline.  A relative model splits once more:
 
     D(lk (x) rm) = d_B(lk) (x) rm + (-1)^{|lk|} (lk (x) 1) * D(1 (x) rm).
@@ -104,14 +100,14 @@ merged in, its memo kept for one `diff` call.  A degree n of
 `TensorAlgebra` is laid out as blocks, one per base key lk in
 base-degree order, each base degree read from the base's own
 `keys_of_degree` (`layout`), so (lk, rm) is row start_n[lk] + pos(rm),
-pos(rm) the position of the code of rm among the fiber codes of its
-degree (`fiber_degree`).  The walk's memo keeps, per
+pos(rm) the position of rm among the fiber codes of its degree
+(`fiber_degree`).  The walk's memo keeps, per
 fiber degree, D(1 (x) rm) of each rm as ((bk, position), coefficient), P
 merged in by code, and `_columns` builds it the first time a column
 asks and assembles the column of (lk, rm) as an int-keyed dict:
 d_B(lk) (x) rm at start_{n+1}[k] + pos(rm) for each term k, then
 start_{n+1}[lk*bk] + q for each product term.  No pair index is built,
-and no pair or fiber monomial is built or hashed per key.  A fiber
+and no pair is built or hashed per key.  A fiber
 degree is dropped once the walk has passed it by more than the base's
 top degree.  Columns are plain dicts, with no `Element`;
 `_cochains` hands them one memo that lives as long as its walk.  A free
@@ -185,45 +181,33 @@ def _unscaled(terms: dict, scale: int) -> dict:
     return {k: _exact(Fraction(c, scale)) for k, c in terms.items()}
 
 
-def _leibniz(fiber: FreeAlgebra, mono, dgen) -> dict:
-    """d(g1^e1...gr^er) = sum_i (-1)^{|prefix|} e_i prefix g_i^(e_i-1) d(g_i) suffix.
+def _leibniz(fiber: FreeAlgebra, code, dgen) -> list:
+    """d(P*g_i^e*S) = sum_i (-1)^{|P|} e P*g_i^(e-1)*d(g_i)*S over the
+    generators g_i of the monomial with `code` (`fiber.places`).
 
-    `dgen[i]` lists the terms of d(g_i) as (base_key, base_odd, monomial,
-    coefficient), base_key None in a free CDGA; a twist term b (x) m moving
-    left past the prefix gains (-1)^{|prefix||b|}.  `mul_monomials` gives
-    the Koszul signs.  Returns {(base_key, monomial): nonzero coefficient}.
+    `dgen[i]` lists the terms of d(g_i) as (base_key, base_odd, code,
+    coefficient), base_key None in a free CDGA.  A twist term b (x) m
+    moving left past P gains (-1)^{|P||b|}, and m moving left past S
+    gains (-1)^{|m||S|}; then `mul_key_pairs` gives the Koszul sign of
+    (P*g_i^(e-1)*S)*m.  Returns d of the monomial as (base_key, code,
+    coefficient) items, each coefficient nonzero.
     """
     out: dict = {}
-    mul = fiber.mul_monomials
-    gens = fiber.generators
-    odd_prefix = False
-    for idx, (gi, ei) in enumerate(mono):
-        terms = dgen.get(gi)
-        if terms:
-            # e_i > 1 only for even g_i: prefix * g_i^(e_i-1) is one monomial
-            head = mono[:idx] + ((gi, ei - 1),) if ei > 1 else mono[:idx]
-            suffix = mono[idx + 1:]
-            for bk, b_odd, m, c in terms:
-                r = mul(head, m)
-                if r is None:
-                    continue
-                s1, hm = r
-                r = mul(hm, suffix)
-                if r is None:
-                    continue
-                s2, key = r
-                coeff = s1 * s2 * ei * c
-                if odd_prefix and not b_odd:
-                    coeff = -coeff
+    mul, parity = fiber.mul_key_pairs, fiber.key_parity
+    for i, e, rest, odd_before, odd_after in fiber.places(code):
+        terms = dgen.get(i)
+        if not terms:
+            continue
+        for bk, b_odd, m, c in terms:
+            flip = (odd_before and not b_odd) != (odd_after and parity(m))
+            for key, s in mul(rest, m):
                 k = (bk, key)
-                v = out.get(k, 0) + coeff
+                v = out.get(k, 0) + (-s if flip else s) * e * c
                 if v:
                     out[k] = v
                 else:
                     del out[k]
-        if gens[gi].degree * ei % 2:
-            odd_prefix = not odd_prefix
-    return out
+    return [(bk, m, c) for (bk, m), c in out.items()]
 
 
 def _closed_split(fiber: FreeAlgebra, dgen):
@@ -234,25 +218,15 @@ def _closed_split(fiber: FreeAlgebra, dgen):
     return closed, fiber.code_mask(i for i in range(len(fiber.generators)) if i not in closed)
 
 
-def _rest_codes(model, r) -> list:
-    """d(R) for the monomial R of `model.fiber` with code r, R free of the
-    factors in `model._closed`, as (base key, code of the monomial,
-    coefficient) in `_leibniz` order: R is the one monomial decoded."""
-    fiber = model.fiber
-    code = fiber.code
-    return [(bk, code(m), c)
-            for (bk, m), c in _leibniz(fiber, fiber.monomial(r), model._dgen).items()]
-
-
 def _rest_terms(model, code, memo):
     """(p, d(R)) for the monomial P*R of `model.fiber` with `code`, P its
     factors in `model._closed`: p the code of P, and d(R) the
-    `_rest_codes` of r = code & `_rest_mask`, the code of R, kept in
+    `_leibniz` of r = code & `_rest_mask`, the code of R, kept in
     `memo` under r.  d(P*R) = P*d(R), and P*m has code p + m."""
     r = code & model._rest_mask
     terms = memo.get(r)
     if terms is None:
-        terms = memo[r] = _rest_codes(model, r)
+        terms = memo[r] = _leibniz(model.fiber, r, model._dgen)
     return code - r, terms
 
 
@@ -308,7 +282,7 @@ class Cdga:
         """(keys, index) of degree n: its keys in `sort_key` order and
         {key: position}; a relative model lays them out as blocks."""
         keys = self.algebra.keys_of_degree(n)
-        return keys, {k: i for i, k in enumerate(keys)}
+        return keys, dict(zip(keys, range(len(keys))))
 
     def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
         """d of each of `keys` (degree n, `index` from `_layout`) at a
@@ -363,34 +337,29 @@ class FreeCdga(Cdga):
         i = self.algebra.generator_index(name)
         return self._diff.get(i, self.algebra.zero())
 
-    def _diff_terms(self, mono, memo) -> dict:
+    def _diff_terms(self, code, memo) -> dict:
         alg = self.algebra
-        # d(mono) lies one degree up, where p + m must not carry
-        alg.check_degree(alg.key_degree(mono) + 1)
-        p, terms = _rest_terms(self, alg.code(mono), memo)
-        return {alg.monomial(p + m): c for _, m, c in terms}
+        # d of the key lies one degree up, where p + m must not carry
+        alg.check_degree(alg.key_degree(code) + 1)
+        p, terms = _rest_terms(self, code, memo)
+        return {p + m: c for _, m, c in terms}
 
-    def diff_key(self, mono) -> Element:
-        return Element(self.algebra, _unscaled(self._diff_terms(mono, {}), self._scale))
-
-    def _layout(self, n):
-        alg = self.algebra
-        codes = alg.codes_of_degree(n)
-        return _Keys([(0, None, codes)], len(codes), alg.monomial), _CodeIndex(alg, codes)
+    def diff_key(self, code) -> Element:
+        return Element(self.algebra, _unscaled(self._diff_terms(code, {}), self._scale))
 
     def _columns(self, keys, index, skip, index_next, memo) -> list[dict]:
-        """`_rest_terms`, inline, over the codes of `index`: d(P*R) =
-        P*d(R) is row p + m of `index_next` for each term m of d(R), kept
-        in `memo` under r.  No key is decoded, only each R met first."""
+        """`_rest_terms`, inline, over the codes `keys`: d(P*R) = P*d(R)
+        is row p + m of `index_next` for each term m of d(R), kept in
+        `memo` under r."""
         mask = self._rest_mask
         out = []
-        for j, code in enumerate(index):
+        for j, code in enumerate(keys):
             if j in skip:
                 continue
             r = code & mask
             terms = memo.get(r)
             if terms is None:
-                terms = memo[r] = _rest_codes(self, r)
+                terms = memo[r] = _leibniz(self.fiber, r, self._dgen)
             p = code - r
             out.append({index_next[p + m]: c for _, m, c in terms})
         return out
@@ -403,9 +372,9 @@ class FreeCdga(Cdga):
     def generator_names(self):
         return [g.name for g in self.algebra.generators]
 
-    def key_word(self, mono):
+    def key_word(self, code):
         gens = self.algebra.generators
-        return None, [(gens[i].name, e) for i, e in mono]
+        return None, [(gens[i].name, e) for i, e in self.algebra.factors(code)]
 
     def __repr__(self):
         return f"FreeCdga({self.label!r}, {len(self.algebra.generators)} generators)"
@@ -507,11 +476,12 @@ class FiniteAlgebra:
             # product-table entries are linear in basis names (the table is
             # what defines products, so powers cannot appear on this side)
             vec = {}
-            for mono, c in parse_element(value, names).terms.items():
-                if len(mono) != 1 or mono[0][1] != 1:
-                    raise ParseError(f"term {names.format_key(mono)!r} is not a "
+            for code, c in parse_element(value, names).terms.items():
+                word = names.factors(code)
+                if len(word) != 1 or word[0][1] != 1:
+                    raise ParseError(f"term {names.format_key(code)!r} is not a "
                                      "basis name; a product value is linear")
-                vec[self._index[names.generators[mono[0][0]].name]] = c
+                vec[self._index[names.generators[word[0][0]].name]] = c
             return vec
         raise TypeError(f"cannot interpret product value {value!r}")
 
@@ -553,6 +523,9 @@ class FiniteAlgebra:
 
     def key_degree(self, i: int) -> int:
         return self.basis[i][1]
+
+    def key_parity(self, i: int) -> int:
+        return self.basis[i][1] & 1
 
     def keys_of_degree(self, n: int) -> tuple[int, ...]:
         return self._by_degree.get(n, ())
@@ -668,16 +641,16 @@ class FiniteCdga(Cdga):
 # ---------------------------------------------------------------------------
 
 class _Keys:
-    """One degree's keys as a walk lays them out, each decoded from its
-    code only where it is read (`cohomology`'s representatives): blocks
-    (offset, lkeys, codes) of the keys (lk, rm) from position offset on,
-    lk major, rm the fiber monomial of each code; a free model's one
-    block has lkeys None and keys rm.  Equal to a sequence of its keys."""
+    """One degree's keys of a `TensorAlgebra` as a walk lays them out,
+    each pair made only where it is read (`cohomology`'s
+    representatives): blocks (offset, lkeys, codes) of the keys (lk, rm)
+    from position offset on, lk major, rm each fiber code.  Equal to a
+    sequence of its keys."""
 
-    __slots__ = ("_blocks", "_length", "_decode")
+    __slots__ = ("_blocks", "_length")
 
-    def __init__(self, blocks, length, decode):
-        self._blocks, self._length, self._decode = blocks, length, decode
+    def __init__(self, blocks, length):
+        self._blocks, self._length = blocks, length
 
     def __len__(self):
         return self._length
@@ -687,44 +660,26 @@ class _Keys:
             raise IndexError(j)
         offset, lkeys, codes = next(b for b in reversed(self._blocks) if b[0] <= j)
         q, r = divmod(j - offset, len(codes))
-        rm = self._decode(codes[r])
-        return rm if lkeys is None else (lkeys[q], rm)
+        return lkeys[q], codes[r]
 
     def __eq__(self, other):
         return list(self) == list(other)
 
 
-class _CodeIndex(dict):
-    """{code: position} of one degree's monomials of a free algebra, in
-    key order.  A monomial is looked up by its code, so one of another
-    degree raises KeyError."""
-
-    __slots__ = ("_code",)
-
-    def __init__(self, algebra, codes):
-        super().__init__(zip(codes, range(len(codes))))
-        self._code = algebra.code
-
-    def __missing__(self, key):
-        if isinstance(key, tuple):
-            return self[self._code(key)]
-        raise KeyError(key)
-
-
 class _BlockIndex:
     """The rows of one degree n of a `TensorAlgebra`, laid out as blocks:
-    (lk, rm) is row starts[lk] + pos(rm), pos(rm) the position of rm
-    among the fiber monomials of degree n - |lk|, found by its code.  A
-    key of another degree raises KeyError."""
+    (lk, rm) is row starts[lk] + pos(rm), pos(rm) the position of the
+    code rm among the fiber codes of degree n - |lk|.  A key of another
+    degree raises KeyError."""
 
-    __slots__ = ("degree", "starts", "_fiber", "_code")
+    __slots__ = ("degree", "starts", "_fiber")
 
-    def __init__(self, degree, starts, fiber, code):
-        self.degree, self.starts, self._fiber, self._code = degree, starts, fiber, code
+    def __init__(self, degree, starts, fiber):
+        self.degree, self.starts, self._fiber = degree, starts, fiber
 
     def __getitem__(self, key):
         lk, rm = key
-        return self.starts[lk] + self._fiber[lk][self._code(rm)]
+        return self.starts[lk] + self._fiber[lk][rm]
 
 
 class TensorAlgebra:
@@ -754,8 +709,8 @@ class TensorAlgebra:
         none for an lk with no such monomial.  That is `sort_key` order:
         base degree ascending, then each factor's own order.  Each base
         degree i <= n, up to the base's top degree, is read from the base's
-        own `keys_of_degree`, and the fiber's by code: no fiber monomial
-        is decoded until a key is read."""
+        own `keys_of_degree`, and the fiber's codes once per degree
+        (`fiber_degree`): no pair is made until a key is read."""
         top = self.left.top_degree
         blocks, length = [], 0
         starts, fiber = {}, {}
@@ -770,24 +725,21 @@ class TensorAlgebra:
                 fiber[lk] = positions
             blocks.append((length, lkeys, codes))
             length += len(lkeys) * width
-        return (_Keys(blocks, length, self.right.monomial),
-                _BlockIndex(n, starts, fiber, self.right.code))
+        return _Keys(blocks, length), _BlockIndex(n, starts, fiber)
 
     def fiber_degree(self, d: int):
         """(the codes of the fiber monomials of degree d, {code: position
         among them}), built once per degree."""
         fiber = self._fiber.get(d)
         if fiber is None:
-            codes = self.right.codes_of_degree(d)
+            codes = self.right.keys_of_degree(d)
             fiber = self._fiber[d] = (codes, dict(zip(codes, range(len(codes)))))
         return fiber
 
     def mul_key_pairs(self, key1, key2):
         l1, r1 = key1
         l2, r2 = key2
-        sign = 1
-        if self.right.key_degree(r1) % 2 and self.left.key_degree(l2) % 2:
-            sign = -1
+        sign = -1 if self.right.key_parity(r1) and self.left.key_parity(l2) else 1
         out = []
         for rm, rc in self.right.mul_key_pairs(r1, r2):
             for lk, lc in self.left.mul_key_pairs(l1, l2):
@@ -935,8 +887,8 @@ class RelativeModel(Cdga):
         fiber = self.fiber
         # D(1 (x) rm) lies one fiber degree up, where p + m must not carry
         fiber.check_degree(fiber.key_degree(rm) + 1)
-        p, terms = _rest_terms(self, fiber.code(rm), memo)
-        products.add_times(out, [((bk, fiber.monomial(p + m)), c) for bk, m, c in terms], sign)
+        p, terms = _rest_terms(self, rm, memo)
+        products.add_times(out, [((bk, p + m), c) for bk, m, c in terms], sign)
         return out
 
     def _layout(self, n):
@@ -1008,7 +960,7 @@ class RelativeModel(Cdga):
     def key_word(self, key):
         lk, rm = key
         gens = self.fiber.generators
-        return lk, [(gens[i].name, e) for i, e in rm]
+        return lk, [(gens[i].name, e) for i, e in self.fiber.factors(rm)]
 
     def __repr__(self):
         fg = ", ".join(f"{g.name}:{g.degree}" for g in self.fiber.generators)
@@ -1190,7 +1142,7 @@ def cohomology(cdga, cutoff: int, representatives: bool = True,
                 raise AssertionError(
                     f"rank bookkeeping mismatch in degree {n}: "
                     f"{len(kernel)} representatives for b_{n}={b_n}")
-            # decode only the keys the kernel vectors carry
+            # read only the keys the kernel vectors carry
             kept_at = [j for j in range(len(keys)) if j not in skip] if b_n else ()
             carried = {j: keys[kept_at[j]] for j in {j for ker in kernel for j in ker}}
             reps.append([Element(alg, {carried[j]: c for j, c in ker.items()})
@@ -1239,25 +1191,23 @@ def tensor(a, b, label: str = ""):
     RelativeModel over the finite factor.  The free (or fiber) generators
     of the second factor are renamed where their names clash, by the one
     rule of `_renamed`, and `.renamings` records it.  Renaming keeps each
-    generator's index: b's generators follow a's, so b's monomials shift
-    by the number of a's generators.
+    generator's index: b's generators follow a's, so each of b's
+    generators moves up by the number of a's.
     """
     label = label or f"{a.label}(x){b.label}"
     if isinstance(a, FreeCdga) and isinstance(b, FreeCdga):
         gens, renamings = _renamed(b.algebra.generators, a.generator_names())
         merged = FreeAlgebra(a.algebra.generators + tuple(gens), label=label)
-        shift = len(a.algebra.generators)
         diff = {}
-        for g in a.algebra.generators:
-            img = a.differential_of_generator(g.name)
-            if not img.is_zero():
-                diff[g.name] = Element(merged, img.terms)
-        for g, new in zip(b.algebra.generators, gens):
-            img = b.differential_of_generator(g.name)
-            if not img.is_zero():
-                diff[new.name] = Element(merged, {
-                    tuple((i + shift, e) for i, e in mono): c
-                    for mono, c in img.terms.items()})
+        for factor, offset, names in ((a, 0, a.algebra.generators),
+                                      (b, len(a.algebra.generators), gens)):
+            alg = factor.algebra
+            for g, new in zip(alg.generators, names):
+                img = factor.differential_of_generator(g.name)
+                if not img.is_zero():
+                    diff[new.name] = Element(merged, {
+                        merged.key_of((i + offset, e) for i, e in alg.factors(code)): c
+                        for code, c in img.terms.items()})
         result = FreeCdga(merged, diff, label=label)
         result.renamings = renamings
         return result

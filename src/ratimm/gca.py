@@ -12,21 +12,24 @@ back, and a product of true fractions that is integral stays a
 `Fraction`: `add_into` does not normalize, because the hot loops that
 keep their own copy of its rule (see `cdga`) would then disagree with it.
 
-Monomials are stored as tuples ``((gen_index, exponent), ...)`` sorted by
-generator index; the empty tuple is the unit monomial.  Generator order is
-declaration order and monomial order is graded-lexicographic, so every
-serialization is deterministic.  A monomial also has an int code, its
-exponents as digits of `CODE_BITS` bits, generator 0 the most
-significant: sum e_i << (CODE_BITS*(r-1-i)) over r generators.  When no
-odd generator meets itself, the product of two monomials is the sum of
-their codes, up to the Koszul sign.  An algebra refuses a degree at
-which an exponent could reach 2^CODE_BITS, so no digit carries and no
-two monomials share a code; then one degree's codes compare as their
-exponent vectors compare lexicographically, and graded-lex order (each
-exponent vector, from generator 0 on, largest first) is descending
-numeric order.  A degree's basis is its codes (`codes_of_degree`);
-`basis_of_degree` decodes them into monomials for the callers that read
-monomials, and a walk decodes only the monomials it reads (see `cdga`).
+A monomial is one int, its code: its exponents as digits of `CODE_BITS`
+bits, generator 0 the most significant, sum e_i << (CODE_BITS*(r-1-i))
+over r generators; the unit's code is 0.  A free algebra's keys are
+these codes, in `Element`s, in differentials and in walks alike, and
+this module alone reads their digits: every other module reads a
+monomial through `FreeAlgebra` (`factors`, `key_of`, `places`,
+`code_mask`).  The product of two monomials is the sum of their codes,
+up to the Koszul sign, which the odd generators' bits give (an odd
+exponent is at most 1, so each odd factor is one bit); an odd square is
+0.  A product that would carry an exponent to 2^CODE_BITS raises
+InputError, and an algebra refuses a degree at which an exponent could
+reach it, so no digit carries and no two monomials share a code.  Then
+one degree's codes compare as their exponent vectors compare
+lexicographically, and graded-lex order (each exponent vector, from
+generator 0 on, largest first) is descending numeric order.
+Generator order is declaration order, so every serialization is
+deterministic.  A degree's basis is its codes, descending
+(`basis_of_degree`).
 
 Sparse sums of {key: coefficient} dicts are accumulated by one rule,
 `add_into`: a key whose coefficient cancels is popped, so no stored
@@ -44,9 +47,8 @@ from fractions import Fraction
 
 from .errors import ContextError, DegreeError, InputError, ParseError
 
-Monomial = tuple  # ((gen_index, exponent), ...), index-ascending
-UNIT_MONOMIAL: Monomial = ()
 CODE_BITS = 16  # bits of one exponent in a monomial's code
+_DIGIT = (1 << CODE_BITS) - 1
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -74,7 +76,9 @@ class Generator:
 
 
 class FreeAlgebra:
-    """Free graded-commutative algebra on an ordered list of generators."""
+    """Free graded-commutative algebra on an ordered list of generators.
+
+    Its keys are monomial codes (see the module docstring)."""
 
     def __init__(self, generators, label: str = ""):
         gens = tuple(generators)
@@ -84,20 +88,28 @@ class FreeAlgebra:
         self.generators = gens
         self.label = label
         self._index = {g.name: i for i, g in enumerate(gens)}
-        self._odd = tuple(g.is_odd for g in gens)
         # the highest degree of a monomial, None when an even generator
         # makes it unbounded
-        self.top_degree = sum(g.degree for g in gens) if all(self._odd) else None
-        # the bit offset of generator i's digit in a code
+        self.top_degree = sum(g.degree for g in gens) if all(g.is_odd for g in gens) else None
+        # the bit offset of generator i's digit in a code, and its code
         self._shifts = tuple(CODE_BITS * i for i in range(len(gens) - 1, -1, -1))
+        self._units = tuple(1 << shift for shift in self._shifts)
+        # the generators' degrees, the last (least significant digit) first
+        self._low_first = tuple(g.degree for g in reversed(gens))
+        # the odd generators' codes: an odd exponent is at most 1, so
+        # code & _odd_bits lists the odd factors of a monomial, one bit each
+        self._odd_bits = sum(u for g, u in zip(gens, self._units) if g.is_odd)
+        # the lowest bit of every digit but the last, and the bit above the
+        # first: a sum of two codes carries exactly where these bits of
+        # sum ^ a ^ b are set
+        self._carry_bits = sum(u << CODE_BITS for u in self._units)
         # (|g_i|, i, or i + 1 for an odd g_i, the code of g_i) for each i
-        self._steps = tuple((g.degree, i + g.is_odd, 1 << shift)
-                            for i, (g, shift) in enumerate(zip(gens, self._shifts)))
+        self._steps = tuple((g.degree, i + g.is_odd, unit)
+                            for i, (g, unit) in enumerate(zip(gens, self._units)))
         # _codes[n]: degree n's codes, descending; _starts[n][i]: the
         # position of its first code with no generator before i
         self._codes: list[tuple[int, ...]] = []
         self._starts: list[tuple[int, ...]] = []
-        self._basis: dict[int, tuple[Monomial, ...]] = {}  # basis_of_degree's
         # the lowest degree at which an even generator's exponent could
         # reach 2^CODE_BITS (an odd one's is at most 1)
         evens = [g.degree for g in gens if not g.is_odd]
@@ -123,75 +135,60 @@ class FreeAlgebra:
 
     # -- key protocol (shared with the other algebra kinds) ------------
 
-    def one_key(self) -> Monomial:
-        return UNIT_MONOMIAL
+    def one_key(self) -> int:
+        return 0
 
-    def key_degree(self, mono: Monomial) -> int:
-        return sum(self.generators[i].degree * e for i, e in mono)
+    def key_degree(self, code: int) -> int:
+        degree = 0
+        for g_degree in self._low_first:
+            if not code:
+                break
+            degree += g_degree * (code & _DIGIT)
+            code >>= CODE_BITS
+        return degree
 
-    def mul_key_pairs(self, m1: Monomial, m2: Monomial):
-        """Product of two monomials: [(monomial, coefficient)] or []."""
-        res = self.mul_monomials(m1, m2)
-        if res is None:
+    def key_parity(self, code: int) -> int:
+        """The degree of the monomial with `code`, mod 2."""
+        return (code & self._odd_bits).bit_count() & 1
+
+    def mul_key_pairs(self, c1: int, c2: int):
+        """Product of two monomials: [(code, Koszul sign)], or [] when an
+        odd generator squares.  The product's code is c1 + c2; one that
+        would carry an exponent to 2^CODE_BITS raises InputError.  Each
+        odd factor of the second moves left past the odd factors of the
+        first with a larger index, a lower bit."""
+        o1, o2 = c1 & self._odd_bits, c2 & self._odd_bits
+        if o1 & o2:
             return []
-        sign, mono = res
-        return [(mono, sign)]
+        code = c1 + c2
+        if (code ^ c1 ^ c2) & self._carry_bits:
+            raise InputError(f"the product {self.format_key(c1)} * {self.format_key(c2)} "
+                             f"has an exponent out of range (< 2^{CODE_BITS})")
+        swaps = 0
+        while o1 and o2:
+            low = o2 & -o2
+            swaps += (o1 & (low - 1)).bit_count()
+            o2 ^= low
+        return [(code, -1 if swaps & 1 else 1)]
 
-    def keys_of_degree(self, n: int) -> tuple[Monomial, ...]:
+    def keys_of_degree(self, n: int) -> tuple[int, ...]:
         return self.basis_of_degree(n)
 
-    def format_key(self, mono: Monomial) -> str:
-        if not mono:
+    def format_key(self, code: int) -> str:
+        if not code:
             return "1"
         parts = []
-        for i, e in mono:
+        for i, e in self.factors(code):
             name = self.generators[i].name
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
 
-    def sort_key(self, mono: Monomial):
-        dense = [0] * len(self.generators)
-        for i, e in mono:
-            dense[i] = e
-        return (self.key_degree(mono), tuple(-e for e in dense))
+    def sort_key(self, code: int):
+        return (self.key_degree(code), -code)
 
-    # -- monomial arithmetic -------------------------------------------
+    # -- monomial codes --------------------------------------------------
 
-    def mul_monomials(self, m1: Monomial, m2: Monomial):
-        """Merge two monomials with the Koszul sign.
-
-        Returns (sign, monomial) or None when an odd generator squares.
-        """
-        if not m1:
-            return 1, m2
-        if not m2:
-            return 1, m1
-        # Koszul: each odd factor of m2 moves left past the odd factors of
-        # m1 that have a larger generator index.
-        odd = self._odd
-        odd1 = [i for i, _ in m1 if odd[i]]
-        swaps = 0
-        merged: dict[int, int] = dict(m1)
-        for j, e in m2:
-            if odd[j]:
-                if j in merged:
-                    return None  # odd square
-                swaps += sum(1 for i in odd1 if i > j)
-                merged[j] = e
-            else:
-                merged[j] = merged.get(j, 0) + e
-        mono = tuple(sorted(merged.items()))
-        return (-1 if swaps % 2 else 1), mono
-
-    def basis_of_degree(self, n: int) -> tuple[Monomial, ...]:
-        """All monomials of total degree n, in graded-lex order: the
-        `codes_of_degree(n)`, decoded on the first request and kept."""
-        basis = self._basis.get(n)
-        if basis is None:
-            basis = self._basis[n] = tuple(map(self.monomial, self.codes_of_degree(n)))
-        return basis
-
-    def codes_of_degree(self, n: int) -> tuple[int, ...]:
+    def basis_of_degree(self, n: int) -> tuple[int, ...]:
         """The codes of the monomials of total degree n, descending, which
         is graded-lex order; () below 0.
 
@@ -237,34 +234,45 @@ class FreeAlgebra:
                 f"degree {n} is out of range in {self!r}: an exponent could "
                 f"reach 2^{CODE_BITS} from degree {limit} on")
 
-    def code(self, mono: Monomial) -> int:
-        """The code of `mono`, sum e_i << (CODE_BITS*(r-1-i)) over r
-        generators; InputError for an exponent of 2^CODE_BITS or more,
-        whose code another monomial has."""
-        code, shifts = 0, self._shifts
-        for i, e in mono:
-            if e >> CODE_BITS:
-                raise InputError(f"exponent {e} of {self.generators[i].name} is out "
-                                 f"of range for a monomial code (< 2^{CODE_BITS})")
-            code += e << shifts[i]
-        return code
-
-    def monomial(self, code: int) -> Monomial:
-        """The monomial whose code is `code`: the inverse of `code`."""
-        digit, out, i = (1 << CODE_BITS) - 1, [], len(self.generators) - 1
+    def factors(self, code: int) -> tuple:
+        """The monomial with `code` as ((i, e_i), ...), one pair for each
+        generator g_i it contains, i ascending."""
+        out, i = [], len(self.generators) - 1
         while code:
-            if code & digit:
-                out.append((i, code & digit))
+            if code & _DIGIT:
+                out.append((i, code & _DIGIT))
             code >>= CODE_BITS
             i -= 1
         out.reverse()
         return tuple(out)
 
+    def key_of(self, factors) -> int:
+        """The code of the monomial prod g_i^e_i over the pairs (i, e_i)
+        of `factors`, each i once: the inverse of `factors`.  InputError
+        for an exponent of 2^CODE_BITS or more, which no code holds."""
+        code = 0
+        for i, e in factors:
+            if e >> CODE_BITS:
+                raise InputError(f"exponent {e} of {self.generators[i].name} is out "
+                                 f"of range (< 2^{CODE_BITS})")
+            code += e << self._shifts[i]
+        return code
+
+    def places(self, code: int) -> list:
+        """For each generator g_i of the monomial P*g_i^e*S with `code`,
+        P and S its factors before and after g_i: (i, e, the code of
+        P*g_i^(e-1)*S, |P| odd, |S| odd)."""
+        odd, out = code & self._odd_bits, []
+        for i, e in self.factors(code):
+            unit = self._units[i]
+            before = (odd >> (self._shifts[i] + CODE_BITS)).bit_count() & 1
+            out.append((i, e, code - unit, before, (odd & (unit - 1)).bit_count() & 1))
+        return out
+
     def code_mask(self, indices) -> int:
         """The bits of the codes of the generators at `indices`: code & mask
         is the code of a monomial's factor in those generators."""
-        digit = (1 << CODE_BITS) - 1
-        return sum(digit << self._shifts[i] for i in indices)
+        return sum(_DIGIT << self._shifts[i] for i in indices)
 
     # -- element constructors ------------------------------------------
 
@@ -272,18 +280,16 @@ class FreeAlgebra:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {UNIT_MONOMIAL: 1})
+        return Element(self, {0: 1})
 
     def gen(self, name: str) -> "Element":
-        i = self.generator_index(name)
-        return Element(self, {((i, 1),): 1})
+        return Element(self, {self._units[self.generator_index(name)]: 1})
 
     def name_power(self, name: str, exp: int) -> "Element":
         g = self.generator(name)
         if g.is_odd and exp > 1:
             raise ValueError(f"odd generator {name} raised to power {exp}")
-        i = self.generator_index(name)
-        return Element(self, {((i, exp),): 1})
+        return Element(self, {self.key_of(((self.generator_index(name), exp),)): 1})
 
 
 def _exact(c):
@@ -307,7 +313,7 @@ def add_into(out: dict, items, scale=1) -> dict:
 class Element:
     """A rational linear combination of basis keys of one algebra.
 
-    The same class serves free algebras (keys are monomials), finite
+    The same class serves free algebras (keys are monomial codes), finite
     basis-presented algebras (keys are basis indices) and tensor algebras
     (keys are pairs).  Instances are immutable by convention.
     """
@@ -503,6 +509,8 @@ def parse_element(text: str, context) -> Element:
             return context.name_power(name, exp)
         except KeyError:
             raise ParseError(f"unknown generator {name!r}", position=tok[2]) from None
+        except InputError:
+            raise  # an exponent no code holds: a well-formed input out of range
         except ValueError as exc:
             raise ParseError(str(exc), position=tok[2]) from None
 

@@ -114,18 +114,20 @@ def pure_krull_dimension(model) -> int | None:
     Pure: d vanishes on every even generator, and d of each odd generator
     is a polynomial in the even generators alone.
     """
-    gens = model.algebra.generators
+    alg = model.algebra
+    gens = alg.generators
     even = {i: n for n, i in enumerate(i for i, g in enumerate(gens) if not g.is_odd)}
     polys = []
     for (_, _, _, dg), g in zip(model.generator_items(), gens):
         if dg.is_zero():
             continue
-        if not g.is_odd or any(i not in even for mono in dg.terms for i, _ in mono):
+        words = {alg.factors(code): c for code, c in dg.terms.items()}
+        if not g.is_odd or any(i not in even for word in words for i, _ in word):
             return None
         exps = {}
-        for mono, c in dg.terms.items():
+        for word, c in words.items():
             e = [0] * len(even)
-            for i, a in mono:
+            for i, a in word:
                 e[even[i]] = a
             exps[tuple(e)] = c
         polys.append(exps)

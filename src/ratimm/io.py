@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .bundles import ManifoldModel
 from .cdga import FiniteAlgebra, FiniteCdga, FreeCdga
-from .errors import ContextError, DegreeError, ParseError
+from .errors import ContextError, DegreeError, InputError, ParseError
 from .gca import Element, FreeAlgebra, Generator, parse_element
 
 __all__ = ["parse_cdga", "serialize_cdga", "parse_manifold",
@@ -163,7 +163,7 @@ def _cdga_of(fields) -> FreeCdga | FiniteCdga:
             raise ParseError(f"d: {name} given more than once", line=lineno)
         try:
             diff[name] = parse_element(expr, algebra)
-        except ParseError as exc:
+        except (ParseError, InputError) as exc:
             raise ParseError(f"{exc} (in expression {expr!r})", line=lineno) from None
     if kind == "free":
         return FreeCdga(algebra, diff, label=label)

@@ -107,7 +107,7 @@ def em_split(E) -> tuple[list[EMFactor], list[Generator], BettiTable]:
     fibre order, and the Betti table walked.
     """
     twists = [E.twist_of(g.name) for g in E.given]
-    mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
+    mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in E.fiber.factors(fm)}
     kept = [g for i, g in enumerate(E.given) if twists[i].terms or i in mentioned]
     split = [g.degree for g in E.given if g not in kept]
     top = E.base.algebra.top_degree
@@ -180,7 +180,9 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
     label = label or f"Sect({E.label})"
     full = FreeAlgebra(gens, label=label)
     T = TensorAlgebra(A.algebra, full, label="pairing")
-    pairing = {t: Element(T, {(u, ((g, 1),)): 1 for u, g in slot.items()})
+    unit = full.one_key()
+    gen_key = [full.key_of(((g, 1),)) for g in range(len(gens))]
+    pairing = {t: Element(T, {(u, gen_key[g]): 1 for u, g in slot.items()})
                for t, slot in slots.items()}
 
     # D(sum a_u (x) v_u) = sum d_A(a_u) (x) v_u
@@ -189,8 +191,8 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
     for t, slot in slots.items():
         rhs = T.zero()
         for (lk, fm), c in E.twist_of(fibre[t].name).terms.items():
-            term = Element(T, {(lk, ()): 1})
-            for i, e in fm:
+            term = Element(T, {(lk, unit): 1})
+            for i, e in E.fiber.factors(fm):
                 if i not in slots:
                     raise InputError(f"the twist of {fibre[t].name} mentions "
                                      f"{fibre[i].name}, which is not sectioned")
@@ -198,16 +200,16 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
             rhs = rhs + term * c
         terms = dict(rhs.terms)
         for u, g in slot.items():
-            add_into(terms, (((w, ((g, 1),)), c)
+            add_into(terms, (((w, gen_key[g]), c)
                              for w, c in A.diff_key(u).terms.items()), -1)
         for (w, mono), c in terms.items():
             eqs.setdefault((t, w), {})[mono] = -c if basis[w][1] % 2 else c
 
     # a constant (degree 0) is only ever in an L
     for (t, w), e in sorted(eqs.items()):
-        if () in e:
+        if unit in e:
             raise InputError(f"the equation of {fibre[t].name} at {basis[w][0]} has "
-                             f"the constant term {e[()]}: {E.label} has no null section")
+                             f"the constant term {e[unit]}: {E.label} has no null section")
 
     # the differentials of the generators, and the dropped slots' L's
     diffs = {g: eqs.get((t, u), {}) for t, slot in slots.items()
@@ -218,34 +220,41 @@ def section_model(E: RelativeModel, generators=None, label: str = "") -> FreeCdg
         """Drop generator u, putting u := value in every equation left."""
         diffs.pop(u, None)
         sub = Element(full, value)
+        mask = full.code_mask((u,))
         for eq in (*dropped, *diffs.values()):
-            hits = [(m, p) for m in eq for p, (i, _) in enumerate(m) if i == u]
-            for mono, pos in hits:
+            for mono in [m for m in eq if m & mask]:
                 c = eq.pop(mono)
-                term = (Element(full, {mono[:pos]: c}) * sub ** mono[pos][1]
-                        * Element(full, {mono[pos + 1:]: 1}))
+                word = full.factors(mono)
+                pos = next(p for p, (i, _) in enumerate(word) if i == u)
+                term = (Element(full, {full.key_of(word[:pos]): c}) * sub ** word[pos][1]
+                        * Element(full, {full.key_of(word[pos + 1:]): 1}))
                 add_into(eq, term.terms.items())
 
-    def solve(eq: dict, mono):
-        """Eliminate the generator of the linear term `mono` by eq = 0."""
-        q = _exact(Fraction(-1, eq.pop(mono)))
-        eliminate(mono[0][0], {m: q * c for m, c in eq.items()})
+    def solve(eq: dict, g: int):
+        """Eliminate generator g, a linear term of eq, by eq = 0."""
+        q = _exact(Fraction(-1, eq.pop(gen_key[g])))
+        eliminate(g, {m: q * c for m, c in eq.items()})
+
+    def first_linear(eq: dict):
+        """The least generator that is a term of eq, or None."""
+        return min((g for g, key in enumerate(gen_key) if key in eq), default=None)
 
     while dropped:
         L = dropped.pop(0)
-        if L:  # linear, so its smallest term is a pivot
-            solve(L, min(L))
+        if L:  # linear, so its least generator is a pivot
+            solve(L, first_linear(L))
     for w in sorted(diffs, key=lambda g: gens[g].degree):
-        linear = [m for m in diffs.get(w, ()) if len(m) == 1 and m[0][1] == 1]
-        if linear:
-            solve(diffs.pop(w), min(linear))
+        g = first_linear(diffs.get(w, {}))
+        if g is not None:
+            solve(diffs.pop(w), g)
             eliminate(w, {})
 
     live = list(diffs)  # in generator order
     index = {g: n for n, g in enumerate(live)}  # monotone: monomials stay sorted
     model_alg = FreeAlgebra([gens[g] for g in live], label=label)
-    diff = {gens[g].name: Element(model_alg, {tuple((index[i], e) for i, e in m): c
-                                              for m, c in diffs[g].items()})
+    diff = {gens[g].name: Element(model_alg, {
+                model_alg.key_of((index[i], e) for i, e in full.factors(m)): c
+                for m, c in diffs[g].items()})
             for g in live if diffs[g]}
     return FreeCdga(model_alg, diff, label=label)
 

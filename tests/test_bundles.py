@@ -166,6 +166,7 @@ def test_an_exact_pontryagin_cocycle_is_class_zero():
                    label="S4e", simply_connected=True)
     M = ManifoldModel(4, A, {1: "v"})
     assert M.pontryagin_class(1) is None
+    assert repr(M).endswith("classes: none)")
     assert check_pontryagin_hypothesis(M, 2) == (1, [])
     assert str(framed_bundle_model(M, 2).twist_of("x1")) == "e2^2"
     big, phi = unreduced_framed_model(M, 3)
@@ -174,10 +175,19 @@ def test_an_exact_pontryagin_cocycle_is_class_zero():
     assert is_quasi_iso(phi, 16).ok
     # a cocycle with a nonzero class is kept as given, exact part and all
     assert str(ManifoldModel(4, A, {1: "2*x + v"}).pontryagin_class(1)) == "v + 2*x"
+    assert repr(ManifoldModel(4, A, {1: "2*x + v"})).endswith("classes: p1)")
     # a free model: a2^2 = d(y3)
     free = FreeCdga([Generator("a2", 2), Generator("y3", 3)], {"y3": "a2^2"})
     assert ManifoldModel(4, free, {1: "a2^2"}).pontryagin_class(1) is None
     assert check_pontryagin_hypothesis(ManifoldModel(4, free, {1: "a2^2"}), 2) == (1, [])
+    # the S^4 input with the acyclic pair, as a manifold file gives it:
+    # its repr lists no class, as `pontryagin_class` reads none
+    from ratimm.io import parse_manifold
+    given = parse_manifold("manifold: S4e\ndimension: 4\nkind: finite\nlabel: S4e\n"
+                           "basis: one 0\nbasis: u 3\nbasis: v 4\nbasis: x 4\n"
+                           "d: u = v\nsimply-connected: true\npontryagin: 1 = v\n")
+    assert given.pontryagin_class(1) is None
+    assert repr(given) == "ManifoldModel('S4e', dim 4, classes: none)"
 
 
 # -- framed models -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graded-commutative arithmetic: signs, bases, parsing."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ def test_odd_generators_anticommute(alg):
 def test_even_generator_scalars(alg):
     a = alg.gen("a")
     prod = (2 * a) * (3 * a)
-    assert prod == Element(alg, {((2, 2),): 6})
+    assert prod == Element(alg, {alg.key_of(((2, 2),)): 6})
 
 
 def test_degree_zero_generators_rejected():
@@ -87,7 +88,8 @@ def test_basis_odd_square_empty():
 
 def test_basis_degree_zero_is_unit():
     alg = FreeAlgebra([Generator("x", 3)])
-    assert alg.basis_of_degree(0) == ((),)
+    assert alg.basis_of_degree(0) == (alg.one_key(),)
+    assert alg.format_key(alg.one_key()) == "1"
 
 
 @pytest.mark.parametrize("degrees", [(2,), (2, 3), (3, 5), (2, 2, 7), (1, 4, 6)])
@@ -115,7 +117,9 @@ def test_basis_enumeration_is_sorted_complete_and_distinct(seed):
 
 def _brute_force_basis(gens, n):
     """Every exponent vector of total degree n, odd exponents at most 1,
-    as monomials, by plain depth-first search over the generators."""
+    as ((i, e_i), ...) with each e_i > 0, by plain depth-first search over
+    the generators, in graded-lex order: exponent vectors, from generator
+    0 on, largest first."""
     out = []
 
     def visit(i, rem, mono):
@@ -129,7 +133,14 @@ def _brute_force_basis(gens, n):
             visit(i + 1, rem - e * deg, mono + ((i, e),) if e else mono)
 
     visit(0, n, ())
-    return out
+
+    def dense(word):
+        exps = [0] * len(gens)
+        for i, e in word:
+            exps[i] = e
+        return exps
+
+    return sorted(out, key=dense, reverse=True)
 
 
 # generator degrees beside the random ones: no generator, and odd ones
@@ -141,7 +152,8 @@ _SPECIAL_DEGREES = {"empty": [], "odd": [1, 3, 3, 5]}
 @pytest.mark.parametrize("seed", [*range(8), *_SPECIAL_DEGREES])
 def test_bottom_up_basis_matches_brute_force(seed, order):
     # the code tables grow with the largest degree asked so far, in
-    # whatever order the degrees are asked, and decode to graded-lex order
+    # whatever order the degrees are asked, and decode to graded-lex order,
+    # which is `sort_key` order
     if seed in _SPECIAL_DEGREES:
         degrees, rng = _SPECIAL_DEGREES[seed], random.Random(0)
     else:
@@ -157,8 +169,9 @@ def test_bottom_up_basis_matches_brute_force(seed, order):
     elif order == "random":
         rng.shuffle(asked)
     for n in asked:
-        want = sorted(_brute_force_basis(gens, n), key=alg.sort_key)
-        assert list(alg.basis_of_degree(n)) == want, (degrees, n)
+        keys = alg.basis_of_degree(n)
+        assert [alg.factors(k) for k in keys] == _brute_force_basis(gens, n), (degrees, n)
+        assert list(keys) == sorted(keys, key=alg.sort_key)
     assert ([len(alg.basis_of_degree(n)) for n in range(upto + 1)]
             == basis_count_series(gens, upto))
     assert alg.basis_of_degree(-1) == ()
@@ -166,9 +179,10 @@ def test_bottom_up_basis_matches_brute_force(seed, order):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_monomial_codes_add_under_products(seed):
-    # a degree's monomials are its codes decoded, in their order, asked
-    # first or second; distinct monomials have distinct codes, and a
-    # product with no odd square adds codes
+    # distinct monomials have distinct codes, asked first or second, and
+    # a product multiplies the factors: its exponents are the sums of the
+    # factors' (`factors` reads them), and it is 0 exactly when an odd
+    # generator meets itself
     rng = random.Random(seed)
     degrees = [rng.choice([1, 2, 2, 3, 4, 5, 6]) for _ in range(rng.randint(1, 6))]
     gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
@@ -176,17 +190,63 @@ def test_monomial_codes_add_under_products(seed):
     upto = 24
     asked = list(range(upto, -1, -1)) if seed % 2 else list(range(upto + 1))
     for n in asked:
-        codes = alg.codes_of_degree(n)
-        keys = alg.basis_of_degree(n)
-        assert codes == tuple(alg.code(m) for m in keys)
+        codes = alg.basis_of_degree(n)
         assert len(set(codes)) == len(codes)
+        assert all(alg.key_degree(c) == n for c in codes)
     monomials = [m for n in range(13) for m in alg.basis_of_degree(n)]
     for _ in range(200):
         m1, m2 = rng.choice(monomials), rng.choice(monomials)
-        product = alg.mul_monomials(m1, m2)
-        if product is not None:
-            assert alg.code(product[1]) == alg.code(m1) + alg.code(m2)
-    assert alg.codes_of_degree(-1) == ()
+        exps = dict(alg.factors(m1))
+        meets = any(gens[i].is_odd and i in exps for i, _ in alg.factors(m2))
+        for i, e in alg.factors(m2):
+            exps[i] = exps.get(i, 0) + e
+        product = alg.mul_key_pairs(m1, m2)
+        if meets:
+            assert product == []
+        else:
+            (code, _), = product
+            assert alg.factors(code) == tuple(sorted(exps.items()))
+    assert alg.basis_of_degree(-1) == ()
+
+
+def _word_sign(alg, w1, w2):
+    """The sign of w1 * w2 sorted into generator order, or 0 when an odd
+    generator repeats: the concatenated word of single letters is bubble
+    sorted, and each transposition of two odd letters changes the sign."""
+    letters = [i for word in (w1, w2) for i, e in word for _ in range(e)]
+    odd = [alg.generators[i].is_odd for i in letters]
+    if len({i for i, o in zip(letters, odd) if o}) < sum(odd):
+        return 0
+    sign = 1
+    for end in range(len(letters) - 1, 0, -1):
+        for j in range(end):
+            if letters[j] > letters[j + 1]:
+                letters[j], letters[j + 1] = letters[j + 1], letters[j]
+                odd[j], odd[j + 1] = odd[j + 1], odd[j]
+                if odd[j] and odd[j + 1]:
+                    sign = -sign
+    return sign
+
+
+def test_koszul_signs_match_sorting_the_word():
+    # an oracle apart from the codes' bits: every pair of monomials of
+    # degree <= 12, in an algebra whose odd and even generators alternate
+    alg = FreeAlgebra([Generator("u", 1), Generator("a", 2), Generator("v", 3),
+                       Generator("b", 2), Generator("w", 3), Generator("c", 4),
+                       Generator("x", 5)])
+    monomials = [m for n in range(13) for m in alg.basis_of_degree(n)]
+    checked = Counter()
+    for m1 in monomials:
+        for m2 in monomials:
+            w1, w2 = alg.factors(m1), alg.factors(m2)
+            sign = _word_sign(alg, w1, w2)
+            exps = dict(w1)
+            for i, e in w2:
+                exps[i] = exps.get(i, 0) + e
+            want = [(alg.key_of(sorted(exps.items())), sign)] if sign else []
+            assert alg.mul_key_pairs(m1, m2) == want, (alg.format_key(m1), alg.format_key(m2))
+            checked[sign] += 1
+    assert checked[-1] > 1000 and checked[1] > 1000 and checked[0] > 1000
 
 
 def test_code_digits_are_guarded():
@@ -195,22 +255,32 @@ def test_code_digits_are_guarded():
     # generator's exponent could reach it, before anything is enumerated
     alg = FreeAlgebra([Generator("x", 3), Generator("e", 4), Generator("f", 6)])
     top = (1 << CODE_BITS) - 1
-    assert alg.code(((1, top),)) == top << CODE_BITS
+    assert alg.key_of(((1, top),)) == top << CODE_BITS
+    assert alg.factors(top << CODE_BITS) == ((1, top),)
     with pytest.raises(InputError, match="out of range"):
-        alg.code(((1, top + 1),))
+        alg.key_of(((1, top + 1),))
     limit = 4 << CODE_BITS
-    for ask in (alg.codes_of_degree, alg.basis_of_degree):
-        for n in (limit, 10 ** 15):
-            with pytest.raises(InputError, match=f"from degree {limit} on"):
-                ask(n)
-    assert alg._codes == [] and alg._starts == [] and alg._basis == {}
+    for n in (limit, 10 ** 15):
+        with pytest.raises(InputError, match=f"from degree {limit} on"):
+            alg.basis_of_degree(n)
+    assert alg._codes == [] and alg._starts == []
     # the one check, which a key path asks of the degree of d's result
     alg.check_degree(limit - 1)
     with pytest.raises(InputError, match=f"from degree {limit} on"):
         alg.check_degree(limit)
     # odd generators alone have exponents at most 1: no limit
     odd = FreeAlgebra([Generator("x", 3), Generator("y", 5)])
-    assert odd.codes_of_degree(8) == (1 + (1 << CODE_BITS),)
+    assert odd.basis_of_degree(8) == (1 + (1 << CODE_BITS),)
+    # a product, a power or a parsed term whose exponent would reach
+    # 2^CODE_BITS raises, and never adds into the next digit
+    two = FreeAlgebra([Generator("u", 3), Generator("a", 2)])
+    half = parse_element("a^40000", two)
+    for make in (lambda: half * half, lambda: half ** 2,
+                 lambda: parse_element("a^40000*a^40000", two),
+                 lambda: parse_element(f"u*a^{top + 1}", two)):
+        with pytest.raises(InputError, match="out of range"):
+            make()
+    assert str(parse_element(f"u*a^{top - 1}*a", two)) == f"u*a^{top}"
 
 
 # -- randomized algebra laws -------------------------------------------------
@@ -259,7 +329,7 @@ def test_associativity_random(data):
 def test_parse_simple_term():
     alg = FreeAlgebra([Generator("a", 2)])
     elt = parse_element("3/2*a^2", alg)
-    assert elt == Element(alg, {((0, 2),): Fraction(3, 2)})
+    assert elt == Element(alg, {alg.key_of(((0, 2),)): Fraction(3, 2)})
 
 
 def test_parse_two_terms():

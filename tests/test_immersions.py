@@ -270,8 +270,8 @@ def test_em_factors_split_at_the_fibre():
     model = section_model(E, kept)
     gens = model.algebra.generators
     mentioned = {i for g in gens
-                 for mono in model.differential_of_generator(g.name).terms
-                 for i, _ in mono}
+                 for code in model.differential_of_generator(g.name).terms
+                 for i, _ in model.algebra.factors(code)}
     assert [(g.name, g.degree) for i, g in enumerate(gens)
             if i not in mentioned
             and model.differential_of_generator(g.name).is_zero()] == [("x2_a5", 2)]

@@ -144,9 +144,11 @@ _MANIFOLD = "manifold: X\ndimension: 4\n" + _FINITE + "product: a * a = aa\n"
      "Pontryagin index must be an integer, got 'one'"),
     (_MANIFOLD + "pontryagin: 1 = aa\npontryagin: 1 = 2*aa\n", 9,
      "p_1 given more than once"),
+    ("kind: free\ngenerator: a 2\ngenerator: y 3\nd: y = a^40000*a^40000\n", 4,
+     "the product a^40000 * a^40000 has an exponent out of range"),
 ], ids=["no-colon", "degree", "no-equals", "repeated-field", "finite-generator",
         "product-left-side", "product-unknown", "kind", "simply-connected",
-        "dimension", "pontryagin-index", "pontryagin-repeated"])
+        "dimension", "pontryagin-index", "pontryagin-repeated", "exponent"])
 def test_every_document_complaint_names_its_line(text, line, complaint):
     parse = parse_manifold if text.startswith("manifold:") else parse_cdga
     with pytest.raises(ParseError) as err:

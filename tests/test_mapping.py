@@ -343,14 +343,16 @@ def _rebuilt_rest(E):
     in place."""
     gens = E.given
     twists = [E.twist_of(g.name) for g in gens]
-    mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fm}
+    fibre = E.fiber
+    mentioned = {i for dv in twists for _, fm in dv.terms for i, _ in fibre.factors(fm)}
     keep = [i for i, dv in enumerate(twists) if dv.terms or i in mentioned]
     if not keep:
         return None
     index = {i: n for n, i in enumerate(keep)}
     alg = TensorAlgebra(E.base.algebra, FreeAlgebra([gens[i] for i in keep]))
-    twist = {gens[i].name: Element(alg, {(lk, tuple((index[j], e) for j, e in fm)): c
-                                         for (lk, fm), c in twists[i].terms.items()})
+    twist = {gens[i].name: Element(alg, {
+                 (lk, alg.right.key_of((index[j], e) for j, e in fibre.factors(fm))): c
+                 for (lk, fm), c in twists[i].terms.items()})
              for i in keep}
     return RelativeModel(E.base, alg.right.generators, twist, label=E.label)
 

@@ -32,3 +32,21 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert linalg.sparse_rank_kernel is original
+
+
+def test_the_tracer_sees_enumeration():
+    # a walk of a free model enumerates its degrees through
+    # `FreeAlgebra.basis_of_degree`, the name the tracer wraps, so a
+    # traced `imm_null` operation books calls and keys to it
+    from ratimm.bundles import sphere_product_manifold
+    from ratimm.immersions import immersion_components
+    M = sphere_product_manifold(2, 4)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        immersion_components(M, 8, 30)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary(0.0)
+    assert summary["gca.basis_of_degree.calls"] > 0
+    assert summary["gca.basis_of_degree.keys"] > 0
